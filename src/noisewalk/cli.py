@@ -161,6 +161,28 @@ def _positive_int(cfg: dict, key: str, minimum: int = 1) -> int:
     return v
 
 
+def _optional_int(cfg: dict, key: str) -> int | None:
+    return None if cfg.get(key) is None else _positive_int(cfg, key, minimum=0)
+
+
+def _number(value, key: str) -> float:
+    """``float(value)``, raising ValidationError for anything not numeric."""
+    if not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    raise ValidationError(f"{key} must be a number, got {value!r}")
+
+
+def _positive_ints(value, key: str) -> tuple[int, ...]:
+    if not isinstance(value, (list, tuple)) or not all(
+        isinstance(x, int) and not isinstance(x, bool) and x >= 1 for x in value
+    ):
+        raise ValidationError(f"{key} must be a list of integers >= 1, got {value!r}")
+    return tuple(value)
+
+
 def parse_config(
     subcommand: str, config_path: str | None, overrides: dict
 ) -> RunConfig:
@@ -251,7 +273,7 @@ def parse_config(
 
     rho = merged.get("rho")
     if rho is not None:
-        rho = float(rho)
+        rho = _number(rho, "rho")
         if not 0 <= rho <= 1:
             raise ValidationError(f"rho must lie in [0, 1], got {rho}")
     rho_grid = None
@@ -284,7 +306,7 @@ def parse_config(
     elif subcommand == "tv":
         options["n_exact"] = _positive_int(merged, "n_exact")
         options["route"] = merged["route"]
-        tf = float(merged["threshold_frac"])
+        tf = _number(merged["threshold_frac"], "threshold_frac")
         if not 0 < tf <= 1:
             raise ValidationError(f"threshold_frac must lie in (0, 1], got {tf}")
         options["threshold_frac"] = tf
@@ -295,22 +317,19 @@ def parse_config(
             t_grid = list(range(1, min(21, options["horizon"] + 1)))
         if not isinstance(t_grid, (list, tuple)) or len(t_grid) < 2:
             raise ValidationError("t_grid must be a list of at least two depths")
-        options["t_grid"] = tuple(int(t) for t in t_grid)
+        options["t_grid"] = _positive_ints(t_grid, "t_grid")
         options["centers"] = _positive_int(merged, "centers")
         options["min_count"] = _positive_int(merged, "min_count")
-        options["keep_depth"] = merged.get("keep_depth")
-        options["export_tree_depth"] = merged.get("export_tree_depth")
+        options["keep_depth"] = _optional_int(merged, "keep_depth")
+        options["export_tree_depth"] = _optional_int(merged, "export_tree_depth")
     elif subcommand == "sweep":
-        tv_ns = merged["tv_ns"]
-        if not isinstance(tv_ns, (list, tuple)):
-            raise ValidationError("tv_ns must be a list of step counts")
-        options["tv_ns"] = tuple(int(x) for x in tv_ns)
-        tf = float(merged["threshold_frac"])
+        options["tv_ns"] = _positive_ints(merged["tv_ns"], "tv_ns")
+        tf = _number(merged["threshold_frac"], "threshold_frac")
         if not 0 < tf <= 1:
             raise ValidationError(f"threshold_frac must lie in (0, 1], got {tf}")
         options["threshold_frac"] = tf
         options["margin"] = (
-            None if merged["margin"] is None else float(merged["margin"])
+            None if merged["margin"] is None else _number(merged["margin"], "margin")
         )
         options["n_max"] = _positive_int(merged, "n_max")
 
@@ -351,24 +370,6 @@ def _plain(obj):
     if isinstance(obj, float):
         return obj
     return float(obj)
-
-
-def _scalar_record(
-    subcommand: str, method: str, value, rho, n, trials, seed, details: dict
-) -> dict:
-    return {
-        "subcommand": subcommand,
-        "rho": None if rho is None else float(rho),
-        "n": n,
-        "trials": trials,
-        "seed": seed,
-        "method": method,
-        "value": float(value),
-        "std_error": 0.0,
-        "ci_low": float(value),
-        "ci_high": float(value),
-        "details": _plain(details),
-    }
 
 
 def _csv_cell(v) -> str:
@@ -508,22 +509,11 @@ def _run_drift(cfg: RunConfig):
     records = [_result_record(r, "drift", cfg.rho)]
     for label in ("coord1", "coord2"):
         if label in r.details:
-            d = r.details[label]
-            records.append(
-                {
-                    "subcommand": "drift",
-                    "rho": cfg.rho,
-                    "n": r.n,
-                    "trials": r.trials,
-                    "seed": r.seed,
-                    "method": f"drift-mc-{label}",
-                    "value": d["value"],
-                    "std_error": d["std_error"],
-                    "ci_low": d["ci_low"],
-                    "ci_high": d["ci_high"],
-                    "details": {},
-                }
+            coord = estimators.EstimateResult(
+                **r.details[label], n=r.n, trials=r.trials, seed=r.seed,
+                method=f"drift-mc-{label}",
             )
+            records.append(_result_record(coord, "drift", cfg.rho))
     return records, None, {}
 
 
@@ -551,27 +541,24 @@ def _run_entropy(cfg: RunConfig):
             step = measures.build_pi_rho(cfg.measure, cfg.rho)
         n_max = cfg.options["n_max"]
         try:
-            curve = _strict_curve(step, n_max, cfg.cap)
+            curve = estimators.entropy_exact_curve(step, n_max, cfg.cap, strict=True)
         except TruncationError as e:
             raise TruncationError(
                 f"exact entropy needs a larger cap: {e}", e.level, e.lost_mass
             )
         for i, n in enumerate(curve.ns):
-            records.append(
-                _scalar_record(
-                    "entropy", "entropy-exact", curve.values[i], cfg.rho, n, 1,
-                    cfg.seed,
-                    {"upper_bound": curve.upper_bounds[i],
-                     "truncated": curve.truncated[i]},
-                )
+            r = estimators.exact_result(
+                curve.values[i], n, cfg.seed, "entropy-exact",
+                details={"upper_bound": curve.upper_bounds[i],
+                         "truncated": curve.truncated[i]},
             )
+            records.append(_result_record(r, "entropy", cfg.rho))
         upper, increment = estimators.entropy_rate_estimate(curve)
-        records.append(
-            _scalar_record(
-                "entropy", "entropy-increment", increment, cfg.rho,
-                curve.ns[-1], 1, cfg.seed, {"upper_rate": upper},
-            )
+        r = estimators.exact_result(
+            increment, curve.ns[-1], cfg.seed, "entropy-increment",
+            details={"upper_rate": upper},
         )
+        records.append(_result_record(r, "entropy", cfg.rho))
         if cfg.plot:
             plot = {
                 "series": [
@@ -585,37 +572,21 @@ def _run_entropy(cfg: RunConfig):
     return records, plot, {}
 
 
-def _strict_curve(step, n_max, cap):
-    ns, vals, ubs, flags, lost = [], [], [], [], []
-    for lv in measures.iter_convolution_levels(step, n_max, cap=cap, strict=True):
-        ns.append(lv.level)
-        vals.append(lv.entropy_kept())
-        ubs.append(lv.entropy_upper_bound())
-        flags.append(lv.truncated)
-        lost.append(float(lv.lost_mass))
-    return estimators.EntropyCurve(
-        tuple(ns), tuple(vals), tuple(ubs), tuple(flags), tuple(lost)
-    )
-
-
 def _run_tv(cfg: RunConfig):
     records = []
     m = measures.uniform_letter_count(cfg.measure)
     if m is not None:
         for n in range(1, cfg.n + 1):
-            records.append(
-                _scalar_record(
-                    "tv", "tv-oracle", oracle.tv_semigroup(m, cfg.rho, n),
-                    cfg.rho, n, 1, cfg.seed, {},
-                )
+            r = estimators.exact_result(
+                oracle.tv_semigroup(m, cfg.rho, n), n, cfg.seed, "tv-oracle"
             )
+            records.append(_result_record(r, "tv", cfg.rho))
     for n in range(1, min(cfg.options["n_exact"], cfg.n) + 1):
         v = estimators.tv_exact(
             cfg.measure, cfg.rho, n, cap=cfg.cap, route=cfg.options["route"]
         )
-        records.append(
-            _scalar_record("tv", "tv-exact", float(v), cfg.rho, n, 1, cfg.seed, {})
-        )
+        r = estimators.exact_result(v, n, cfg.seed, "tv-exact")
+        records.append(_result_record(r, "tv", cfg.rho))
     r = estimators.tv_lower_bound_mc(
         cfg.measure, cfg.rho, cfg.n, cfg.trials, cfg.seed,
         threshold_frac=cfg.options["threshold_frac"], workers=cfg.workers,
@@ -664,21 +635,12 @@ def _run_dimension(cfg: RunConfig):
                 rec["details"]["closed_form"] = closed
             records.append(rec)
         gap_half = 1.96 * rep.gap_std_error
-        records.append(
-            {
-                "subcommand": "dimension",
-                "rho": None,
-                "n": opts["horizon"],
-                "trials": cfg.trials,
-                "seed": cfg.seed,
-                "method": "dimension-gap",
-                "value": rep.gap,
-                "std_error": rep.gap_std_error,
-                "ci_low": rep.gap - gap_half,
-                "ci_high": rep.gap + gap_half,
-                "details": {"conclusive": rep.conclusive},
-            }
+        gap = estimators.EstimateResult(
+            rep.gap, rep.gap_std_error, rep.gap - gap_half, rep.gap + gap_half,
+            opts["horizon"], cfg.trials, cfg.seed, "dimension-gap",
+            {"conclusive": rep.conclusive},
         )
+        records.append(_result_record(gap, "dimension", None))
         return records, None, extras
     keep = opts["keep_depth"] or max(opts["t_grid"])
     samples = boundary_mod.sample_boundary(
@@ -695,9 +657,8 @@ def _run_dimension(cfg: RunConfig):
         rec["details"]["closed_form"] = oracle.h_semigroup(m, cfg.rho)
     records.append(rec)
     if opts["export_tree_depth"]:
-        depth = int(opts["export_tree_depth"])
         extras["tree.txt"] = "".join(
-            line + "\n" for line in tree.export_records(depth)
+            line + "\n" for line in tree.export_records(opts["export_tree_depth"])
         )
     return records, None, extras
 
@@ -719,12 +680,11 @@ def _run_sweep(cfg: RunConfig):
         for tn, tr in row.tv_lower:
             records.append(_result_record(tr, "sweep", row.rho))
     star = estimators.rho_star_estimate(table, opts["margin"])
-    records.append(
-        _scalar_record(
-            "sweep", "rho-star", star.value, None, 0, 0, cfg.seed,
-            {"margin": star.margin, "warning": star.warning},
-        )
+    r = estimators.exact_result(
+        star.value, 0, cfg.seed, "rho-star", trials=0,
+        details={"margin": star.margin, "warning": star.warning},
     )
+    records.append(_result_record(r, "sweep", None))
     header = ["rho", "h_value", "h_std_error", "h_closed_form",
               "drift_value", "drift_std_error"]
     for tn in opts["tv_ns"]:

@@ -77,6 +77,14 @@ def _mean_result(
     )
 
 
+def exact_result(
+    value, n: int, seed: int, method: str, trials: int = 1, details: dict | None = None
+) -> EstimateResult:
+    """An exact value in the common result shape: zero standard error."""
+    v = float(value)
+    return EstimateResult(v, 0.0, v, v, n, trials, seed, method, details or {})
+
+
 # ---------------------------------------------------------------------------
 # drift
 
@@ -190,11 +198,15 @@ def entropy_exact_curve(
     step: FiniteMeasure,
     n_max: int,
     cap: int = DEFAULT_CAP,
-    engine: str = "auto",
+    strict: bool = False,
 ) -> EntropyCurve:
-    """Entropies of the exact convolution powers up to n_max."""
+    """Entropies of the exact convolution powers up to n_max.
+
+    ``strict=True`` raises ``TruncationError`` where the cap would drop
+    mass instead of bracketing the entropy of a truncated level.
+    """
     ns, vals, ubs, flags, lost = [], [], [], [], []
-    for lv in iter_convolution_levels(step, n_max, cap=cap, strict=False, engine=engine):
+    for lv in iter_convolution_levels(step, n_max, cap=cap, strict=strict):
         ns.append(lv.level)
         vals.append(lv.entropy_kept())
         ubs.append(lv.entropy_upper_bound())
@@ -222,15 +234,8 @@ def _entropy_rate_result(curve: EntropyCurve, seed: int) -> EstimateResult:
     """Entropy increment estimate wrapped in the common result shape."""
     upper, increment = entropy_rate_estimate(curve)
     i = [j for j, t in enumerate(curve.truncated) if not t][-1]
-    return EstimateResult(
-        value=increment,
-        std_error=0.0,
-        ci_low=increment,
-        ci_high=increment,
-        n=curve.ns[i],
-        trials=1,
-        seed=seed,
-        method="entropy-increment",
+    return exact_result(
+        increment, curve.ns[i], seed, "entropy-increment",
         details={"upper_rate": upper, "levels_used": curve.ns[i]},
     )
 
@@ -282,14 +287,16 @@ def _tv_pair_convolution(mu: FiniteMeasure, rho_w, n: int, cap: int) -> Weight:
     Convolves the coupling and the marginal separately (strict: the cap
     must not truncate, or the result would not be exact) and sums
     |pi_n(u, v) - mu_n(u) mu_n(v)| over the coupled support plus the
-    independent mass outside it.
+    independent mass outside it.  A float coupling convolves the float
+    marginal, so both levels hold probabilities rather than numerators.
     """
     pi = build_pi_rho(mu, rho_w)
     last_pi = None
     for lv in iter_convolution_levels(pi, n, cap=cap, strict=True):
         last_pi = lv
     last_mu = None
-    for lv in iter_convolution_levels(mu, n, cap=cap, strict=True):
+    marginal = mu if pi.exact else mu.as_float()
+    for lv in iter_convolution_levels(marginal, n, cap=cap, strict=True):
         last_mu = lv
     assert last_pi is not None and last_mu is not None
     if last_pi.exact and last_mu.exact:

@@ -9,16 +9,22 @@ preserved through every operation that mathematically can preserve it.
 The convolution engine computes the n-fold convolution power level by
 level.  In exact mode each level is stored as integer numerators over
 the common denominator D**level, which keeps arithmetic exact and makes
-entropy certification possible.  Two interchangeable backends exist:
+entropy certification possible.  A reduced word is numbered by its
+shortlex rank, written as a base-B numeral with B = (number of
+letters) + 1 and letters 1..k, -1..-k (1..k on a semigroup) as digits
+1..B-1.  Multiplying by a letter on the right is arithmetic on these
+codes, so each level is a few vectorized passes plus one stable
+sort/reduce over the codes of the live atoms; no table of words is
+built.
 
-* a coded backend that enumerates the reachable ball of words once,
-  assigns integer codes, and runs each level as vectorized gathers and
-  a sort/reduce pass over int64 arrays;
-* a plain dict backend used when the ball is too large to enumerate or
-  when int64 numerators could overflow.
+Keys and numerators are int64 while they provably fit (keys below
+B**depth, squared for pairs; numerators while D**n <= 2**62) and
+Python ints in object arrays otherwise; the dtype follows from the
+input, never from an option, and the results are the same either way.
 
-Support caps drop the lowest-mass atoms and track the lost mass so
-callers can certify bounds; ``strict=True`` turns truncation into an
+Support caps drop the lowest-mass atoms, ties broken in shortlex order
+(pairs: lexicographic in the two coordinates), and track the lost mass
+so callers can certify bounds; ``strict=True`` turns truncation into an
 error instead.
 """
 
@@ -29,21 +35,21 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Iterator, Union
 
 import mpmath
 import numpy as np
 
 from . import rng as rngmod
 from .errors import BudgetError, InputError, TruncationError, ValidationError
-from .words import Word, WordPair, multiply, pair_length, reduce_word, word_length
+from .words import Word, WordPair, multiply, pair_length, reduce_word
 
 Weight = Union[Fraction, float]
 Atom = Union[Word, WordPair]
 
 WEIGHT_SUM_TOL = 1e-12
 DEFAULT_CAP = 1_000_000
-_TABLE_NODE_CAP = 3_000_000
+_MATERIALIZE_CAP = 3_000_000
 _INT64_SAFE = 2**62
 
 
@@ -341,82 +347,63 @@ def sample_path(step: FiniteMeasure, n: int, seed: int, stream: int = 0) -> Path
 
 
 # ---------------------------------------------------------------------------
-# word code tables for the vectorized convolution backend
+# shortlex word codes
 
 
-class _WordTable:
-    """Ball of reduced words up to a depth, with a letter-transition table.
+class _WordCode:
+    """Shortlex numbering of reduced words by base-B numerals.
 
-    ``words[i]`` is the word with code i (code 0 is the identity), and
-    ``next[i, j]`` is the code of words[i] * letter_j, or -1 when the
-    source word already has full depth (such rows are never consulted
-    for states that respect the depth budget).
+    The letters 1..k, -1..-k (1..k on a semigroup) are the digits
+    1..B-1 of base B = letters + 1, and a word is its numeral with the
+    first letter most significant; the identity is 0.  Numeric order is
+    shortlex order: shorter words first, equal lengths lexicographic in
+    that letter order.  Words of at most ``depth`` letters have codes
+    below ``stride`` = B**depth, so a pair packs as code1 * stride +
+    code2 and pair keys order lexicographically.
     """
 
-    def __init__(self, rank: int, depth: int, inverse_free: bool, node_cap: int):
+    def __init__(self, rank: int, inverse_free: bool, depth: int):
         letters = list(range(1, rank + 1))
         if not inverse_free:
             letters += [-i for i in range(1, rank + 1)]
-        self.rank = rank
-        self.depth = depth
-        self.inverse_free = inverse_free
         self.letters = letters
-        self.letter_code = {x: i for i, x in enumerate(letters)}
-        words: list[Word] = [()]
-        index: dict[Word, int] = {(): 0}
-        rows: list[list[int]] = []
-        cur = 0
-        while cur < len(words):
-            w = words[cur]
-            if len(w) >= depth:
-                rows.append([-1] * len(letters))
-            else:
-                row = []
-                for x in letters:
-                    t = multiply(w, (x,))
-                    ti = index.get(t)
-                    if ti is None:
-                        ti = len(words)
-                        if ti > node_cap:
-                            raise BudgetError("word table exceeds node cap")
-                        index[t] = ti
-                        words.append(t)
-                    row.append(ti)
-                rows.append(row)
-            cur += 1
-        # new words discovered on the last sweep have no rows yet
-        while len(rows) < len(words):
-            rows.append([-1] * len(letters))
-        self.words = words
-        self.index = index
-        self.next = np.array(rows, dtype=np.int64)
+        self.base = len(letters) + 1
+        self.digit = {x: i + 1 for i, x in enumerate(letters)}
+        self.stride = self.base**depth
 
-    def atom_destinations(self, atom: Word) -> np.ndarray:
-        """Vector mapping every word code to the code of word * atom.
+    def encode(self, word: Word) -> int:
+        code = 0
+        for x in word:
+            code = code * self.base + self.digit[x]
+        return code
 
-        Entries are -1 where the product would leave the table; valid
-        convolution states never consult those entries.
+    def decode(self, code: int) -> Word:
+        letters = []
+        while code:
+            code, d = divmod(code, self.base)
+            letters.append(self.letters[d - 1])
+        return tuple(reversed(letters))
+
+    def times_words(self, codes: np.ndarray, words: set[Word]) -> dict[Word, np.ndarray]:
+        """Codes of u * w for every code of u in ``codes``, for each word w.
+
+        Right-multiplying by letter x drops the last digit when it is
+        x's inverse and appends x's digit otherwise.  Words sharing a
+        prefix share its letter steps.
         """
-        cur = np.arange(len(self.words), dtype=np.int64)
-        for x in atom:
-            j = self.letter_code.get(x)
-            if j is None:
-                raise InputError(f"letter {x} outside rank {self.rank} table")
-            valid = cur >= 0
-            nxt = np.full_like(cur, -1)
-            nxt[valid] = self.next[cur[valid], j]
-            cur = nxt
-        return cur
+        memo: dict[Word, np.ndarray] = {(): codes}
 
+        def times(w: Word) -> np.ndarray:
+            if w not in memo:
+                prev, x = times(w[:-1]), w[-1]
+                grown = prev * self.base + self.digit[x]
+                inv = self.digit.get(-x)  # None on a semigroup: nothing cancels
+                memo[w] = grown if inv is None else np.where(
+                    prev % self.base == inv, prev // self.base, grown
+                )
+            return memo[w]
 
-def _try_word_table(step: FiniteMeasure, n: int) -> _WordTable | None:
-    depth = n * step.max_atom_length
-    if depth == 0:
-        depth = 1
-    try:
-        return _WordTable(step.rank, depth, step.inverse_free, _TABLE_NODE_CAP)
-    except BudgetError:
-        return None
+        return {w: times(w) for w in words}
 
 
 # ---------------------------------------------------------------------------
@@ -430,7 +417,8 @@ class ConvolutionLevel:
     ``lost_mass`` is the cumulative mass dropped by truncation up to and
     including this level; the stored values describe only the kept mass.
     In exact mode the stored values are integer numerators over
-    ``denominator`` = D**level.
+    ``denominator`` = D**level.  Atoms are held as sorted shortlex keys
+    (``_WordCode``) beside their values.
     """
 
     level: int
@@ -442,61 +430,35 @@ class ConvolutionLevel:
     denominator: int | None
     truncated: bool
     lost_mass: Weight
-    _coded: tuple | None = field(default=None, repr=False)  # (keys, vals, table)
-    _dict: dict | None = field(default=None, repr=False)
+    _keys: np.ndarray = field(repr=False)
+    _vals: np.ndarray = field(repr=False)
+    _code: _WordCode = field(repr=False)
 
     @property
     def size(self) -> int:
-        if self._coded is not None:
-            return len(self._coded[0])
-        assert self._dict is not None
-        if self.kind == "pair":
-            return sum(len(inner) for inner in self._dict.values())
-        return len(self._dict)
+        return len(self._keys)
 
     def iter_items(self) -> Iterator[tuple[Atom, object]]:
-        """Yield (atom, value) with value a numerator (exact) or float."""
-        if self._coded is not None:
-            keys, vals, table = self._coded
-            words = table.words
-            if self.kind == "pair":
-                b = len(words)
-                for k, v in zip(keys.tolist(), vals.tolist()):
-                    yield (words[k // b], words[k % b]), v
-            else:
-                for k, v in zip(keys.tolist(), vals.tolist()):
-                    yield words[k], v
-        else:
-            assert self._dict is not None
-            if self.kind == "pair":
-                for w1, inner in self._dict.items():
-                    for w2, v in inner.items():
-                        yield (w1, w2), v
-            else:
-                yield from self._dict.items()
+        """Yield (atom, value) in key order; value a numerator (exact) or float.
+
+        Each distinct coordinate code is decoded once.
+        """
+        code, pair = self._code, self.kind == "pair"
+        coords = [self._keys // code.stride, self._keys % code.stride] if pair else [self._keys]
+        uniq, inv = np.unique(np.concatenate(coords), return_inverse=True)
+        words = np.fromiter(map(code.decode, uniq.tolist()), dtype=object, count=len(uniq))
+        atoms = words[inv].reshape(len(coords), -1).tolist()
+        yield from zip(zip(*atoms) if pair else atoms[0], self._vals.tolist())
 
     def mass_counts(self) -> Counter:
         """Multiplicity of each distinct stored value (numerator or float)."""
-        c: Counter = Counter()
-        if self._coded is not None:
-            _, vals, _ = self._coded
-            uniq, cnt = np.unique(vals, return_counts=True)
-            for v, k in zip(uniq.tolist(), cnt.tolist()):
-                c[v] = k
-        else:
-            for _, v in self.iter_items():
-                c[v] += 1
-        return c
+        uniq, cnt = np.unique(self._vals, return_counts=True)
+        return Counter(dict(zip(uniq.tolist(), cnt.tolist())))
 
     def kept_total(self) -> Weight:
         if self.exact:
-            num = 0
-            if self._coded is not None:
-                num = int(self._coded[1].sum())
-            else:
-                num = sum(v for _, v in self.iter_items())
-            return Fraction(num, self.denominator)
-        return math.fsum(v for _, v in self.iter_items())
+            return Fraction(int(self._vals.sum()), self.denominator)
+        return math.fsum(self._vals.tolist())
 
     def entropy_kept(self) -> float:
         """Sum of -w log w over kept atoms, in nats.
@@ -534,7 +496,7 @@ class ConvolutionLevel:
         return lower + eps * log_atoms - eps * math.log(eps)
 
     def to_measure(self) -> FiniteMeasure:
-        if self.size > _TABLE_NODE_CAP:
+        if self.size > _MATERIALIZE_CAP:
             raise BudgetError("level too large to materialize as a measure")
         atoms = []
         for atom, v in self.iter_items():
@@ -569,133 +531,41 @@ def _flag_truncated(lost: Weight) -> bool:
     return lost >= 1e-9
 
 
-def _truncate_sorted(pairs: list, cap: int) -> tuple[list, object]:
-    """Keep the cap heaviest entries of [(atom, value)]; ties break on atom order."""
-    pairs.sort(key=lambda kv: (-kv[1], kv[0]))
-    kept = pairs[:cap]
-    lost = sum(v for _, v in pairs[cap:])
-    return kept, lost
-
-
-def _iter_levels_dict(
-    step: FiniteMeasure, n: int, cap: int, strict: bool
+def iter_convolution_levels(
+    step: FiniteMeasure,
+    n: int,
+    cap: int = DEFAULT_CAP,
+    strict: bool = False,
 ) -> Iterator[ConvolutionLevel]:
-    exact = step.exact
-    if exact:
-        denom, nums = _step_numerators(step)
-        step_items = [(a, num) for (a, _), num in zip(step.atoms, nums)]
-    else:
-        denom = None
-        step_items = [(a, w) for a, w in step.atoms]
-    pair = step.kind == "pair"
-    lost: Weight = Fraction(0) if exact else 0.0
+    """Stream the convolution powers step, step^2, ..., step^n.
 
-    if pair:
-        by_first: dict[Word, list] = {}
-        for (a1, a2), v in step_items:
-            by_first.setdefault(a1, []).append((a2, v))
-        state: dict = {}
-        for (a1, a2), v in step_items:
-            state.setdefault(a1, {})[a2] = v
-    else:
-        state = {a: v for a, v in step_items}
+    Each level multiplies every kept state by every atom on the right
+    (vectorized on shortlex codes), then sorts and sums equal keys.
+    Past ``cap`` atoms the lightest are dropped, ties broken in
+    shortlex order; ``strict=True`` raises ``TruncationError`` instead.
+    """
+    if not isinstance(n, int) or n < 1:
+        raise InputError(f"n must be a positive integer, got {n!r}")
+    if not isinstance(cap, int) or cap < 1:
+        raise InputError(f"cap must be a positive integer, got {cap!r}")
 
-    def flatten(st):
-        if pair:
-            return [((w1, w2), v) for w1, inner in st.items() for w2, v in inner.items()]
-        return list(st.items())
-
-    def rebuild(pairs):
-        if pair:
-            out: dict = {}
-            for (w1, w2), v in pairs:
-                out.setdefault(w1, {})[w2] = v
-            return out
-        return dict(pairs)
-
-    def size_of(st):
-        return sum(len(i) for i in st.values()) if pair else len(st)
-
-    for level in range(1, n + 1):
-        if level > 1:
-            new: dict = {}
-            if pair:
-                for w1, inner in state.items():
-                    for a1, group in by_first.items():
-                        nw1 = multiply(w1, a1)
-                        tgt = new.setdefault(nw1, {})
-                        for w2, acc in inner.items():
-                            for a2, v in group:
-                                nw2 = multiply(w2, a2)
-                                if nw2 in tgt:
-                                    tgt[nw2] += acc * v
-                                else:
-                                    tgt[nw2] = acc * v
-            else:
-                for w, acc in state.items():
-                    for a, v in step_items:
-                        nw = multiply(w, a)
-                        if nw in new:
-                            new[nw] += acc * v
-                        else:
-                            new[nw] = acc * v
-            state = new
-        if size_of(state) > cap:
-            if strict:
-                raise TruncationError(
-                    f"support size {size_of(state)} exceeds cap {cap} at level {level}",
-                    level,
-                    float(lost),
-                )
-            pairs = flatten(state)
-            kept, dropped = _truncate_sorted(pairs, cap)
-            state = rebuild(kept)
-            if exact:
-                lost = lost + Fraction(int(dropped), denom**level)
-            else:
-                lost = lost + dropped
-        yield ConvolutionLevel(
-            level=level,
-            kind=step.kind,
-            rank=step.rank,
-            inverse_free=step.inverse_free,
-            step_max_len=step.max_atom_length,
-            exact=exact,
-            denominator=None if not exact else denom**level,
-            truncated=_flag_truncated(lost),
-            lost_mass=lost,
-            _dict={k: (dict(v) if pair else v) for k, v in state.items()}
-            if pair
-            else dict(state),
-        )
-
-
-def _iter_levels_coded(
-    step: FiniteMeasure, n: int, cap: int, strict: bool, table: _WordTable
-) -> Iterator[ConvolutionLevel]:
     exact = step.exact
     pair = step.kind == "pair"
-    b = len(table.words)
+    code = _WordCode(step.rank, step.inverse_free, n * step.max_atom_length)
     if exact:
         denom, nums = _step_numerators(step)
-        vals_dtype = np.int64
+        vals_dtype = np.int64 if denom**n <= _INT64_SAFE else object
     else:
         denom, nums = None, [w for _, w in step.atoms]
         vals_dtype = np.float64
+    keys_dtype = np.int64 if code.stride ** (2 if pair else 1) < 2**63 else object
 
-    dests = []
-    init_keys = []
-    for (atom, _), v in zip(step.atoms, nums):
-        if pair:
-            d1 = table.atom_destinations(atom[0])
-            d2 = table.atom_destinations(atom[1])
-            dests.append((d1, d2, v))
-            init_keys.append(table.index[atom[0]] * b + table.index[atom[1]])
-        else:
-            dests.append((table.atom_destinations(atom), v))
-            init_keys.append(table.index[atom])
-
-    keys = np.array(init_keys, dtype=np.int64)
+    atoms = [a for a, _ in step.atoms]
+    if pair:
+        init = [code.encode(a1) * code.stride + code.encode(a2) for a1, a2 in atoms]
+    else:
+        init = [code.encode(a) for a in atoms]
+    keys = np.array(init, dtype=keys_dtype)
     vals = np.array(nums, dtype=vals_dtype)
     order = np.argsort(keys)
     keys, vals = keys[order], vals[order]
@@ -704,20 +574,15 @@ def _iter_levels_coded(
 
     for level in range(1, n + 1):
         if level > 1:
-            parts_k, parts_v = [], []
             if pair:
-                k1, k2 = keys // b, keys % b
-                for d1, d2, v in dests:
-                    parts_k.append(d1[k1] * b + d2[k2])
-                    parts_v.append(vals * v)
+                left = code.times_words(keys // code.stride, {a1 for a1, _ in atoms})
+                right = code.times_words(keys % code.stride, {a2 for _, a2 in atoms})
+                parts = [left[a1] * code.stride + right[a2] for a1, a2 in atoms]
             else:
-                for d, v in dests:
-                    parts_k.append(d[keys])
-                    parts_v.append(vals * v)
-            all_k = np.concatenate(parts_k)
-            all_v = np.concatenate(parts_v)
-            if all_k.min() < 0:
-                raise BudgetError("convolution state left the word table")
+                dest = code.times_words(keys, set(atoms))
+                parts = [dest[a] for a in atoms]
+            all_k = np.concatenate(parts)
+            all_v = np.concatenate([vals * v for v in nums])
             order = np.argsort(all_k, kind="stable")
             all_k = all_k[order]
             all_v = all_v[order]
@@ -749,49 +614,10 @@ def _iter_levels_coded(
             denominator=None if not exact else denom**level,
             truncated=_flag_truncated(lost),
             lost_mass=lost,
-            _coded=(keys.copy(), vals.copy(), table),
+            _keys=keys,
+            _vals=vals,
+            _code=code,
         )
-
-
-def iter_convolution_levels(
-    step: FiniteMeasure,
-    n: int,
-    cap: int = DEFAULT_CAP,
-    strict: bool = False,
-    engine: str = "auto",
-) -> Iterator[ConvolutionLevel]:
-    """Stream the convolution powers step, step^2, ..., step^n.
-
-    ``engine`` picks the backend: "coded" (vectorized, needs the word
-    ball to fit in the node cap and, in exact mode, numerators to fit
-    in int64), "dict" (always available), or "auto".
-    """
-    if not isinstance(n, int) or n < 1:
-        raise InputError(f"n must be a positive integer, got {n!r}")
-    if not isinstance(cap, int) or cap < 1:
-        raise InputError(f"cap must be a positive integer, got {cap!r}")
-    if engine not in ("auto", "coded", "dict"):
-        raise InputError(f"unknown engine {engine!r}")
-
-    table = None
-    if engine in ("auto", "coded"):
-        table = _try_word_table(step, n)
-        if table is not None and step.exact:
-            denom, _ = _step_numerators(step)
-            if denom**n > _INT64_SAFE:
-                table = None
-        if table is not None and step.kind == "pair":
-            if len(table.words) ** 2 > _INT64_SAFE:
-                table = None  # key packing b*c1 + c2 must stay in int64
-    if engine == "coded" and table is None:
-        raise BudgetError("coded engine infeasible for this step measure and n")
-    if engine == "dict":
-        table = None
-
-    if table is not None:
-        yield from _iter_levels_coded(step, n, cap, strict, table)
-    else:
-        yield from _iter_levels_dict(step, n, cap, strict)
 
 
 def convolve_power(
@@ -799,7 +625,6 @@ def convolve_power(
     n: int,
     cap: int = DEFAULT_CAP,
     strict: bool = False,
-    engine: str = "auto",
 ) -> ConvolutionResult:
     """Materialize the convolution powers up to n as measures.
 
@@ -808,7 +633,7 @@ def convolve_power(
     bottleneck, not the convolution itself.
     """
     measures, lost, flags = [], [], []
-    for lv in iter_convolution_levels(step, n, cap=cap, strict=strict, engine=engine):
+    for lv in iter_convolution_levels(step, n, cap=cap, strict=strict):
         measures.append(lv.to_measure())
         lost.append(lv.lost_mass)
         flags.append(lv.truncated)

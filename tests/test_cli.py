@@ -113,6 +113,32 @@ def test_parse_config_inline_measure_and_conflicts():
                                      "group": "free_semigroup:2"})
 
 
+@pytest.mark.parametrize(
+    "subcommand, bad",
+    [
+        ("tv", {"rho": "abc"}),
+        ("tv", {"rho": True}),
+        ("tv", {"threshold_frac": "x"}),
+        ("sweep", {"tv_ns": ["a"]}),
+        ("sweep", {"tv_ns": [0]}),
+        ("sweep", {"tv_ns": 3}),
+        ("sweep", {"threshold_frac": [0.2]}),
+        ("sweep", {"margin": "wide"}),
+        ("dimension", {"t_grid": [1.5, 2.7]}),
+        ("dimension", {"export_tree_depth": "6"}),
+    ],
+    ids=["rho-str", "rho-bool", "threshold-str", "tv_ns-str", "tv_ns-zero",
+         "tv_ns-scalar", "threshold-list", "margin-str", "t_grid-float",
+         "export-depth-str"],
+)
+def test_parse_config_rejects_malformed_values(subcommand, bad):
+    base = {"group": "free_semigroup:2", "seed": 1}
+    base.update({"tv": {"rho": 0.5}, "sweep": {"rho_grid": [0.2, 0.8]},
+                 "dimension": {"rho": 0.5}}[subcommand])
+    with pytest.raises(ValidationError):
+        parse_config(subcommand, None, {**base, **bad})
+
+
 # ---------------------------------------------------------------------------
 # exit codes (subprocess)
 
@@ -139,6 +165,14 @@ def test_cli_validation_errors_exit_two(tmp_path):
                 "--seed", "1", "--out", str(tmp_path / "o"))
     assert r.returncode == 2
     assert "rho" in r.stderr
+
+    notnum = tmp_path / "notnum.json"
+    notnum.write_text(json.dumps({
+        "spec_version": 1, "group": "free_semigroup:2", "rho": "abc", "seed": 1,
+    }))
+    r = run_cli("tv", "--config", str(notnum), "--out", str(tmp_path / "o"))
+    assert r.returncode == 2
+    assert "rho must be a number" in r.stderr
 
 
 def test_cli_missing_spec_version_exits_two(tmp_path):

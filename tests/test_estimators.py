@@ -215,6 +215,15 @@ def test_tv_exact_matches_oracle_float():
             assert abs(float(tv_exact(mu, rho, n)) - tv_semigroup(3, rho, n)) < 1e-12
 
 
+def test_tv_exact_float_rho_on_group_matches_exact():
+    # the pair route at a float rho must read the marginal as probabilities
+    mu = srw(2)
+    for n in range(1, 5):
+        got = tv_exact(mu, 0.9, n, route="pair")
+        assert isinstance(got, float)
+        assert abs(got - float(tv_exact(mu, F(9, 10), n))) < 1e-12
+
+
 def test_tv_exact_route_validation():
     with pytest.raises(ValidationError):
         tv_exact(srw(2), F(1, 2), 2, route="classes")  # inverses present

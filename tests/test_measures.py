@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from noisewalk.errors import (
     InputError,
@@ -14,6 +16,7 @@ from noisewalk.errors import (
     ValidationError,
 )
 from noisewalk.measures import (
+    DEFAULT_CAP,
     FiniteMeasure,
     build_measure,
     build_pi_rho,
@@ -239,12 +242,22 @@ def test_convolution_matches_brute_force(step):
             acc = acc  # brute_force handles the powering itself
 
 
-def test_convolution_engines_agree():
-    for step in (srw(2), build_pi_rho(semi(2), F(1, 3))):
-        coded = convolve_power(step, 4, engine="coded")
-        plain = convolve_power(step, 4, engine="dict")
-        for a, b in zip(coded.measures, plain.measures):
-            assert_measures_equal(a, b)
+def test_convolution_deep_words_match_brute_force():
+    deep_group = build_measure(
+        [((1, 2, 1, 2), F(1, 2)), ((-2, 1, -2, -1), F(1, 3)), ((2, 2, -1, -1), F(1, 6))]
+    )
+    long_semi = build_measure([((1, 2, 1, 1, 2), F(2, 3)), ((2, 2, 1, 2, 1), F(1, 3))])
+    for step in (
+        srw(2),
+        build_pi_rho(semi(2), F(1, 3)),
+        deep_group,  # words of length 16: far past any enumerable word ball
+        build_pi_rho(long_semi, F(1, 2)),  # pair keys up to 3**40, past int64
+    ):
+        got = convolve_power(step, 4)
+        for lvl, m in enumerate(got.measures, start=1):
+            assert_measures_equal(m, brute_force_convolution(step, lvl))
+    lv = list(iter_convolution_levels(build_pi_rho(long_semi, F(1, 2)), 4))[-1]
+    assert lv._keys.dtype == object
 
 
 def test_convolution_float_step():
@@ -321,6 +334,57 @@ def test_tiny_truncation_reported_but_not_flagged():
     # certification still refuses any lossy level, flagged or not
     with pytest.raises(ValidationError):
         entropy_mass_spec(lv)
+
+
+def shortlex_key(word, rank):
+    """Shortlex rank order on words, letters ordered 1..k, -1..-k."""
+    return (len(word), [x - 1 if x > 0 else rank - x - 1 for x in word])
+
+
+def atom_order(atom, kind, rank):
+    if kind == "pair":
+        return (shortlex_key(atom[0], rank), shortlex_key(atom[1], rank))
+    return shortlex_key(atom, rank)
+
+
+@st.composite
+def small_steps(draw):
+    rank = draw(st.integers(1, 3))
+    inverse_free = draw(st.booleans())
+    letters = list(range(1, rank + 1))
+    if not inverse_free:
+        letters += [-x for x in letters]
+    words = st.lists(st.sampled_from(letters), min_size=0, max_size=3).map(tuple)
+    atoms = draw(st.lists(words, min_size=1, max_size=4, unique=True))
+    weights = [draw(st.integers(1, 4)) for _ in atoms]
+    mu = build_measure(
+        [(a, F(w, sum(weights))) for a, w in zip(atoms, weights)], rank=rank
+    )
+    if draw(st.booleans()):
+        rho = draw(st.sampled_from([F(0), F(1, 3), F(1, 2), F(1)]))
+        return build_pi_rho(mu, rho)
+    return mu
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    step=small_steps(),
+    n=st.integers(1, 3),
+    cap=st.one_of(st.integers(1, 6), st.just(DEFAULT_CAP)),
+)
+def test_convolution_property_matches_brute_force(step, n, cap):
+    for lvl, lv in enumerate(iter_convolution_levels(step, n, cap=cap), start=1):
+        full = brute_force_convolution(step, lvl)
+        if lv.lost_mass == 0:
+            assert_measures_equal(lv.to_measure(), full)
+            continue
+        # first lossy level: the cap heaviest atoms, ties in shortlex order
+        ranked = sorted(
+            full.atoms, key=lambda aw: (-aw[1], atom_order(aw[0], step.kind, step.rank))
+        )
+        assert list(lv.to_measure().atoms) == sorted(ranked[:cap])
+        assert lv.lost_mass == sum(w for _, w in ranked[cap:])
+        break
 
 
 # ---------------------------------------------------------------------------
