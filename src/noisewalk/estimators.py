@@ -299,26 +299,19 @@ def _tv_pair_convolution(mu: FiniteMeasure, rho_w, n: int, cap: int) -> Weight:
     for lv in iter_convolution_levels(marginal, n, cap=cap, strict=True):
         last_mu = lv
     assert last_pi is not None and last_mu is not None
+    # the coordinate words of pi's atoms, read off as codes, index the mu level
+    mu_u, mu_v = (last_mu.values_at(c) for c in last_pi.coordinate_codes())
     if last_pi.exact and last_mu.exact:
         d_pi = last_pi.denominator
         d_mu2 = last_mu.denominator**2
-        mu_num = dict(last_mu.iter_items())
-        s = 0
-        covered = 0
-        for (u, v), a in last_pi.iter_items():
-            b = mu_num.get(u, 0) * mu_num.get(v, 0)
-            covered += b
-            s += abs(a * d_mu2 - b * d_pi)
-        s += (d_mu2 - covered) * d_pi
-        return Fraction(s, 2 * d_pi * d_mu2)
-    mu_val = dict(last_mu.iter_items())
-    terms = []
-    covered_f = []
-    for (u, v), a in last_pi.iter_items():
-        b = float(mu_val.get(u, 0.0)) * float(mu_val.get(v, 0.0))
-        covered_f.append(b)
-        terms.append(abs(float(a) - b))
-    terms.append(max(0.0, 1.0 - math.fsum(covered_f)))
+        # object arrays: Python int arithmetic, no int64 overflow
+        a = last_pi.values.astype(object)
+        b = mu_u.astype(object) * mu_v.astype(object)
+        s = np.abs(a * d_mu2 - b * d_pi).sum() + (d_mu2 - b.sum()) * d_pi
+        return Fraction(int(s), 2 * d_pi * d_mu2)
+    b = mu_u * mu_v
+    terms = np.abs(last_pi.values - b).tolist()
+    terms.append(max(0.0, 1.0 - math.fsum(b.tolist())))
     return math.fsum(terms) / 2
 
 

@@ -444,11 +444,31 @@ class ConvolutionLevel:
         Each distinct coordinate code is decoded once.
         """
         code, pair = self._code, self.kind == "pair"
-        coords = [self._keys // code.stride, self._keys % code.stride] if pair else [self._keys]
+        coords = self.coordinate_codes()
         uniq, inv = np.unique(np.concatenate(coords), return_inverse=True)
         words = np.fromiter(map(code.decode, uniq.tolist()), dtype=object, count=len(uniq))
         atoms = words[inv].reshape(len(coords), -1).tolist()
         yield from zip(zip(*atoms) if pair else atoms[0], self._vals.tolist())
+
+    @property
+    def values(self) -> np.ndarray:
+        """Stored values (numerators or floats) in key order."""
+        return self._vals
+
+    def coordinate_codes(self) -> list[np.ndarray]:
+        """Shortlex code of each coordinate word (one array per coordinate), in key order."""
+        if self.kind == "pair":
+            return [self._keys // self._code.stride, self._keys % self._code.stride]
+        return [self._keys]
+
+    def values_at(self, codes: np.ndarray) -> np.ndarray:
+        """Stored value of the single-walk atom with each shortlex code, 0 where none.
+
+        ``codes`` number words over this level's letters, such as the
+        coordinate codes of a pair level on the same letters.
+        """
+        pos = np.minimum(np.searchsorted(self._keys, codes), self.size - 1)
+        return np.where(self._keys[pos] == codes, self._vals[pos], 0)
 
     def mass_counts(self) -> Counter:
         """Multiplicity of each distinct stored value (numerator or float)."""

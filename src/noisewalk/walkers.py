@@ -3,18 +3,22 @@
 Trial i always draws from the Philox stream (component, i), so any
 partition of trials into blocks, and any assignment of blocks to
 worker processes, produces bit-identical per-trial results.  Blocks
-are fixed-size; multiprocess runs map blocks to a pool and reassemble
-them in block order.
+are fixed-size; multiprocess runs map blocks to a pool of at most one
+worker per block and per core, and reassemble them in block order.
 
 The walk itself runs as a batch stack machine over int8 letter
 columns: each atom is expanded to its letter sequence (zero-padded to
 the longest atom), and every column applies one letter to all trials
-at once with vectorized cancel-or-push updates.  Inverse-free supports
-never trigger the cancel branch, so one engine serves both regimes.
+at once with vectorized cancel-or-push updates.  On an inverse-free
+support nothing cancels, so a position is the concatenation of its
+increments: boundary samples there reduce only the steps that can
+reach the ``keep_depth`` kept letters, and read each position's length
+off the atom lengths.
 """
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -51,24 +55,38 @@ def letter_matrices(measure: FiniteMeasure) -> list[np.ndarray]:
 def index_block(
     measure: FiniteMeasure, n: int, seed: int, component: int, lo: int, hi: int
 ) -> np.ndarray:
-    """Atom indices [hi-lo, n]; row i comes from stream (component, lo + i)."""
+    """Atom indices [hi-lo, n]; row i comes from stream (component, lo + i).
+
+    Short streams are drawn as one uniform matrix and looked up with one
+    ``searchsorted``; long ones row by row, so no [trials, n] float
+    matrix is built beside the index matrix.
+    """
     cum = measure._cumulative()
+    streams = rngmod.stream_ids(component, lo, hi)
+    if n <= rngmod.SHORT_STREAM:
+        u = rngmod.uniform_rows(seed, streams, n)
+        return rngmod.cdf_indices(cum, u).astype(np.int32)
     out = np.empty((hi - lo, n), dtype=np.int32)
-    for i in range(hi - lo):
-        gen = rngmod.generator(seed, rngmod.stream_id(component, lo + i))
-        out[i] = rngmod.sample_indices(cum, n, gen)
+    for i, stream in enumerate(streams.tolist()):
+        out[i] = rngmod.sample_indices(cum, n, rngmod.generator(seed, stream))
     return out
 
 
-def _run_stack(letters: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _run_stack(
+    letters: np.ndarray, state: tuple[np.ndarray, np.ndarray] | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Reduce letter columns [T, steps] against per-trial stacks.
 
-    Zero letters are padding and do nothing.  Returns (stacks, ptrs):
-    stacks[i, :ptrs[i]] is the reduced word of trial i.
+    Zero letters are padding and do nothing.  ``state`` is a (stacks,
+    ptrs) pair to resume from, left unchanged; by default every stack
+    starts empty.  Returns (stacks, ptrs): stacks[i, :ptrs[i]] is the
+    reduced word of trial i.
     """
     t, steps = letters.shape
-    st = np.zeros((t, steps + 1), dtype=np.int8)
-    pt = np.zeros(t, dtype=np.int32)
+    st0, pt0 = state or (np.zeros((t, 1), dtype=np.int8), np.zeros(t, dtype=np.int32))
+    st = np.zeros((t, st0.shape[1] + steps), dtype=np.int8)
+    st[:, : st0.shape[1]] = st0
+    pt = pt0.copy()
     rows = np.arange(t)
     for col in range(steps):
         x = letters[:, col]
@@ -83,54 +101,27 @@ def _run_stack(letters: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return st, pt
 
 
-def _stacks_for_block(
-    measure: FiniteMeasure,
-    n: int,
-    seed: int,
-    component: int,
-    lo: int,
-    hi: int,
-    snapshot_at: int | None = None,
-):
-    """Run one block of walks; returns per-coordinate (stack, ptr) pairs.
+def _letters(mat: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Letter columns [T, steps * width] of the atoms ``idx`` [T, steps]."""
+    return mat[idx].reshape(len(idx), -1)
 
-    ``snapshot_at`` additionally captures the state after that many
-    steps (used for boundary stability checks).
-    """
+
+def _final_stacks(
+    measure: FiniteMeasure, n: int, seed: int, component: int, lo: int, hi: int
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per-coordinate (stacks, ptrs) of one block of walks after n steps."""
     idx = index_block(measure, n, seed, component, lo, hi)
-    mats = letter_matrices(measure)
-    results = []
-    for mat in mats:
-        if snapshot_at is None:
-            letters = mat[idx].reshape(hi - lo, -1)
-            results.append((_run_stack(letters), None))
-        else:
-            width = mat.shape[1]
-            first = mat[idx[:, :snapshot_at]].reshape(hi - lo, -1)
-            rest = mat[idx[:, snapshot_at:]].reshape(hi - lo, -1)
-            st, pt = _run_stack(first)
-            snap = (st.copy(), pt.copy())
-            # continue from the snapshot: widen stacks, replay the tail
-            st2 = np.zeros((hi - lo, snapshot_at * width + rest.shape[1] + 1), np.int8)
-            st2[:, : st.shape[1]] = st
-            pt2 = pt.copy()
-            rows = np.arange(hi - lo)
-            for col in range(rest.shape[1]):
-                x = rest[:, col]
-                act = x != 0
-                top = st2[rows, np.maximum(pt2 - 1, 0)]
-                cancel = act & (pt2 > 0) & (top == -x)
-                pt2[cancel] -= 1
-                push = act & ~cancel
-                pr = rows[push]
-                st2[pr, pt2[push]] = x[push]
-                pt2[push] += 1
-            results.append(((st2, pt2), snap))
-    return results
+    return [_run_stack(_letters(mat, idx)) for mat in letter_matrices(measure)]
 
 
 def _map_blocks(func, blocks, workers: int):
-    if workers <= 1 or len(blocks) <= 1:
+    """``[func(b) for b in blocks]``, on a pool when that can help.
+
+    The pool has at most one process per block and per core; results do
+    not depend on how many there are.
+    """
+    workers = min(workers, len(blocks), os.cpu_count() or 1)
+    if workers <= 1:
         return [func(b) for b in blocks]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(func, blocks))
@@ -142,8 +133,7 @@ class _LengthJob:
 
     def __call__(self, block):
         measure, n, seed, component = self.args
-        res = _stacks_for_block(measure, n, seed, component, block[0], block[1])
-        return [pt for (st, pt), _ in res]
+        return [pt for _, pt in _final_stacks(measure, n, seed, component, *block)]
 
 
 def final_lengths(
@@ -168,7 +158,11 @@ def final_lengths(
 def _common_prefix_lengths(
     st_a: np.ndarray, pt_a: np.ndarray, st_b: np.ndarray, pt_b: np.ndarray
 ) -> np.ndarray:
-    """Length of the common prefix of two stacked word batches, rowwise."""
+    """Length of the common prefix of two stacked word batches, rowwise.
+
+    Only columns below min(pt_a, pt_b) are compared, and both stacks are
+    at least that wide, so their widths need not agree.
+    """
     lim = np.minimum(pt_a, pt_b)
     width = int(lim.max(initial=0))
     if width == 0:
@@ -180,20 +174,24 @@ def _common_prefix_lengths(
     return np.where(any_m, first, lim.astype(np.int32))
 
 
+def _kept_letters(st: np.ndarray, lengths: np.ndarray, keep_depth: int) -> np.ndarray:
+    """[T, keep_depth] int8 whose row i is st[i, :min(lengths[i], keep_depth)],
+    zero padded."""
+    clip = np.minimum(lengths, keep_depth)
+    letters = np.zeros((len(st), keep_depth), dtype=np.int8)
+    w = min(st.shape[1], keep_depth)
+    letters[:, :w] = st[:, :w]
+    letters[np.arange(keep_depth)[None, :] >= clip[:, None]] = 0
+    return letters
+
+
 class _PairPrefixJob:
     def __init__(self, measure, n, seed, component):
         self.args = (measure, n, seed, component)
 
     def __call__(self, block):
         measure, n, seed, component = self.args
-        res = _stacks_for_block(measure, n, seed, component, block[0], block[1])
-        (st1, pt1), _ = res[0]
-        (st2, pt2), _ = res[1]
-        w = max(st1.shape[1], st2.shape[1])
-        if st1.shape[1] < w:
-            st1 = np.pad(st1, ((0, 0), (0, w - st1.shape[1])))
-        if st2.shape[1] < w:
-            st2 = np.pad(st2, ((0, 0), (0, w - st2.shape[1])))
+        (st1, pt1), (st2, pt2) = _final_stacks(measure, n, seed, component, *block)
         return _common_prefix_lengths(st1, pt1, st2, pt2)
 
 
@@ -222,42 +220,40 @@ class _BoundaryJob:
 
     def __call__(self, block):
         measure, horizon, keep_depth, seed, component = self.args
-        lo, hi = block
-        t = hi - lo
         if measure.inverse_free:
-            # positions only ever grow, so the state at the horizon is a
-            # prefix of every later state: stability holds with the full
-            # position, and the later steps need not be simulated.
-            res = _stacks_for_block(measure, horizon, seed, component, lo, hi)
-            out = []
-            for (st, pt), _ in res:
-                clip = np.minimum(pt, keep_depth).astype(np.int32)
-                letters = np.zeros((t, keep_depth), dtype=np.int8)
-                w = min(st.shape[1], keep_depth)
-                letters[:, :w] = st[:, :w]
-                cols = np.arange(keep_depth)
-                letters[cols[None, :] >= clip[:, None]] = 0
-                out.append((letters, pt.astype(np.int32)))
-            return out
-        res = _stacks_for_block(
-            measure, 2 * horizon, seed, component, lo, hi, snapshot_at=horizon
-        )
+            return self._inverse_free(block)
+        idx = index_block(measure, 2 * horizon, seed, component, *block)
         out = []
-        for (st, pt), snap in res:
-            sst, spt = snap
-            w = max(st.shape[1], sst.shape[1])
-            if sst.shape[1] < w:
-                sst = np.pad(sst, ((0, 0), (0, w - sst.shape[1])))
-            if st.shape[1] < w:
-                st = np.pad(st, ((0, 0), (0, w - st.shape[1])))
-            plen = _common_prefix_lengths(sst, spt, st, pt)
-            clip = np.minimum(plen, keep_depth).astype(np.int32)
-            letters = np.zeros((t, keep_depth), dtype=np.int8)
-            ww = min(sst.shape[1], keep_depth)
-            letters[:, :ww] = sst[:, :ww]
-            cols = np.arange(keep_depth)
-            letters[cols[None, :] >= clip[:, None]] = 0
-            out.append((letters, plen))
+        for mat in letter_matrices(measure):
+            snap = _run_stack(_letters(mat, idx[:, :horizon]))
+            st, pt = _run_stack(_letters(mat, idx[:, horizon:]), snap)
+            plen = _common_prefix_lengths(*snap, st, pt)
+            out.append((_kept_letters(snap[0], plen, keep_depth), plen))
+        return out
+
+    def _inverse_free(self, block):
+        """Positions only ever grow, so the state at the horizon is a
+        prefix of every later state: the stable prefix is the full
+        position at the horizon, and the later steps need not be
+        simulated.  Of the horizon steps, only the first s can reach the
+        kept letters, where every step adds at least m letters.
+        """
+        measure, horizon, keep_depth, seed, component = self.args
+        mats = letter_matrices(measure)
+        atom_lens = [np.count_nonzero(mat, axis=1) for mat in mats]
+        m = min(int(lens.min()) for lens in atom_lens)
+        s = horizon if m == 0 else min(horizon, -(-keep_depth // m))
+        same_len = [lens.min() == lens.max() for lens in atom_lens]
+        idx = index_block(measure, s if all(same_len) else horizon, seed, component, *block)
+        out = []
+        for mat, lens, same in zip(mats, atom_lens, same_len):
+            st, pt = _run_stack(_letters(mat, idx[:, :s]))
+            if same:
+                full = np.full(len(idx), horizon * int(lens[0]), dtype=np.int32)
+            else:
+                full = lens[idx].sum(axis=1).astype(np.int32)
+            # pt < keep_depth only when s == horizon, where pt == full
+            out.append((_kept_letters(st, pt, keep_depth), full))
         return out
 
 
@@ -273,11 +269,12 @@ def boundary_prefixes(
     """Stable prefixes of a batch of pair walks.
 
     Runs each walk to 2 * horizon and takes, per coordinate, the common
-    prefix of the positions at the horizon and at twice the horizon
-    (inverse-free walks shortcut this: the prefix is the full position
-    at the horizon).  Returns (letters1, letters2, len1, len2) where the
-    letter arrays are [trials, keep_depth] int8, zero padded beyond the
-    per-trial stable length.
+    prefix of the positions at the horizon and at twice the horizon.
+    Inverse-free walks shortcut this: the prefix is the full position at
+    the horizon, and only its first ``keep_depth`` letters are built.
+    Returns (letters1, letters2, len1, len2) where the letter arrays are
+    [trials, keep_depth] int8, zero padded beyond the per-trial stable
+    length, and len1/len2 are the full stable lengths.
     """
     if pair_measure.kind != "pair":
         raise InputError("boundary_prefixes needs a pair measure")

@@ -260,6 +260,22 @@ def test_convolution_deep_words_match_brute_force():
     assert lv._keys.dtype == object
 
 
+def test_level_values_at_pair_coordinate_codes():
+    long_semi = build_measure([((1, 2, 1, 1, 2), F(2, 3)), ((2, 2, 1, 2, 1), F(1, 3))])
+    for mu, rho, n in ((srw(2), F(1, 2), 3), (srw(2), 0.3, 3), (long_semi, F(1, 2), 4)):
+        pi_lv = list(iter_convolution_levels(build_pi_rho(mu, rho), n))[-1]
+        mu_lv = list(iter_convolution_levels(mu if pi_lv.exact else mu.as_float(), n))[-1]
+        marginal = dict(mu_lv.iter_items())
+        atoms = [a for a, _ in pi_lv.iter_items()]
+        assert pi_lv.values.tolist() == [v for _, v in pi_lv.iter_items()]
+        for c, codes in enumerate(pi_lv.coordinate_codes()):
+            assert mu_lv.values_at(codes).tolist() == [marginal[a[c]] for a in atoms]
+        # the identity (no atom at odd levels of the group, nor on the
+        # semigroup) and a code past every key read 0
+        top = int(mu_lv.coordinate_codes()[0][-1])
+        assert mu_lv.values_at(np.array([0, top + 1])).tolist() == [0, 0]
+
+
 def test_convolution_float_step():
     step = build_measure([((1,), 0.5), ((-1,), 0.5)])
     res = convolve_power(step, 4)
