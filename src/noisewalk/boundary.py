@@ -11,9 +11,12 @@ trial) rather than per-sample objects; a ``BoundarySampleSet`` behaves
 like a sequence of ``BoundarySample`` views for small-scale use.
 
 The cylinder tree counts how many sampled boundary pairs pass through
-each pair-prefix cylinder.  Ball masses in the max quasi-metric
-e^(-Gromov product) are cylinder frequencies, and the local dimension
-is the slope of -log(ball mass) against the depth t.
+each pair-prefix cylinder.  Its export is built level by level: the
+prefix strings of depth t extend those of depth t - 1 by one letter
+name each.  Ball masses in the max quasi-metric e^(-Gromov product)
+are cylinder frequencies, and the local dimension is the slope of
+-log(ball mass) against the depth t, fitted per center on a count
+matrix gathered one depth at a time.
 """
 
 from __future__ import annotations
@@ -275,15 +278,18 @@ class CylinderTree:
         """
         limit = self.depth if max_depth is None else max_depth
         self._check_depth(limit)
+        names = np.array(
+            [str(self._decode_letter(c)) for c in range(self.letter_base)], dtype=object
+        )
+        # a node's prefix strings are its parent's plus one letter each
+        p1 = p2 = np.array([""], dtype=object)
         for t in range(1, limit + 1):
             lv = self.levels[t - 1]
-            for nid in range(len(lv.keys)):
-                p1, p2 = self.prefix_of_node(t, nid)
-                yield "{} {} {}".format(
-                    ",".join(str(x) for x in p1),
-                    ",".join(str(x) for x in p2),
-                    int(lv.sizes[nid]),
-                )
+            parents, codes = np.divmod(lv.keys, self.base)
+            sep = names if t == 1 else "," + names
+            p1 = p1[parents] + sep[codes // self.letter_base]
+            p2 = p2[parents] + sep[codes % self.letter_base]
+            yield from (p1 + " " + p2 + " " + lv.sizes.astype(str).astype(object)).tolist()
 
 
 def build_tree(samples: BoundarySampleSet, depth: int) -> CylinderTree:
@@ -372,32 +378,32 @@ def local_dimension(
     ]
     chosen = np.sort(chosen)
     denom = tree.sample_count - 1
-    slopes = []
-    dropped_points = 0
-    skipped_centers = 0
-    for c in chosen.tolist():
-        xs, ys = [], []
-        for t in ts:
-            if tree.t_stable[c] < t:
-                continue
-            nid = int(tree.levels[t - 1].ids[c])
-            cnt = int(tree.levels[t - 1].sizes[nid]) - 1
-            if cnt < min_count:
-                dropped_points += 1
-                continue
-            xs.append(t)
-            ys.append(-math.log(cnt / denom))
-        if len(xs) < 2:
-            skipped_centers += 1
-            continue
-        slopes.append(float(np.polyfit(xs, ys, 1)[0]))
+    # [centers, depths] leave-one-out counts; ids are -1 beyond a center's reach
+    reach = tree.t_stable[chosen][:, None] >= np.array(ts)[None, :]
+    counts = np.zeros(reach.shape, dtype=np.int64)
+    for j, t in enumerate(ts):
+        lv = tree.levels[t - 1]
+        counts[reach[:, j], j] = lv.sizes[lv.ids[chosen[reach[:, j]]]] - 1
+    usable = reach & (counts >= min_count)
+    dropped_points = int(np.count_nonzero(reach & ~usable))
+    # math.log, not np.log: libm rounding keeps the slopes bit for bit
+    distinct, inverse = np.unique(counts[usable], return_inverse=True)
+    logs = np.array([-math.log(cnt / denom) for cnt in distinct.tolist()])
+    ys = np.zeros(reach.shape)
+    ys[usable] = logs[inverse]
+    xs = np.array(ts)
+    fitted = np.count_nonzero(usable, axis=1) >= 2
+    slopes = [
+        float(np.polyfit(xs[row], y[row], 1)[0])
+        for row, y in zip(usable[fitted], ys[fitted])
+    ]
     if not slopes:
         raise ValidationError("no center had two usable grid depths")
     return _mean_result(
         np.array(slopes), tree.horizon, seed, "local-dimension",
         {
             "centers_used": len(slopes),
-            "centers_skipped": skipped_centers,
+            "centers_skipped": int(np.count_nonzero(~fitted)),
             "points_dropped": dropped_points,
             "min_count": min_count,
             "t_grid": [ts[0], ts[-1]],

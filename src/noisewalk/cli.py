@@ -322,6 +322,17 @@ def parse_config(
         options["min_count"] = _positive_int(merged, "min_count")
         options["keep_depth"] = _optional_int(merged, "keep_depth")
         options["export_tree_depth"] = _optional_int(merged, "export_tree_depth")
+        # 0 means the default; a rho_grid run ignores both keys
+        keep, export = options["keep_depth"], options["export_tree_depth"]
+        deepest = max(options["t_grid"])
+        if rho_grid is None and keep and keep < deepest:
+            raise ValidationError(
+                f"keep_depth {keep} is below the deepest t_grid depth {deepest}"
+            )
+        if rho_grid is None and export and export > deepest:
+            raise ValidationError(
+                f"export_tree_depth {export} exceeds the deepest t_grid depth {deepest}"
+            )
     elif subcommand == "sweep":
         options["tv_ns"] = _positive_ints(merged["tv_ns"], "tv_ns")
         tf = _number(merged["threshold_frac"], "threshold_frac")
@@ -581,10 +592,11 @@ def _run_tv(cfg: RunConfig):
                 oracle.tv_semigroup(m, cfg.rho, n), n, cfg.seed, "tv-oracle"
             )
             records.append(_result_record(r, "tv", cfg.rho))
-    for n in range(1, min(cfg.options["n_exact"], cfg.n) + 1):
-        v = estimators.tv_exact(
-            cfg.measure, cfg.rho, n, cap=cfg.cap, route=cfg.options["route"]
-        )
+    values = estimators.tv_exact_curve(
+        cfg.measure, cfg.rho, min(cfg.options["n_exact"], cfg.n),
+        cap=cfg.cap, route=cfg.options["route"],
+    )
+    for n, v in enumerate(values, 1):
         r = estimators.exact_result(v, n, cfg.seed, "tv-exact")
         records.append(_result_record(r, "tv", cfg.rho))
     r = estimators.tv_lower_bound_mc(

@@ -13,6 +13,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Iterator
 
 import numpy as np
 
@@ -21,6 +22,7 @@ from . import walkers
 from .errors import BudgetError, InputError, ValidationError
 from .measures import (
     DEFAULT_CAP,
+    ConvolutionLevel,
     FiniteMeasure,
     Weight,
     build_pi_rho,
@@ -244,8 +246,8 @@ def _entropy_rate_result(curve: EntropyCurve, seed: int) -> EstimateResult:
 # total variation
 
 
-def _tv_value_classes(mu: FiniteMeasure, rho_w, n: int, cap: int) -> Weight:
-    """Exact TV via the per-position value-class convolution.
+def _tv_value_classes(mu: FiniteMeasure, rho_w, n_max: int, cap: int) -> Iterator[Weight]:
+    """Exact TV at n = 1..n_max via the per-position value-class convolution.
 
     Valid when the support consists of distinct single letters and no
     cancellation can occur: the position pair after n steps determines
@@ -264,77 +266,82 @@ def _tv_value_classes(mu: FiniteMeasure, rho_w, n: int, cap: int) -> Weight:
                 vpi = vpi + (one - rho_w) * wx
             step[(vpi, vmm)] += 1
     cur = dict(step)
-    for _ in range(2, n + 1):
-        new: dict = {}
-        for (a, b), c in cur.items():
-            for (da, db), dc in step.items():
-                key = (a * da, b * db)
-                if key in new:
-                    new[key] += c * dc
-                else:
-                    new[key] = c * dc
-        if len(new) > cap:
-            raise BudgetError(f"value-class count {len(new)} exceeds cap {cap}")
-        cur = new
-    if isinstance(rho_w, Fraction) and mu.exact:
-        return sum((c * abs(a - b) for (a, b), c in cur.items()), Fraction(0)) / 2
-    return math.fsum(c * abs(a - b) for (a, b), c in cur.items()) / 2
+    for n in range(1, n_max + 1):
+        if n > 1:
+            new: dict = {}
+            for (a, b), c in cur.items():
+                for (da, db), dc in step.items():
+                    key = (a * da, b * db)
+                    if key in new:
+                        new[key] += c * dc
+                    else:
+                        new[key] = c * dc
+            if len(new) > cap:
+                raise BudgetError(f"value-class count {len(new)} exceeds cap {cap}")
+            cur = new
+        if isinstance(rho_w, Fraction) and mu.exact:
+            yield sum((c * abs(a - b) for (a, b), c in cur.items()), Fraction(0)) / 2
+        else:
+            yield math.fsum(c * abs(a - b) for (a, b), c in cur.items()) / 2
 
 
-def _tv_pair_convolution(mu: FiniteMeasure, rho_w, n: int, cap: int) -> Weight:
-    """Exact TV via full convolution of the coupled pair walk.
+def _tv_pair_convolution(mu: FiniteMeasure, rho_w, n_max: int, cap: int) -> Iterator[Weight]:
+    """Exact TV at n = 1..n_max via full convolution of the coupled pair walk.
 
-    Convolves the coupling and the marginal separately (strict: the cap
+    Streams the coupling and the marginal side by side (strict: the cap
     must not truncate, or the result would not be exact) and sums
     |pi_n(u, v) - mu_n(u) mu_n(v)| over the coupled support plus the
     independent mass outside it.  A float coupling convolves the float
     marginal, so both levels hold probabilities rather than numerators.
     """
     pi = build_pi_rho(mu, rho_w)
-    last_pi = None
-    for lv in iter_convolution_levels(pi, n, cap=cap, strict=True):
-        last_pi = lv
-    last_mu = None
     marginal = mu if pi.exact else mu.as_float()
-    for lv in iter_convolution_levels(marginal, n, cap=cap, strict=True):
-        last_mu = lv
-    assert last_pi is not None and last_mu is not None
+    for lv_pi, lv_mu in zip(
+        iter_convolution_levels(pi, n_max, cap=cap, strict=True),
+        iter_convolution_levels(marginal, n_max, cap=cap, strict=True),
+    ):
+        yield _tv_pair_readout(lv_pi, lv_mu)
+
+
+def _tv_pair_readout(lv_pi: ConvolutionLevel, lv_mu: ConvolutionLevel) -> Weight:
+    """TV of one pi level against the product of one mu level with itself."""
     # the coordinate words of pi's atoms, read off as codes, index the mu level
-    mu_u, mu_v = (last_mu.values_at(c) for c in last_pi.coordinate_codes())
-    if last_pi.exact and last_mu.exact:
-        d_pi = last_pi.denominator
-        d_mu2 = last_mu.denominator**2
+    mu_u, mu_v = (lv_mu.values_at(c) for c in lv_pi.coordinate_codes())
+    if lv_pi.exact and lv_mu.exact:
+        d_pi = lv_pi.denominator
+        d_mu2 = lv_mu.denominator**2
         # object arrays: Python int arithmetic, no int64 overflow
-        a = last_pi.values.astype(object)
+        a = lv_pi.values.astype(object)
         b = mu_u.astype(object) * mu_v.astype(object)
         s = np.abs(a * d_mu2 - b * d_pi).sum() + (d_mu2 - b.sum()) * d_pi
         return Fraction(int(s), 2 * d_pi * d_mu2)
     b = mu_u * mu_v
-    terms = np.abs(last_pi.values - b).tolist()
+    terms = np.abs(lv_pi.values - b).tolist()
     terms.append(max(0.0, 1.0 - math.fsum(b.tolist())))
     return math.fsum(terms) / 2
 
 
-def tv_exact(
+def tv_exact_curve(
     mu: FiniteMeasure,
     rho,
-    n: int,
+    n_max: int,
     cap: int = DEFAULT_CAP,
     route: str = "auto",
-) -> Weight:
-    """Total variation between the n-step coupled walk and independent copies.
+) -> list[Weight]:
+    """Total variation between the n-step coupled walk and independent copies,
+    for n = 1..n_max, read off one streamed convolution.
 
-    Exact (a Fraction) when mu is exact and rho is a Fraction or int;
-    float otherwise.  ``route`` picks the algorithm: "classes" needs a
+    Exact (Fractions) when mu is exact and rho is a Fraction or int;
+    floats otherwise.  ``route`` picks the algorithm: "classes" needs a
     single-letter inverse-free support, "pair" convolves the coupling
     on the product (feasible for small n), "auto" picks "classes" when
     valid.  The two routes are independent implementations and agree on
     their common domain.
     """
     if mu.kind != "single":
-        raise ValidationError("tv_exact needs a single-coordinate step measure")
-    if not isinstance(n, int) or n < 1:
-        raise InputError(f"n must be a positive integer, got {n!r}")
+        raise ValidationError("exact TV needs a single-coordinate step measure")
+    if not isinstance(n_max, int) or n_max < 1:
+        raise InputError(f"n must be a positive integer, got {n_max!r}")
     if isinstance(rho, float):
         rho_w: Weight = rho
     elif isinstance(rho, (int, Fraction)) and not isinstance(rho, bool):
@@ -352,10 +359,21 @@ def tv_exact(
             raise ValidationError(
                 "value-class route needs a single-letter inverse-free support"
             )
-        return _tv_value_classes(mu, rho_w, n, cap)
+        return list(_tv_value_classes(mu, rho_w, n_max, cap))
     if route == "pair":
-        return _tv_pair_convolution(mu, rho_w, n, cap)
+        return list(_tv_pair_convolution(mu, rho_w, n_max, cap))
     raise InputError(f"unknown route {route!r}")
+
+
+def tv_exact(
+    mu: FiniteMeasure,
+    rho,
+    n: int,
+    cap: int = DEFAULT_CAP,
+    route: str = "auto",
+) -> Weight:
+    """Total variation at step n: the last value of ``tv_exact_curve``."""
+    return tv_exact_curve(mu, rho, n, cap, route)[-1]
 
 
 def _wilson(successes: int, trials: int, z: float = Z95) -> tuple[float, float]:

@@ -392,18 +392,15 @@ class _WordCode:
         prefix share its letter steps.
         """
         memo: dict[Word, np.ndarray] = {(): codes}
-
-        def times(w: Word) -> np.ndarray:
-            if w not in memo:
-                prev, x = times(w[:-1]), w[-1]
-                grown = prev * self.base + self.digit[x]
-                inv = self.digit.get(-x)  # None on a semigroup: nothing cancels
-                memo[w] = grown if inv is None else np.where(
-                    prev % self.base == inv, prev // self.base, grown
-                )
-            return memo[w]
-
-        return {w: times(w) for w in words}
+        prefixes = {w[:i] for w in words for i in range(1, len(w) + 1)}
+        for w in sorted(prefixes, key=len):  # no recursive closure: no reference cycle
+            prev, x = memo[w[:-1]], w[-1]
+            grown = prev * self.base + self.digit[x]
+            inv = self.digit.get(-x)  # None on a semigroup: nothing cancels
+            memo[w] = grown if inv is None else np.where(
+                prev % self.base == inv, prev // self.base, grown
+            )
+        return {w: memo[w] for w in words}
 
 
 # ---------------------------------------------------------------------------
@@ -433,6 +430,7 @@ class ConvolutionLevel:
     _keys: np.ndarray = field(repr=False)
     _vals: np.ndarray = field(repr=False)
     _code: _WordCode = field(repr=False)
+    _entropy: float | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def size(self) -> int:
@@ -485,8 +483,10 @@ class ConvolutionLevel:
 
         This is a lower bound for the full level entropy; adding the
         dropped-mass bound from ``entropy_upper_bound`` recovers a
-        certified bracket.
+        certified bracket.  Computed once per level.
         """
+        if self._entropy is not None:
+            return self._entropy
         terms = []
         if self.exact:
             d = float(self.denominator)
@@ -498,7 +498,8 @@ class ConvolutionLevel:
             for v, cnt in self.mass_counts().items():
                 if v > 0:
                     terms.append(-cnt * v * math.log(v))
-        return math.fsum(terms)
+        self._entropy = math.fsum(terms)
+        return self._entropy
 
     def entropy_upper_bound(self) -> float:
         """Certified upper bound on the full level entropy.
@@ -551,6 +552,30 @@ def _flag_truncated(lost: Weight) -> bool:
     return lost >= 1e-9
 
 
+def _times_step(
+    code: _WordCode, pair: bool, atoms: list, nums: list, keys: np.ndarray, vals: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Multiply every state by every atom on the right; sort and sum equal keys.
+
+    A function of its own, so that its temporaries, several times the
+    level's size, are freed before the level is handed to the consumer.
+    """
+    if pair:
+        left = code.times_words(keys // code.stride, {a1 for a1, _ in atoms})
+        right = code.times_words(keys % code.stride, {a2 for _, a2 in atoms})
+        parts = [left[a1] * code.stride + right[a2] for a1, a2 in atoms]
+    else:
+        dest = code.times_words(keys, set(atoms))
+        parts = [dest[a] for a in atoms]
+    all_k = np.concatenate(parts)
+    all_v = np.concatenate([vals * v for v in nums])
+    order = np.argsort(all_k, kind="stable")
+    all_k = all_k[order]
+    all_v = all_v[order]
+    starts = np.flatnonzero(np.r_[True, all_k[1:] != all_k[:-1]])
+    return all_k[starts], np.add.reduceat(all_v, starts)
+
+
 def iter_convolution_levels(
     step: FiniteMeasure,
     n: int,
@@ -594,21 +619,7 @@ def iter_convolution_levels(
 
     for level in range(1, n + 1):
         if level > 1:
-            if pair:
-                left = code.times_words(keys // code.stride, {a1 for a1, _ in atoms})
-                right = code.times_words(keys % code.stride, {a2 for _, a2 in atoms})
-                parts = [left[a1] * code.stride + right[a2] for a1, a2 in atoms]
-            else:
-                dest = code.times_words(keys, set(atoms))
-                parts = [dest[a] for a in atoms]
-            all_k = np.concatenate(parts)
-            all_v = np.concatenate([vals * v for v in nums])
-            order = np.argsort(all_k, kind="stable")
-            all_k = all_k[order]
-            all_v = all_v[order]
-            starts = np.flatnonzero(np.r_[True, all_k[1:] != all_k[:-1]])
-            keys = all_k[starts]
-            vals = np.add.reduceat(all_v, starts)
+            keys, vals = _times_step(code, pair, atoms, nums, keys, vals)
         if len(keys) > cap:
             if strict:
                 raise TruncationError(

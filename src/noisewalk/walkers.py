@@ -11,9 +11,9 @@ columns: each atom is expanded to its letter sequence (zero-padded to
 the longest atom), and every column applies one letter to all trials
 at once with vectorized cancel-or-push updates.  On an inverse-free
 support nothing cancels, so a position is the concatenation of its
-increments: boundary samples there reduce only the steps that can
-reach the ``keep_depth`` kept letters, and read each position's length
-off the atom lengths.
+increments: boundary samples there run no stack machine.  They expand
+only the steps that can reach the ``keep_depth`` kept letters, squeeze
+out the padding, and read each position's length off the atom lengths.
 """
 
 from __future__ import annotations
@@ -236,7 +236,9 @@ class _BoundaryJob:
         prefix of every later state: the stable prefix is the full
         position at the horizon, and the later steps need not be
         simulated.  Of the horizon steps, only the first s can reach the
-        kept letters, where every step adds at least m letters.
+        kept letters, where every step adds at least m letters.  Nothing
+        cancels, so the reduced word is the letter row with its padding
+        zeros squeezed out; no stack machine runs.
         """
         measure, horizon, keep_depth, seed, component = self.args
         mats = letter_matrices(measure)
@@ -247,7 +249,10 @@ class _BoundaryJob:
         idx = index_block(measure, s if all(same_len) else horizon, seed, component, *block)
         out = []
         for mat, lens, same in zip(mats, atom_lens, same_len):
-            st, pt = _run_stack(_letters(mat, idx[:, :s]))
+            st = _letters(mat, idx[:, :s])
+            if lens.min() < mat.shape[1]:  # move the letters left of the padding, in order
+                st = np.take_along_axis(st, np.argsort(st == 0, axis=1, kind="stable"), 1)
+            pt = np.count_nonzero(st, axis=1)
             if same:
                 full = np.full(len(idx), horizon * int(lens[0]), dtype=np.int32)
             else:

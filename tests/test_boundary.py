@@ -1,11 +1,16 @@
 """Boundary sampling, cylinder counting, and dimension estimation."""
 
+import hashlib
+import json
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from noisewalk import rng as rngmod
 from noisewalk.boundary import (
     BoundarySampleSet,
     ball_measure,
@@ -14,7 +19,9 @@ from noisewalk.boundary import (
     local_dimension,
     sample_boundary,
 )
+from noisewalk.cli import execute, parse_config
 from noisewalk.errors import InputError, ValidationError
+from noisewalk.estimators import _mean_result
 from noisewalk.measures import uniform_measure
 from noisewalk.oracle import h_semigroup
 
@@ -279,3 +286,136 @@ def test_dimension_singularity_conclusive_and_not():
     rep_same = dimension_singularity_check(mu, 0.6, 0.6, **kwargs)
     assert not rep_same.conclusive
     assert rep_same.gap == 0.0
+
+
+# ---------------------------------------------------------------------------
+# the vectorized export and dimension against per-node references
+
+
+def _export_reference(tree, max_depth):
+    """One line per node, prefixes rebuilt by ``prefix_of_node``."""
+    lines = []
+    for t in range(1, max_depth + 1):
+        for nid in range(tree.node_count(t)):
+            p1, p2 = tree.prefix_of_node(t, nid)
+            lines.append("{} {} {}".format(
+                ",".join(str(x) for x in p1),
+                ",".join(str(x) for x in p2),
+                int(tree.levels[t - 1].sizes[nid]),
+            ))
+    return lines
+
+
+def _local_dimension_reference(tree, t_grid, n_centers, seed, min_count):
+    """``local_dimension`` as a loop over centers and depths."""
+    ts = sorted(set(int(t) for t in t_grid))
+    eligible = np.flatnonzero(tree.t_stable >= ts[0])
+    if len(eligible) == 0:
+        raise ValidationError("no sample is stable to the smallest grid depth")
+    gen = rngmod.generator(seed, rngmod.stream_id(rngmod.STREAM_DIMENSION_CENTERS, 0))
+    chosen = eligible[
+        gen.choice(len(eligible), size=min(n_centers, len(eligible)), replace=False)
+    ]
+    chosen = np.sort(chosen)
+    denom = tree.sample_count - 1
+    slopes = []
+    dropped_points = 0
+    skipped_centers = 0
+    for c in chosen.tolist():
+        xs, ys = [], []
+        for t in ts:
+            if tree.t_stable[c] < t:
+                continue
+            nid = int(tree.levels[t - 1].ids[c])
+            cnt = int(tree.levels[t - 1].sizes[nid]) - 1
+            if cnt < min_count:
+                dropped_points += 1
+                continue
+            xs.append(t)
+            ys.append(-math.log(cnt / denom))
+        if len(xs) < 2:
+            skipped_centers += 1
+            continue
+        slopes.append(float(np.polyfit(xs, ys, 1)[0]))
+    if not slopes:
+        raise ValidationError("no center had two usable grid depths")
+    return _mean_result(
+        np.array(slopes), tree.horizon, seed, "local-dimension",
+        {
+            "centers_used": len(slopes),
+            "centers_skipped": skipped_centers,
+            "points_dropped": dropped_points,
+            "min_count": min_count,
+            "t_grid": [ts[0], ts[-1]],
+        },
+    )
+
+
+@st.composite
+def sample_sets(draw):
+    """Small sample sets: rank 1-3, group or semigroup letters, and per-row
+    stable lengths from 0 to keep_depth."""
+    rank = draw(st.integers(1, 3))
+    letters = (
+        st.integers(-rank, rank).filter(lambda x: x != 0)
+        if draw(st.booleans()) else st.integers(1, rank)
+    )
+    keep = draw(st.integers(2, 5))
+    rows = draw(st.integers(2, 80))
+    # most rows stable to keep_depth, so that counts reach min_count
+    depths = st.one_of(st.just(keep), st.integers(0, keep))
+    out, lens = [], []
+    for _ in range(2):
+        mat = np.zeros((rows, keep), dtype=np.int8)
+        length = np.array(draw(st.lists(depths, min_size=rows, max_size=rows)))
+        for i, n in enumerate(length.tolist()):
+            mat[i, :n] = draw(st.lists(letters, min_size=n, max_size=n))
+        out.append(mat)
+        lens.append(length)
+    return BoundarySampleSet(out[0], out[1], lens[0], lens[1], horizon=keep,
+                             keep_depth=keep, rank=rank, seed=0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(s=sample_sets(), data=st.data())
+def test_export_and_dimension_match_per_node_references(s, data):
+    depth = s.keep_depth
+    tree = build_tree(s, depth)
+    for d in range(1, depth + 1):
+        assert list(tree.export_records(d)) == _export_reference(tree, d)
+    assert list(tree.export_records()) == _export_reference(tree, depth)
+    t_grid = data.draw(st.lists(st.integers(1, depth), min_size=2, unique=True))
+    n_centers = data.draw(st.integers(1, 50))
+    min_count = data.draw(st.integers(1, 3))
+    seed = data.draw(st.integers(0, 2**64 - 1))
+    try:
+        expect = _local_dimension_reference(tree, t_grid, n_centers, seed, min_count)
+    except ValidationError as e:
+        with pytest.raises(ValidationError, match=str(e)):
+            local_dimension(s, tree, tuple(t_grid), n_centers, seed, min_count)
+    else:
+        assert local_dimension(s, tree, tuple(t_grid), n_centers, seed, min_count) == expect
+
+
+def test_dimension_run_golden(tmp_path):
+    # a free-group run with rows unstable at every grid depth, dropped
+    # points and skipped centers; pinned before the export and the
+    # dimension regression were vectorized
+    cfg = parse_config("dimension", None, {
+        "group": "free_group:2", "rho": 0.5, "seed": 11, "trials": 2000,
+        "horizon": 10, "t_grid": [1, 2, 3, 4, 5], "centers": 60, "min_count": 4,
+        "export_tree_depth": 4, "out": str(tmp_path),
+    })
+    execute(cfg)
+    tree = (tmp_path / "tree.txt").read_bytes()
+    assert hashlib.sha256(tree).hexdigest() == (
+        "4a7f8ca6ba5ac58c5b7748b6fe227282519c04d6bbe628d524a7690c4a411c05"
+    )
+    assert json.loads((tmp_path / "results.json").read_text()) == {
+        "ci_high": 2.1819920375689925, "ci_low": 1.922810608212745,
+        "details": {"centers_skipped": 3, "centers_used": 57, "min_count": 4,
+                    "points_dropped": 109, "t_grid": [1, 5]},
+        "method": "local-dimension", "n": 10, "rho": 0.5, "seed": 11,
+        "std_error": 0.06611892652126208, "subcommand": "dimension",
+        "trials": 57, "value": 2.052401322890869,
+    }

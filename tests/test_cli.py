@@ -126,10 +126,12 @@ def test_parse_config_inline_measure_and_conflicts():
         ("sweep", {"margin": "wide"}),
         ("dimension", {"t_grid": [1.5, 2.7]}),
         ("dimension", {"export_tree_depth": "6"}),
+        ("dimension", {"t_grid": [1, 10], "keep_depth": 5}),
+        ("dimension", {"t_grid": [1, 10], "export_tree_depth": 40}),
     ],
     ids=["rho-str", "rho-bool", "threshold-str", "tv_ns-str", "tv_ns-zero",
          "tv_ns-scalar", "threshold-list", "margin-str", "t_grid-float",
-         "export-depth-str"],
+         "export-depth-str", "keep-depth-shallow", "export-depth-deep"],
 )
 def test_parse_config_rejects_malformed_values(subcommand, bad):
     base = {"group": "free_semigroup:2", "seed": 1}
@@ -137,6 +139,19 @@ def test_parse_config_rejects_malformed_values(subcommand, bad):
                  "dimension": {"rho": 0.5}}[subcommand])
     with pytest.raises(ValidationError):
         parse_config(subcommand, None, {**base, **bad})
+
+
+def test_parse_config_dimension_depths_name_the_option():
+    base = {"group": "free_semigroup:2", "seed": 1, "t_grid": [1, 10]}
+    with pytest.raises(ValidationError, match="keep_depth 5 "):
+        parse_config("dimension", None, {**base, "rho": 0.5, "keep_depth": 5})
+    with pytest.raises(ValidationError, match="export_tree_depth 40 "):
+        parse_config("dimension", None, {**base, "rho": 0.5, "export_tree_depth": 40})
+    # 0 means the default for both keys, and a rho_grid run ignores them
+    parse_config("dimension", None,
+                 {**base, "rho": 0.5, "keep_depth": 0, "export_tree_depth": 0})
+    parse_config("dimension", None, {**base, "rho_grid": [0.2, 0.8],
+                                     "keep_depth": 5, "export_tree_depth": 40})
 
 
 # ---------------------------------------------------------------------------

@@ -15,10 +15,13 @@ from noisewalk.estimators import (
     rho_sweep,
     shannon_pointwise,
     tv_exact,
+    tv_exact_curve,
     tv_lower_bound_mc,
 )
 from noisewalk.measures import (
+    FiniteMeasure,
     build_pi_rho,
+    iter_convolution_levels,
     product_measure,
     tv_distance,
     uniform_measure,
@@ -222,6 +225,28 @@ def test_tv_exact_float_rho_on_group_matches_exact():
         got = tv_exact(mu, 0.9, n, route="pair")
         assert isinstance(got, float)
         assert abs(got - float(tv_exact(mu, F(9, 10), n))) < 1e-12
+
+
+def test_tv_exact_curve_values_do_not_depend_on_n_max():
+    # at n_max = 3 the pair route keeps keys (5**30) and exact numerators
+    # (denominator (3 * 999983)**3) in object arrays; n_max = 1, 2 in int64
+    mu = FiniteMeasure(
+        (((-2, -1, -2, -1, -2), F(2, 3)), ((1, 2, 1, 2, 1), F(1, 3))), 2, "single"
+    )
+    exact_rho = F(1, 999983)
+    first = next(iter_convolution_levels(build_pi_rho(mu, exact_rho), 3))
+    assert first.values.dtype == object
+    for rho in (exact_rho, 0.3):
+        curve = tv_exact_curve(mu, rho, 3)
+        assert [repr(v) for v in curve] == [
+            repr(tv_exact_curve(mu, rho, n)[-1]) for n in (1, 2, 3)
+        ]
+        assert repr(curve[-1]) == repr(tv_exact(mu, rho, 3))
+    for rho in (F(1, 3), 0.3):  # the value-class route
+        curve = tv_exact_curve(semi(2), rho, 5)
+        assert [repr(v) for v in curve] == [
+            repr(tv_exact(semi(2), rho, n)) for n in range(1, 6)
+        ]
 
 
 def test_tv_exact_route_validation():

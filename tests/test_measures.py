@@ -1,5 +1,6 @@
 """Measure construction, sampling, exact convolution, serialization."""
 
+import gc
 import json
 import math
 from collections import Counter
@@ -37,6 +38,7 @@ from noisewalk.measures import (
     uniform_letter_count,
     uniform_measure,
 )
+from noisewalk.measures import _WordCode
 from noisewalk.oracle import brute_force_convolution
 from noisewalk.words import multiply
 
@@ -258,6 +260,23 @@ def test_convolution_deep_words_match_brute_force():
             assert_measures_equal(m, brute_force_convolution(step, lvl))
     lv = list(iter_convolution_levels(build_pi_rho(long_semi, F(1, 2)), 4))[-1]
     assert lv._keys.dtype == object
+
+
+def test_times_words_leaves_no_reference_cycle():
+    # a cycle would keep every intermediate code array of a level alive
+    # until the cyclic collector happens to run
+    code = _WordCode(2, False, 6)
+    starts = [(), (1,), (2, -1), (-2, -1), (1, 2, 2)]
+    words = {(1, 2), (1, -2), (-1,), (-2, -2, 1)}
+    gc.collect()
+    gc.disable()
+    try:
+        out = code.times_words(np.array([code.encode(u) for u in starts]), words)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    for w in words:
+        assert out[w].tolist() == [code.encode(multiply(u, w)) for u in starts]
 
 
 def test_level_values_at_pair_coordinate_codes():

@@ -111,6 +111,7 @@ def _full_stack_boundary(pi, horizon, keep_depth, trials, seed):
         (step([(1,), (2, 1), (1, 1, 2)]), 40, 30),  # varying length: all steps drawn
         (step([(1,), (2, 1), (1, 1, 2)]), rng.SHORT_STREAM + 20, 12),  # long streams
         (step([(1, 2), (2, 1), (2, 2)]), 20, 7),  # keep_depth not a multiple of L
+        (step([(), (1,), (2, 1)]), 40, 12),  # an empty atom: m = 0, all steps kept
     ],
 )
 def test_inverse_free_boundary_matches_full_stack(monkeypatch, mu, horizon, keep_depth):
