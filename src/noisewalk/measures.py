@@ -13,9 +13,12 @@ entropy certification possible.  A reduced word is numbered by its
 shortlex rank, written as a base-B numeral with B = (number of
 letters) + 1 and letters 1..k, -1..-k (1..k on a semigroup) as digits
 1..B-1.  Multiplying by a letter on the right is arithmetic on these
-codes, so each level is a few vectorized passes plus one stable
-sort/reduce over the codes of the live atoms; no table of words is
-built.
+codes, so each level is a few vectorized passes plus one sort/reduce
+over the codes of the live atoms; no table of words is built.  The
+sort orders equal keys by position, as a stable sort would, so every
+sum adds the same terms in the same order.  Where int64 has room, each
+key carries its position in its low bits and one in-place sort of the
+packed words does it; otherwise a stable argsort runs.
 
 Keys and numerators are int64 while they provably fit (keys below
 B**depth, squared for pairs; numerators while D**n <= 2**62) and
@@ -37,7 +40,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Union
 
-import mpmath
 import numpy as np
 
 from . import rng as rngmod
@@ -552,25 +554,62 @@ def _flag_truncated(lost: Weight) -> bool:
     return lost >= 1e-9
 
 
+def _position_bits(key_bound: int, count: int) -> int | None:
+    """Bits that number ``count`` positions below keys under ``key_bound``.
+
+    None when ``key << bits | position`` would not fit in int64; keys
+    under a bound of 2**63 or more are object arrays, so they never pack.
+    """
+    bits = (count - 1).bit_length()
+    return bits if key_bound << bits < 2**63 else None
+
+
+def _product_keys(code: _WordCode, pair: bool, atoms: list, keys: np.ndarray) -> np.ndarray:
+    """Keys of every state times every atom, one row per atom, flattened.
+
+    The per-word code arrays are freed on return, before the sort.
+    """
+    out = np.empty((len(atoms), len(keys)), dtype=keys.dtype)
+    if pair:
+        left = code.times_words(keys // code.stride, {a1 for a1, _ in atoms})
+        right = code.times_words(keys % code.stride, {a2 for _, a2 in atoms})
+        for row, (a1, a2) in zip(out, atoms):
+            np.multiply(left[a1], code.stride, out=row)
+            row += right[a2]
+    else:
+        dest = code.times_words(keys, set(atoms))
+        for row, a in zip(out, atoms):
+            row[:] = dest[a]
+    return out.ravel()
+
+
 def _times_step(
     code: _WordCode, pair: bool, atoms: list, nums: list, keys: np.ndarray, vals: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Multiply every state by every atom on the right; sort and sum equal keys.
 
+    When ``_position_bits`` allows, each key is packed as ``key << bits
+    | position`` and the packed words are sorted in place.  They are
+    distinct, so the low bits read back the permutation of a stable
+    argsort of the keys (equal keys in position order), and every sum
+    adds the same values in the same order.  Otherwise (object keys, or
+    int64 keys with no room for the positions) a stable argsort runs.
+
     A function of its own, so that its temporaries, several times the
     level's size, are freed before the level is handed to the consumer.
     """
-    if pair:
-        left = code.times_words(keys // code.stride, {a1 for a1, _ in atoms})
-        right = code.times_words(keys % code.stride, {a2 for _, a2 in atoms})
-        parts = [left[a1] * code.stride + right[a2] for a1, a2 in atoms]
+    all_k = _product_keys(code, pair, atoms, keys)
+    all_v = np.multiply.outer(np.array(nums, dtype=vals.dtype), vals).ravel()
+    bits = _position_bits(code.stride ** (2 if pair else 1), len(all_k))
+    if bits is None:
+        order = np.argsort(all_k, kind="stable")
+        all_k = all_k[order]
     else:
-        dest = code.times_words(keys, set(atoms))
-        parts = [dest[a] for a in atoms]
-    all_k = np.concatenate(parts)
-    all_v = np.concatenate([vals * v for v in nums])
-    order = np.argsort(all_k, kind="stable")
-    all_k = all_k[order]
+        all_k <<= bits
+        all_k |= np.arange(len(all_k))
+        all_k.sort()
+        order = all_k & ((1 << bits) - 1)
+        all_k >>= bits
     all_v = all_v[order]
     starts = np.flatnonzero(np.r_[True, all_k[1:] != all_k[:-1]])
     return all_k[starts], np.add.reduceat(all_v, starts)
@@ -751,6 +790,8 @@ def certified_entropy_compare(
     measures at these denominators dwarfs the 1e-40 certification
     threshold, and a difference below it raises instead of guessing.
     """
+    import mpmath  # imported here: nothing else in the package needs it
+
     da, ca = spec_a
     db, cb = spec_b
     if factor == 1 and da == db and ca == cb:

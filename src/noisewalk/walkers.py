@@ -19,7 +19,6 @@ out the padding, and read each position's length off the atom lengths.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -123,6 +122,8 @@ def _map_blocks(func, blocks, workers: int):
     workers = min(workers, len(blocks), os.cpu_count() or 1)
     if workers <= 1:
         return [func(b) for b in blocks]
+    from concurrent.futures import ProcessPoolExecutor  # only pooled runs pay for it
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(func, blocks))
 

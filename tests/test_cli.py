@@ -1,5 +1,6 @@
 """Config validation, artifact layout, exit codes, and determinism."""
 
+import hashlib
 import json
 import math
 import subprocess
@@ -7,7 +8,7 @@ import sys
 
 import pytest
 
-from noisewalk.cli import CSV_HEADER, parse_config
+from noisewalk.cli import CSV_HEADER, execute, parse_config
 from noisewalk.errors import ValidationError
 from noisewalk.oracle import h_semigroup, tv_semigroup
 
@@ -259,6 +260,21 @@ def test_cli_entropy_matches_closed_form(tmp_path):
     assert abs(rec["value"] - h) / h < 0.02
 
 
+def test_cli_entropy_exact_golden(tmp_path):
+    # non-dyadic pair masses at rho = 0.3: any change in summation order
+    # shows in the bytes; pinned before the level sort packed keys
+    execute(parse_config("entropy", None, {
+        "group": "free_group:2", "rho": 0.3, "method": "exact", "n_max": 6,
+        "cap": 2_000_000, "seed": 1, "out": str(tmp_path),
+    }))
+    digests = {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
+               for f in ("results.json", "table.csv")}
+    assert digests == {
+        "results.json": "c65fde3f8a4f7e927297587e909f9d3e37f8177e1529427e2a5d58d26ffcaf7e",
+        "table.csv": "a1613b1dd6bbe81fd44a31f6daecbb7bba6e8a698813b35954c67be6819a3e3f",
+    }
+
+
 def test_cli_tv_oracle_rows_golden(tmp_path):
     out = tmp_path / "run"
     r = run_cli("tv", "--group", "free_semigroup:2", "--rho", "0.3",
@@ -347,3 +363,15 @@ def test_cli_report_roundtrip(tmp_path):
 def test_cli_report_without_results_exits_two(tmp_path):
     r = run_cli("report", "--out", str(tmp_path / "nothing"))
     assert r.returncode == 2
+
+
+def test_cli_import_leaves_out_single_use_modules():
+    # mpmath serves only entropy certification and the process pool only
+    # multi-worker runs; neither should cost every command its import time
+    r = subprocess.run(
+        [sys.executable, "-c", "import sys, noisewalk.cli; print(sorted("
+         "{'mpmath', 'concurrent.futures.process'} & set(sys.modules)))"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "[]"

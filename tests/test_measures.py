@@ -1,6 +1,7 @@
 """Measure construction, sampling, exact convolution, serialization."""
 
 import gc
+import hashlib
 import json
 import math
 from collections import Counter
@@ -38,7 +39,8 @@ from noisewalk.measures import (
     uniform_letter_count,
     uniform_measure,
 )
-from noisewalk.measures import _WordCode
+from noisewalk import measures
+from noisewalk.measures import _WordCode, _position_bits
 from noisewalk.oracle import brute_force_convolution
 from noisewalk.words import multiply
 
@@ -244,22 +246,36 @@ def test_convolution_matches_brute_force(step):
             acc = acc  # brute_force handles the powering itself
 
 
-def test_convolution_deep_words_match_brute_force():
+def test_convolution_deep_words_match_brute_force(monkeypatch):
     deep_group = build_measure(
         [((1, 2, 1, 2), F(1, 2)), ((-2, 1, -2, -1), F(1, 3)), ((2, 2, -1, -1), F(1, 6))]
     )
     long_semi = build_measure([((1, 2, 1, 1, 2), F(2, 3)), ((2, 2, 1, 2, 1), F(1, 3))])
-    for step in (
-        srw(2),
-        build_pi_rho(semi(2), F(1, 3)),
-        deep_group,  # words of length 16: far past any enumerable word ball
-        build_pi_rho(long_semi, F(1, 2)),  # pair keys up to 3**40, past int64
+    # rank 1, depth 3 * 6: pair keys below 3**36, int64 but only 4 bits to spare
+    long_rank1 = build_measure([((1,) * 6, F(1, 2)), ((-1,), F(1, 2))])
+    routes = []
+
+    def spy(key_bound, count):
+        bits = _position_bits(key_bound, count)
+        routes.append(bits is not None)
+        return bits
+
+    monkeypatch.setattr(measures, "_position_bits", spy)
+    for step, n, packed, key_dtype in (
+        (srw(2), 4, [True] * 3, np.int64),
+        (build_pi_rho(semi(2), F(1, 3)), 4, [True] * 3, np.int64),
+        # words of length 16: far past any enumerable word ball
+        (deep_group, 4, [True] * 3, np.int64),
+        (build_pi_rho(long_semi, F(1, 2)), 4, [False] * 3, object),  # pair keys up to 3**40
+        # level 2 packs 16 positions; level 3's 64 positions would pass 2**63
+        (build_pi_rho(long_rank1, F(1, 2)), 3, [True, False], np.int64),
     ):
-        got = convolve_power(step, 4)
+        routes.clear()
+        got = convolve_power(step, n)
+        assert routes == packed
         for lvl, m in enumerate(got.measures, start=1):
             assert_measures_equal(m, brute_force_convolution(step, lvl))
-    lv = list(iter_convolution_levels(build_pi_rho(long_semi, F(1, 2)), 4))[-1]
-    assert lv._keys.dtype == object
+        assert list(iter_convolution_levels(step, n))[-1]._keys.dtype == key_dtype
 
 
 def test_times_words_leaves_no_reference_cycle():
@@ -358,6 +374,18 @@ def test_truncated_level_mass_accounting():
     levels = list(iter_convolution_levels(step, 5, cap=30))
     for lv in levels:
         assert lv.kept_total() + lv.lost_mass == 1
+
+
+def test_truncated_float_levels_golden():
+    # rho = 0.3 makes the pair masses non-dyadic, so a reordered sum would
+    # change bits; pinned before the level sort packed keys with positions
+    h = hashlib.sha256()
+    for lv in iter_convolution_levels(build_pi_rho(srw(2), 0.3), 6, cap=5000):
+        h.update(lv._keys.astype("<i8").tobytes())
+        h.update(lv.values.astype("<f8").tobytes())
+        h.update(repr((lv.lost_mass, lv.entropy_kept())).encode())
+    assert lv.size == 5000 and lv.truncated
+    assert h.hexdigest() == "bf2b3f0e99ef37ad83eb758700fe72d76c54165c3d1db0217cc6a9185d00c894"
 
 
 def test_tiny_truncation_reported_but_not_flagged():

@@ -1,5 +1,6 @@
 """Random streams and the batch walk engine."""
 
+import concurrent.futures
 from fractions import Fraction
 
 import numpy as np
@@ -148,7 +149,7 @@ def test_pool_size_is_clamped(monkeypatch, cores, expect):
     pi = build_pi_rho(uniform_measure(2), 0.5)
     monkeypatch.setattr(walkers, "BLOCK", 40)
     serial = walkers.pair_prefix_lengths(pi, 12, 100, 5, rng.STREAM_TV_COUPLED)
-    monkeypatch.setattr(walkers, "ProcessPoolExecutor", _InlineExecutor)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlineExecutor)
     monkeypatch.setattr(walkers.os, "cpu_count", lambda: cores)
     monkeypatch.setattr(_InlineExecutor, "opened", [])
     got = walkers.pair_prefix_lengths(pi, 12, 100, 5, rng.STREAM_TV_COUPLED, workers=10**6)
