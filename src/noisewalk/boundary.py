@@ -11,12 +11,15 @@ trial) rather than per-sample objects; a ``BoundarySampleSet`` behaves
 like a sequence of ``BoundarySample`` views for small-scale use.
 
 The cylinder tree counts how many sampled boundary pairs pass through
-each pair-prefix cylinder.  Its export is built level by level: the
-prefix strings of depth t extend those of depth t - 1 by one letter
-name each.  Ball masses in the max quasi-metric e^(-Gromov product)
-are cylinder frequencies, and the local dimension is the slope of
--log(ball mass) against the depth t, fitted per center on a count
-matrix gathered one depth at a time.
+each pair-prefix cylinder.  Its levels are built on first use, each
+from the one above it, so a reader that stops early never pays for the
+deeper levels.  Its export is built level by level: the prefix strings
+of depth t extend those of depth t - 1 by one letter name each.  Ball
+masses in the max quasi-metric e^(-Gromov product) are cylinder
+frequencies, and the local dimension is the slope of -log(ball mass)
+against the depth t, fitted per center on a count matrix gathered one
+depth at a time; the gathering stops at the first grid depth where no
+node holds ``min_count + 1`` samples, since no deeper node can.
 """
 
 from __future__ import annotations
@@ -163,6 +166,11 @@ class CylinderTree:
     among samples with usable depth >= t.  Node ids are the positions
     in the sorted key array of their level, so parents are recovered as
     key // base and letter codes as key % base.
+
+    Levels are built on first use: ``level(t)`` builds every level down
+    to t that is not built yet, and ``levels`` builds them all.  The
+    constructor only checks the samples, so a zero letter inside a
+    stable prefix fails here and not at a later read.
     """
 
     def __init__(self, samples: BoundarySampleSet, depth: int):
@@ -181,33 +189,48 @@ class CylinderTree:
         k2 = 2 * samples.rank
         self.letter_base = k2
         self.base = k2 * k2
-        levels: list[_TreeLevel] = []
-        ids = np.zeros(len(samples), dtype=np.int64)  # level-0: everyone at the root
-        for t in range(1, depth + 1):
-            active = self.t_stable >= t
-            x1 = samples.letters1[active, t - 1].astype(np.int64)
-            x2 = samples.letters2[active, t - 1].astype(np.int64)
-            if len(x1) and (x1 == 0).any() or len(x2) and (x2 == 0).any():
-                raise ValidationError("zero letter inside a stable prefix")
-            c1 = np.where(x1 > 0, x1 - 1, samples.rank - 1 - x1)
-            c2 = np.where(x2 > 0, x2 - 1, samples.rank - 1 - x2)
-            keys = ids[active] * self.base + c1 * k2 + c2
-            uniq, inverse = np.unique(keys, return_inverse=True)
-            sizes = np.bincount(inverse, minlength=len(uniq)).astype(np.int64)
-            new_ids = np.full(len(samples), -1, dtype=np.int64)
-            new_ids[active] = inverse
-            levels.append(_TreeLevel(uniq, sizes, new_ids.astype(np.int32)))
-            ids = new_ids
-        self.levels = levels
+        inside = self.t_stable[:, None] > np.arange(depth)[None, :]
+        zero = (samples.letters1[:, :depth] == 0) | (samples.letters2[:, :depth] == 0)
+        if (zero & inside).any():
+            raise ValidationError("zero letter inside a stable prefix")
+        self._letters = (samples.letters1, samples.letters2)
+        self._levels: list[_TreeLevel] = []
+        self._ids = np.zeros(len(samples), dtype=np.int64)  # level 0: all at the root
+
+    def level(self, t: int) -> _TreeLevel:
+        """Level t, building it and every shallower level not built yet."""
+        self._check_depth(t)
+        while len(self._levels) < t:
+            self._levels.append(self._build_level(len(self._levels) + 1))
+        return self._levels[t - 1]
+
+    @property
+    def levels(self) -> tuple[_TreeLevel, ...]:
+        """Every level, 1..depth; builds those not built yet."""
+        self.level(self.depth)
+        return tuple(self._levels)
+
+    def _build_level(self, t: int) -> _TreeLevel:
+        """Split the nodes of level t - 1 by the pair letter at depth t."""
+        active = self.t_stable >= t
+        x1 = self._letters[0][active, t - 1].astype(np.int64)
+        x2 = self._letters[1][active, t - 1].astype(np.int64)
+        c1 = np.where(x1 > 0, x1 - 1, self.rank - 1 - x1)
+        c2 = np.where(x2 > 0, x2 - 1, self.rank - 1 - x2)
+        keys = self._ids[active] * self.base + c1 * self.letter_base + c2
+        uniq, inverse = np.unique(keys, return_inverse=True)
+        sizes = np.bincount(inverse, minlength=len(uniq)).astype(np.int64)
+        new_ids = np.full(self.sample_count, -1, dtype=np.int64)
+        new_ids[active] = inverse
+        self._ids = new_ids
+        return _TreeLevel(uniq, sizes, new_ids.astype(np.int32))
 
     def node_count(self, t: int) -> int:
-        self._check_depth(t)
-        return len(self.levels[t - 1].keys)
+        return len(self.level(t).keys)
 
     def usable_count(self, t: int) -> int:
         """Samples that reach depth t (denominator of cylinder frequencies)."""
-        self._check_depth(t)
-        return int(self.levels[t - 1].sizes.sum())
+        return int(self.level(t).sizes.sum())
 
     def _check_depth(self, t: int) -> None:
         if not isinstance(t, int) or not 1 <= t <= self.depth:
@@ -225,7 +248,7 @@ class CylinderTree:
         w2: list[int] = []
         nid = node_id
         for level in range(t, 0, -1):
-            key = int(self.levels[level - 1].keys[nid])
+            key = int(self.level(level).keys[nid])
             code = key % self.base
             w1.append(self._decode_letter(code // self.letter_base))
             w2.append(self._decode_letter(code % self.letter_base))
@@ -244,17 +267,17 @@ class CylinderTree:
             c1 = x1 - 1 if x1 > 0 else self.rank - 1 - x1
             c2 = x2 - 1 if x2 > 0 else self.rank - 1 - x2
             key = nid * self.base + c1 * self.letter_base + c2
-            keys = self.levels[level - 1].keys
+            keys = self.level(level).keys
             pos = int(np.searchsorted(keys, key))
             if pos >= len(keys) or keys[pos] != key:
                 return 0
             nid = pos
-        return int(self.levels[t - 1].sizes[nid])
+        return int(self.level(t).sizes[nid])
 
     def validate(self) -> None:
         """Check structural invariants; raises ValidationError on failure."""
         for t in range(1, self.depth + 1):
-            lv = self.levels[t - 1]
+            lv = self.level(t)
             if (lv.sizes < 1).any():
                 raise ValidationError(f"empty node at depth {t}")
             counted = np.bincount(
@@ -264,10 +287,9 @@ class CylinderTree:
                 raise ValidationError(f"id/size mismatch at depth {t}")
             if t >= 2:
                 parents = lv.keys // self.base
-                child_sum = np.bincount(
-                    parents, weights=lv.sizes, minlength=len(self.levels[t - 2].keys)
-                )
-                if (child_sum > self.levels[t - 2].sizes + 1e-9).any():
+                up = self.level(t - 1)
+                child_sum = np.bincount(parents, weights=lv.sizes, minlength=len(up.keys))
+                if (child_sum > up.sizes + 1e-9).any():
                     raise ValidationError(f"children outweigh parent at depth {t}")
 
     def export_records(self, max_depth: int | None = None) -> Iterator[str]:
@@ -284,7 +306,7 @@ class CylinderTree:
         # a node's prefix strings are its parent's plus one letter each
         p1 = p2 = np.array([""], dtype=object)
         for t in range(1, limit + 1):
-            lv = self.levels[t - 1]
+            lv = self.level(t)
             parents, codes = np.divmod(lv.keys, self.base)
             sep = names if t == 1 else "," + names
             p1 = p1[parents] + sep[codes // self.letter_base]
@@ -321,8 +343,8 @@ def ball_measure(
             raise ValidationError(
                 f"center {c} is only stable to depth {int(tree.t_stable[c])} < {t}"
             )
-        nid = int(tree.levels[t - 1].ids[c])
-        count = int(tree.levels[t - 1].sizes[nid])
+        lv = tree.level(t)
+        count = int(lv.sizes[lv.ids[c]])
         if exclude_center:
             denom = tree.sample_count - 1
             count -= 1
@@ -357,6 +379,11 @@ def local_dimension(
     counts bias the log), and centers with fewer than two surviving
     points are skipped.  The estimate averages the per-center slopes
     with a normal interval.
+
+    Node sizes never grow with depth, so once no node at a grid depth
+    holds ``min_count + 1`` samples, no center is usable there or
+    deeper; the fit stops at that depth and the tree's deeper levels
+    stay unbuilt.
     """
     if len(samples) != tree.sample_count:
         raise ValidationError("tree was built from a different sample count")
@@ -382,7 +409,10 @@ def local_dimension(
     reach = tree.t_stable[chosen][:, None] >= np.array(ts)[None, :]
     counts = np.zeros(reach.shape, dtype=np.int64)
     for j, t in enumerate(ts):
-        lv = tree.levels[t - 1]
+        lv = tree.level(t)
+        # node sizes never grow with depth: past this t no center is usable
+        if lv.sizes.max(initial=0) - 1 < min_count:
+            break
         counts[reach[:, j], j] = lv.sizes[lv.ids[chosen[reach[:, j]]]] - 1
     usable = reach & (counts >= min_count)
     dropped_points = int(np.count_nonzero(reach & ~usable))

@@ -87,9 +87,11 @@ def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """High and low 64-bit words of m * x, from 32-bit half products."""
     m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
     x_lo, x_hi = x & _LO32, x >> _S32
-    ll, lh, hl, hh = x_lo * m_lo, x_lo * m_hi, x_hi * m_lo, x_hi * m_hi
-    cross = (ll >> _S32) + (lh & _LO32) + (hl & _LO32)
-    hi = hh + (lh >> _S32) + (hl >> _S32) + (cross >> _S32)
+    # carry chain: t and u are each at most (2^32 - 1)^2 + 2^32 - 1 < 2^64,
+    # so neither sum wraps; hi is the exact high word
+    t = x_lo * m_hi + ((x_lo * m_lo) >> _S32)
+    u = x_hi * m_lo + (t & _LO32)
+    hi = x_hi * m_hi + (t >> _S32) + (u >> _S32)
     return hi, x * np.uint64(m)
 
 

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from noisewalk import rng as rngmod
 from noisewalk.boundary import (
     BoundarySampleSet,
+    CylinderTree,
     ball_measure,
     build_tree,
     dimension_singularity_check,
@@ -395,6 +396,142 @@ def test_export_and_dimension_match_per_node_references(s, data):
             local_dimension(s, tree, tuple(t_grid), n_centers, seed, min_count)
     else:
         assert local_dimension(s, tree, tuple(t_grid), n_centers, seed, min_count) == expect
+
+
+# ---------------------------------------------------------------------------
+# tree levels built on first use
+
+
+def _eager_levels(samples, depth):
+    """(keys, sizes, ids) of every level, built in one pass as the tree
+    constructor did before levels were built on first use."""
+    k2 = 2 * samples.rank
+    t_stable = samples.usable_depth()
+    levels = []
+    ids = np.zeros(len(samples), dtype=np.int64)
+    for t in range(1, depth + 1):
+        active = t_stable >= t
+        x1 = samples.letters1[active, t - 1].astype(np.int64)
+        x2 = samples.letters2[active, t - 1].astype(np.int64)
+        c1 = np.where(x1 > 0, x1 - 1, samples.rank - 1 - x1)
+        c2 = np.where(x2 > 0, x2 - 1, samples.rank - 1 - x2)
+        keys = ids[active] * k2 * k2 + c1 * k2 + c2
+        uniq, inverse = np.unique(keys, return_inverse=True)
+        sizes = np.bincount(inverse, minlength=len(uniq)).astype(np.int64)
+        new_ids = np.full(len(samples), -1, dtype=np.int64)
+        new_ids[active] = inverse
+        levels.append((uniq, sizes, new_ids.astype(np.int32)))
+        ids = new_ids
+    return levels
+
+
+def _assert_level_equal(lv, ref):
+    for got, expect in zip((lv.keys, lv.sizes, lv.ids), ref):
+        assert got.dtype == expect.dtype
+        assert np.array_equal(got, expect)
+
+
+def _stop_depth(ref, t_grid, min_count):
+    """First grid depth where no node holds min_count + 1 samples."""
+    for t in sorted(t_grid):
+        if ref[t - 1][1].max(initial=0) - 1 < min_count:
+            return t
+    return max(t_grid)
+
+
+class _LevelSpy:
+    """Records the depth of every level ``CylinderTree`` builds."""
+
+    def __init__(self, mp):
+        self.built = []
+        real = CylinderTree._build_level
+
+        def spy(tree, t):
+            self.built.append(t)
+            return real(tree, t)
+
+        mp.setattr(CylinderTree, "_build_level", spy)
+
+
+@settings(max_examples=100, deadline=None)
+@given(s=sample_sets(), data=st.data())
+def test_levels_read_in_any_order_match_eager_build(s, data):
+    depth = data.draw(st.integers(1, s.keep_depth))
+    ref = _eager_levels(s, depth)
+    tree = build_tree(s, depth)
+    for t in range(depth, 0, -1):  # deepest first
+        _assert_level_equal(tree.level(t), ref[t - 1])
+    tree = build_tree(s, depth)
+    for t in data.draw(st.permutations(range(1, depth + 1))):
+        _assert_level_equal(tree.level(t), ref[t - 1])
+    levels = build_tree(s, depth).levels
+    assert len(levels) == depth
+    for lv, r in zip(levels, ref):
+        _assert_level_equal(lv, r)
+
+
+@settings(max_examples=100, deadline=None)
+@given(s=sample_sets(), data=st.data())
+def test_local_dimension_on_fresh_tree_stops_building_at_stop_depth(s, data):
+    depth = s.keep_depth
+    t_grid = data.draw(st.lists(st.integers(1, depth), min_size=2, unique=True))
+    n_centers = data.draw(st.integers(1, 50))
+    min_count = data.draw(st.integers(1, 3))
+    seed = data.draw(st.integers(0, 2**64 - 1))
+    stop = _stop_depth(_eager_levels(s, depth), t_grid, min_count)
+    try:
+        expect = _local_dimension_reference(build_tree(s, depth), t_grid, n_centers,
+                                            seed, min_count)
+    except ValidationError as e:
+        expect = e
+    with pytest.MonkeyPatch.context() as mp:
+        spy = _LevelSpy(mp)
+        tree = build_tree(s, depth)
+        if isinstance(expect, ValidationError):
+            with pytest.raises(ValidationError, match=str(expect)):
+                local_dimension(s, tree, tuple(t_grid), n_centers, seed, min_count)
+            assert spy.built == list(range(1, len(spy.built) + 1))
+            assert len(spy.built) <= stop
+        else:
+            assert local_dimension(s, tree, tuple(t_grid), n_centers, seed,
+                                   min_count) == expect
+            assert spy.built == list(range(1, stop + 1))
+
+
+def test_local_dimension_leaves_levels_past_the_stop_depth_unbuilt(monkeypatch):
+    s = sample_boundary(semi(2), 0.5, horizon=20, trials=2000, seed=5)
+    t_grid = tuple(range(1, 21))
+    stop = _stop_depth(_eager_levels(s, 20), t_grid, 5)
+    assert 2 < stop < 20
+    spy = _LevelSpy(monkeypatch)
+    tree = build_tree(s, 20)
+    assert spy.built == []
+    got = local_dimension(s, tree, t_grid, 200, 3, min_count=5)
+    assert spy.built == list(range(1, stop + 1))
+    assert got == _local_dimension_reference(build_tree(s, 20), t_grid, 200, 3, 5)
+
+
+def test_zero_letter_at_deepest_stable_depth_fails_at_build_tree():
+    l1 = np.array([[1, 2, 1], [2, 1, 0], [1, 1, 2]], dtype=np.int8)
+    l2 = np.array([[1, 1, 2], [2, 2, 0], [2, 1, 1]], dtype=np.int8)
+    lens = np.array([3, 2, 3])
+
+    def samples(a, b):
+        return BoundarySampleSet(a, b, lens, lens, horizon=3, keep_depth=3,
+                                 rank=2, seed=0)
+
+    build_tree(samples(l1, l2), 3).validate()  # zeros past a stable prefix pad
+    # (row, column, tree depth): a row's deepest stable letter, or the
+    # deepest letter the tree reads
+    for row, col, depth in ((0, 2, 3), (1, 1, 3), (2, 1, 2)):
+        for coord in (0, 1):
+            bad = [l1.copy(), l2.copy()]
+            bad[coord][row, col] = 0
+            with pytest.raises(ValidationError, match="zero letter inside"):
+                build_tree(samples(*bad), depth)
+    past = l1.copy()
+    past[0, 2] = 0
+    assert build_tree(samples(past, l2), 2).node_count(2) == 3
 
 
 def test_dimension_run_golden(tmp_path):

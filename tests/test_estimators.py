@@ -4,6 +4,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from noisewalk.errors import InputError, ValidationError
 from noisewalk.estimators import (
@@ -20,6 +22,7 @@ from noisewalk.estimators import (
 )
 from noisewalk.measures import (
     FiniteMeasure,
+    build_measure,
     build_pi_rho,
     iter_convolution_levels,
     product_measure,
@@ -179,6 +182,28 @@ def test_tv_routes_agree_exactly():
             b = tv_exact(mu, rho, n, route="pair")
             assert isinstance(a, Fraction) and isinstance(b, Fraction)
             assert a == b
+
+
+@st.composite
+def letter_steps(draw):
+    """Exact steps on some of the positive letters of rank 1-3."""
+    rank = draw(st.integers(1, 3))
+    letters = draw(st.lists(st.integers(1, rank), min_size=1, unique=True))
+    raw = draw(st.lists(st.integers(1, 9), min_size=len(letters),
+                        max_size=len(letters)))
+    return build_measure(
+        [((x,), F(w, sum(raw))) for x, w in zip(letters, raw)], rank=rank
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(mu=letter_steps(), rho=st.fractions(0, 1, max_denominator=12),
+       n=st.integers(1, 4))
+def test_tv_routes_agree_on_random_letter_steps(mu, rho, n):
+    a = tv_exact_curve(mu, rho, n, route="classes")
+    b = tv_exact_curve(mu, rho, n, route="pair")
+    assert all(isinstance(x, Fraction) for x in a + b)
+    assert a == b
 
 
 def test_tv_exact_matches_enumeration_on_group():

@@ -35,6 +35,18 @@ def test_uniform_rows_match_per_stream_generators(seed, n):
     assert got.tobytes() == expect.tobytes()
 
 
+@pytest.mark.parametrize("m", rng._PHILOX_M)
+def test_mulhilo_matches_python_integers(m):
+    edges = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+    words = edges + np.random.default_rng(5).integers(
+        0, 2**64, size=200, dtype=np.uint64, endpoint=False
+    ).tolist()
+    hi, lo = rng._mulhilo(m, np.array(words, dtype=np.uint64))
+    assert hi.dtype == lo.dtype == np.uint64
+    assert hi.tolist() == [(x * m) >> 64 for x in words]
+    assert lo.tolist() == [(x * m) % 2**64 for x in words]
+
+
 def test_stream_ids_are_consecutive_stream_id_values():
     ids = rng.stream_ids(rng.STREAM_BOUNDARY, 5, 9)
     assert ids.tolist() == [rng.stream_id(rng.STREAM_BOUNDARY, t) for t in range(5, 9)]
