@@ -21,7 +21,6 @@ truncation error.
 from __future__ import annotations
 
 import json
-import math
 import sys
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -42,43 +41,6 @@ from .errors import (
 
 CSV_HEADER = "rho,n,trials,seed,method,value,std_error,ci_low,ci_high"
 
-_COMMON_KEYS = {
-    "spec_version",
-    "group",
-    "measure",
-    "rho",
-    "n",
-    "trials",
-    "seed",
-    "cap",
-    "workers",
-    "out",
-    "plot",
-}
-
-_SUBCOMMAND_KEYS = {
-    "drift": _COMMON_KEYS,
-    "entropy": _COMMON_KEYS | {"method", "n_max"},
-    "tv": _COMMON_KEYS | {"n_exact", "threshold_frac", "route"},
-    "dimension": _COMMON_KEYS
-    | {"rho_grid", "horizon", "t_grid", "centers", "min_count", "keep_depth",
-       "export_tree_depth"},
-    "sweep": _COMMON_KEYS | {"rho_grid", "tv_ns", "threshold_frac", "margin", "n_max"}
-    - {"rho"},
-    "report": {"spec_version", "out", "plot"},
-}
-
-_DEFAULTS = {
-    "drift": {"n": 1000, "trials": 400},
-    "entropy": {"n": 5000, "trials": 200, "n_max": 5, "method": "auto"},
-    "tv": {"n": 50, "trials": 10_000, "n_exact": 6, "threshold_frac": 0.2,
-           "route": "auto"},
-    "dimension": {"horizon": 200, "trials": 20_000, "centers": 300, "min_count": 5},
-    "sweep": {"n": 4000, "trials": 150, "tv_ns": (), "threshold_frac": 0.2,
-              "n_max": 6, "margin": None},
-    "report": {},
-}
-
 
 @dataclass
 class RunConfig:
@@ -98,7 +60,44 @@ class RunConfig:
     options: dict = field(default_factory=dict)
 
 
-def _parse_group(text: str) -> tuple[str, int]:
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _parser(test, what: str, convert=None):
+    """Parser for a key whose values pass ``test``, described as ``what``.
+
+    The parser takes (value, key) and returns ``convert(value)``, or the
+    value itself, or raises ValidationError naming the key.
+    """
+
+    def parse(value, key: str):
+        if not test(value):
+            raise ValidationError(f"{key} must be {what}, got {value!r}")
+        return value if convert is None else convert(value)
+
+    return parse
+
+
+def _integer(minimum: int):
+    return _parser(lambda x: _is_int(x) and x >= minimum, f"an integer >= {minimum}")
+
+
+def _positive_ints(min_len: int, what: str):
+    return _parser(
+        lambda x: isinstance(x, (list, tuple)) and len(x) >= min_len
+        and all(_is_int(e) and e >= 1 for e in x),
+        what,
+        tuple,
+    )
+
+
+def _group(text: str) -> measures.FiniteMeasure:
+    """The uniform step measure of free_group:K or free_semigroup:M."""
     parts = text.split(":")
     if len(parts) != 2 or parts[0] not in ("free_group", "free_semigroup"):
         raise ValidationError(
@@ -110,10 +109,23 @@ def _parse_group(text: str) -> tuple[str, int]:
         raise ValidationError(f"group rank {parts[1]!r} is not an integer") from None
     if rank < 1 or (parts[0] == "free_group" and rank < 2):
         raise ValidationError(f"group rank {rank} too small for {parts[0]}")
-    return parts[0], rank
+    return measures.uniform_measure(rank, inverse_free=parts[0] == "free_semigroup")
 
 
-def _parse_rho_grid(value) -> tuple[float, ...]:
+def _inline_measure(value) -> measures.FiniteMeasure | None:
+    """The inline step measure, or None for "uniform" (the group's own)."""
+    if value == "uniform":
+        return None
+    try:
+        mu = measures.measure_from_json_dict(value)
+    except (InputError, ValidationError) as e:
+        raise ValidationError(f"bad inline measure: {e}") from None
+    if mu.kind != "single":
+        raise ValidationError("the step measure must be single kind; pairs are built internally")
+    return mu
+
+
+def _rho_grid(value) -> tuple[float, ...]:
     if isinstance(value, str) and value.lstrip().startswith("["):
         try:
             value = json.loads(value)
@@ -137,13 +149,10 @@ def _parse_rho_grid(value) -> tuple[float, ...]:
                 break
             grid.append(min(x, 1.0) if x <= 1 + 1e-9 else x)
             i += 1
-    elif isinstance(value, (list, tuple)):
-        try:
-            grid = [float(x) for x in value]
-        except (TypeError, ValueError):
-            raise ValidationError(f"bad rho grid {value!r}") from None
+    elif all(_is_number(x) for x in value):
+        grid = [float(x) for x in value]
     else:
-        raise ValidationError(f"rho_grid must be a list or a:b:step, got {value!r}")
+        raise ValidationError(f"bad rho grid {value!r}")
     if not grid:
         raise ValidationError("rho grid is empty")
     for x in grid:
@@ -154,33 +163,65 @@ def _parse_rho_grid(value) -> tuple[float, ...]:
     return tuple(grid)
 
 
-def _positive_int(cfg: dict, key: str, minimum: int = 1) -> int:
-    v = cfg[key]
-    if not isinstance(v, int) or isinstance(v, bool) or v < minimum:
-        raise ValidationError(f"{key} must be an integer >= {minimum}, got {v!r}")
-    return v
+# The one parser of every config key.  JSON numbers are the only
+# numbers; a null value never reaches a parser, it leaves the key unset.
+_PARSERS = {
+    "group": _parser(lambda x: isinstance(x, str), "a string", _group),
+    "measure": _parser(lambda x: x == "uniform" or isinstance(x, dict),
+                       '"uniform" or an inline object', _inline_measure),
+    "rho": _parser(lambda x: _is_number(x) and 0 <= x <= 1, "a number in [0, 1]",
+                   float),
+    "rho_grid": _parser(lambda x: isinstance(x, (str, list, tuple)),
+                        "a list or an a:b:step string", _rho_grid),
+    "n": _integer(1),
+    "trials": _integer(1),
+    "seed": _parser(lambda x: _is_int(x) and 0 <= x < 2**64,
+                    "an integer in [0, 2^64)"),
+    "cap": _integer(1),
+    "workers": _integer(1),
+    "out": _parser(lambda x: isinstance(x, str), "a string", Path),
+    "plot": _parser(lambda x: isinstance(x, bool), "true or false"),
+    "method": _parser(lambda x: x in ("auto", "pointwise", "exact"),
+                      "auto, pointwise or exact"),
+    "n_max": _integer(1),
+    "n_exact": _integer(1),
+    "threshold_frac": _parser(lambda x: _is_number(x) and 0 < x <= 1,
+                              "a number in (0, 1]", float),
+    "horizon": _integer(1),
+    "t_grid": _positive_ints(2, "a list of at least two integers >= 1"),
+    "centers": _integer(1),
+    "min_count": _integer(1),
+    "keep_depth": _integer(0),
+    "export_tree_depth": _integer(0),
+    "tv_ns": _positive_ints(0, "a list of integers >= 1"),
+    "margin": _parser(_is_number, "a number", float),
+}
 
+# Keys every run subcommand accepts, with their parsed defaults; None
+# means unset.
+_SHARED = {"group": None, "measure": None, "seed": None, "cap": measures.DEFAULT_CAP,
+           "workers": 1, "out": Path("."), "plot": False}
 
-def _optional_int(cfg: dict, key: str) -> int | None:
-    return None if cfg.get(key) is None else _positive_int(cfg, key, minimum=0)
+# The keys each subcommand accepts, with their parsed defaults.
+_SUBCOMMANDS = {
+    "drift": {**_SHARED, "rho": None, "n": 1000, "trials": 400},
+    "entropy": {**_SHARED, "rho": None, "n": 5000, "trials": 200,
+                "method": "auto", "n_max": 5},
+    "tv": {**_SHARED, "rho": None, "n": 50, "trials": 10_000, "n_exact": 6,
+           "threshold_frac": 0.2},
+    # dimension reads no n; 0 stands for it in the RunConfig
+    "dimension": {**_SHARED, "rho": None, "n": 0, "trials": 20_000,
+                  "rho_grid": None, "horizon": 200, "t_grid": None,
+                  "centers": 300, "min_count": 5, "keep_depth": None,
+                  "export_tree_depth": None},
+    "sweep": {**_SHARED, "n": 4000, "trials": 150, "rho_grid": None,
+              "tv_ns": (), "threshold_frac": 0.2, "margin": None, "n_max": 6},
+    "report": {"out": Path("."), "plot": False},
+}
 
-
-def _number(value, key: str) -> float:
-    """``float(value)``, raising ValidationError for anything not numeric."""
-    if not isinstance(value, bool):
-        try:
-            return float(value)
-        except (TypeError, ValueError):
-            pass
-    raise ValidationError(f"{key} must be a number, got {value!r}")
-
-
-def _positive_ints(value, key: str) -> tuple[int, ...]:
-    if not isinstance(value, (list, tuple)) or not all(
-        isinstance(x, int) and not isinstance(x, bool) and x >= 1 for x in value
-    ):
-        raise ValidationError(f"{key} must be a list of integers >= 1, got {value!r}")
-    return tuple(value)
+# Keys kept in RunConfig fields; every other key goes to ``options``.
+_RUN_FIELDS = {"group", "measure", "rho", "rho_grid", "n", "trials", "seed",
+               "cap", "workers", "out", "plot"}
 
 
 def parse_config(
@@ -188,10 +229,12 @@ def parse_config(
 ) -> RunConfig:
     """Load, merge, and validate the configuration for one subcommand.
 
-    ``overrides`` holds flag values (None means not given).  The file,
-    when present, must carry ``"spec_version": 1`` and only known keys.
+    ``overrides`` holds flag values, which replace file values; None, in
+    either, leaves a key unset.  The file, when present, must carry
+    ``"spec_version": 1`` and only keys the subcommand accepts.  Every
+    key is parsed by its one parser before any cross-key check runs.
     """
-    if subcommand not in _SUBCOMMAND_KEYS:
+    if subcommand not in _SUBCOMMANDS:
         raise ValidationError(f"unknown subcommand {subcommand!r}")
     cfg: dict = {}
     if config_path is not None:
@@ -208,123 +251,58 @@ def parse_config(
             raise ValidationError('config is missing "spec_version"')
         if cfg["spec_version"] != 1:
             raise ValidationError(f"unsupported spec_version {cfg['spec_version']!r}")
-    for k, v in overrides.items():
-        if v is not None:
-            cfg[k] = v
-    cfg.pop("spec_version", None)
-    allowed = _SUBCOMMAND_KEYS[subcommand] - {"spec_version"}
-    unknown = set(cfg) - allowed
+        del cfg["spec_version"]
+    given = {k: x for k, x in cfg.items() if x is not None}
+    given.update((k, x) for k, x in overrides.items() if x is not None)
+    table = _SUBCOMMANDS[subcommand]
+    unknown = set(given) - set(table)
     if unknown:
         raise ValidationError(
             f"unknown config keys for {subcommand}: {sorted(unknown)}"
         )
-    merged = dict(_DEFAULTS[subcommand])
-    merged.update(cfg)
-    merged.setdefault("cap", measures.DEFAULT_CAP)
-    merged.setdefault("workers", 1)
-    merged.setdefault("out", ".")
-    merged.setdefault("plot", False)
-
-    out = Path(merged["out"])
-    plot = bool(merged["plot"])
-    workers = merged["workers"]
-    if not isinstance(workers, int) or isinstance(workers, bool) or workers < 1:
-        raise ValidationError(f"workers must be a positive integer, got {workers!r}")
+    v = {**table, **{k: _PARSERS[k](x, k) for k, x in given.items()}}
 
     if subcommand == "report":
         return RunConfig(
-            subcommand, None, None, None, 0, 0, None, 0, workers, out, plot, {}
+            subcommand, None, None, None, 0, 0, None, 0, 1, v["out"], v["plot"]
         )
-
-    if "seed" not in merged or merged["seed"] is None:
+    if v["seed"] is None:
         raise ValidationError("seed is mandatory (no wall-clock default)")
-    seed = merged["seed"]
-    if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed < 2**64:
-        raise ValidationError(f"seed must be an integer in [0, 2^64), got {seed!r}")
 
-    group = merged.get("group")
-    raw_measure = merged.get("measure", "uniform" if group else None)
-    mu: measures.FiniteMeasure | None = None
-    if isinstance(raw_measure, dict):
-        try:
-            mu = measures.measure_from_json_dict(raw_measure)
-        except (InputError, ValidationError) as e:
-            raise ValidationError(f"bad inline measure: {e}") from None
-    elif raw_measure not in (None, "uniform"):
-        raise ValidationError(f'measure must be "uniform" or an inline object')
+    mu, group = v["measure"], v["group"]
     if group is not None:
-        kind, rank = _parse_group(group)
-        inverse_free = kind == "free_semigroup"
         if mu is None:
-            mu = measures.uniform_measure(rank, inverse_free=inverse_free)
-        else:
-            if mu.rank != rank:
-                raise ValidationError(
-                    f"measure rank {mu.rank} conflicts with group rank {rank}"
-                )
-            if inverse_free and not mu.inverse_free:
-                raise ValidationError(
-                    "free_semigroup group with a measure using inverse letters"
-                )
+            mu = group
+        elif mu.rank != group.rank:
+            raise ValidationError(
+                f"measure rank {mu.rank} conflicts with group rank {group.rank}"
+            )
+        elif group.inverse_free and not mu.inverse_free:
+            raise ValidationError(
+                "free_semigroup group with a measure using inverse letters"
+            )
     if mu is None:
         raise ValidationError("config needs a group or an inline measure")
-    if mu.kind != "single":
-        raise ValidationError("the step measure must be single kind; pairs are built internally")
 
-    rho = merged.get("rho")
-    if rho is not None:
-        rho = _number(rho, "rho")
-        if not 0 <= rho <= 1:
-            raise ValidationError(f"rho must lie in [0, 1], got {rho}")
-    rho_grid = None
-    if merged.get("rho_grid") is not None:
-        rho_grid = _parse_rho_grid(merged["rho_grid"])
-    if subcommand == "sweep" and rho_grid is None:
-        raise ValidationError("sweep needs a rho_grid")
-    if subcommand == "dimension" and rho is None and rho_grid is None:
-        raise ValidationError("dimension needs rho or a two-point rho_grid")
-    if subcommand == "dimension" and rho_grid is not None and len(rho_grid) != 2:
-        raise ValidationError("dimension rho_grid must have exactly two values")
-    if subcommand in ("tv",) and rho is None:
-        raise ValidationError(f"{subcommand} needs rho")
+    rho, rho_grid = v.get("rho"), v.get("rho_grid")
     if rho is not None and rho_grid is not None:
         raise ValidationError("give rho or rho_grid, not both")
-
-    n = _positive_int(merged, "n") if "n" in merged else 0
-    trials = _positive_int(merged, "trials") if "trials" in merged else 0
-    cap = merged["cap"]
-    if not isinstance(cap, int) or isinstance(cap, bool) or cap < 1:
-        raise ValidationError(f"cap must be a positive integer, got {cap!r}")
-
-    options: dict = {}
-    if subcommand == "entropy":
-        method = merged["method"]
-        if method not in ("auto", "pointwise", "exact"):
-            raise ValidationError(f"entropy method must be auto/pointwise/exact")
-        options["method"] = method
-        options["n_max"] = _positive_int(merged, "n_max")
-    elif subcommand == "tv":
-        options["n_exact"] = _positive_int(merged, "n_exact")
-        options["route"] = merged["route"]
-        tf = _number(merged["threshold_frac"], "threshold_frac")
-        if not 0 < tf <= 1:
-            raise ValidationError(f"threshold_frac must lie in (0, 1], got {tf}")
-        options["threshold_frac"] = tf
-    elif subcommand == "dimension":
-        options["horizon"] = _positive_int(merged, "horizon")
-        t_grid = merged.get("t_grid")
-        if t_grid is None:
-            t_grid = list(range(1, min(21, options["horizon"] + 1)))
-        if not isinstance(t_grid, (list, tuple)) or len(t_grid) < 2:
-            raise ValidationError("t_grid must be a list of at least two depths")
-        options["t_grid"] = _positive_ints(t_grid, "t_grid")
-        options["centers"] = _positive_int(merged, "centers")
-        options["min_count"] = _positive_int(merged, "min_count")
-        options["keep_depth"] = _optional_int(merged, "keep_depth")
-        options["export_tree_depth"] = _optional_int(merged, "export_tree_depth")
+    if subcommand == "tv" and rho is None:
+        raise ValidationError("tv needs rho")
+    if subcommand == "sweep" and rho_grid is None:
+        raise ValidationError("sweep needs a rho_grid")
+    if subcommand == "dimension":
+        if rho is None and rho_grid is None:
+            raise ValidationError("dimension needs rho or a two-point rho_grid")
+        if rho_grid is not None and len(rho_grid) != 2:
+            raise ValidationError("dimension rho_grid must have exactly two values")
+        if v["t_grid"] is None:
+            v["t_grid"] = _PARSERS["t_grid"](
+                list(range(1, min(21, v["horizon"] + 1))), "t_grid"
+            )
         # 0 means the default; a rho_grid run ignores both keys
-        keep, export = options["keep_depth"], options["export_tree_depth"]
-        deepest = max(options["t_grid"])
+        keep, export = v["keep_depth"], v["export_tree_depth"]
+        deepest = max(v["t_grid"])
         if rho_grid is None and keep and keep < deepest:
             raise ValidationError(
                 f"keep_depth {keep} is below the deepest t_grid depth {deepest}"
@@ -333,20 +311,11 @@ def parse_config(
             raise ValidationError(
                 f"export_tree_depth {export} exceeds the deepest t_grid depth {deepest}"
             )
-    elif subcommand == "sweep":
-        options["tv_ns"] = _positive_ints(merged["tv_ns"], "tv_ns")
-        tf = _number(merged["threshold_frac"], "threshold_frac")
-        if not 0 < tf <= 1:
-            raise ValidationError(f"threshold_frac must lie in (0, 1], got {tf}")
-        options["threshold_frac"] = tf
-        options["margin"] = (
-            None if merged["margin"] is None else _number(merged["margin"], "margin")
-        )
-        options["n_max"] = _positive_int(merged, "n_max")
 
     return RunConfig(
-        subcommand, mu, rho, rho_grid, n, trials, seed, cap, workers, out, plot,
-        options,
+        subcommand, mu, rho, rho_grid, v["n"], v["trials"], v["seed"], v["cap"],
+        v["workers"], v["out"], v["plot"],
+        {k: x for k, x in v.items() if k not in _RUN_FIELDS},
     )
 
 
@@ -593,8 +562,7 @@ def _run_tv(cfg: RunConfig):
             )
             records.append(_result_record(r, "tv", cfg.rho))
     values = estimators.tv_exact_curve(
-        cfg.measure, cfg.rho, min(cfg.options["n_exact"], cfg.n),
-        cap=cfg.cap, route=cfg.options["route"],
+        cfg.measure, cfg.rho, min(cfg.options["n_exact"], cfg.n), cap=cfg.cap
     )
     for n, v in enumerate(values, 1):
         r = estimators.exact_result(v, n, cfg.seed, "tv-exact")
@@ -740,10 +708,16 @@ def _run_report(cfg: RunConfig):
         raise ValidationError(f"no results.json in {cfg.out}")
     records = []
     with open(path) as f:
-        for line in f:
-            line = line.strip()
-            if line:
-                records.append(json.loads(line))
+        for number, line in enumerate(f, 1):
+            if not line.strip():
+                continue
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as e:
+                raise ValidationError(f"results.json line {number} is not JSON: {e}") from None
+            if not isinstance(record, dict):
+                raise ValidationError(f"results.json line {number} is not a JSON object")
+            records.append(record)
     if not records:
         raise ValidationError("results.json is empty")
     plot = None

@@ -28,6 +28,7 @@ from .measures import (
     build_pi_rho,
     iter_convolution_levels,
     product_measure,
+    rho_weight,
     uniform_letter_count,
 )
 from .oracle import coupling_weights, h_semigroup
@@ -326,54 +327,29 @@ def tv_exact_curve(
     rho,
     n_max: int,
     cap: int = DEFAULT_CAP,
-    route: str = "auto",
 ) -> list[Weight]:
     """Total variation between the n-step coupled walk and independent copies,
     for n = 1..n_max, read off one streamed convolution.
 
     Exact (Fractions) when mu is exact and rho is a Fraction or int;
-    floats otherwise.  ``route`` picks the algorithm: "classes" needs a
-    single-letter inverse-free support, "pair" convolves the coupling
-    on the product (feasible for small n), "auto" picks "classes" when
-    valid.  The two routes are independent implementations and agree on
-    their common domain.
+    floats otherwise.  A single-letter inverse-free support takes the
+    value-class convolution; any other support convolves the coupling on
+    the product (feasible for small n).  The two are independent
+    implementations and agree on their common domain.
     """
     if mu.kind != "single":
         raise ValidationError("exact TV needs a single-coordinate step measure")
     if not isinstance(n_max, int) or n_max < 1:
         raise InputError(f"n must be a positive integer, got {n_max!r}")
-    if isinstance(rho, float):
-        rho_w: Weight = rho
-    elif isinstance(rho, (int, Fraction)) and not isinstance(rho, bool):
-        rho_w = Fraction(rho)
-    else:
-        raise InputError(f"rho must be a number, got {rho!r}")
-    if not 0 <= rho_w <= 1:
-        raise InputError(f"rho must lie in [0, 1], got {rho!r}")
-
-    letters_only = mu.inverse_free and all(len(a) == 1 for a, _ in mu.atoms)
-    if route == "auto":
-        route = "classes" if letters_only else "pair"
-    if route == "classes":
-        if not letters_only:
-            raise ValidationError(
-                "value-class route needs a single-letter inverse-free support"
-            )
+    rho_w = rho_weight(rho)
+    if mu.inverse_free and all(len(a) == 1 for a, _ in mu.atoms):
         return list(_tv_value_classes(mu, rho_w, n_max, cap))
-    if route == "pair":
-        return list(_tv_pair_convolution(mu, rho_w, n_max, cap))
-    raise InputError(f"unknown route {route!r}")
+    return list(_tv_pair_convolution(mu, rho_w, n_max, cap))
 
 
-def tv_exact(
-    mu: FiniteMeasure,
-    rho,
-    n: int,
-    cap: int = DEFAULT_CAP,
-    route: str = "auto",
-) -> Weight:
+def tv_exact(mu: FiniteMeasure, rho, n: int, cap: int = DEFAULT_CAP) -> Weight:
     """Total variation at step n: the last value of ``tv_exact_curve``."""
-    return tv_exact_curve(mu, rho, n, cap, route)[-1]
+    return tv_exact_curve(mu, rho, n, cap)[-1]
 
 
 def _wilson(successes: int, trials: int, z: float = Z95) -> tuple[float, float]:

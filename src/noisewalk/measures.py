@@ -236,6 +236,20 @@ def uniform_measure(rank: int, inverse_free: bool = False) -> FiniteMeasure:
     return build_measure([((x,), w) for x in letters], rank=rank)
 
 
+def rho_weight(rho) -> Weight:
+    """rho as a weight: a float stays a float, an int or Fraction becomes
+    a Fraction; raises InputError outside [0, 1] or for a non-number."""
+    if isinstance(rho, float):
+        rho_w: Weight = rho
+    elif isinstance(rho, (int, Fraction)) and not isinstance(rho, bool):
+        rho_w = Fraction(rho)
+    else:
+        raise InputError(f"rho must be a number, got {rho!r}")
+    if not 0 <= rho_w <= 1:
+        raise InputError(f"rho must lie in [0, 1], got {rho!r}")
+    return rho_w
+
+
 def build_pi_rho(mu: FiniteMeasure, rho) -> FiniteMeasure:
     """Interpolated coupling rho * (mu x mu) + (1 - rho) * diag(mu).
 
@@ -246,14 +260,7 @@ def build_pi_rho(mu: FiniteMeasure, rho) -> FiniteMeasure:
     """
     if mu.kind != "single":
         raise ValidationError("build_pi_rho needs a single-coordinate measure")
-    if isinstance(rho, float):
-        rho_w: Weight = rho
-    elif isinstance(rho, (int, Fraction)) and not isinstance(rho, bool):
-        rho_w = Fraction(rho)
-    else:
-        raise InputError(f"rho must be a number, got {rho!r}")
-    if not 0 <= rho_w <= 1:
-        raise InputError(f"rho must lie in [0, 1], got {rho!r}")
+    rho_w = rho_weight(rho)
     atoms: list[tuple[Atom, Weight]] = []
     for x, wx in mu.atoms:
         for y, wy in mu.atoms:

@@ -19,6 +19,7 @@ out the padding, and read each position's length off the atom lengths.
 from __future__ import annotations
 
 import os
+from functools import partial
 
 import numpy as np
 
@@ -113,28 +114,32 @@ def _final_stacks(
     return [_run_stack(_letters(mat, idx)) for mat in letter_matrices(measure)]
 
 
-def _map_blocks(func, blocks, workers: int):
-    """``[func(b) for b in blocks]``, on a pool when that can help.
+def _map_blocks(func, n: int, trials: int, workers: int) -> list[np.ndarray]:
+    """Run ``func`` on every block of ``trials`` and join the parts.
 
-    The pool has at most one process per block and per core; results do
-    not depend on how many there are.
+    ``func(block)`` returns a tuple of per-trial arrays for its block,
+    and ``n`` is the walk length bound into it; both counts must be
+    positive.  Part i of the result is the block-order concatenation of
+    entry i.  The pool has at most one process per block and per core;
+    results do not depend on how many there are.
     """
+    for name, count in (("n", n), ("trials", trials)):
+        if not isinstance(count, int) or count < 1:
+            raise InputError(f"{name} must be a positive integer, got {count!r}")
+    blocks = block_ranges(trials)
     workers = min(workers, len(blocks), os.cpu_count() or 1)
     if workers <= 1:
-        return [func(b) for b in blocks]
-    from concurrent.futures import ProcessPoolExecutor  # only pooled runs pay for it
+        parts = [func(b) for b in blocks]
+    else:
+        from concurrent.futures import ProcessPoolExecutor  # only pooled runs pay for it
 
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(func, blocks))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(func, blocks))
+    return [np.concatenate(column) for column in zip(*parts)]
 
 
-class _LengthJob:
-    def __init__(self, measure, n, seed, component):
-        self.args = (measure, n, seed, component)
-
-    def __call__(self, block):
-        measure, n, seed, component = self.args
-        return [pt for _, pt in _final_stacks(measure, n, seed, component, *block)]
+def _length_block(measure, n, seed, component, block):
+    return tuple(pt for _, pt in _final_stacks(measure, n, seed, component, *block))
 
 
 def final_lengths(
@@ -146,14 +151,8 @@ def final_lengths(
     workers: int = 1,
 ) -> list[np.ndarray]:
     """Word length of each trial's position after n steps, per coordinate."""
-    if not isinstance(n, int) or n < 1:
-        raise InputError(f"n must be a positive integer, got {n!r}")
-    if not isinstance(trials, int) or trials < 1:
-        raise InputError(f"trials must be a positive integer, got {trials!r}")
-    blocks = block_ranges(trials)
-    parts = _map_blocks(_LengthJob(measure, n, seed, component), blocks, workers)
-    coords = len(parts[0])
-    return [np.concatenate([p[c] for p in parts]) for c in range(coords)]
+    func = partial(_length_block, measure, n, seed, component)
+    return _map_blocks(func, n, trials, workers)
 
 
 def _common_prefix_lengths(
@@ -186,14 +185,9 @@ def _kept_letters(st: np.ndarray, lengths: np.ndarray, keep_depth: int) -> np.nd
     return letters
 
 
-class _PairPrefixJob:
-    def __init__(self, measure, n, seed, component):
-        self.args = (measure, n, seed, component)
-
-    def __call__(self, block):
-        measure, n, seed, component = self.args
-        (st1, pt1), (st2, pt2) = _final_stacks(measure, n, seed, component, *block)
-        return _common_prefix_lengths(st1, pt1, st2, pt2)
+def _pair_prefix_block(measure, n, seed, component, block):
+    (st1, pt1), (st2, pt2) = _final_stacks(measure, n, seed, component, *block)
+    return (_common_prefix_lengths(st1, pt1, st2, pt2),)
 
 
 def pair_prefix_lengths(
@@ -210,57 +204,57 @@ def pair_prefix_lengths(
     """
     if pair_measure.kind != "pair":
         raise InputError("pair_prefix_lengths needs a pair measure")
-    blocks = block_ranges(trials)
-    parts = _map_blocks(_PairPrefixJob(pair_measure, n, seed, component), blocks, workers)
-    return np.concatenate(parts)
+    func = partial(_pair_prefix_block, pair_measure, n, seed, component)
+    return _map_blocks(func, n, trials, workers)[0]
 
 
-class _BoundaryJob:
-    def __init__(self, measure, horizon, keep_depth, seed, component):
-        self.args = (measure, horizon, keep_depth, seed, component)
+def _boundary_block(measure, horizon, keep_depth, seed, component, block):
+    """(letters1, letters2, len1, len2) of one block of boundary_prefixes."""
+    if measure.inverse_free:
+        return _inverse_free_boundary_block(
+            measure, horizon, keep_depth, seed, component, block
+        )
+    idx = index_block(measure, 2 * horizon, seed, component, *block)
+    letters, lengths = [], []
+    for mat in letter_matrices(measure):
+        snap = _run_stack(_letters(mat, idx[:, :horizon]))
+        st, pt = _run_stack(_letters(mat, idx[:, horizon:]), snap)
+        plen = _common_prefix_lengths(*snap, st, pt)
+        letters.append(_kept_letters(snap[0], plen, keep_depth))
+        lengths.append(plen)
+    return (*letters, *lengths)
 
-    def __call__(self, block):
-        measure, horizon, keep_depth, seed, component = self.args
-        if measure.inverse_free:
-            return self._inverse_free(block)
-        idx = index_block(measure, 2 * horizon, seed, component, *block)
-        out = []
-        for mat in letter_matrices(measure):
-            snap = _run_stack(_letters(mat, idx[:, :horizon]))
-            st, pt = _run_stack(_letters(mat, idx[:, horizon:]), snap)
-            plen = _common_prefix_lengths(*snap, st, pt)
-            out.append((_kept_letters(snap[0], plen, keep_depth), plen))
-        return out
 
-    def _inverse_free(self, block):
-        """Positions only ever grow, so the state at the horizon is a
-        prefix of every later state: the stable prefix is the full
-        position at the horizon, and the later steps need not be
-        simulated.  Of the horizon steps, only the first s can reach the
-        kept letters, where every step adds at least m letters.  Nothing
-        cancels, so the reduced word is the letter row with its padding
-        zeros squeezed out; no stack machine runs.
-        """
-        measure, horizon, keep_depth, seed, component = self.args
-        mats = letter_matrices(measure)
-        atom_lens = [np.count_nonzero(mat, axis=1) for mat in mats]
-        m = min(int(lens.min()) for lens in atom_lens)
-        s = horizon if m == 0 else min(horizon, -(-keep_depth // m))
-        same_len = [lens.min() == lens.max() for lens in atom_lens]
-        idx = index_block(measure, s if all(same_len) else horizon, seed, component, *block)
-        out = []
-        for mat, lens, same in zip(mats, atom_lens, same_len):
-            st = _letters(mat, idx[:, :s])
-            if lens.min() < mat.shape[1]:  # move the letters left of the padding, in order
-                st = np.take_along_axis(st, np.argsort(st == 0, axis=1, kind="stable"), 1)
-            pt = np.count_nonzero(st, axis=1)
-            if same:
-                full = np.full(len(idx), horizon * int(lens[0]), dtype=np.int32)
-            else:
-                full = lens[idx].sum(axis=1).astype(np.int32)
-            # pt < keep_depth only when s == horizon, where pt == full
-            out.append((_kept_letters(st, pt, keep_depth), full))
-        return out
+def _inverse_free_boundary_block(measure, horizon, keep_depth, seed, component, block):
+    """``_boundary_block`` on an inverse-free support.
+
+    Positions only ever grow, so the state at the horizon is a prefix of
+    every later state: the stable prefix is the full position at the
+    horizon, and the later steps need not be simulated.  Of the horizon
+    steps, only the first s can reach the kept letters, where every step
+    adds at least m letters.  Nothing cancels, so the reduced word is the
+    letter row with its padding zeros squeezed out; no stack machine runs.
+    """
+    mats = letter_matrices(measure)
+    atom_lens = [np.count_nonzero(mat, axis=1) for mat in mats]
+    m = min(int(lens.min()) for lens in atom_lens)
+    s = horizon if m == 0 else min(horizon, -(-keep_depth // m))
+    same_len = [lens.min() == lens.max() for lens in atom_lens]
+    idx = index_block(measure, s if all(same_len) else horizon, seed, component, *block)
+    letters, lengths = [], []
+    for mat, lens, same in zip(mats, atom_lens, same_len):
+        st = _letters(mat, idx[:, :s])
+        if lens.min() < mat.shape[1]:  # move the letters left of the padding, in order
+            st = np.take_along_axis(st, np.argsort(st == 0, axis=1, kind="stable"), 1)
+        pt = np.count_nonzero(st, axis=1)
+        if same:
+            full = np.full(len(idx), horizon * int(lens[0]), dtype=np.int32)
+        else:
+            full = lens[idx].sum(axis=1).astype(np.int32)
+        # pt < keep_depth only when s == horizon, where pt == full
+        letters.append(_kept_letters(st, pt, keep_depth))
+        lengths.append(full)
+    return (*letters, *lengths)
 
 
 def boundary_prefixes(
@@ -284,14 +278,5 @@ def boundary_prefixes(
     """
     if pair_measure.kind != "pair":
         raise InputError("boundary_prefixes needs a pair measure")
-    blocks = block_ranges(trials)
-    parts = _map_blocks(
-        _BoundaryJob(pair_measure, horizon, keep_depth, seed, component),
-        blocks,
-        workers,
-    )
-    letters1 = np.concatenate([p[0][0] for p in parts])
-    len1 = np.concatenate([p[0][1] for p in parts])
-    letters2 = np.concatenate([p[1][0] for p in parts])
-    len2 = np.concatenate([p[1][1] for p in parts])
-    return letters1, letters2, len1, len2
+    func = partial(_boundary_block, pair_measure, horizon, keep_depth, seed, component)
+    return tuple(_map_blocks(func, horizon, trials, workers))

@@ -3,12 +3,14 @@
 import hashlib
 import json
 import math
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from noisewalk.cli import CSV_HEADER, execute, parse_config
+from noisewalk.cli import _SUBCOMMANDS, CSV_HEADER, execute, parse_config
 from noisewalk.errors import ValidationError
 from noisewalk.oracle import h_semigroup, tv_semigroup
 
@@ -191,6 +193,49 @@ def test_cli_validation_errors_exit_two(tmp_path):
     assert "rho must be a number" in r.stderr
 
 
+@pytest.mark.parametrize(
+    "subcommand, bad, key",
+    [
+        ("drift", {"group": 5}, "group"),
+        ("drift", {"out": 5}, "out"),
+        ("drift", {"plot": "no"}, "plot"),
+        ("tv", {"rho": 0.5, "route": "pair"}, "route"),
+        ("sweep", {"rho_grid": [0.2, 0.8], "rho": 0.5}, "rho"),
+    ],
+    ids=["group-int", "out-int", "plot-str", "tv-route", "sweep-rho"],
+)
+def test_cli_wrong_key_types_exit_two(tmp_path, subcommand, bad, key):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({
+        "spec_version": 1, "group": "free_semigroup:2", "seed": 1,
+        "out": str(tmp_path / "o"), **bad,
+    }))
+    r = run_cli(subcommand, "--config", str(cfg))
+    assert r.returncode == 2, r.stderr
+    assert "Traceback" not in r.stderr
+    assert re.search(rf"\b{key}\b", r.stderr), r.stderr
+    assert not (tmp_path / "o").exists()
+
+
+def test_readme_lists_the_config_keys():
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    shared_line, extras = text.split("Keys shared by the run subcommands:")[1].split(
+        "Extra keys per subcommand:"
+    )
+    shared = set(re.findall(r"`([a-z_]+)`", shared_line))
+    block = extras.strip().split("\n\n")[0]
+    bullets = {  # a bullet's keys come before its first full stop
+        name: set(re.findall(r"`([a-z_]+)`", re.split(r"\.\s", keys)[0]))
+        for name, keys in re.findall(r"^\* `([a-z]+)`: (.*?)(?=^\* |\Z)", block, re.M | re.S)
+    }
+    assert set(bullets) == set(_SUBCOMMANDS)
+    runs = [keys for name, keys in _SUBCOMMANDS.items() if name != "report"]
+    assert shared == set.intersection(*map(set, runs))
+    for name, keys in _SUBCOMMANDS.items():
+        listed = bullets[name] if name == "report" else shared | bullets[name]
+        assert listed == set(keys), name
+
+
 def test_cli_missing_spec_version_exits_two(tmp_path):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"group": "free_semigroup:2", "seed": 1}))
@@ -363,6 +408,16 @@ def test_cli_report_roundtrip(tmp_path):
 def test_cli_report_without_results_exits_two(tmp_path):
     r = run_cli("report", "--out", str(tmp_path / "nothing"))
     assert r.returncode == 2
+
+
+@pytest.mark.parametrize("line, problem", [("{not json", "is not JSON"),
+                                           ("[1, 2]", "is not a JSON object")])
+def test_cli_report_malformed_results_exits_two(tmp_path, line, problem):
+    (tmp_path / "results.json").write_text('{"method": "x"}\n' + line + "\n")
+    r = run_cli("report", "--out", str(tmp_path))
+    assert r.returncode == 2, r.stderr
+    assert "Traceback" not in r.stderr
+    assert f"results.json line 2 {problem}" in r.stderr
 
 
 def test_cli_import_leaves_out_single_use_modules():

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from noisewalk.errors import InputError, ValidationError
 from noisewalk.estimators import (
     EntropyCurve,
+    _tv_pair_convolution,
+    _tv_value_classes,
     drift_mc,
     entropy_exact_curve,
     entropy_rate_estimate,
@@ -21,6 +23,7 @@ from noisewalk.estimators import (
     tv_lower_bound_mc,
 )
 from noisewalk.measures import (
+    DEFAULT_CAP,
     FiniteMeasure,
     build_measure,
     build_pi_rho,
@@ -177,11 +180,10 @@ def test_entropy_curve_fields_consistent():
 def test_tv_routes_agree_exactly():
     mu = semi(2)
     for rho in (F(0), F(1, 4), F(2, 3), F(1)):
-        for n in range(1, 5):
-            a = tv_exact(mu, rho, n, route="classes")
-            b = tv_exact(mu, rho, n, route="pair")
-            assert isinstance(a, Fraction) and isinstance(b, Fraction)
-            assert a == b
+        a = list(_tv_value_classes(mu, rho, 4, DEFAULT_CAP))
+        b = list(_tv_pair_convolution(mu, rho, 4, DEFAULT_CAP))
+        assert all(isinstance(x, Fraction) for x in a + b)
+        assert a == b
 
 
 @st.composite
@@ -200,8 +202,8 @@ def letter_steps(draw):
 @given(mu=letter_steps(), rho=st.fractions(0, 1, max_denominator=12),
        n=st.integers(1, 4))
 def test_tv_routes_agree_on_random_letter_steps(mu, rho, n):
-    a = tv_exact_curve(mu, rho, n, route="classes")
-    b = tv_exact_curve(mu, rho, n, route="pair")
+    a = list(_tv_value_classes(mu, rho, n, DEFAULT_CAP))
+    b = list(_tv_pair_convolution(mu, rho, n, DEFAULT_CAP))
     assert all(isinstance(x, Fraction) for x in a + b)
     assert a == b
 
@@ -247,7 +249,7 @@ def test_tv_exact_float_rho_on_group_matches_exact():
     # the pair route at a float rho must read the marginal as probabilities
     mu = srw(2)
     for n in range(1, 5):
-        got = tv_exact(mu, 0.9, n, route="pair")
+        got = tv_exact(mu, 0.9, n)
         assert isinstance(got, float)
         assert abs(got - float(tv_exact(mu, F(9, 10), n))) < 1e-12
 
@@ -274,15 +276,11 @@ def test_tv_exact_curve_values_do_not_depend_on_n_max():
         ]
 
 
-def test_tv_exact_route_validation():
-    with pytest.raises(ValidationError):
-        tv_exact(srw(2), F(1, 2), 2, route="classes")  # inverses present
+def test_tv_exact_input_validation():
     with pytest.raises(InputError):
         tv_exact(semi(2), F(1, 2), 0)
     with pytest.raises(InputError):
         tv_exact(semi(2), F(3, 2), 2)
-    with pytest.raises(InputError):
-        tv_exact(semi(2), F(1, 2), 2, route="nope")
 
 
 # ---------------------------------------------------------------------------
@@ -297,6 +295,12 @@ def test_tv_lower_bound_is_a_lower_bound():
         r = tv_lower_bound_mc(mu, rho, n, trials=4000, seed=13)
         assert r.value <= exact + 3 * r.std_error
         assert 0 <= r.ci_low <= r.ci_high <= 1
+
+
+@pytest.mark.parametrize("n, trials", [(10, 0), (0, 1)], ids=["no-trials", "no-steps"])
+def test_tv_lower_bound_rejects_empty_walks(n, trials):
+    with pytest.raises(InputError, match="must be a positive integer"):
+        tv_lower_bound_mc(srw(2), 0.5, n, trials, 1)
 
 
 def test_tv_lower_bound_independent_end():

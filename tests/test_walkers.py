@@ -167,3 +167,15 @@ def test_pool_size_is_clamped(monkeypatch, cores, expect):
     got = walkers.pair_prefix_lengths(pi, 12, 100, 5, rng.STREAM_TV_COUPLED, workers=10**6)
     assert _InlineExecutor.opened == expect  # 100 trials make 3 blocks
     np.testing.assert_array_equal(got, serial)
+
+
+@pytest.mark.parametrize("trials", [0, 1.5])
+def test_walks_need_positive_trials(trials):
+    pi = build_pi_rho(uniform_measure(2), 0.5)
+    for walk in (
+        lambda: walkers.final_lengths(pi, 4, trials, 1, rng.STREAM_DRIFT),
+        lambda: walkers.pair_prefix_lengths(pi, 4, trials, 1, rng.STREAM_TV_COUPLED),
+        lambda: walkers.boundary_prefixes(pi, 4, 4, trials, 1, rng.STREAM_BOUNDARY),
+    ):
+        with pytest.raises(InputError, match="trials must be a positive integer"):
+            walk()
