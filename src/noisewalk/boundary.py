@@ -383,7 +383,9 @@ def local_dimension(
     Node sizes never grow with depth, so once no node at a grid depth
     holds ``min_count + 1`` samples, no center is usable there or
     deeper; the fit stops at that depth and the tree's deeper levels
-    stay unbuilt.
+    stay unbuilt.  Each slope is ``np.polyfit(x, y, 1)[0]`` bit for bit,
+    with polyfit's scaled least-squares matrix built once per number of
+    usable depths.
     """
     if len(samples) != tree.sample_count:
         raise ValidationError("tree was built from a different sample count")
@@ -421,16 +423,27 @@ def local_dimension(
     logs = np.array([-math.log(cnt / denom) for cnt in distinct.tolist()])
     ys = np.zeros(reach.shape)
     ys[usable] = logs[inverse]
-    xs = np.array(ts)
-    fitted = np.count_nonzero(usable, axis=1) >= 2
-    slopes = [
-        float(np.polyfit(xs[row], y[row], 1)[0])
-        for row, y in zip(usable[fitted], ys[fitted])
-    ]
-    if not slopes:
+    # a center's usable depths are the first k grid depths: reach is a
+    # prefix, and counts never grow with depth
+    ks = np.count_nonzero(usable, axis=1)
+    fitted = ks >= 2
+    if not fitted.any():
         raise ValidationError("no center had two usable grid depths")
+    # np.polyfit(x, y, 1)[0], with its scaled least-squares set-up made
+    # once per k instead of once per center
+    xs = np.array(ts, dtype=float)
+    setups = {}
+    slopes = np.empty(int(np.count_nonzero(fitted)))
+    for i, (k, y) in enumerate(zip(ks[fitted].tolist(), ys[fitted])):
+        if k not in setups:
+            lhs = np.vander(xs[:k], 2)
+            scale = np.sqrt((lhs * lhs).sum(axis=0))
+            lhs /= scale
+            setups[k] = lhs, scale[0], k * np.finfo(float).eps
+        lhs, scale0, rcond = setups[k]
+        slopes[i] = np.linalg.lstsq(lhs, y[:k], rcond)[0][0] / scale0
     return _mean_result(
-        np.array(slopes), tree.horizon, seed, "local-dimension",
+        slopes, tree.horizon, seed, "local-dimension",
         {
             "centers_used": len(slopes),
             "centers_skipped": int(np.count_nonzero(~fitted)),

@@ -21,6 +21,7 @@ truncation error.
 from __future__ import annotations
 
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -30,7 +31,7 @@ import click
 
 from . import __version__
 from . import boundary as boundary_mod
-from . import estimators, measures, oracle
+from . import estimators, measures, oracle, walkers
 from .errors import (
     BudgetError,
     InputError,
@@ -109,6 +110,8 @@ def _group(text: str) -> measures.FiniteMeasure:
         raise ValidationError(f"group rank {parts[1]!r} is not an integer") from None
     if rank < 1 or (parts[0] == "free_group" and rank < 2):
         raise ValidationError(f"group rank {rank} too small for {parts[0]}")
+    if rank > walkers._MAX_RANK_INT8:
+        raise ValidationError(f"group rank {rank} exceeds {walkers._MAX_RANK_INT8}")
     return measures.uniform_measure(rank, inverse_free=parts[0] == "free_semigroup")
 
 
@@ -125,22 +128,30 @@ def _inline_measure(value) -> measures.FiniteMeasure | None:
     return mu
 
 
+# Most points an "a:b:step" rho_grid may expand to; every point is a run.
+_MAX_RHO_POINTS = 10_000
+
+
 def _rho_grid(value) -> tuple[float, ...]:
     if isinstance(value, str) and value.lstrip().startswith("["):
         try:
             value = json.loads(value)
         except json.JSONDecodeError:
-            raise ValidationError(f"bad rho grid list {value!r}") from None
+            raise ValidationError(f"bad rho_grid list {value!r}") from None
     if isinstance(value, str):
         parts = value.split(":")
         if len(parts) != 3:
-            raise ValidationError(f"rho grid string must be a:b:step, got {value!r}")
+            raise ValidationError(f"rho_grid string must be a:b:step, got {value!r}")
         try:
             a, b, step = (float(p) for p in parts)
         except ValueError:
-            raise ValidationError(f"bad rho grid {value!r}") from None
-        if step <= 0 or b < a:
-            raise ValidationError(f"bad rho grid {value!r}")
+            raise ValidationError(f"bad rho_grid {value!r}") from None
+        if not all(map(math.isfinite, (a, b, step))) or step <= 0 or b < a:
+            raise ValidationError(f"bad rho_grid {value!r}")
+        if (b - a) / step + 1 > _MAX_RHO_POINTS:
+            raise ValidationError(
+                f"rho_grid {value!r} has more than {_MAX_RHO_POINTS} points"
+            )
         grid = []
         i = 0
         while True:
@@ -152,14 +163,14 @@ def _rho_grid(value) -> tuple[float, ...]:
     elif all(_is_number(x) for x in value):
         grid = [float(x) for x in value]
     else:
-        raise ValidationError(f"bad rho grid {value!r}")
+        raise ValidationError(f"bad rho_grid {value!r}")
     if not grid:
-        raise ValidationError("rho grid is empty")
+        raise ValidationError("rho_grid is empty")
     for x in grid:
         if not 0 <= x <= 1:
             raise ValidationError(f"rho {x} outside [0, 1]")
     if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ValidationError("rho grid must be strictly increasing")
+        raise ValidationError("rho_grid must be strictly increasing")
     return tuple(grid)
 
 
@@ -702,11 +713,20 @@ def _run_sweep(cfg: RunConfig):
     return records, plot, extras
 
 
+def _plot_point(record: dict, x_key: str, number: int) -> tuple:
+    point = (record.get(x_key), record.get("value"))
+    if not all(_is_number(p) for p in point):
+        raise ValidationError(
+            f"results.json line {number} has no numeric {x_key} and value to plot"
+        )
+    return point
+
+
 def _run_report(cfg: RunConfig):
     path = cfg.out / "results.json"
     if not path.exists():
         raise ValidationError(f"no results.json in {cfg.out}")
-    records = []
+    records, numbers = [], []
     with open(path) as f:
         for number, line in enumerate(f, 1):
             if not line.strip():
@@ -718,18 +738,21 @@ def _run_report(cfg: RunConfig):
             if not isinstance(record, dict):
                 raise ValidationError(f"results.json line {number} is not a JSON object")
             records.append(record)
+            numbers.append(number)
     if not records:
         raise ValidationError("results.json is empty")
     plot = None
     if cfg.plot:
         by_rho = [
-            (r["rho"], r["value"])
-            for r in records
+            _plot_point(r, "rho", number)
+            for number, r in zip(numbers, records)
             if r.get("rho") is not None
             and r.get("method") in ("shannon-pointwise", "entropy-increment")
         ]
         tv_curve = [
-            (r["n"], r["value"]) for r in records if r.get("method") == "tv-oracle"
+            _plot_point(r, "n", number)
+            for number, r in zip(numbers, records)
+            if r.get("method") == "tv-oracle"
         ]
         series = []
         if by_rho:

@@ -159,7 +159,7 @@ def build_measure(
     int, or float; if any weight is a float the whole measure becomes
     float.  Exact zero weights are dropped after merging.  The weights
     must be nonnegative and sum to 1 within 1e-12 (exactly, in exact
-    mode).  The rank is inferred from the largest letter index unless
+    mode); NaN and infinite weights are refused.  The rank is inferred from the largest letter index unless
     given explicitly.
     """
     merged: dict[Atom, Weight] = {}
@@ -174,6 +174,8 @@ def build_measure(
         if isinstance(raw_w, bool):
             raise InputError(f"weight {raw_w!r} is not numeric")
         if isinstance(raw_w, float):
+            if not math.isfinite(raw_w):
+                raise InputError(f"weight {raw_w!r} for atom {raw_atom!r} is not finite")
             any_float = True
             w: Weight = raw_w
         elif isinstance(raw_w, (int, Fraction)):

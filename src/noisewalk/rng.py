@@ -11,13 +11,22 @@ Stream ids are structured: high bits select a component (one per
 estimator family), low bits the trial index, so no two call sites can
 collide on a stream.
 
-A batch of streams is drawn by one of two routes with the same numbers,
-chosen by stream length.  Streams of at most ``SHORT_STREAM`` draws run
+The one draw primitive is the raw 64-bit Philox word.  A batch of
+streams is drawn by one of two routes with the same words, chosen by
+stream length.  Streams of at most ``SHORT_STREAM`` draws run
 Philox4x64-10 (Salmon et al., "Parallel random numbers: as easy as 1,
 2, 3", SC'11) in numpy across all streams at once; longer streams use
 one numpy ``Philox`` generator each, where the per-stream set-up cost
-is small beside the draws.  Both give ``generator(seed, s).random(n)``
-bit for bit.
+is small beside the draws.  Both give ``generator(seed, s)``'s
+``bit_generator.random_raw(n)`` bit for bit.
+
+Words become atom indices without passing through doubles.  The index
+of a word is the inverse-CDF index of the double numpy's ``random()``
+makes of it, ``(w >> 11) * 2^-53``.  A guide table (Chen & Asau 1974;
+Devroye 1986, III.2.4) over the ``2^GUIDE_BITS`` bins of a word's top
+bits holds that index for every bin whose two edges share it; only the
+words of the few bins that may hold a CDF boundary are looked up by
+``searchsorted`` on their doubles.
 """
 
 from __future__ import annotations
@@ -45,9 +54,14 @@ SHORT_STREAM = 128
 
 # Philox4x64 round multipliers and key increments (Random123 constants).
 _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
-_PHILOX_W = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBB67AE8584CAA73B))
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _LO32 = np.uint64(0xFFFFFFFF)
 _S32 = np.uint64(32)
+
+# Words are binned by their top GUIDE_BITS bits for the index lookup.
+GUIDE_BITS = 12
+_GUIDE_SHIFT = np.uint64(64 - GUIDE_BITS)
+_DOUBLE_SHIFT = np.uint64(11)  # a double is the top 53 bits of a word times 2^-53
 
 
 def check_seed(seed: int) -> int:
@@ -83,16 +97,30 @@ def generator(seed: int, stream: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed + (stream << 64)))
 
 
-def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """High and low 64-bit words of m * x, from 32-bit half products."""
+def _mulhilo(m: int, x: np.ndarray, hi: np.ndarray, lo: np.ndarray, scratch) -> None:
+    """Write the high and low 64-bit words of m * x into hi and lo.
+
+    Works from 32-bit half products in the three arrays of ``scratch``,
+    shaped like x, and allocates nothing; hi and lo must not alias x.
+    """
     m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
-    x_lo, x_hi = x & _LO32, x >> _S32
+    x_lo, x_hi, t = scratch
+    np.bitwise_and(x, _LO32, out=x_lo)
+    np.right_shift(x, _S32, out=x_hi)
     # carry chain: t and u are each at most (2^32 - 1)^2 + 2^32 - 1 < 2^64,
     # so neither sum wraps; hi is the exact high word
-    t = x_lo * m_hi + ((x_lo * m_lo) >> _S32)
-    u = x_hi * m_lo + (t & _LO32)
-    hi = x_hi * m_hi + (t >> _S32) + (u >> _S32)
-    return hi, x * np.uint64(m)
+    np.multiply(x_lo, m_lo, out=t)
+    t >>= _S32
+    np.multiply(x_lo, m_hi, out=x_lo)
+    t += x_lo  # t = x_lo * m_hi + (x_lo * m_lo >> 32)
+    u = np.bitwise_and(t, _LO32, out=x_lo)
+    t >>= _S32
+    u += np.multiply(x_hi, m_lo, out=hi)  # u = x_hi * m_lo + (t & LO32)
+    u >>= _S32
+    np.multiply(x_hi, m_hi, out=hi)
+    hi += t
+    hi += u
+    np.multiply(x, np.uint64(m), out=lo)
 
 
 def _philox_rows(seed: int, streams: np.ndarray, n: int) -> np.ndarray:
@@ -101,28 +129,35 @@ def _philox_rows(seed: int, streams: np.ndarray, n: int) -> np.ndarray:
     numpy's ``Philox(key=seed + (stream << 64))`` has key words
     (seed, stream) and encrypts counters 1, 2, ... in turn, four output
     words per counter; here every (stream, counter) lane runs at once.
+    The ten rounds rotate through one set of preallocated arrays.
     """
     blocks = -(-n // 4)
-    shape = (len(streams), blocks)
-    c0 = np.broadcast_to(np.arange(1, blocks + 1, dtype=np.uint64), shape)
-    c1 = c2 = c3 = np.zeros(shape, dtype=np.uint64)
-    k0 = np.full((len(streams), 1), seed, dtype=np.uint64)
+    c0, c1, c2, c3, h0, h1, l0, l1, *scratch = np.zeros(
+        (11, len(streams), blocks), dtype=np.uint64
+    )
+    c0[:] = np.arange(1, blocks + 1, dtype=np.uint64)
     k1 = streams.astype(np.uint64)[:, None]
     for rnd in range(10):
         if rnd:
-            k0, k1 = k0 + _PHILOX_W[0], k1 + _PHILOX_W[1]
-        hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
-        hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
-        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+            k1 += np.uint64(_PHILOX_W[1])
+        k0 = np.uint64((seed + rnd * _PHILOX_W[0]) % 2**64)
+        _mulhilo(_PHILOX_M[0], c0, h0, l0, scratch)
+        _mulhilo(_PHILOX_M[1], c2, h1, l1, scratch)
+        h1 ^= c1
+        h1 ^= k0
+        h0 ^= c3
+        h0 ^= k1
+        c0, c1, c2, c3, h0, h1, l0, l1 = h1, l1, h0, l0, c0, c1, c2, c3
     return np.stack([c0, c1, c2, c3], axis=-1).reshape(len(streams), 4 * blocks)[:, :n]
 
 
-def uniform_rows(seed: int, streams, n: int) -> np.ndarray:
-    """[len(streams), n] float64 uniforms; row i is ``generator(seed, streams[i]).random(n)``.
+def word_rows(seed: int, streams, n: int) -> np.ndarray:
+    """[len(streams), n] uint64 words; row i is the first n raw outputs of
+    ``generator(seed, streams[i])``, its ``bit_generator.random_raw(n)``.
 
     Up to ``SHORT_STREAM`` draws the rows come from the vectorized
-    Philox route, beyond it from one generator per stream.  Doubles are
-    the top 53 bits of each output word times 2^-53, as numpy makes them.
+    Philox route, beyond it from one generator per stream.  numpy's
+    ``random(n)`` makes its doubles of the same words, as ``(w >> 11) * 2^-53``.
     """
     check_seed(seed)
     streams = np.asarray(streams, dtype=np.int64).reshape(-1)
@@ -131,11 +166,46 @@ def uniform_rows(seed: int, streams, n: int) -> np.ndarray:
     if n < 0:
         raise InputError(f"n must be nonnegative, got {n}")
     if n > SHORT_STREAM:
-        out = np.empty((len(streams), n))
+        out = np.empty((len(streams), n), dtype=np.uint64)
         for i, s in enumerate(streams.tolist()):
-            out[i] = generator(seed, s).random(n)
+            out[i] = generator(seed, s).bit_generator.random_raw(n)
         return out
-    return (_philox_rows(seed, streams, n) >> np.uint64(11)) * 2.0**-53
+    return _philox_rows(seed, streams, n)
+
+
+def index_guide(cum_weights: np.ndarray) -> np.ndarray:
+    """Guide table of ``word_indices`` over a cumulative weight vector.
+
+    Bin b holds the words whose top ``GUIDE_BITS`` bits are b, whose
+    doubles fill [b, b + 1) * 2^-GUIDE_BITS.  Entry b is the index of
+    every word in the bin, or -1 where the clamped inverse-CDF index
+    differs at the bin's two edges, so that a CDF boundary may fall in it.
+    """
+    edges = np.arange(2**GUIDE_BITS + 1) * 2.0**-GUIDE_BITS
+    at_edges = cdf_indices(cum_weights, edges).astype(np.int32)
+    guide = at_edges[:-1].copy()
+    guide[at_edges[:-1] != at_edges[1:]] = -1
+    return guide
+
+
+def word_indices(
+    cum_weights: np.ndarray, words: np.ndarray, guide: np.ndarray | None = None
+) -> np.ndarray:
+    """int32 inverse-CDF indices of raw words (any shape).
+
+    Equal to ``cdf_indices`` on the words' doubles ``(w >> 11) * 2^-53``.
+    Most words take their index straight from the guide table of their
+    top bits (Chen & Asau 1974); only the words of a bin that may hold a
+    CDF boundary fall back to ``cdf_indices``.  ``guide`` is
+    ``index_guide(cum_weights)``, built here if not given.
+    """
+    if guide is None:
+        guide = index_guide(cum_weights)
+    idx = guide.take((words >> _GUIDE_SHIFT).view(np.int64), mode="clip")
+    unsure = idx < 0
+    if unsure.any():
+        idx[unsure] = cdf_indices(cum_weights, (words[unsure] >> _DOUBLE_SHIFT) * 2.0**-53)
+    return idx
 
 
 def sample_indices(cum_weights: np.ndarray, size: int, rng: np.random.Generator) -> np.ndarray:
@@ -143,9 +213,11 @@ def sample_indices(cum_weights: np.ndarray, size: int, rng: np.random.Generator)
 
     ``cum_weights`` must be nondecreasing with final entry within 1e-12
     of 1.  Returns int64 indices.  The final bin absorbs any float
-    shortfall of the cumulative sum.
+    shortfall of the cumulative sum.  The indices are those of
+    ``rng.random(size)``, read off the same raw words of a generator from
+    ``generator`` by ``word_indices``.
     """
-    return cdf_indices(cum_weights, rng.random(size))
+    return word_indices(cum_weights, rng.bit_generator.random_raw(size)).astype(np.int64)
 
 
 def cdf_indices(cum_weights: np.ndarray, u: np.ndarray) -> np.ndarray:

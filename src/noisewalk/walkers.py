@@ -29,6 +29,7 @@ from .measures import FiniteMeasure
 
 BLOCK = 4096
 _MAX_RANK_INT8 = 120
+_WORDS_PER_DRAW = 2**20  # long streams are drawn at most this many words at a time
 
 
 def block_ranges(trials: int) -> list[tuple[int, int]]:
@@ -57,18 +58,18 @@ def index_block(
 ) -> np.ndarray:
     """Atom indices [hi-lo, n]; row i comes from stream (component, lo + i).
 
-    Short streams are drawn as one uniform matrix and looked up with one
-    ``searchsorted``; long ones row by row, so no [trials, n] float
+    Raw Philox words become indices through one guide table per call.
+    Long streams are drawn a few rows at a time, so no [trials, n] word
     matrix is built beside the index matrix.
     """
     cum = measure._cumulative()
+    guide = rngmod.index_guide(cum)
     streams = rngmod.stream_ids(component, lo, hi)
-    if n <= rngmod.SHORT_STREAM:
-        u = rngmod.uniform_rows(seed, streams, n)
-        return rngmod.cdf_indices(cum, u).astype(np.int32)
     out = np.empty((hi - lo, n), dtype=np.int32)
-    for i, stream in enumerate(streams.tolist()):
-        out[i] = rngmod.sample_indices(cum, n, rngmod.generator(seed, stream))
+    rows = max(1, _WORDS_PER_DRAW // max(n, 1))
+    for a in range(0, hi - lo, rows):
+        words = rngmod.word_rows(seed, streams[a : a + rows], n)
+        out[a : a + rows] = rngmod.word_indices(cum, words, guide)
     return out
 
 

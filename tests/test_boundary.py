@@ -307,8 +307,11 @@ def _export_reference(tree, max_depth):
     return lines
 
 
-def _local_dimension_reference(tree, t_grid, n_centers, seed, min_count):
-    """``local_dimension`` as a loop over centers and depths."""
+def _local_dimension_reference(tree, t_grid, n_centers, seed, min_count, depth_sets=None):
+    """``local_dimension`` as a loop over centers and depths.
+
+    Each fitted center's usable depths are appended to ``depth_sets`` if given.
+    """
     ts = sorted(set(int(t) for t in t_grid))
     eligible = np.flatnonzero(tree.t_stable >= ts[0])
     if len(eligible) == 0:
@@ -337,6 +340,8 @@ def _local_dimension_reference(tree, t_grid, n_centers, seed, min_count):
         if len(xs) < 2:
             skipped_centers += 1
             continue
+        if depth_sets is not None:
+            depth_sets.append(tuple(xs))
         slopes.append(float(np.polyfit(xs, ys, 1)[0]))
     if not slopes:
         raise ValidationError("no center had two usable grid depths")
@@ -509,6 +514,22 @@ def test_local_dimension_leaves_levels_past_the_stop_depth_unbuilt(monkeypatch):
     got = local_dimension(s, tree, t_grid, 200, 3, min_count=5)
     assert spy.built == list(range(1, stop + 1))
     assert got == _local_dimension_reference(build_tree(s, 20), t_grid, 200, 3, 5)
+
+
+@pytest.mark.parametrize(
+    "mu, horizon, t_grid, min_sets",
+    [
+        (semi(2), 20, tuple(range(1, 21)), 6),  # counts drop below 3 at depths 3 to 9
+        (srw(2), 20, tuple(range(1, 11)), 3),  # a free group: they drop by depth 5
+    ],
+)
+def test_local_dimension_with_many_depth_sets_matches_polyfit(mu, horizon, t_grid, min_sets):
+    s = sample_boundary(mu, 0.5, horizon=horizon, trials=3000, seed=8)
+    depth = max(t_grid)
+    depth_sets = []
+    expect = _local_dimension_reference(build_tree(s, depth), t_grid, 400, 6, 3, depth_sets)
+    assert len(set(depth_sets)) >= min_sets
+    assert local_dimension(s, build_tree(s, depth), t_grid, 400, 6, 3) == expect
 
 
 def test_zero_letter_at_deepest_stable_depth_fails_at_build_tree():

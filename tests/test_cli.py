@@ -6,10 +6,12 @@ import math
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
+from noisewalk import walkers
 from noisewalk.cli import _SUBCOMMANDS, CSV_HEADER, execute, parse_config
 from noisewalk.errors import ValidationError
 from noisewalk.oracle import h_semigroup, tv_semigroup
@@ -114,6 +116,9 @@ def test_parse_config_inline_measure_and_conflicts():
     with pytest.raises(ValidationError, match="inverse letters"):
         parse_config("drift", None, {"measure": withinv, "seed": 1,
                                      "group": "free_semigroup:2"})
+    nan = dict(inline, atoms=[{"word": [1], "weight": "nan"}])
+    with pytest.raises(ValidationError, match="not finite"):
+        parse_config("drift", None, {"measure": nan, "seed": 1, "rho": 0.5})
 
 
 @pytest.mark.parametrize(
@@ -201,8 +206,11 @@ def test_cli_validation_errors_exit_two(tmp_path):
         ("drift", {"plot": "no"}, "plot"),
         ("tv", {"rho": 0.5, "route": "pair"}, "route"),
         ("sweep", {"rho_grid": [0.2, 0.8], "rho": 0.5}, "rho"),
+        ("sweep", {"rho_grid": "0:1:1e-12"}, "rho_grid"),
+        ("drift", {"group": "free_group:99999999999"}, "group"),
     ],
-    ids=["group-int", "out-int", "plot-str", "tv-route", "sweep-rho"],
+    ids=["group-int", "out-int", "plot-str", "tv-route", "sweep-rho", "rho_grid-huge",
+         "group-huge"],
 )
 def test_cli_wrong_key_types_exit_two(tmp_path, subcommand, bad, key):
     cfg = tmp_path / "c.json"
@@ -215,6 +223,37 @@ def test_cli_wrong_key_types_exit_two(tmp_path, subcommand, bad, key):
     assert "Traceback" not in r.stderr
     assert re.search(rf"\b{key}\b", r.stderr), r.stderr
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "subcommand, bad, key",
+    [
+        ("sweep", {"rho_grid": "0:1:1e-12"}, "rho_grid"),
+        ("sweep", {"rho_grid": "0:1e300:1e-300"}, "rho_grid"),
+        ("sweep", {"rho_grid": "0:1:nan"}, "rho_grid"),
+        ("sweep", {"rho_grid": "0:inf:0.5"}, "rho_grid"),
+        ("drift", {"group": "free_group:99999999999"}, "group"),
+        ("drift", {"group": f"free_semigroup:{walkers._MAX_RANK_INT8 + 1}"}, "group"),
+    ],
+)
+def test_oversized_configs_are_refused_before_any_work(subcommand, bad, key):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError, match=rf"\b{key}\b"):
+            parse_config(subcommand, None, {"group": "free_semigroup:2", "seed": 1, **bad})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_largest_rho_grid_and_rank_still_parse():
+    ok = parse_config("sweep", None, {"group": "free_semigroup:2", "seed": 1,
+                                      "rho_grid": "0:0.9999:1e-4"})
+    assert len(ok.rho_grid) == 10_000
+    top = parse_config("drift", None, {"group": f"free_group:{walkers._MAX_RANK_INT8}",
+                                       "seed": 1})
+    assert top.measure.rank == walkers._MAX_RANK_INT8
 
 
 def test_readme_lists_the_config_keys():
@@ -418,6 +457,20 @@ def test_cli_report_malformed_results_exits_two(tmp_path, line, problem):
     assert r.returncode == 2, r.stderr
     assert "Traceback" not in r.stderr
     assert f"results.json line 2 {problem}" in r.stderr
+
+
+@pytest.mark.parametrize("record, key", [
+    ({"method": "tv-oracle", "n": 1}, "n"),
+    ({"method": "tv-oracle", "value": 0.5}, "n"),
+    ({"method": "shannon-pointwise", "rho": "0.5", "value": 0.3}, "rho"),
+    ({"method": "entropy-increment", "rho": 0.5, "value": None}, "rho"),
+])
+def test_cli_report_plot_without_numbers_exits_two(tmp_path, record, key):
+    (tmp_path / "results.json").write_text('{"method": "x"}\n' + json.dumps(record) + "\n")
+    r = run_cli("report", "--out", str(tmp_path), "--plot")
+    assert r.returncode == 2, r.stderr
+    assert "Traceback" not in r.stderr
+    assert f"results.json line 2 has no numeric {key} and value" in r.stderr
 
 
 def test_cli_import_leaves_out_single_use_modules():

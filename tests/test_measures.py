@@ -78,6 +78,11 @@ def test_build_measure_rejects_bad_sums():
 def test_build_measure_rejects_negative_and_empty():
     with pytest.raises(InputError):
         build_measure([((1,), F(3, 2)), ((2,), F(-1, 2))])
+    for w in (math.nan, math.inf, -math.inf):
+        with pytest.raises(InputError, match="not finite"):
+            build_measure([((1,), w)])
+        with pytest.raises(InputError, match="not finite"):
+            build_measure([((1,), 1.0), ((2,), w)])
     with pytest.raises(ValidationError):
         build_measure([])
     with pytest.raises(ValidationError):
@@ -565,3 +570,7 @@ def test_json_error_cases():
     b["atoms"] = [{"word": [1], "weight": "one half"}]
     with pytest.raises(InputError):
         measure_from_json_dict(b)
+    for weight in ("nan", "inf", "-inf", "NaN"):
+        b["atoms"] = [{"word": [1], "weight": weight}]
+        with pytest.raises(InputError, match="not finite"):
+            measure_from_json_dict(b)

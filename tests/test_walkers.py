@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from noisewalk import rng, walkers
 from noisewalk.errors import InputError
@@ -23,16 +25,19 @@ def step(atoms, rank=2):
 @pytest.mark.parametrize("seed", [0, 2**64 - 1])
 @pytest.mark.parametrize("n", [1, 3, 4, 30, rng.SHORT_STREAM, rng.SHORT_STREAM + 1])
 def test_uniform_rows_match_per_stream_generators(seed, n):
+    """``word_rows`` gives each stream's raw words, and their doubles are ``random(n)``."""
     streams = [
         rng.stream_id(rng.STREAM_DRIFT, 0),
         rng.stream_id(rng.STREAM_BOUNDARY, 17),
         rng.stream_id(rng.STREAM_PATH, 0),
         rng.stream_id(rng.STREAM_PATH, 2**40 - 1),
     ]
-    got = rng.uniform_rows(seed, streams, n)
-    expect = np.stack([rng.generator(seed, s).random(n) for s in streams])
-    assert got.dtype == np.float64 and got.shape == (len(streams), n)
-    assert got.tobytes() == expect.tobytes()
+    got = rng.word_rows(seed, streams, n)
+    raw = np.stack([rng.generator(seed, s).bit_generator.random_raw(n) for s in streams])
+    doubles = np.stack([rng.generator(seed, s).random(n) for s in streams])
+    assert got.dtype == np.uint64 and got.shape == (len(streams), n)
+    assert got.tobytes() == raw.tobytes()
+    assert ((got >> np.uint64(11)) * 2.0**-53).tobytes() == doubles.tobytes()
 
 
 @pytest.mark.parametrize("m", rng._PHILOX_M)
@@ -41,10 +46,47 @@ def test_mulhilo_matches_python_integers(m):
     words = edges + np.random.default_rng(5).integers(
         0, 2**64, size=200, dtype=np.uint64, endpoint=False
     ).tolist()
-    hi, lo = rng._mulhilo(m, np.array(words, dtype=np.uint64))
+    arr = np.array(words, dtype=np.uint64)
+    hi, lo, *scratch = np.empty((5, len(arr)), dtype=np.uint64)
+    rng._mulhilo(m, arr, hi, lo, scratch)
     assert hi.dtype == lo.dtype == np.uint64
     assert hi.tolist() == [(x * m) >> 64 for x in words]
     assert lo.tolist() == [(x * m) % 2**64 for x in words]
+
+
+_EDGE = 2**-rng.GUIDE_BITS
+
+
+@st.composite
+def _cdf_and_words(draw):
+    """A cumulative weight vector and words that probe its guide bins."""
+    k = draw(st.integers(1, 200))
+    bins = st.integers(0, 2**rng.GUIDE_BITS).map(lambda b: b * _EDGE)
+    entry = st.one_of(st.floats(0, 1), bins)
+    cum = sorted(draw(st.lists(entry, min_size=k, max_size=k)))
+    cum = np.array(cum[:-1] + [draw(st.sampled_from([1.0, 1 - 1e-13, 1 + 1e-13]))])
+    cum = np.maximum.accumulate(cum)
+    if draw(st.booleans()):  # repeated entries
+        cum[draw(st.integers(0, k - 1)) :] = cum[-1]
+    words = draw(st.lists(st.integers(0, 2**64 - 1), max_size=50))
+    words += [0, 2**64 - 1]
+    for c in cum.tolist():  # words whose double is a CDF entry, and its neighbours
+        if 0 <= c < 1:
+            v = int(c * 2**53) << 11
+            words += [v, max(v - 1, 0), v + 2**11 - 1, min(v + 2**11, 2**64 - 1)]
+    return cum, np.array(words, dtype=np.uint64)
+
+
+@given(_cdf_and_words())
+@settings(max_examples=200)
+def test_word_indices_match_searchsorted_on_doubles(case):
+    cum, words = case
+    expect = np.minimum(
+        np.searchsorted(cum, (words >> np.uint64(11)) * 2.0**-53, "left"), len(cum) - 1
+    )
+    got = rng.word_indices(cum, words)
+    np.testing.assert_array_equal(got, expect)
+    np.testing.assert_array_equal(rng.word_indices(cum, words.reshape(-1, 1)), expect[:, None])
 
 
 def test_stream_ids_are_consecutive_stream_id_values():
@@ -57,14 +99,14 @@ def test_rng_validation():
         with pytest.raises(InputError):
             rng.check_seed(bad)
         with pytest.raises(InputError):
-            rng.uniform_rows(bad, [0], 4)
+            rng.word_rows(bad, [0], 4)
     with pytest.raises(InputError):
         rng.generator(0, -1)
     for n in (4, rng.SHORT_STREAM + 1):
         with pytest.raises(InputError):
-            rng.uniform_rows(0, [3, -1], n)
+            rng.word_rows(0, [3, -1], n)
     with pytest.raises(InputError):
-        rng.uniform_rows(0, [3], -1)
+        rng.word_rows(0, [3], -1)
     with pytest.raises(InputError):
         rng.stream_id(rng.STREAM_DRIFT, 2**40)
     with pytest.raises(InputError):
@@ -76,16 +118,28 @@ def test_rng_validation():
 
 
 @pytest.mark.parametrize("n", [30, rng.SHORT_STREAM + 1])
-def test_index_block_rows_match_per_stream_sampling(n):
+def test_index_block_rows_match_per_stream_sampling(monkeypatch, n):
+    monkeypatch.setattr(walkers, "_WORDS_PER_DRAW", 7 * n)  # several draws per block
     pi = build_pi_rho(uniform_measure(2), 0.3)
     got = walkers.index_block(pi, n, 9, rng.STREAM_DRIFT, 100, 140)
     cum = pi._cumulative()
     expect = [
-        rng.sample_indices(cum, n, rng.generator(9, rng.stream_id(rng.STREAM_DRIFT, t)))
+        np.minimum(
+            np.searchsorted(cum, rng.generator(9, rng.stream_id(rng.STREAM_DRIFT, t)).random(n)),
+            len(cum) - 1,
+        )
         for t in range(100, 140)
     ]
     assert got.dtype == np.int32
     np.testing.assert_array_equal(got, np.stack(expect))
+
+
+def test_sample_indices_match_searchsorted_on_random():
+    cum = build_pi_rho(uniform_measure(2), 0.3)._cumulative()
+    got = rng.sample_indices(cum, 1000, rng.generator(3, 5))
+    u = rng.generator(3, 5).random(1000)
+    assert got.dtype == np.int64
+    np.testing.assert_array_equal(got, np.minimum(np.searchsorted(cum, u), len(cum) - 1))
 
 
 def test_run_stack_resumes_from_a_state():
