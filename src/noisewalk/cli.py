@@ -128,7 +128,7 @@ def _inline_measure(value) -> measures.FiniteMeasure | None:
     return mu
 
 
-# Most points an "a:b:step" rho_grid may expand to; every point is a run.
+# Most points a rho_grid may hold; every point is a run.
 _MAX_RHO_POINTS = 10_000
 
 
@@ -148,24 +148,27 @@ def _rho_grid(value) -> tuple[float, ...]:
             raise ValidationError(f"bad rho_grid {value!r}") from None
         if not all(map(math.isfinite, (a, b, step))) or step <= 0 or b < a:
             raise ValidationError(f"bad rho_grid {value!r}")
-        if (b - a) / step + 1 > _MAX_RHO_POINTS:
+        # the points a + i * step up to b + 1e-9 are counted before any is
+        # built; one spare candidate covers rounding in a + i * step
+        span = (b - a + 1e-9) / step
+        if span >= _MAX_RHO_POINTS:  # floor(span) + 1 points
             raise ValidationError(
                 f"rho_grid {value!r} has more than {_MAX_RHO_POINTS} points"
             )
         grid = []
-        i = 0
-        while True:
+        for i in range(int(span) + 2):
             x = a + i * step
             if x > b + 1e-9:
                 break
             grid.append(min(x, 1.0) if x <= 1 + 1e-9 else x)
-            i += 1
     elif all(_is_number(x) for x in value):
         grid = [float(x) for x in value]
     else:
         raise ValidationError(f"bad rho_grid {value!r}")
     if not grid:
         raise ValidationError("rho_grid is empty")
+    if len(grid) > _MAX_RHO_POINTS:
+        raise ValidationError(f"rho_grid has more than {_MAX_RHO_POINTS} points")
     for x in grid:
         if not 0 <= x <= 1:
             raise ValidationError(f"rho {x} outside [0, 1]")

@@ -230,6 +230,10 @@ def test_cli_wrong_key_types_exit_two(tmp_path, subcommand, bad, key):
     [
         ("sweep", {"rho_grid": "0:1:1e-12"}, "rho_grid"),
         ("sweep", {"rho_grid": "0:1e300:1e-300"}, "rho_grid"),
+        ("sweep", {"rho_grid": "0:0:1e-300"}, "rho_grid"),
+        ("sweep", {"rho_grid": "0:0:1e-13"}, "rho_grid"),
+        ("sweep", {"rho_grid": "0.5:0.5:1e-20"}, "rho_grid"),
+        ("sweep", {"rho_grid": [i / 20_000 for i in range(10_001)]}, "rho_grid"),
         ("sweep", {"rho_grid": "0:1:nan"}, "rho_grid"),
         ("sweep", {"rho_grid": "0:inf:0.5"}, "rho_grid"),
         ("drift", {"group": "free_group:99999999999"}, "group"),

@@ -89,6 +89,24 @@ def test_word_indices_match_searchsorted_on_doubles(case):
     np.testing.assert_array_equal(rng.word_indices(cum, words.reshape(-1, 1)), expect[:, None])
 
 
+@pytest.mark.parametrize("k", [5_000, 57_600])
+def test_word_indices_match_searchsorted_with_more_atoms_than_bins(k):
+    """Nearly every bin holds a boundary, so most words take the fallback."""
+    gen = np.random.default_rng(k)
+    cum = np.cumsum(gen.random(k))
+    cum /= cum[-1]
+    cum[: k // 3] = np.round(cum[: k // 3] * 2**rng.GUIDE_BITS) * 2.0**-rng.GUIDE_BITS
+    cum = np.maximum.accumulate(cum)
+    words = gen.integers(0, 2**64, size=100_000, dtype=np.uint64, endpoint=False)
+    on_entries = (cum[cum < 1] * 2**53).astype(np.uint64) << np.uint64(11)
+    ends = np.array([0, 2**64 - 1], dtype=np.uint64)
+    words = np.concatenate([words, on_entries, on_entries - np.uint64(1), ends])
+    expect = np.minimum(
+        np.searchsorted(cum, (words >> np.uint64(11)) * 2.0**-53, "left"), len(cum) - 1
+    )
+    np.testing.assert_array_equal(rng.word_indices(cum, words), expect)
+
+
 def test_stream_ids_are_consecutive_stream_id_values():
     ids = rng.stream_ids(rng.STREAM_BOUNDARY, 5, 9)
     assert ids.tolist() == [rng.stream_id(rng.STREAM_BOUNDARY, t) for t in range(5, 9)]
