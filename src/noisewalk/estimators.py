@@ -223,8 +223,11 @@ def entropy_rate_estimate(curve: EntropyCurve) -> tuple[float, float]:
 
     The upper bound is min H_n / n, true by subadditivity; the point
     estimate is the increment H_n - H_(n-1) at the deepest untruncated
-    level, which converges much faster.  Needs at least two untruncated
-    levels.
+    level, which converges much faster.  That increment is itself an
+    upper bound on the rate, and a tighter one: H_n - H_(n-1) =
+    H(X_1) - H(X_1 | X_n) is nonincreasing in n, because X_1 -> X_n ->
+    X_(n+1) is a Markov chain, and it tends to the rate.  Needs at
+    least two untruncated levels.
     """
     exact_idx = [i for i, t in enumerate(curve.truncated) if not t]
     if len(exact_idx) < 2:

@@ -13,12 +13,20 @@ entropy certification possible.  A reduced word is numbered by its
 shortlex rank, written as a base-B numeral with B = (number of
 letters) + 1 and letters 1..k, -1..-k (1..k on a semigroup) as digits
 1..B-1.  Multiplying by a letter on the right is arithmetic on these
-codes, so each level is a few vectorized passes plus one sort/reduce
-over the codes of the live atoms; no table of words is built.  The
-sort orders equal keys by position, as a stable sort would, so every
-sum adds the same terms in the same order.  Where int64 has room, each
-key carries its position in its low bits and one in-place sort of the
-packed words does it; otherwise a stable argsort runs.
+codes, so no table of words is built.  A level is made, sorted and
+summed in chunks of at most ``_CHUNK`` products (more only where one
+target head alone has more), in target-key order.  The head is the
+left word of a pair and the whole word of a single walk; a state's
+head times an atom's first word gives the target head, so the chunks
+are laid out before any product is made.  Within a chunk, equal keys
+meet in atom order, as in a stable sort of the whole level, so every
+sum adds the same terms in the same order at any chunk size.  Where
+int64 has room, each key carries its position in its low bits and one
+in-place sort of the packed words orders a chunk; otherwise a stable
+argsort runs.  Besides the level's own arrays, a pair level step holds
+a few arrays of the previous level's size and the chunk's; a single
+level, where each block is one product, holds a key and an index per
+product for the block sort.
 
 Keys and numerators are int64 while they provably fit (keys below
 B**depth, squared for pairs; numerators while D**n <= 2**62) and
@@ -53,6 +61,8 @@ WEIGHT_SUM_TOL = 1e-12
 DEFAULT_CAP = 1_000_000
 _MATERIALIZE_CAP = 3_000_000
 _INT64_SAFE = 2**62
+# products made, sorted and summed at a time in a convolution level step
+_CHUNK = 1 << 18
 
 
 # ---------------------------------------------------------------------------
@@ -378,6 +388,7 @@ class _WordCode:
         if not inverse_free:
             letters += [-i for i in range(1, rank + 1)]
         self.letters = letters
+        self.inverse_free = inverse_free
         self.base = len(letters) + 1
         self.digit = {x: i + 1 for i, x in enumerate(letters)}
         self.stride = self.base**depth
@@ -403,13 +414,20 @@ class _WordCode:
         prefix share its letter steps.
         """
         memo: dict[Word, np.ndarray] = {(): codes}
+        # per prefix, shared by its extensions: code * B and, where letters
+        # cancel, the quotient and last digit by B
+        parts: dict[Word, tuple] = {}
         prefixes = {w[:i] for w in words for i in range(1, len(w) + 1)}
         for w in sorted(prefixes, key=len):  # no recursive closure: no reference cycle
-            prev, x = memo[w[:-1]], w[-1]
-            grown = prev * self.base + self.digit[x]
-            inv = self.digit.get(-x)  # None on a semigroup: nothing cancels
-            memo[w] = grown if inv is None else np.where(
-                prev % self.base == inv, prev // self.base, grown
+            u, x = w[:-1], w[-1]
+            if u not in parts:
+                prev = memo[u]
+                parts[u] = (prev * self.base,) + (
+                    () if self.inverse_free else (prev // self.base, prev % self.base)
+                )
+            grown = parts[u][0] + self.digit[x]
+            memo[w] = grown if self.inverse_free else np.where(
+                parts[u][2] == self.digit[-x], parts[u][1], grown
             )
         return {w: memo[w] for w in words}
 
@@ -566,30 +584,55 @@ def _flag_truncated(lost: Weight) -> bool:
 def _position_bits(key_bound: int, count: int) -> int | None:
     """Bits that number ``count`` positions below keys under ``key_bound``.
 
-    None when ``key << bits | position`` would not fit in int64; keys
-    under a bound of 2**63 or more are object arrays, so they never pack.
+    None when ``key << bits | position`` would not fit in int64.
     """
     bits = (count - 1).bit_length()
     return bits if key_bound << bits < 2**63 else None
 
 
-def _product_keys(code: _WordCode, pair: bool, atoms: list, keys: np.ndarray) -> np.ndarray:
-    """Keys of every state times every atom, one row per atom, flattened.
+def _sort_in_place(keys: np.ndarray, key_bound: int) -> np.ndarray:
+    """Sort ``keys`` (all below ``key_bound``) in place; return the stable order.
 
-    The per-word code arrays are freed on return, before the sort.
+    When ``_position_bits`` allows, each key is packed as ``key << bits
+    | position`` and the packed words are sorted.  They are distinct, so
+    the low bits read back the permutation of a stable argsort (equal
+    keys in position order).  Otherwise (object keys, or int64 keys with
+    no room for the positions) a stable argsort runs.
     """
-    out = np.empty((len(atoms), len(keys)), dtype=keys.dtype)
-    if pair:
-        left = code.times_words(keys // code.stride, {a1 for a1, _ in atoms})
-        right = code.times_words(keys % code.stride, {a2 for _, a2 in atoms})
-        for row, (a1, a2) in zip(out, atoms):
-            np.multiply(left[a1], code.stride, out=row)
-            row += right[a2]
-    else:
-        dest = code.times_words(keys, set(atoms))
-        for row, a in zip(out, atoms):
-            row[:] = dest[a]
-    return out.ravel()
+    bits = None if keys.dtype == object else _position_bits(key_bound, len(keys))
+    if bits is None:
+        order = np.argsort(keys, kind="stable")
+        keys[:] = keys[order]
+        return order
+    keys <<= bits
+    keys |= np.arange(len(keys))
+    keys.sort()
+    order = keys & ((1 << bits) - 1)
+    keys >>= bits
+    return order
+
+
+def _chunk_cuts(target: np.ndarray, done: np.ndarray) -> list[int]:
+    """Where the chunks of sorted blocks start, then the number of blocks.
+
+    ``target`` holds the sorted blocks' target heads and ``done`` the
+    products up to and including each block.  A chunk ends where the
+    head changes, after at most ``_CHUNK`` products unless one head
+    alone has more.
+    """
+    cuts = [0]
+    while cuts[-1] < len(target):
+        start = cuts[-1]
+        limit = (done[start - 1] if start else 0) + _CHUNK
+        end = int(np.searchsorted(done, limit, side="right"))
+        if end < len(target):
+            # back to the start of the head that does not fit, unless
+            # that is the chunk's first head: then past its end
+            end = int(np.searchsorted(target, target[end], side="left"))
+            if end <= start:
+                end = int(np.searchsorted(target, target[start], side="right"))
+        cuts.append(end)
+    return cuts
 
 
 def _times_step(
@@ -597,31 +640,91 @@ def _times_step(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Multiply every state by every atom on the right; sort and sum equal keys.
 
-    When ``_position_bits`` allows, each key is packed as ``key << bits
-    | position`` and the packed words are sorted in place.  They are
-    distinct, so the low bits read back the permutation of a stable
-    argsort of the keys (equal keys in position order), and every sum
-    adds the same values in the same order.  Otherwise (object keys, or
-    int64 keys with no room for the positions) a stable argsort runs.
+    The products are made, sorted and summed in chunks of about
+    ``_CHUNK`` products, in target-key order.  The sorted keys are runs
+    of states sharing a head (the left word of a pair; the whole word
+    of a single walk), and a run times the atoms with first word w is a
+    block whose products all have the head ``head * w``.  Sorting the
+    blocks by that target head lays out the chunks: each is a range of
+    target heads, its keys above the previous chunk's.
 
-    A function of its own, so that its temporaries, several times the
-    level's size, are freed before the level is handed to the consumer.
+    On a pair level a chunk writes its products atom by atom into
+    reused buffers and sorts them by ``_sort_in_place``, so equal keys
+    meet in atom order.  On a single level a block is one product and
+    the stable block sort has already put them in key order, ties in
+    atom order.  Right multiplication by one atom is injective, so a
+    key has at most one term per atom, and every sum adds the same
+    values in the same order as a stable sort of the whole level.  The
+    sums go straight into the level's arrays, allocated for every
+    product but touched only as far as written, then shrunk in place.
     """
-    all_k = _product_keys(code, pair, atoms, keys)
-    all_v = np.multiply.outer(np.array(nums, dtype=vals.dtype), vals).ravel()
-    bits = _position_bits(code.stride ** (2 if pair else 1), len(all_k))
-    if bits is None:
-        order = np.argsort(all_k, kind="stable")
-        all_k = all_k[order]
-    else:
-        all_k <<= bits
-        all_k |= np.arange(len(all_k))
-        all_k.sort()
-        order = all_k & ((1 << bits) - 1)
-        all_k >>= bits
-    all_v = all_v[order]
-    starts = np.flatnonzero(np.r_[True, all_k[1:] != all_k[:-1]])
-    return all_k[starts], np.add.reduceat(all_v, starts)
+    if pair:  # runs of states sharing a left word
+        heads = keys // code.stride
+        run_start = np.flatnonzero(np.r_[True, heads[1:] != heads[:-1]])
+        run_len = np.diff(np.r_[run_start, len(keys)])
+        heads = heads[run_start]
+    else:  # each state is a run of its own
+        heads = keys
+    # atom indices by first word; the atoms are sorted, so in atom order
+    groups: dict[Word, list[int]] = {}
+    for i, a in enumerate(atoms):
+        groups.setdefault(a[0] if pair else a, []).append(i)
+    words = list(groups)
+
+    # block (group g, run r) is g * runs + r in the flat arrays
+    dest = code.times_words(heads, set(words))
+    target = np.concatenate([dest[w] for w in words])
+    del dest
+    block_order = _sort_in_place(target, code.stride)
+    # products up to and including each sorted block
+    if pair:
+        done = np.concatenate([run_len * len(groups[w]) for w in words])[block_order]
+        np.cumsum(done, out=done)
+    else:  # every block of a single level is one product
+        done = np.arange(1, len(target) + 1)
+    cuts = _chunk_cuts(target, done)
+    if pair:
+        chunk = int(np.diff(done[np.array(cuts[1:]) - 1], prepend=0).max())
+        buf_k = np.empty(chunk, dtype=keys.dtype)
+        buf_v = np.empty(chunk, dtype=vals.dtype)
+    num = np.array(nums, dtype=vals.dtype)
+    out_k = np.empty(int(done[-1]), dtype=keys.dtype)
+    out_v = np.empty(int(done[-1]), dtype=vals.dtype)
+    del done
+    filled = 0
+    for b0, b1 in zip(cuts, cuts[1:]):
+        g_of = block_order[b0:b1] // len(heads)  # np.divmod is several times slower
+        run = block_order[b0:b1] - g_of * len(heads)
+        if pair:
+            pos = 0
+            for g, w in enumerate(words):
+                mask = g_of == g
+                lens = run_len[run[mask]]
+                # the chunk's states of group g, run by run
+                src = np.arange(lens.sum()) + np.repeat(
+                    run_start[run[mask]] - np.cumsum(lens) + lens, lens
+                )
+                head = np.repeat(target[b0:b1][mask] * code.stride, lens)
+                tails = code.times_words(
+                    keys[src] % code.stride, {atoms[i][1] for i in groups[w]}
+                )
+                vsrc = vals[src]
+                for i in groups[w]:
+                    np.add(head, tails[atoms[i][1]], out=buf_k[pos : pos + len(src)])
+                    np.multiply(num[i], vsrc, out=buf_v[pos : pos + len(src)])
+                    pos += len(src)
+            ck = buf_k[:pos]
+            cv = buf_v[:pos][_sort_in_place(ck, (int(target[b1 - 1]) + 1) * code.stride)]
+        else:
+            ck, cv = target[b0:b1], num[g_of] * vals[run]
+        starts = np.flatnonzero(np.r_[True, ck[1:] != ck[:-1]])
+        # mode="clip" writes straight into out; the default buffers a copy
+        np.take(ck, starts, out=out_k[filled : filled + len(starts)], mode="clip")
+        np.add.reduceat(cv, starts, out=out_v[filled : filled + len(starts)])
+        filled += len(starts)
+    out_k.resize(filled, refcheck=False)  # in place: no view of them is left
+    out_v.resize(filled, refcheck=False)
+    return out_k, out_v
 
 
 def iter_convolution_levels(
@@ -633,7 +736,8 @@ def iter_convolution_levels(
     """Stream the convolution powers step, step^2, ..., step^n.
 
     Each level multiplies every kept state by every atom on the right
-    (vectorized on shortlex codes), then sorts and sums equal keys.
+    (vectorized on shortlex codes), then sorts and sums equal keys, in
+    chunks of about ``_CHUNK`` products (``_times_step``).
     Past ``cap`` atoms the lightest are dropped, ties broken in
     shortlex order; ``strict=True`` raises ``TruncationError`` instead.
     """

@@ -90,6 +90,16 @@ def drift_free_group_srw(k: int) -> Fraction:
     return Fraction(k - 1, k)
 
 
+def h_free_group_srw(k: int) -> float:
+    """Asymptotic entropy of the simple random walk on the free group of rank k, in nats.
+
+    The harmonic measure gives each of the 2k(2k-1)^(m-1) boundary
+    cylinders of length m the same mass, and the walk sits near length
+    drift * n, so h = drift * log(2k - 1) = (k-1)/k * log(2k-1).
+    """
+    return float(drift_free_group_srw(k)) * math.log(2 * k - 1)
+
+
 def tv_semigroup(m: int, rho: float, n: int) -> float:
     """Total variation between the n-step coupled walk and independent copies.
 

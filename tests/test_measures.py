@@ -4,6 +4,7 @@ import gc
 import hashlib
 import json
 import math
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -256,8 +257,10 @@ def test_convolution_deep_words_match_brute_force(monkeypatch):
         [((1, 2, 1, 2), F(1, 2)), ((-2, 1, -2, -1), F(1, 3)), ((2, 2, -1, -1), F(1, 6))]
     )
     long_semi = build_measure([((1, 2, 1, 1, 2), F(2, 3)), ((2, 2, 1, 2, 1), F(1, 3))])
-    # rank 1, depth 3 * 6: pair keys below 3**36, int64 but only 4 bits to spare
+    # rank 1, depth 3 * 6: pair keys below 3**36 ~ 2**57, int64 with little
+    # room; the letter -1 is digit 2, so (-1,)*k words have the top codes
     long_rank1 = build_measure([((1,) * 6, F(1, 2)), ((-1,), F(1, 2))])
+    top_rank1 = build_measure([((-1,) * 6, F(1, 2)), ((1,), F(1, 2))])
     routes = []
 
     def spy(key_bound, count):
@@ -266,15 +269,23 @@ def test_convolution_deep_words_match_brute_force(monkeypatch):
         return bits
 
     monkeypatch.setattr(measures, "_position_bits", spy)
-    for step, n, packed, key_dtype in (
-        (srw(2), 4, [True] * 3, np.int64),
-        (build_pi_rho(semi(2), F(1, 3)), 4, [True] * 3, np.int64),
+    # one route per sort: a level's block sort, then (pairs) each chunk's
+    for step, n, chunk, packed, key_dtype in (
+        (srw(2), 4, measures._CHUNK, [True] * 3, np.int64),
+        (build_pi_rho(semi(2), F(1, 3)), 4, measures._CHUNK, [True] * 6, np.int64),
         # words of length 16: far past any enumerable word ball
-        (deep_group, 4, [True] * 3, np.int64),
-        (build_pi_rho(long_semi, F(1, 2)), 4, [False] * 3, object),  # pair keys up to 3**40
-        # level 2 packs 16 positions; level 3's 64 positions would pass 2**63
-        (build_pi_rho(long_rank1, F(1, 2)), 3, [True, False], np.int64),
+        (deep_group, 4, measures._CHUNK, [True] * 3, np.int64),
+        # pair keys up to 3**40 are object arrays: every sort is a stable argsort
+        (build_pi_rho(long_semi, F(1, 2)), 4, measures._CHUNK, [], object),
+        # level 3's 36 products would not pack under the level bound 3**36,
+        # but the chunk's top head is (1,)*18, about half of 3**18
+        (build_pi_rho(long_rank1, F(1, 2)), 3, measures._CHUNK, [True] * 4, np.int64),
+        # here the top head is (-1,)*18, so the one chunk of level 3 has no room
+        (build_pi_rho(top_rank1, F(1, 2)), 3, measures._CHUNK, [True] * 3 + [False], np.int64),
+        # one chunk per target head: level 3 splits into 4 chunks, and each packs
+        (build_pi_rho(top_rank1, F(1, 2)), 3, 1, [True] * 9, np.int64),
     ):
+        monkeypatch.setattr(measures, "_CHUNK", chunk)
         routes.clear()
         got = convolve_power(step, n)
         assert routes == packed
@@ -453,6 +464,67 @@ def test_convolution_property_matches_brute_force(step, n, cap):
         assert list(lv.to_measure().atoms) == sorted(ranked[:cap])
         assert lv.lost_mass == sum(w for _, w in ranked[cap:])
         break
+
+
+def level_record(step, n, cap=DEFAULT_CAP):
+    """Every level's keys, value bytes, lost mass and kept entropy."""
+    record = []
+    for lv in iter_convolution_levels(step, n, cap=cap):
+        vals = lv.values.tolist() if lv.values.dtype == object else lv.values.tobytes()
+        record.append((lv._keys.tolist(), vals, lv.lost_mass, lv.entropy_kept()))
+    return record
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    step=small_steps(),
+    n=st.integers(1, 3),
+    cap=st.one_of(st.integers(1, 6), st.just(DEFAULT_CAP)),
+)
+def test_chunked_levels_match_default_chunk_and_brute_force(step, n, cap):
+    want = level_record(step, n, cap)
+    for chunk in (1, 3, 64):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(measures, "_CHUNK", chunk)
+            assert level_record(step, n, cap) == want
+            for lvl, lv in enumerate(iter_convolution_levels(step, n, cap=cap), start=1):
+                if lv.lost_mass:
+                    break
+                assert_measures_equal(lv.to_measure(), brute_force_convolution(step, lvl))
+
+
+def test_chunked_float_pair_levels_keep_their_bytes():
+    # non-dyadic masses: a changed summation order would change bits
+    step = build_pi_rho(srw(2), 0.3)
+    want = level_record(step, 6)
+    for chunk in (1, 3, 64):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(measures, "_CHUNK", chunk)
+            assert level_record(step, 6) == want
+    for lvl, lv in enumerate(iter_convolution_levels(step, 4), start=1):
+        got, full = lv.to_measure().atoms, brute_force_convolution(step, lvl).atoms
+        assert [a for a, _ in got] == [a for a, _ in full]
+        assert all(math.isclose(w, v, rel_tol=1e-13) for (_, w), (_, v) in zip(got, full))
+    # level 3 here has no room to pack at the default chunk, so its stable
+    # argsort must order ties as the packed per-head chunks do
+    top_rank1 = build_pi_rho(build_measure([((-1,) * 6, 0.5), ((1,), 0.5)]), 0.3)
+    want = level_record(top_rank1, 3)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(measures, "_CHUNK", 1)
+        assert level_record(top_rank1, 3) == want
+
+
+def test_pair_levels_stay_within_memory_bound():
+    # a sort of each whole level peaked at 77.9 MiB here; the level-6
+    # arrays alone take 15.3 MiB (truncated to the default cap)
+    tracemalloc.start()
+    try:
+        for lv in iter_convolution_levels(build_pi_rho(uniform_measure(2), 0.5), 6):
+            lv.entropy_kept()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import pytest
 from noisewalk.errors import BudgetError, InputError
 from noisewalk.measures import (
     build_pi_rho,
+    iter_convolution_levels,
     product_measure,
     shannon_entropy,
     tv_distance,
@@ -17,6 +18,7 @@ from noisewalk.oracle import (
     brute_force_convolution,
     coupling_weights,
     drift_free_group_srw,
+    h_free_group_srw,
     h_semigroup,
     h_semigroup_derivative,
     tv_semigroup,
@@ -136,6 +138,23 @@ def test_drift_free_group_srw():
     assert drift_free_group_srw(3) == Fraction(2, 3)
     with pytest.raises(InputError):
         drift_free_group_srw(1)
+
+
+def test_h_free_group_srw_lies_below_the_exact_entropy_increments():
+    h = h_free_group_srw(2)
+    assert h == pytest.approx(0.5 * math.log(3), rel=1e-15)
+    assert h_free_group_srw(3) == pytest.approx(2 / 3 * math.log(5), rel=1e-15)
+    with pytest.raises(InputError):
+        h_free_group_srw(1)
+    # Delta H_n = H(mu^n) - H(mu^(n-1)) = H(X_1) - H(X_1 | X_n) is
+    # nonincreasing (X_1 -> X_n -> X_(n+1) is Markov) and tends to h
+    levels = list(iter_convolution_levels(uniform_measure(2), 12))
+    assert all(lv.exact and lv.lost_mass == 0 for lv in levels)
+    hs = [0.0] + [lv.entropy_kept() for lv in levels]
+    inc = [b - a for a, b in zip(hs, hs[1:])]
+    assert all(a - b > 1e-3 for a, b in zip(inc, inc[1:]))
+    assert round(inc[6], 4) == 0.6733
+    assert inc[-1] > h
 
 
 def test_brute_force_budget():
