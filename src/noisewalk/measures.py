@@ -28,10 +28,22 @@ a few arrays of the previous level's size and the chunk's; a single
 level, where each block is one product, holds a key and an index per
 product for the block sort.
 
+A pair level whose states are every head times one shared tail set
+takes a product route instead, read off the level's keys: at
+0 < rho <= 1 every untruncated level of pi_rho is such a product.
+There a target head's products depend on its heads only through the
+set of first words that reach it (its pattern; a handful on a free
+group), so one stable argsort per pattern orders the products of all
+its heads, in the atom order of the chunked step, and each head's sums
+are added in the same order, with the same bits.  No product is
+sorted.  Levels at rho = 0, levels cut by a cap and single-walk levels
+take the chunked step.
+
 Keys and numerators are int64 while they provably fit (keys below
-B**depth, squared for pairs; numerators while D**n <= 2**62) and
-Python ints in object arrays otherwise; the dtype follows from the
-input, never from an option, and the results are the same either way.
+B**depth, squared for pairs; numerators up to the last level with
+D**level <= 2**62) and Python ints in object arrays otherwise; the
+dtype follows from the input, never from an option, and the results
+are the same either way.
 
 Support caps drop the lowest-mass atoms, ties broken in shortlex order
 (pairs: lexicographic in the two coordinates), and track the lost mass
@@ -635,6 +647,98 @@ def _chunk_cuts(target: np.ndarray, done: np.ndarray) -> list[int]:
     return cuts
 
 
+def _product_shape(keys: np.ndarray, stride: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """(heads, tails) when the pair keys are every head times one tail set.
+
+    The keys are then ``heads[r] * stride + tails[j]`` for every r and
+    j, in that order; None when they are not.
+    """
+    tails = keys[: int(np.searchsorted(keys, (keys[0] // stride + 1) * stride))] % stride
+    if len(keys) % len(tails):
+        return None
+    grid = keys.reshape(-1, len(tails))
+    heads = grid[:, 0] // stride
+    if not np.array_equal(grid, heads[:, None] * stride + tails):
+        return None
+    return heads, tails
+
+
+def _product_step(
+    code: _WordCode,
+    atoms: list,
+    groups: dict[Word, list[int]],
+    num: np.ndarray,
+    heads: np.ndarray,
+    tails: np.ndarray,
+    vals: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``_times_step`` on a level of every head times one tail set.
+
+    A target head's pattern is the groups (first words) that reach it,
+    one state run each.  Every head of a pattern gets its products in
+    the same layout (group by group, atom by atom, tail by tail), so one
+    stable argsort of the pattern's target tails orders and cuts the
+    products of all of them, and equal keys meet in atom order as in
+    the chunked step.  The heads of a pattern are then done in batches
+    of about ``_CHUNK`` products: gather their runs' values, multiply by
+    the numerators, take the pattern's order and sum.
+    """
+    words, m = list(groups), len(tails)
+    dest = code.times_words(heads, set(words))
+    targets, block_head = np.unique(np.concatenate([dest[w] for w in words]), return_inverse=True)
+    # run[t, g]: the run whose head times words[g] is targets[t], -1 if none
+    run = np.full((len(targets), len(words)), -1)
+    run[block_head.reshape(len(words), -1), np.arange(len(words))[:, None]] = np.arange(len(heads))
+    patterns, pattern_of = np.unique(run >= 0, axis=0, return_inverse=True)
+    # target tail ranks of every atom's second word on the shared tails
+    times_tail = code.times_words(tails, {a[1] for a in atoms})
+    tail_codes, rank = np.unique(np.concatenate(list(times_tail.values())), return_inverse=True)
+    tail_rank = dict(zip(times_tail, rank.reshape(len(times_tail), -1)))
+
+    layouts = []  # per pattern: how one target head's products are laid out and summed
+    for reach in patterns:
+        gs = np.flatnonzero(reach)
+        # the products of one target head: slot s holds the run of group gs[s]
+        slots = [(s, i) for s, g in enumerate(gs) for i in groups[words[g]]]
+        ranks = np.concatenate([tail_rank[atoms[i][1]] for _, i in slots])
+        order = np.argsort(ranks, kind="stable")
+        ranks = ranks[order]
+        cuts = np.flatnonzero(np.r_[True, ranks[1:] != ranks[:-1]])
+        tail_keys, lens = tail_codes[ranks[cuts]], np.diff(np.r_[cuts, len(ranks)])
+        # one-term sums first: they are read off the products, and reduceat
+        # gets only the sums of several terms, each in the same order
+        order = order[np.argsort(np.repeat(lens > 1, lens), kind="stable")]
+        column = np.concatenate([np.arange(m) + s * m for s, _ in slots])[order]
+        factor = np.repeat(num[[i for _, i in slots]], m)[order]
+        place = np.argsort(lens > 1, kind="stable")  # output position of each sum
+        singles, lens = int(np.count_nonzero(lens == 1)), lens[lens > 1]
+        cuts = np.cumsum(lens) - lens
+        layouts.append((gs, column, factor, singles, cuts, place, tail_keys))
+    counts = np.array([len(place) for *_, place, _ in layouts])[pattern_of]
+    out_k = np.empty(int(counts.sum()), dtype=heads.dtype)
+    out_v = np.empty(len(out_k), dtype=vals.dtype)
+    start = np.cumsum(counts) - counts
+    # heads with equally many sums own a row of the output each
+    rows = counts.min() == counts.max()
+    dst_k, dst_v = (a.reshape(len(targets), -1) if rows else a for a in (out_k, out_v))
+    grid = vals.reshape(len(heads), m)
+    for p, (gs, column, factor, singles, cuts, place, tail_keys) in enumerate(layouts):
+        members = np.flatnonzero(pattern_of == p)
+        batch = max(1, _CHUNK // len(column))
+        for b in range(0, len(members), batch):
+            t = members[b : b + batch]
+            prod = grid[run[np.ix_(t, gs)]].reshape(len(t), -1)[:, column]
+            prod *= factor
+            sums = np.empty((len(t), len(place)), dtype=vals.dtype)
+            sums[:, place[:singles]] = prod[:, :singles]
+            if len(cuts):
+                sums[:, place[singles:]] = np.add.reduceat(prod[:, singles:], cuts, axis=1)
+            at = t if rows else start[t][:, None] + np.arange(len(place))
+            dst_v[at] = sums
+            dst_k[at] = targets[t][:, None] * code.stride + tail_keys
+    return out_k, out_v
+
+
 def _times_step(
     code: _WordCode, pair: bool, atoms: list, nums: list, keys: np.ndarray, vals: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -657,19 +761,31 @@ def _times_step(
     values in the same order as a stable sort of the whole level.  The
     sums go straight into the level's arrays, allocated for every
     product but touched only as far as written, then shrunk in place.
+
+    A pair level of every head times one shared tail set (``_product_shape``:
+    equal runs, each with the first run's tails) takes
+    ``_product_step`` instead, which sorts no products.  That is every
+    untruncated level at 0 < rho <= 1, where pi_rho^n lives on
+    supp(mu^n) x supp(mu^n).  Other levels (rho = 0, levels cut by a
+    cap, single walks) take the chunked step; both give the same bytes.
     """
-    if pair:  # runs of states sharing a left word
+    # atom indices by first word; the atoms are sorted, so in atom order
+    groups: dict[Word, list[int]] = {}
+    for i, a in enumerate(atoms):
+        groups.setdefault(a[0] if pair else a, []).append(i)
+    words = list(groups)
+    num = np.array(nums, dtype=vals.dtype)
+    if pair:
+        shape = _product_shape(keys, code.stride)
+        if shape is not None:
+            return _product_step(code, atoms, groups, num, *shape, vals)
+        # runs of states sharing a left word
         heads = keys // code.stride
         run_start = np.flatnonzero(np.r_[True, heads[1:] != heads[:-1]])
         run_len = np.diff(np.r_[run_start, len(keys)])
         heads = heads[run_start]
     else:  # each state is a run of its own
         heads = keys
-    # atom indices by first word; the atoms are sorted, so in atom order
-    groups: dict[Word, list[int]] = {}
-    for i, a in enumerate(atoms):
-        groups.setdefault(a[0] if pair else a, []).append(i)
-    words = list(groups)
 
     # block (group g, run r) is g * runs + r in the flat arrays
     dest = code.times_words(heads, set(words))
@@ -687,7 +803,6 @@ def _times_step(
         chunk = int(np.diff(done[np.array(cuts[1:]) - 1], prepend=0).max())
         buf_k = np.empty(chunk, dtype=keys.dtype)
         buf_v = np.empty(chunk, dtype=vals.dtype)
-    num = np.array(nums, dtype=vals.dtype)
     out_k = np.empty(int(done[-1]), dtype=keys.dtype)
     out_v = np.empty(int(done[-1]), dtype=vals.dtype)
     del done
@@ -727,6 +842,18 @@ def _times_step(
     return out_k, out_v
 
 
+def _heaviest(vals: np.ndarray, cap: int) -> np.ndarray:
+    """Mask of the ``cap`` largest values, ties at the cut kept in index order.
+
+    On sorted keys these are the atoms ``np.lexsort((keys, -vals))[:cap]``
+    picks, found by one selection instead of a sort.
+    """
+    cut = np.partition(vals, len(vals) - cap)[len(vals) - cap]
+    keep = vals > cut
+    keep[np.flatnonzero(vals == cut)[: cap - np.count_nonzero(keep)]] = True
+    return keep
+
+
 def iter_convolution_levels(
     step: FiniteMeasure,
     n: int,
@@ -739,7 +866,10 @@ def iter_convolution_levels(
     (vectorized on shortlex codes), then sorts and sums equal keys, in
     chunks of about ``_CHUNK`` products (``_times_step``).
     Past ``cap`` atoms the lightest are dropped, ties broken in
-    shortlex order; ``strict=True`` raises ``TruncationError`` instead.
+    shortlex order (``_heaviest``); ``strict=True`` raises
+    ``TruncationError`` instead.  Exact numerators are int64 up to the
+    last level with D**level <= 2**62 and Python ints from the next,
+    whatever ``n`` is.
     """
     if not isinstance(n, int) or n < 1:
         raise InputError(f"n must be a positive integer, got {n!r}")
@@ -751,7 +881,7 @@ def iter_convolution_levels(
     code = _WordCode(step.rank, step.inverse_free, n * step.max_atom_length)
     if exact:
         denom, nums = _step_numerators(step)
-        vals_dtype = np.int64 if denom**n <= _INT64_SAFE else object
+        vals_dtype = np.int64 if denom <= _INT64_SAFE else object
     else:
         denom, nums = None, [w for _, w in step.atoms]
         vals_dtype = np.float64
@@ -771,6 +901,8 @@ def iter_convolution_levels(
 
     for level in range(1, n + 1):
         if level > 1:
+            if exact and vals.dtype != object and denom**level > _INT64_SAFE:
+                vals = vals.astype(object)  # numerators may pass int64 from here
             keys, vals = _times_step(code, pair, atoms, nums, keys, vals)
         if len(keys) > cap:
             if strict:
@@ -779,13 +911,12 @@ def iter_convolution_levels(
                     level,
                     float(lost),
                 )
-            order = np.lexsort((keys, -vals))
-            keep = np.sort(order[:cap])
-            dropped = vals[np.sort(order[cap:])]
+            keep = _heaviest(vals, cap)
+            dropped = vals[~keep].sum()  # in key order
             if exact:
-                lost = lost + Fraction(int(dropped.sum()), denom**level)
+                lost = lost + Fraction(int(dropped), denom**level)
             else:
-                lost = lost + float(dropped.sum())
+                lost = lost + float(dropped)
             keys, vals = keys[keep], vals[keep]
         yield ConvolutionLevel(
             level=level,

@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -255,14 +256,16 @@ def test_tv_exact_float_rho_on_group_matches_exact():
 
 
 def test_tv_exact_curve_values_do_not_depend_on_n_max():
-    # at n_max = 3 the pair route keeps keys (5**30) and exact numerators
-    # (denominator (3 * 999983)**3) in object arrays; n_max = 1, 2 in int64
+    # at n_max = 3 the pair route keeps keys (5**30) in object arrays; the
+    # exact numerators (denominator (9 * 999983)**level) are int64 up to
+    # level 2 and Python ints at level 3
     mu = FiniteMeasure(
         (((-2, -1, -2, -1, -2), F(2, 3)), ((1, 2, 1, 2, 1), F(1, 3))), 2, "single"
     )
     exact_rho = F(1, 999983)
-    first = next(iter_convolution_levels(build_pi_rho(mu, exact_rho), 3))
-    assert first.values.dtype == object
+    levels = list(iter_convolution_levels(build_pi_rho(mu, exact_rho), 3))
+    assert [lv.values.dtype for lv in levels] == [np.int64, np.int64, object]
+    assert levels[-1]._keys.dtype == object
     for rho in (exact_rho, 0.3):
         curve = tv_exact_curve(mu, rho, 3)
         assert [repr(v) for v in curve] == [

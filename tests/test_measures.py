@@ -2,6 +2,7 @@
 
 import gc
 import hashlib
+import itertools
 import json
 import math
 import tracemalloc
@@ -258,9 +259,15 @@ def test_convolution_deep_words_match_brute_force(monkeypatch):
     )
     long_semi = build_measure([((1, 2, 1, 1, 2), F(2, 3)), ((2, 2, 1, 2, 1), F(1, 3))])
     # rank 1, depth 3 * 6: pair keys below 3**36 ~ 2**57, int64 with little
-    # room; the letter -1 is digit 2, so (-1,)*k words have the top codes
-    long_rank1 = build_measure([((1,) * 6, F(1, 2)), ((-1,), F(1, 2))])
-    top_rank1 = build_measure([((-1,) * 6, F(1, 2)), ((1,), F(1, 2))])
+    # room; the letter -1 is digit 2, so (-1,)*k words have the top codes.
+    # At rho = 0 the levels are diagonal, not products, so they take the
+    # chunked step, and level 3 has 9 states times 4 atoms = 36 products
+    long_rank1 = build_measure(
+        [((1,) * 6, F(1, 4)), ((-1,), F(1, 4)), ((-1,) * 2, F(1, 4)), ((-1,) * 3, F(1, 4))]
+    )
+    top_rank1 = build_measure(
+        [((-1,) * 6, F(1, 4)), ((1,), F(1, 4)), ((1,) * 2, F(1, 4)), ((1,) * 3, F(1, 4))]
+    )
     routes = []
 
     def spy(key_bound, count):
@@ -269,21 +276,25 @@ def test_convolution_deep_words_match_brute_force(monkeypatch):
         return bits
 
     monkeypatch.setattr(measures, "_position_bits", spy)
-    # one route per sort: a level's block sort, then (pairs) each chunk's
+    # one route per sort: a level's block sort, then (pairs) each chunk's;
+    # product levels (0 < rho) sort no products and call no route
     for step, n, chunk, packed, key_dtype in (
         (srw(2), 4, measures._CHUNK, [True] * 3, np.int64),
-        (build_pi_rho(semi(2), F(1, 3)), 4, measures._CHUNK, [True] * 6, np.int64),
+        (build_pi_rho(semi(2), F(1, 3)), 4, measures._CHUNK, [], np.int64),
+        (build_pi_rho(semi(2), F(0)), 4, measures._CHUNK, [True] * 6, np.int64),
         # words of length 16: far past any enumerable word ball
         (deep_group, 4, measures._CHUNK, [True] * 3, np.int64),
         # pair keys up to 3**40 are object arrays: every sort is a stable argsort
         (build_pi_rho(long_semi, F(1, 2)), 4, measures._CHUNK, [], object),
+        (build_pi_rho(long_semi, F(0)), 4, measures._CHUNK, [], object),
         # level 3's 36 products would not pack under the level bound 3**36,
         # but the chunk's top head is (1,)*18, about half of 3**18
-        (build_pi_rho(long_rank1, F(1, 2)), 3, measures._CHUNK, [True] * 4, np.int64),
+        (build_pi_rho(long_rank1, F(0)), 3, measures._CHUNK, [True] * 4, np.int64),
         # here the top head is (-1,)*18, so the one chunk of level 3 has no room
-        (build_pi_rho(top_rank1, F(1, 2)), 3, measures._CHUNK, [True] * 3 + [False], np.int64),
-        # one chunk per target head: level 3 splits into 4 chunks, and each packs
-        (build_pi_rho(top_rank1, F(1, 2)), 3, 1, [True] * 9, np.int64),
+        (build_pi_rho(top_rank1, F(0)), 3, measures._CHUNK, [True] * 3 + [False], np.int64),
+        # one chunk per target head: level 2 splits into 9 chunks and level 3
+        # into 16, and each packs
+        (build_pi_rho(top_rank1, F(0)), 3, 1, [True] * 27, np.int64),
     ):
         monkeypatch.setattr(measures, "_CHUNK", chunk)
         routes.clear()
@@ -427,7 +438,7 @@ def atom_order(atom, kind, rank):
 
 
 @st.composite
-def small_steps(draw):
+def small_mus(draw):
     rank = draw(st.integers(1, 3))
     inverse_free = draw(st.booleans())
     letters = list(range(1, rank + 1))
@@ -436,9 +447,14 @@ def small_steps(draw):
     words = st.lists(st.sampled_from(letters), min_size=0, max_size=3).map(tuple)
     atoms = draw(st.lists(words, min_size=1, max_size=4, unique=True))
     weights = [draw(st.integers(1, 4)) for _ in atoms]
-    mu = build_measure(
+    return build_measure(
         [(a, F(w, sum(weights))) for a, w in zip(atoms, weights)], rank=rank
     )
+
+
+@st.composite
+def small_steps(draw):
+    mu = draw(small_mus())
     if draw(st.booleans()):
         rho = draw(st.sampled_from([F(0), F(1, 3), F(1, 2), F(1)]))
         return build_pi_rho(mu, rho)
@@ -505,9 +521,13 @@ def test_chunked_float_pair_levels_keep_their_bytes():
         got, full = lv.to_measure().atoms, brute_force_convolution(step, lvl).atoms
         assert [a for a, _ in got] == [a for a, _ in full]
         assert all(math.isclose(w, v, rel_tol=1e-13) for (_, w), (_, v) in zip(got, full))
-    # level 3 here has no room to pack at the default chunk, so its stable
-    # argsort must order ties as the packed per-head chunks do
-    top_rank1 = build_pi_rho(build_measure([((-1,) * 6, 0.5), ((1,), 0.5)]), 0.3)
+    # at rho = 0 the levels are diagonal, not products, so they take the
+    # chunked step; level 3 here (36 products under the top head (-1,)*18)
+    # has no room to pack at the default chunk, so its stable argsort must
+    # order ties as the packed per-head chunks do
+    top_rank1 = build_pi_rho(
+        build_measure([((-1,) * 6, 0.1), ((1,), 0.2), ((1,) * 2, 0.3), ((1,) * 3, 0.4)]), 0.0
+    )
     want = level_record(top_rank1, 3)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(measures, "_CHUNK", 1)
@@ -525,6 +545,118 @@ def test_pair_levels_stay_within_memory_bound():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2**20
+
+
+def chunked_only(mp):
+    """Make every level take the chunked step."""
+    mp.setattr(measures, "_product_shape", lambda keys, stride: None)
+
+
+def count_product_steps(mp):
+    """Record each call of ``_product_step``; return the record."""
+    calls = []
+    step_fn = measures._product_step
+    mp.setattr(measures, "_product_step", lambda *a: calls.append(1) or step_fn(*a))
+    return calls
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    mu=small_mus(),
+    rho=st.one_of(
+        st.floats(0, 1, exclude_min=True),
+        st.fractions(0, 1, max_denominator=12).filter(lambda r: r > 0),
+        st.sampled_from([0.0, F(0)]),
+    ),
+    drop=st.sets(st.integers(0, 15), max_size=6),
+    n=st.integers(2, 3),
+    cap=st.one_of(st.integers(1, 30), st.just(DEFAULT_CAP)),
+)
+def test_product_route_matches_chunked_route(mu, rho, drop, n, cap):
+    pi = build_pi_rho(mu, rho)
+    # dropping atoms gives pair steps whose first words have unequal tail sets
+    kept = [aw for i, aw in enumerate(pi.atoms) if i not in drop] or pi.atoms
+    total = sum(w for _, w in kept) if pi.exact else math.fsum(w for _, w in kept)
+    step = build_measure([(a, w / total) for a, w in kept], rank=mu.rank, kind="pair")
+    for chunk in (1, 3, measures._CHUNK):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(measures, "_CHUNK", chunk)
+            chunked_only(mp)
+            want = level_record(step, n, cap)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(measures, "_CHUNK", chunk)
+            products = count_product_steps(mp)
+            assert level_record(step, n, cap) == want
+        # at 0 < rho every untruncated level of pi is supp(mu^l) x supp(mu^l)
+        if rho and cap == DEFAULT_CAP and step.support_size == mu.support_size**2:
+            assert len(products) == n - 1
+
+
+def test_product_route_with_unequal_tail_sets():
+    # first word (1,) meets two second words, (2,) one; caps 1 and 2 leave
+    # one head (a product), so the next step has heads with 2 and 1 sums.
+    # The uncut levels are not products and take the chunked step.
+    step = build_measure(
+        [(((1,), (1,)), F(1, 2)), (((1,), (2,)), F(1, 4)), (((2,), (1,)), F(1, 4))]
+    )
+    for cap, steps in ((1, 3), (2, 3), (DEFAULT_CAP, 0)):
+        with pytest.MonkeyPatch.context() as mp:
+            chunked_only(mp)
+            want = level_record(step, 4, cap)
+        with pytest.MonkeyPatch.context() as mp:
+            products = count_product_steps(mp)
+            assert level_record(step, 4, cap) == want
+        assert len(products) == steps
+    for lvl, lv in enumerate(iter_convolution_levels(step, 3), start=1):
+        assert_measures_equal(lv.to_measure(), brute_force_convolution(step, lvl))
+
+
+def test_product_levels_sort_no_products(monkeypatch):
+    def refuse(keys, key_bound):
+        raise AssertionError("a product level fell back to the chunked step")
+
+    monkeypatch.setattr(measures, "_sort_in_place", refuse)
+    levels = list(iter_convolution_levels(build_pi_rho(uniform_measure(2), 0.5), 6))
+    # the squares of the single supports, level 6 cut to the default cap
+    assert [lv.size for lv in levels] == [k * k for k in (4, 13, 40, 121, 364)] + [DEFAULT_CAP]
+
+
+def test_numerators_are_int64_until_a_level_needs_more():
+    # D = 320 and 320**7 <= 2**62 < 320**8: asking for level 8 must not
+    # turn the numerators of the levels before it into Python ints
+    pi = build_pi_rho(srw(2), F(3, 20))
+    deep = itertools.islice(iter_convolution_levels(pi, 8), 6)
+    for a, b in zip(deep, iter_convolution_levels(pi, 6)):
+        assert a.values.dtype == b.values.dtype == np.int64
+        assert a.values.tobytes() == b.values.tobytes()
+        assert a.denominator == b.denominator and a.lost_mass == b.lost_mass
+        for ca, cb in zip(a.coordinate_codes(), b.coordinate_codes()):
+            assert ca.tolist() == cb.tolist()
+    # D = 2**21: D**2 fits, D**3 does not
+    step = build_measure([((1,), F(1, 2**21)), ((2,), 1 - F(1, 2**21))])
+    levels = list(iter_convolution_levels(step, 4))
+    assert [lv.values.dtype for lv in levels] == [np.int64, np.int64, object, object]
+    for lvl, lv in enumerate(levels, start=1):
+        assert_measures_equal(lv.to_measure(), brute_force_convolution(step, lvl))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    weights=st.lists(st.integers(0, 4), min_size=2, max_size=40),
+    cap=st.integers(1, 39),
+    dtype=st.sampled_from([np.float64, np.int64, object]),
+)
+def test_heaviest_atoms_are_the_lexsort_pick(weights, cap, dtype):
+    # tie-heavy values on sorted keys; the cap step runs only past cap atoms
+    cap = min(cap, len(weights) - 1)
+    vals = np.array([w / 7 if dtype is np.float64 else w for w in weights], dtype=dtype)
+    keys = np.arange(len(vals)) * 3 + 1
+    order = np.lexsort((keys, -vals))
+    keep = measures._heaviest(vals, cap)
+    assert np.flatnonzero(keep).tolist() == np.sort(order[:cap]).tolist()
+    dropped = vals[np.sort(order[cap:])]
+    assert vals[~keep].tolist() == dropped.tolist()
+    assert repr(vals[~keep].sum()) == repr(dropped.sum())
 
 
 # ---------------------------------------------------------------------------

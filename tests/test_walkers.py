@@ -10,7 +10,13 @@ from hypothesis import strategies as st
 
 from noisewalk import rng, walkers
 from noisewalk.errors import InputError
-from noisewalk.measures import FiniteMeasure, build_pi_rho, uniform_measure
+from noisewalk.measures import (
+    FiniteMeasure,
+    build_measure,
+    build_pi_rho,
+    sample_path,
+    uniform_measure,
+)
 
 
 def step(atoms, rank=2):
@@ -251,3 +257,34 @@ def test_walks_need_positive_trials(trials):
     ):
         with pytest.raises(InputError, match="trials must be a positive integer"):
             walk()
+
+
+@st.composite
+def small_walk_steps(draw):
+    rank = draw(st.integers(1, 3))
+    letters = [x for i in range(1, rank + 1) for x in (i, -i)]
+    if draw(st.booleans()):  # a semigroup step
+        letters = letters[::2]
+    words = st.lists(st.sampled_from(letters), max_size=3).map(tuple)
+    atoms = draw(st.lists(words, min_size=1, max_size=4, unique=True))
+    weights = [draw(st.integers(1, 4)) for _ in atoms]
+    mu = build_measure([(a, Fraction(w, sum(weights))) for a, w in zip(atoms, weights)], rank=rank)
+    if draw(st.booleans()):
+        return build_pi_rho(mu, draw(st.sampled_from([0.0, 0.3, Fraction(1, 2), 1.0])))
+    return mu
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    measure=small_walk_steps(),
+    n=st.integers(1, 40),
+    trials=st.integers(1, 5),
+    seed=st.integers(0, 2**64 - 1),
+    component=st.sampled_from([rng.STREAM_DRIFT, rng.STREAM_BOUNDARY, rng.STREAM_PATH]),
+)
+def test_final_lengths_match_sample_path(measure, n, trials, seed, component):
+    got = walkers.final_lengths(measure, n, trials, seed, component)
+    for i in range(trials):
+        last = sample_path(measure, n, seed, rng.stream_id(component, i)).positions[-1]
+        words = last if measure.kind == "pair" else (last,)
+        assert [int(lengths[i]) for lengths in got] == [len(w) for w in words]
