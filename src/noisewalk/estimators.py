@@ -188,7 +188,12 @@ class EntropyCurve:
 
     @property
     def increments(self) -> tuple[float, ...]:
-        """H_n - H_(n-1) point estimates of the rate (H_0 = 0)."""
+        """H_n - H_(n-1) for each level (H_0 = 0).
+
+        On an untruncated level the increment is itself an upper bound
+        on the entropy rate, and a tighter one than ``upper_rate``; see
+        ``entropy_rate_estimate``.
+        """
         prev = 0.0
         out = []
         for v in self.values:

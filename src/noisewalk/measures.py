@@ -49,6 +49,11 @@ Support caps drop the lowest-mass atoms, ties broken in shortlex order
 (pairs: lexicographic in the two coordinates), and track the lost mass
 so callers can certify bounds; ``strict=True`` turns truncation into an
 error instead.
+
+A level's histogram readout (``mass_counts``, behind the entropies and
+the certified comparisons) counts the values one block of
+``_READ_BLOCK`` at a time and merges the blocks' (value, count) pairs,
+so it copies no whole level; the block does not follow ``_CHUNK``.
 """
 
 from __future__ import annotations
@@ -75,6 +80,8 @@ _MATERIALIZE_CAP = 3_000_000
 _INT64_SAFE = 2**62
 # products made, sorted and summed at a time in a convolution level step
 _CHUNK = 1 << 18
+# values counted at a time by a level's histogram readout
+_READ_BLOCK = 1 << 18
 
 
 # ---------------------------------------------------------------------------
@@ -510,8 +517,22 @@ class ConvolutionLevel:
         return np.where(self._keys[pos] == codes, self._vals[pos], 0)
 
     def mass_counts(self) -> Counter:
-        """Multiplicity of each distinct stored value (numerator or float)."""
-        uniq, cnt = np.unique(self._vals, return_counts=True)
+        """Multiplicity of each distinct stored value (numerator or float), in value order.
+
+        The values are counted ``_READ_BLOCK`` at a time and the blocks'
+        (value, count) pairs merged by one more ``np.unique``, so no copy
+        of the whole level is made.
+        """
+        vals = self._vals
+        blocks = [
+            np.unique(vals[i : i + _READ_BLOCK], return_counts=True)
+            for i in range(0, max(len(vals), 1), _READ_BLOCK)
+        ]
+        uniq, cnt = blocks[0]
+        if len(blocks) > 1:
+            uniq, inv = np.unique(np.concatenate([u for u, _ in blocks]), return_inverse=True)
+            cnt = np.zeros(len(uniq), dtype=np.int64)
+            np.add.at(cnt, inv, np.concatenate([c for _, c in blocks]))
         return Counter(dict(zip(uniq.tolist(), cnt.tolist())))
 
     def kept_total(self) -> Weight:
@@ -663,6 +684,22 @@ def _product_shape(keys: np.ndarray, stride: int) -> tuple[np.ndarray, np.ndarra
     return heads, tails
 
 
+def _row_patterns(reach: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct rows of a bool matrix in lexicographic order, and each row's index among them.
+
+    The result of ``np.unique(reach, axis=0, return_inverse=True)``, by
+    one lexsort and a compare of adjacent rows instead of a sort of a
+    structured dtype.
+    """
+    order = np.lexsort(reach.T[::-1])
+    ranked = reach[order]
+    first = np.ones(len(ranked), dtype=bool)
+    np.any(ranked[1:] != ranked[:-1], axis=1, out=first[1:])
+    pattern_of = np.empty(len(ranked), dtype=np.intp)
+    pattern_of[order] = np.cumsum(first) - 1
+    return ranked[first], pattern_of
+
+
 def _product_step(
     code: _WordCode,
     atoms: list,
@@ -689,7 +726,7 @@ def _product_step(
     # run[t, g]: the run whose head times words[g] is targets[t], -1 if none
     run = np.full((len(targets), len(words)), -1)
     run[block_head.reshape(len(words), -1), np.arange(len(words))[:, None]] = np.arange(len(heads))
-    patterns, pattern_of = np.unique(run >= 0, axis=0, return_inverse=True)
+    patterns, pattern_of = _row_patterns(run >= 0)
     # target tail ranks of every atom's second word on the shared tails
     times_tail = code.times_words(tails, {a[1] for a in atoms})
     tail_codes, rank = np.unique(np.concatenate(list(times_tail.values())), return_inverse=True)
@@ -703,8 +740,8 @@ def _product_step(
         ranks = np.concatenate([tail_rank[atoms[i][1]] for _, i in slots])
         order = np.argsort(ranks, kind="stable")
         ranks = ranks[order]
-        cuts = np.flatnonzero(np.r_[True, ranks[1:] != ranks[:-1]])
-        tail_keys, lens = tail_codes[ranks[cuts]], np.diff(np.r_[cuts, len(ranks)])
+        cuts = np.flatnonzero(np.diff(ranks, prepend=-1))  # ranks are >= 0
+        tail_keys, lens = tail_codes[ranks[cuts]], np.diff(cuts, append=len(ranks))
         # one-term sums first: they are read off the products, and reduceat
         # gets only the sums of several terms, each in the same order
         order = order[np.argsort(np.repeat(lens > 1, lens), kind="stable")]
@@ -727,7 +764,7 @@ def _product_step(
         batch = max(1, _CHUNK // len(column))
         for b in range(0, len(members), batch):
             t = members[b : b + batch]
-            prod = grid[run[np.ix_(t, gs)]].reshape(len(t), -1)[:, column]
+            prod = grid[run[t[:, None], gs]].reshape(len(t), -1)[:, column]
             prod *= factor
             sums = np.empty((len(t), len(place)), dtype=vals.dtype)
             sums[:, place[:singles]] = prod[:, :singles]

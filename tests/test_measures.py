@@ -547,6 +547,94 @@ def test_pair_levels_stay_within_memory_bound():
     assert peak < 64 * 2**20
 
 
+@pytest.fixture(scope="module")
+def half_level6():
+    """Level 6 of pi_0.5 on F_2, untruncated: 1,194,649 float masses."""
+    *_, lv = iter_convolution_levels(build_pi_rho(uniform_measure(2), 0.5), 6, cap=2_000_000)
+    return lv
+
+
+def one_shot_counts(vals):
+    uniq, cnt = np.unique(vals, return_counts=True)
+    return Counter(dict(zip(uniq.tolist(), cnt.tolist())))
+
+
+def assert_same_counts(got, want):
+    """Same keys, counts, key order and Python types."""
+    assert list(got.items()) == list(want.items())
+    assert [(type(k), type(c)) for k, c in got.items()] == [
+        (type(k), type(c)) for k, c in want.items()
+    ]
+
+
+def test_mass_counts_match_one_shot_unique(half_level6, monkeypatch):
+    deep = build_measure([((1,), F(1, 2**21)), ((2,), 1 - F(1, 2**21))])
+    levels = [
+        *iter_convolution_levels(build_pi_rho(srw(2), 0.3), 3),  # float64
+        *iter_convolution_levels(build_pi_rho(srw(2), F(3, 20)), 3),  # int64
+        *iter_convolution_levels(deep, 4),  # int64, then Python ints
+    ]
+    dtypes = {lv.values.dtype for lv in levels}
+    assert dtypes == {np.dtype(np.float64), np.dtype(np.int64), np.dtype(object)}
+    assert half_level6.size > measures._READ_BLOCK
+    assert_same_counts(half_level6.mass_counts(), one_shot_counts(half_level6.values))
+    for block in (1, 3):
+        monkeypatch.setattr(measures, "_READ_BLOCK", block)
+        for lv in levels:
+            assert_same_counts(lv.mass_counts(), one_shot_counts(lv.values))
+
+
+def test_mass_counts_blocks_do_not_follow_the_chunk(monkeypatch):
+    # at _CHUNK = 1 a readout in blocks of _CHUNK would count one value at a time
+    *_, lv = iter_convolution_levels(build_pi_rho(srw(2), 0.3), 3)
+    calls = []
+    unique = np.unique
+    monkeypatch.setattr(np, "unique", lambda *a, **k: calls.append(1) or unique(*a, **k))
+    monkeypatch.setattr(measures, "_CHUNK", 1)
+    want = one_shot_counts(lv.values)
+    calls.clear()
+    assert_same_counts(lv.mass_counts(), want)
+    assert len(calls) == 1  # 1,600 values: one block, nothing to merge
+    monkeypatch.setattr(measures, "_READ_BLOCK", 3)
+    calls.clear()
+    assert_same_counts(lv.mass_counts(), want)
+    assert len(calls) == -(-lv.size // 3) + 1  # every block, then the merge
+
+
+def test_mass_counts_stay_within_memory_bound(half_level6):
+    # one np.unique over the whole level copies and sorts all its values
+    assert half_level6.values.nbytes > 9 * 10**6
+    tracemalloc.start()
+    try:
+        half_level6.mass_counts()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2**20
+
+
+@st.composite
+def bool_rows(draw):
+    """Bool matrices with repeated rows and some all-False columns."""
+    cols = draw(st.integers(1, 70))
+    row = st.lists(st.booleans(), min_size=cols, max_size=cols)
+    pool = draw(st.lists(row, min_size=1, max_size=6))
+    rows = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=40))
+    reach = np.array([pool[i] for i in rows], dtype=bool)
+    reach[:, sorted(draw(st.sets(st.integers(0, cols - 1))))] = False
+    return reach
+
+
+@settings(max_examples=200, deadline=None)
+@given(reach=bool_rows())
+def test_row_patterns_match_unique_rows(reach):
+    for m in (reach, reach[:1]):
+        want_patterns, want_of = np.unique(m, axis=0, return_inverse=True)
+        patterns, pattern_of = measures._row_patterns(m)
+        assert patterns.dtype == bool and patterns.tolist() == want_patterns.tolist()
+        assert pattern_of.tolist() == want_of.tolist()
+
+
 def chunked_only(mp):
     """Make every level take the chunked step."""
     mp.setattr(measures, "_product_shape", lambda keys, stride: None)
