@@ -314,17 +314,21 @@ def _tv_pair_convolution(mu: FiniteMeasure, rho_w, n_max: int, cap: int) -> Iter
 
 def _tv_pair_readout(lv_pi: ConvolutionLevel, lv_mu: ConvolutionLevel) -> Weight:
     """TV of one pi level against the product of one mu level with itself."""
-    # the coordinate words of pi's atoms, read off as codes, index the mu level
-    mu_u, mu_v = (lv_mu.values_at(c) for c in lv_pi.coordinate_codes())
-    if lv_pi.exact and lv_mu.exact:
+    # the coordinate words of pi's atoms, read off as codes, index the mu
+    # level; a factored level is read once per head and once per tail, and
+    # b is their outer product, the same products in the same layout
+    factors = lv_pi.factors
+    mu_u, mu_v = (lv_mu.values_at(c) for c in factors or lv_pi.coordinate_codes())
+    exact = lv_pi.exact and lv_mu.exact
+    if exact:  # object arrays: Python int arithmetic, no int64 overflow
+        mu_u, mu_v = mu_u.astype(object), mu_v.astype(object)
+    b = np.multiply.outer(mu_u, mu_v).reshape(-1) if factors else mu_u * mu_v
+    if exact:
         d_pi = lv_pi.denominator
         d_mu2 = lv_mu.denominator**2
-        # object arrays: Python int arithmetic, no int64 overflow
         a = lv_pi.values.astype(object)
-        b = mu_u.astype(object) * mu_v.astype(object)
         s = np.abs(a * d_mu2 - b * d_pi).sum() + (d_mu2 - b.sum()) * d_pi
         return Fraction(int(s), 2 * d_pi * d_mu2)
-    b = mu_u * mu_v
     terms = np.abs(lv_pi.values - b).tolist()
     terms.append(max(0.0, 1.0 - math.fsum(b.tolist())))
     return math.fsum(terms) / 2

@@ -29,15 +29,19 @@ level, where each block is one product, holds a key and an index per
 product for the block sort.
 
 A pair level whose states are every head times one shared tail set
-takes a product route instead, read off the level's keys: at
-0 < rho <= 1 every untruncated level of pi_rho is such a product.
-There a target head's products depend on its heads only through the
-set of first words that reach it (its pattern; a handful on a free
-group), so one stable argsort per pattern orders the products of all
-its heads, in the atom order of the chunked step, and each head's sums
-are added in the same order, with the same bits.  No product is
-sorted.  Levels at rho = 0, levels cut by a cap and single-walk levels
-take the chunked step.
+takes a product route instead: at 0 < rho <= 1 every untruncated level
+of pi_rho is such a product.  There a target head's products depend
+on its heads only through the set of first words that reach it (its
+pattern; a handful on a free group), so one stable argsort per pattern
+orders the products of all its heads, in the atom order of the chunked
+step, and each head's sums are added in the same order, with the same
+bits.  No product is sorted.  When every target head gets the same
+tail set, the new level is held as its factors (sorted heads, sorted
+tails, values row-major), with no key per atom, and the next step
+takes the product route from them; only level 1 and levels cut by a
+cap are checked for the product shape on their keys.  Levels at
+rho = 0, levels cut by a cap and single-walk levels take the chunked
+step.
 
 Keys and numerators are int64 while they provably fit (keys below
 B**depth, squared for pairs; numerators up to the last level with
@@ -73,6 +77,8 @@ from .words import Word, WordPair, multiply, pair_length, reduce_word
 
 Weight = Union[Fraction, float]
 Atom = Union[Word, WordPair]
+# a level's atoms: sorted shortlex keys, or the (heads, tails) factors
+Support = Union[np.ndarray, tuple[np.ndarray, np.ndarray]]
 
 WEIGHT_SUM_TOL = 1e-12
 DEFAULT_CAP = 1_000_000
@@ -463,7 +469,10 @@ class ConvolutionLevel:
     including this level; the stored values describe only the kept mass.
     In exact mode the stored values are integer numerators over
     ``denominator`` = D**level.  Atoms are held as sorted shortlex keys
-    (``_WordCode``) beside their values.
+    (``_WordCode``) beside their values, or, on a pair level of every
+    head times one tail set, as its factors: sorted head codes, sorted
+    tail codes and the values laid out row-major as heads x tails, with
+    no key per atom (``factors``).  ``keys`` builds the keys of either.
     """
 
     level: int
@@ -475,14 +484,35 @@ class ConvolutionLevel:
     denominator: int | None
     truncated: bool
     lost_mass: Weight
-    _keys: np.ndarray = field(repr=False)
+    _support: Support = field(repr=False)
     _vals: np.ndarray = field(repr=False)
     _code: _WordCode = field(repr=False)
     _entropy: float | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def size(self) -> int:
-        return len(self._keys)
+        return len(self._vals)
+
+    @property
+    def factors(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """(heads, tails) of a level held as every head times one tail set, else None.
+
+        Atom ``r * len(tails) + j`` is the pair of words with codes
+        ``heads[r]`` and ``tails[j]``.
+        """
+        return self._support if isinstance(self._support, tuple) else None
+
+    @property
+    def keys(self) -> np.ndarray:
+        """Sorted shortlex keys, one per stored value (pairs: code1 * stride + code2).
+
+        A factored level builds them on each call and does not keep
+        them; their dtype is the factors', int64 while stride**2 < 2**63.
+        """
+        if self.factors is None:
+            return self._support
+        heads, tails = self.factors
+        return ((heads * self._code.stride)[:, None] + tails).reshape(-1)
 
     def iter_items(self) -> Iterator[tuple[Atom, object]]:
         """Yield (atom, value) in key order; value a numerator (exact) or float.
@@ -503,9 +533,12 @@ class ConvolutionLevel:
 
     def coordinate_codes(self) -> list[np.ndarray]:
         """Shortlex code of each coordinate word (one array per coordinate), in key order."""
+        if self.factors is not None:
+            heads, tails = self.factors
+            return [np.repeat(heads, len(tails)), np.tile(tails, len(heads))]
         if self.kind == "pair":
-            return [self._keys // self._code.stride, self._keys % self._code.stride]
-        return [self._keys]
+            return [self._support // self._code.stride, self._support % self._code.stride]
+        return [self._support]
 
     def values_at(self, codes: np.ndarray) -> np.ndarray:
         """Stored value of the single-walk atom with each shortlex code, 0 where none.
@@ -513,8 +546,9 @@ class ConvolutionLevel:
         ``codes`` number words over this level's letters, such as the
         coordinate codes of a pair level on the same letters.
         """
-        pos = np.minimum(np.searchsorted(self._keys, codes), self.size - 1)
-        return np.where(self._keys[pos] == codes, self._vals[pos], 0)
+        keys = self.keys
+        pos = np.minimum(np.searchsorted(keys, codes), self.size - 1)
+        return np.where(keys[pos] == codes, self._vals[pos], 0)
 
     def mass_counts(self) -> Counter:
         """Multiplicity of each distinct stored value (numerator or float), in value order.
@@ -708,7 +742,7 @@ def _product_step(
     heads: np.ndarray,
     tails: np.ndarray,
     vals: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[Support, np.ndarray]:
     """``_times_step`` on a level of every head times one tail set.
 
     A target head's pattern is the groups (first words) that reach it,
@@ -719,6 +753,11 @@ def _product_step(
     the chunked step.  The heads of a pattern are then done in batches
     of about ``_CHUNK`` products: gather their runs' values, multiply by
     the numerators, take the pattern's order and sum.
+
+    When every pattern reaches the same target tails, the new level is
+    every target head times that tail set and comes back as its factors
+    (target heads, tails), the values row-major, with no key written;
+    otherwise it comes back as sorted keys.
     """
     words, m = list(groups), len(tails)
     dest = code.times_words(heads, set(words))
@@ -751,13 +790,16 @@ def _product_step(
         singles, lens = int(np.count_nonzero(lens == 1)), lens[lens > 1]
         cuts = np.cumsum(lens) - lens
         layouts.append((gs, column, factor, singles, cuts, place, tail_keys))
+    tail_sets = [tail_keys for *_, tail_keys in layouts]
+    factored = all(np.array_equal(tail_sets[0], t) for t in tail_sets[1:])
     counts = np.array([len(place) for *_, place, _ in layouts])[pattern_of]
-    out_k = np.empty(int(counts.sum()), dtype=heads.dtype)
-    out_v = np.empty(len(out_k), dtype=vals.dtype)
+    out_v = np.empty(int(counts.sum()), dtype=vals.dtype)
+    out_k = None if factored else np.empty(len(out_v), dtype=heads.dtype)
     start = np.cumsum(counts) - counts
     # heads with equally many sums own a row of the output each
     rows = counts.min() == counts.max()
-    dst_k, dst_v = (a.reshape(len(targets), -1) if rows else a for a in (out_k, out_v))
+    dst_v = out_v.reshape(len(targets), -1) if rows else out_v
+    dst_k = out_k.reshape(len(targets), -1) if rows and not factored else out_k
     grid = vals.reshape(len(heads), m)
     for p, (gs, column, factor, singles, cuts, place, tail_keys) in enumerate(layouts):
         members = np.flatnonzero(pattern_of == p)
@@ -772,13 +814,14 @@ def _product_step(
                 sums[:, place[singles:]] = np.add.reduceat(prod[:, singles:], cuts, axis=1)
             at = t if rows else start[t][:, None] + np.arange(len(place))
             dst_v[at] = sums
-            dst_k[at] = targets[t][:, None] * code.stride + tail_keys
-    return out_k, out_v
+            if not factored:
+                dst_k[at] = targets[t][:, None] * code.stride + tail_keys
+    return ((targets, tail_sets[0]) if factored else out_k), out_v
 
 
 def _times_step(
-    code: _WordCode, pair: bool, atoms: list, nums: list, keys: np.ndarray, vals: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+    code: _WordCode, pair: bool, atoms: list, nums: list, support: Support, vals: np.ndarray
+) -> tuple[Support, np.ndarray]:
     """Multiply every state by every atom on the right; sort and sum equal keys.
 
     The products are made, sorted and summed in chunks of about
@@ -799,12 +842,14 @@ def _times_step(
     sums go straight into the level's arrays, allocated for every
     product but touched only as far as written, then shrunk in place.
 
-    A pair level of every head times one shared tail set (``_product_shape``:
-    equal runs, each with the first run's tails) takes
+    A pair level of every head times one shared tail set takes
     ``_product_step`` instead, which sorts no products.  That is every
     untruncated level at 0 < rho <= 1, where pi_rho^n lives on
-    supp(mu^n) x supp(mu^n).  Other levels (rho = 0, levels cut by a
-    cap, single walks) take the chunked step; both give the same bytes.
+    supp(mu^n) x supp(mu^n).  A factored level is one by construction
+    and goes straight there; a level of keys (level 1, or one cut by a
+    cap) goes there when ``_product_shape`` finds equal runs, each with
+    the first run's tails.  Other levels (rho = 0, levels cut by a cap,
+    single walks) take the chunked step; both routes give the same bytes.
     """
     # atom indices by first word; the atoms are sorted, so in atom order
     groups: dict[Word, list[int]] = {}
@@ -812,6 +857,9 @@ def _times_step(
         groups.setdefault(a[0] if pair else a, []).append(i)
     words = list(groups)
     num = np.array(nums, dtype=vals.dtype)
+    if isinstance(support, tuple):
+        return _product_step(code, atoms, groups, num, *support, vals)
+    keys = support
     if pair:
         shape = _product_shape(keys, code.stride)
         if shape is not None:
@@ -891,6 +939,19 @@ def _heaviest(vals: np.ndarray, cap: int) -> np.ndarray:
     return keep
 
 
+def _kept(support: Support, keep: np.ndarray, stride: int) -> np.ndarray:
+    """Sorted keys of the atoms that the mask ``keep`` marks.
+
+    Of factors, only the kept atoms' keys are built: atom i is
+    ``heads[i // len(tails)]`` times ``tails[i % len(tails)]``.
+    """
+    if not isinstance(support, tuple):
+        return support[keep]
+    heads, tails = support
+    row, col = np.divmod(np.flatnonzero(keep), len(tails))
+    return heads[row] * stride + tails[col]
+
+
 def iter_convolution_levels(
     step: FiniteMeasure,
     n: int,
@@ -901,12 +962,14 @@ def iter_convolution_levels(
 
     Each level multiplies every kept state by every atom on the right
     (vectorized on shortlex codes), then sorts and sums equal keys, in
-    chunks of about ``_CHUNK`` products (``_times_step``).
+    chunks of about ``_CHUNK`` products (``_times_step``).  A level of
+    every head times one tail set (from level 2 on, every untruncated
+    level at 0 < rho <= 1) is held as its factors, with no key per atom.
     Past ``cap`` atoms the lightest are dropped, ties broken in
-    shortlex order (``_heaviest``); ``strict=True`` raises
-    ``TruncationError`` instead.  Exact numerators are int64 up to the
-    last level with D**level <= 2**62 and Python ints from the next,
-    whatever ``n`` is.
+    shortlex order (``_heaviest``), and only the kept atoms' keys are
+    built (``_kept``); ``strict=True`` raises ``TruncationError``
+    instead.  Exact numerators are int64 up to the last level with
+    D**level <= 2**62 and Python ints from the next, whatever ``n`` is.
     """
     if not isinstance(n, int) or n < 1:
         raise InputError(f"n must be a positive integer, got {n!r}")
@@ -932,7 +995,7 @@ def iter_convolution_levels(
     keys = np.array(init, dtype=keys_dtype)
     vals = np.array(nums, dtype=vals_dtype)
     order = np.argsort(keys)
-    keys, vals = keys[order], vals[order]
+    support, vals = keys[order], vals[order]
 
     lost: Weight = Fraction(0) if exact else 0.0
 
@@ -940,11 +1003,11 @@ def iter_convolution_levels(
         if level > 1:
             if exact and vals.dtype != object and denom**level > _INT64_SAFE:
                 vals = vals.astype(object)  # numerators may pass int64 from here
-            keys, vals = _times_step(code, pair, atoms, nums, keys, vals)
-        if len(keys) > cap:
+            support, vals = _times_step(code, pair, atoms, nums, support, vals)
+        if len(vals) > cap:
             if strict:
                 raise TruncationError(
-                    f"support size {len(keys)} exceeds cap {cap} at level {level}",
+                    f"support size {len(vals)} exceeds cap {cap} at level {level}",
                     level,
                     float(lost),
                 )
@@ -954,7 +1017,7 @@ def iter_convolution_levels(
                 lost = lost + Fraction(int(dropped), denom**level)
             else:
                 lost = lost + float(dropped)
-            keys, vals = keys[keep], vals[keep]
+            support, vals = _kept(support, keep, code.stride), vals[keep]
         yield ConvolutionLevel(
             level=level,
             kind=step.kind,
@@ -965,7 +1028,7 @@ def iter_convolution_levels(
             denominator=None if not exact else denom**level,
             truncated=_flag_truncated(lost),
             lost_mass=lost,
-            _keys=keys,
+            _support=support,
             _vals=vals,
             _code=code,
         )

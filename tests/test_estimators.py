@@ -1,5 +1,6 @@
 """Monte Carlo and exact estimators against closed forms and each other."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from noisewalk.errors import InputError, ValidationError
 from noisewalk.estimators import (
     EntropyCurve,
     _tv_pair_convolution,
+    _tv_pair_readout,
     _tv_value_classes,
     drift_mc,
     entropy_exact_curve,
@@ -255,6 +257,23 @@ def test_tv_exact_float_rho_on_group_matches_exact():
         assert abs(got - float(tv_exact(mu, F(9, 10), n))) < 1e-12
 
 
+def test_tv_readout_of_factored_levels_matches_key_readout():
+    # a factored pi level is read once per head and once per tail; the same
+    # level held as keys is read at both coordinates of every atom
+    mu = srw(2)
+    for rho in (F(1, 3), 0.3):
+        pi = build_pi_rho(mu, rho)
+        marginal = mu if pi.exact else mu.as_float()
+        for lv_pi, lv_mu in zip(
+            iter_convolution_levels(pi, 5), iter_convolution_levels(marginal, 5)
+        ):
+            assert (lv_pi.factors is not None) == (lv_pi.level > 1)
+            keyed = dataclasses.replace(lv_pi, _support=lv_pi.keys)
+            assert keyed.factors is None
+            got, want = (_tv_pair_readout(lv, lv_mu) for lv in (lv_pi, keyed))
+            assert repr(got) == repr(want)
+
+
 def test_tv_exact_curve_values_do_not_depend_on_n_max():
     # at n_max = 3 the pair route keeps keys (5**30) in object arrays; the
     # exact numerators (denominator (9 * 999983)**level) are int64 up to
@@ -265,7 +284,7 @@ def test_tv_exact_curve_values_do_not_depend_on_n_max():
     exact_rho = F(1, 999983)
     levels = list(iter_convolution_levels(build_pi_rho(mu, exact_rho), 3))
     assert [lv.values.dtype for lv in levels] == [np.int64, np.int64, object]
-    assert levels[-1]._keys.dtype == object
+    assert levels[-1].keys.dtype == object
     for rho in (exact_rho, 0.3):
         curve = tv_exact_curve(mu, rho, 3)
         assert [repr(v) for v in curve] == [

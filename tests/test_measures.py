@@ -1,5 +1,6 @@
 """Measure construction, sampling, exact convolution, serialization."""
 
+import dataclasses
 import gc
 import hashlib
 import itertools
@@ -302,7 +303,7 @@ def test_convolution_deep_words_match_brute_force(monkeypatch):
         assert routes == packed
         for lvl, m in enumerate(got.measures, start=1):
             assert_measures_equal(m, brute_force_convolution(step, lvl))
-        assert list(iter_convolution_levels(step, n))[-1]._keys.dtype == key_dtype
+        assert list(iter_convolution_levels(step, n))[-1].keys.dtype == key_dtype
 
 
 def test_times_words_leaves_no_reference_cycle():
@@ -330,6 +331,12 @@ def test_level_values_at_pair_coordinate_codes():
         marginal = dict(mu_lv.iter_items())
         atoms = [a for a, _ in pi_lv.iter_items()]
         assert pi_lv.values.tolist() == [v for _, v in pi_lv.iter_items()]
+        # a factored level's codes are those of its keys
+        keyed = dataclasses.replace(pi_lv, _support=pi_lv.keys)
+        assert pi_lv.factors is not None and keyed.factors is None
+        assert [c.tolist() for c in pi_lv.coordinate_codes()] == [
+            c.tolist() for c in keyed.coordinate_codes()
+        ]
         for c, codes in enumerate(pi_lv.coordinate_codes()):
             assert mu_lv.values_at(codes).tolist() == [marginal[a[c]] for a in atoms]
         # the identity (no atom at odd levels of the group, nor on the
@@ -408,7 +415,7 @@ def test_truncated_float_levels_golden():
     # change bits; pinned before the level sort packed keys with positions
     h = hashlib.sha256()
     for lv in iter_convolution_levels(build_pi_rho(srw(2), 0.3), 6, cap=5000):
-        h.update(lv._keys.astype("<i8").tobytes())
+        h.update(lv.keys.astype("<i8").tobytes())
         h.update(lv.values.astype("<f8").tobytes())
         h.update(repr((lv.lost_mass, lv.entropy_kept())).encode())
     assert lv.size == 5000 and lv.truncated
@@ -487,7 +494,7 @@ def level_record(step, n, cap=DEFAULT_CAP):
     record = []
     for lv in iter_convolution_levels(step, n, cap=cap):
         vals = lv.values.tolist() if lv.values.dtype == object else lv.values.tobytes()
-        record.append((lv._keys.tolist(), vals, lv.lost_mass, lv.entropy_kept()))
+        record.append((lv.keys.tolist(), vals, lv.lost_mass, lv.entropy_kept()))
     return record
 
 
@@ -545,6 +552,22 @@ def test_pair_levels_stay_within_memory_bound():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2**20
+
+
+def test_untruncated_pair_levels_keep_no_keys():
+    # levels 2-6 are supp(mu^l) x supp(mu^l) and are held as factors; a key
+    # beside each value peaked at 25.9 MiB here, 9.1 MiB of it level 6's keys
+    tracemalloc.start()
+    try:
+        for lv in iter_convolution_levels(
+            build_pi_rho(uniform_measure(2), 0.5), 6, cap=2_000_000
+        ):
+            lv.entropy_kept()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert lv.size == 1_194_649 and lv.factors is not None
+    assert peak < 20 * 2**20
 
 
 @pytest.fixture(scope="module")
@@ -636,8 +659,17 @@ def test_row_patterns_match_unique_rows(reach):
 
 
 def chunked_only(mp):
-    """Make every level take the chunked step."""
+    """Make every level take the chunked step.
+
+    Level 1 holds keys, and only ``_product_step`` makes factors, so no
+    level is factored either.
+    """
     mp.setattr(measures, "_product_shape", lambda keys, stride: None)
+
+
+def factored_levels(step, n, cap=DEFAULT_CAP):
+    """Whether each level is held as factors."""
+    return [lv.factors is not None for lv in iter_convolution_levels(step, n, cap=cap)]
 
 
 def count_product_steps(mp):
@@ -671,13 +703,16 @@ def test_product_route_matches_chunked_route(mu, rho, drop, n, cap):
             mp.setattr(measures, "_CHUNK", chunk)
             chunked_only(mp)
             want = level_record(step, n, cap)
+            assert not any(factored_levels(step, n, cap))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(measures, "_CHUNK", chunk)
             products = count_product_steps(mp)
             assert level_record(step, n, cap) == want
-        # at 0 < rho every untruncated level of pi is supp(mu^l) x supp(mu^l)
+        # at 0 < rho every untruncated level of pi is supp(mu^l) x supp(mu^l),
+        # held as factors from level 2 on
         if rho and cap == DEFAULT_CAP and step.support_size == mu.support_size**2:
             assert len(products) == n - 1
+            assert factored_levels(step, n) == [False] + [True] * (n - 1)
 
 
 def test_product_route_with_unequal_tail_sets():
@@ -695,6 +730,8 @@ def test_product_route_with_unequal_tail_sets():
             products = count_product_steps(mp)
             assert level_record(step, 4, cap) == want
         assert len(products) == steps
+        # the product steps' heads reach unequal tail sets, so they write keys
+        assert not any(factored_levels(step, 4, cap))
     for lvl, lv in enumerate(iter_convolution_levels(step, 3), start=1):
         assert_measures_equal(lv.to_measure(), brute_force_convolution(step, lvl))
 
@@ -705,8 +742,10 @@ def test_product_levels_sort_no_products(monkeypatch):
 
     monkeypatch.setattr(measures, "_sort_in_place", refuse)
     levels = list(iter_convolution_levels(build_pi_rho(uniform_measure(2), 0.5), 6))
-    # the squares of the single supports, level 6 cut to the default cap
+    # the squares of the single supports, level 6 cut to the default cap;
+    # the cap keeps keys
     assert [lv.size for lv in levels] == [k * k for k in (4, 13, 40, 121, 364)] + [DEFAULT_CAP]
+    assert [lv.factors is not None for lv in levels] == [False] + [True] * 4 + [False]
 
 
 def test_numerators_are_int64_until_a_level_needs_more():
