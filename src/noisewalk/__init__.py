@@ -16,7 +16,6 @@ from .boundary import (
     BoundarySampleSet,
     CylinderTree,
     DimensionGapReport,
-    ball_measure,
     build_tree,
     dimension_singularity_check,
     local_dimension,
@@ -55,17 +54,12 @@ from .measures import (
     certified_entropy_compare,
     convolve_power,
     entropy_mass_spec,
-    first_moment,
     iter_convolution_levels,
-    load_measure,
     marginals,
     measure_from_json_dict,
-    measure_to_json_dict,
     product_measure,
     sample_path,
-    save_measure,
     shannon_entropy,
-    tv_distance,
     uniform_letter_count,
     uniform_measure,
 )
@@ -80,13 +74,9 @@ from .oracle import (
 from .words import (
     common_prefix_length,
     distance,
-    gromov_product,
     inverse,
     multiply,
-    pair_distance,
-    pair_gromov_product,
     pair_length,
-    pair_multiply,
     reduce_word,
     word_length,
 )
@@ -112,7 +102,6 @@ __all__ = [
     "TruncationError",
     "UnsupportedRegimeError",
     "ValidationError",
-    "ball_measure",
     "build_measure",
     "build_pi_rho",
     "build_tree",
@@ -127,33 +116,24 @@ __all__ = [
     "entropy_exact_curve",
     "entropy_mass_spec",
     "entropy_rate_estimate",
-    "first_moment",
-    "gromov_product",
     "h_free_group_srw",
     "h_semigroup",
     "h_semigroup_derivative",
     "inverse",
     "iter_convolution_levels",
-    "load_measure",
     "local_dimension",
     "marginals",
     "measure_from_json_dict",
-    "measure_to_json_dict",
     "multiply",
-    "pair_distance",
-    "pair_gromov_product",
     "pair_length",
-    "pair_multiply",
     "product_measure",
     "reduce_word",
     "rho_star_estimate",
     "rho_sweep",
     "sample_boundary",
     "sample_path",
-    "save_measure",
     "shannon_entropy",
     "shannon_pointwise",
-    "tv_distance",
     "tv_exact",
     "tv_exact_curve",
     "tv_lower_bound_mc",

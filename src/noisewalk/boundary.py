@@ -241,57 +241,6 @@ class CylinderTree:
             return code + 1
         return -(code - self.rank + 1)
 
-    def prefix_of_node(self, t: int, node_id: int) -> tuple[Word, Word]:
-        """Reconstruct the pair of prefixes of a node by chasing parents."""
-        self._check_depth(t)
-        w1: list[int] = []
-        w2: list[int] = []
-        nid = node_id
-        for level in range(t, 0, -1):
-            key = int(self.level(level).keys[nid])
-            code = key % self.base
-            w1.append(self._decode_letter(code // self.letter_base))
-            w2.append(self._decode_letter(code % self.letter_base))
-            nid = key // self.base
-        return tuple(reversed(w1)), tuple(reversed(w2))
-
-    def count_of_prefix(self, prefix1: Word, prefix2: Word) -> int:
-        """Visit count of the cylinder with the given equal-length prefixes."""
-        if len(prefix1) != len(prefix2):
-            raise InputError("pair cylinders need equal-length prefixes")
-        t = len(prefix1)
-        self._check_depth(t)
-        nid = 0
-        for level in range(1, t + 1):
-            x1, x2 = prefix1[level - 1], prefix2[level - 1]
-            c1 = x1 - 1 if x1 > 0 else self.rank - 1 - x1
-            c2 = x2 - 1 if x2 > 0 else self.rank - 1 - x2
-            key = nid * self.base + c1 * self.letter_base + c2
-            keys = self.level(level).keys
-            pos = int(np.searchsorted(keys, key))
-            if pos >= len(keys) or keys[pos] != key:
-                return 0
-            nid = pos
-        return int(self.level(t).sizes[nid])
-
-    def validate(self) -> None:
-        """Check structural invariants; raises ValidationError on failure."""
-        for t in range(1, self.depth + 1):
-            lv = self.level(t)
-            if (lv.sizes < 1).any():
-                raise ValidationError(f"empty node at depth {t}")
-            counted = np.bincount(
-                lv.ids[lv.ids >= 0], minlength=len(lv.keys)
-            ).astype(np.int64)
-            if not (counted == lv.sizes).all():
-                raise ValidationError(f"id/size mismatch at depth {t}")
-            if t >= 2:
-                parents = lv.keys // self.base
-                up = self.level(t - 1)
-                child_sum = np.bincount(parents, weights=lv.sizes, minlength=len(up.keys))
-                if (child_sum > up.sizes + 1e-9).any():
-                    raise ValidationError(f"children outweigh parent at depth {t}")
-
     def export_records(self, max_depth: int | None = None) -> Iterator[str]:
         """Yield one line per node: 'prefix1 prefix2 count'.
 
@@ -317,49 +266,6 @@ class CylinderTree:
 def build_tree(samples: BoundarySampleSet, depth: int) -> CylinderTree:
     """Build the cylinder tree of a boundary sample set down to ``depth``."""
     return CylinderTree(samples, depth)
-
-
-def ball_measure(
-    tree: CylinderTree,
-    center: int | BoundarySample,
-    t: int,
-    exclude_center: bool = True,
-) -> float:
-    """Empirical mass of the depth-t cylinder ball around a center.
-
-    In the max quasi-metric, the ball of radius e^(-t) around a boundary
-    pair is the cylinder of its length-t prefixes.  An integer center
-    indexes a sample of the tree's own set; by default that sample is
-    excluded from both the count and the denominator (leave-one-out), so
-    the returned frequency estimates the mass the remaining samples
-    assign to the ball.  External samples are located by prefix descent.
-    """
-    tree._check_depth(t)
-    if isinstance(center, (int, np.integer)) and not isinstance(center, bool):
-        c = int(center)
-        if not 0 <= c < tree.sample_count:
-            raise InputError(f"center index {c} out of range")
-        if tree.t_stable[c] < t:
-            raise ValidationError(
-                f"center {c} is only stable to depth {int(tree.t_stable[c])} < {t}"
-            )
-        lv = tree.level(t)
-        count = int(lv.sizes[lv.ids[c]])
-        if exclude_center:
-            denom = tree.sample_count - 1
-            count -= 1
-        else:
-            denom = tree.sample_count
-    elif isinstance(center, BoundarySample):
-        if min(len(center.prefix1), len(center.prefix2)) < t:
-            raise ValidationError("center prefixes shorter than the query depth")
-        count = tree.count_of_prefix(center.prefix1[:t], center.prefix2[:t])
-        denom = tree.sample_count
-    else:
-        raise InputError(f"center must be an index or a BoundarySample, got {center!r}")
-    if denom < 1:
-        raise ValidationError("no samples left to measure the ball")
-    return count / denom
 
 
 def local_dimension(

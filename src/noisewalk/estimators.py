@@ -224,12 +224,11 @@ def entropy_exact_curve(
 
 
 def entropy_rate_estimate(curve: EntropyCurve) -> tuple[float, float]:
-    """(certified upper bound, point estimate) of the entropy rate.
+    """(min H_n / n, H_n - H_(n-1)): two upper bounds on the entropy rate.
 
-    The upper bound is min H_n / n, true by subadditivity; the point
-    estimate is the increment H_n - H_(n-1) at the deepest untruncated
-    level, which converges much faster.  That increment is itself an
-    upper bound on the rate, and a tighter one: H_n - H_(n-1) =
+    The first is true by subadditivity; the second, the point estimate,
+    is the increment at the deepest untruncated level, which converges
+    much faster.  It is the tighter upper bound: H_n - H_(n-1) =
     H(X_1) - H(X_1 | X_n) is nonincreasing in n, because X_1 -> X_n ->
     X_(n+1) is a Markov chain, and it tends to the rate.  Needs at
     least two untruncated levels.

@@ -62,7 +62,6 @@ so it copies no whole level; the block does not follow ``_CHUNK``.
 
 from __future__ import annotations
 
-import json
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -600,16 +599,17 @@ class ConvolutionLevel:
     def entropy_upper_bound(self) -> float:
         """Certified upper bound on the full level entropy.
 
-        The dropped mass eps, spread over at most (2k)^(level * Lmax)
-        atoms per coordinate, contributes at most
-        eps * log(atom bound) - eps * log(eps).
+        A coordinate word has at most level * Lmax letters, so its
+        shortlex code lies below B^(level * Lmax), B = letters + 1; the
+        dropped mass eps, spread over at most that many atoms per
+        coordinate, contributes at most eps * log(atom bound) - eps * log(eps).
         """
         lower = self.entropy_kept()
         eps = float(self.lost_mass)
         if eps <= 0:
             return lower
         coords = 2 if self.kind == "pair" else 1
-        log_atoms = coords * self.level * self.step_max_len * math.log(2 * self.rank)
+        log_atoms = coords * self.level * self.step_max_len * math.log(self._code.base)
         return lower + eps * log_atoms - eps * math.log(eps)
 
     def to_measure(self) -> FiniteMeasure:
@@ -1055,39 +1055,12 @@ def convolve_power(
 
 
 # ---------------------------------------------------------------------------
-# entropy and moments
+# entropy
 
 
 def shannon_entropy(m: FiniteMeasure) -> float:
     """Shannon entropy -sum w log w in nats."""
     return math.fsum(-float(w) * math.log(float(w)) for _, w in m.atoms)
-
-
-def first_moment(m: FiniteMeasure) -> Weight:
-    """Expected length of one step: word length, or max length for pairs.
-
-    Exact measures give an exact Fraction.
-    """
-    if m.kind == "pair":
-        terms = [(pair_length(a), w) for a, w in m.atoms]
-    else:
-        terms = [(len(a), w) for a, w in m.atoms]
-    if m.exact:
-        return sum((w * l for l, w in terms), Fraction(0))
-    return math.fsum(w * l for l, w in terms)
-
-
-def tv_distance(a: FiniteMeasure, b: FiniteMeasure) -> Weight:
-    """Total variation distance between two measures of the same kind."""
-    if a.kind != b.kind:
-        raise ValidationError("total variation needs measures of one kind")
-    keys = set(a._lookup()) | set(b._lookup())
-    zero: Weight = Fraction(0) if (a.exact and b.exact) else 0.0
-    la, lb = a._lookup(), b._lookup()
-    if isinstance(zero, Fraction):
-        s = sum((abs(Fraction(la.get(k, 0)) - Fraction(lb.get(k, 0))) for k in keys), Fraction(0))
-        return s / 2
-    return math.fsum(abs(float(la.get(k, 0.0)) - float(lb.get(k, 0.0))) for k in keys) / 2
 
 
 # ---------------------------------------------------------------------------
@@ -1158,13 +1131,7 @@ def certified_entropy_compare(
 
 
 # ---------------------------------------------------------------------------
-# JSON serialization
-
-
-def _weight_to_json(w: Weight) -> str:
-    if isinstance(w, Fraction):
-        return str(w)
-    return repr(w)
+# JSON parsing
 
 
 def _weight_from_json(v) -> Weight:
@@ -1184,17 +1151,6 @@ def _weight_from_json(v) -> Weight:
         except (ValueError, ZeroDivisionError) as e:
             raise InputError(f"cannot parse weight {v!r}") from e
     raise InputError(f"cannot parse weight {v!r}")
-
-
-def measure_to_json_dict(m: FiniteMeasure) -> dict:
-    atoms = []
-    for a, w in m.atoms:
-        if m.kind == "pair":
-            word = [list(a[0]), list(a[1])]
-        else:
-            word = list(a)
-        atoms.append({"word": word, "weight": _weight_to_json(w)})
-    return {"rank": m.rank, "kind": m.kind, "atoms": atoms}
 
 
 def measure_from_json_dict(d: dict) -> FiniteMeasure:
@@ -1217,18 +1173,3 @@ def measure_from_json_dict(d: dict) -> FiniteMeasure:
             raise InputError(f"malformed atom record {rec!r}")
         support.append((rec["word"], _weight_from_json(rec["weight"])))
     return build_measure(support, rank=d["rank"], kind=kind)
-
-
-def save_measure(m: FiniteMeasure, path) -> None:
-    with open(path, "w") as f:
-        json.dump(measure_to_json_dict(m), f, indent=2, sort_keys=True)
-        f.write("\n")
-
-
-def load_measure(path) -> FiniteMeasure:
-    with open(path) as f:
-        try:
-            d = json.load(f)
-        except json.JSONDecodeError as e:
-            raise InputError(f"invalid measure JSON: {e}") from e
-    return measure_from_json_dict(d)

@@ -14,7 +14,7 @@ import math
 from fractions import Fraction
 
 from .errors import BudgetError, InputError, ValidationError
-from .measures import FiniteMeasure, build_measure
+from .measures import FiniteMeasure, Weight, build_measure
 from .words import multiply
 
 _BRUTE_FORCE_BUDGET = 10_000_000
@@ -176,3 +176,19 @@ def brute_force_convolution(step: FiniteMeasure, n: int) -> FiniteMeasure:
             key = word
         acc[key] = acc.get(key, 0) + weight
     return build_measure(acc.items(), rank=step.rank, kind=step.kind)
+
+
+def tv_distance(a: FiniteMeasure, b: FiniteMeasure) -> Weight:
+    """Total variation distance between two measures of the same kind.
+
+    A dictionary walk over both supports: the reference that the exact
+    TV readout and the semigroup closed form are checked against.
+    """
+    if a.kind != b.kind:
+        raise ValidationError("total variation needs measures of one kind")
+    la, lb = a._lookup(), b._lookup()
+    keys = set(la) | set(lb)
+    if a.exact and b.exact:
+        s = sum((abs(Fraction(la.get(k, 0)) - Fraction(lb.get(k, 0))) for k in keys), Fraction(0))
+        return s / 2
+    return math.fsum(abs(float(la.get(k, 0.0)) - float(lb.get(k, 0.0))) for k in keys) / 2

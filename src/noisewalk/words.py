@@ -109,7 +109,7 @@ def distance(x: Word, y: Word) -> int:
 
 
 def common_prefix_length(x: Word, y: Word) -> int:
-    """Length of the longest common prefix of two reduced words."""
+    """Length of the longest common prefix: the Gromov product (x|y) on the tree."""
     n = min(len(x), len(y))
     i = 0
     while i < n and x[i] == y[i]:
@@ -117,48 +117,6 @@ def common_prefix_length(x: Word, y: Word) -> int:
     return i
 
 
-def gromov_product(x: Word, y: Word) -> int:
-    """Gromov product (x|y) based at the identity.
-
-    On the Cayley tree of a free group this equals the length of the
-    longest common prefix of the reduced words, which is how it is
-    computed here; the metric identity (|x| + |y| - d(x, y)) / 2 is the
-    defining formula and is used as an independent check in the tests.
-
-    >>> gromov_product((1, 2, 3), (1, 2, -3))
-    2
-    >>> gromov_product((1,), (-1,))
-    0
-    """
-    return common_prefix_length(x, y)
-
-
-def pair_multiply(u: WordPair, v: WordPair) -> WordPair:
-    """Coordinatewise product on the direct product of two free groups."""
-    return (multiply(u[0], v[0]), multiply(u[1], v[1]))
-
-
-def pair_inverse(u: WordPair) -> WordPair:
-    return (inverse(u[0]), inverse(u[1]))
-
-
 def pair_length(u: WordPair) -> int:
     """Max-metric length: d_x((e,e), u) = max(|u1|, |u2|)."""
     return max(len(u[0]), len(u[1]))
-
-
-def pair_distance(u: WordPair, v: WordPair) -> int:
-    """Max metric on the product: max of the coordinate word distances."""
-    return max(distance(u[0], v[0]), distance(u[1], v[1]))
-
-
-def pair_gromov_product(u: WordPair, v: WordPair) -> int:
-    """Gromov product on the product space: min over coordinates.
-
-    This matches the max-metric convention: two pairs are close on the
-    product boundary exactly when both coordinates share long prefixes.
-
-    >>> pair_gromov_product(((1, 2), (1, 1)), ((1, 2, 3), (1, -2)))
-    1
-    """
-    return min(gromov_product(u[0], v[0]), gromov_product(u[1], v[1]))

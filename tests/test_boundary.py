@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -14,7 +15,6 @@ from noisewalk import rng as rngmod
 from noisewalk.boundary import (
     BoundarySampleSet,
     CylinderTree,
-    ball_measure,
     build_tree,
     dimension_singularity_check,
     local_dimension,
@@ -89,22 +89,48 @@ def test_sample_boundary_validation():
 # cylinder tree
 
 
+def check_tree(tree):
+    """The tree's invariants: no empty node, the per-sample ids count the
+    node sizes, and children never outweigh their parent."""
+    for t in range(1, tree.depth + 1):
+        lv = tree.level(t)
+        assert (lv.sizes >= 1).all()
+        counted = np.bincount(lv.ids[lv.ids >= 0], minlength=len(lv.keys))
+        assert np.array_equal(counted, lv.sizes)
+        if t >= 2:
+            up = tree.level(t - 1)
+            child_sum = np.bincount(lv.keys // tree.base, weights=lv.sizes,
+                                    minlength=len(up.keys))
+            assert (child_sum <= up.sizes).all()
+
+
+def cylinder_counts(tree, t):
+    """{(prefix1, prefix2): count} of the depth-t nodes, read off ``export_records``."""
+    counts = {}
+    for line in tree.export_records(t):
+        p1, p2, count = line.split()
+        w1 = tuple(int(x) for x in p1.split(","))
+        if len(w1) == t:
+            counts[w1, tuple(int(x) for x in p2.split(","))] = int(count)
+    return counts
+
+
 def test_tree_counts_on_hand_built_fixture():
     s = hand_built_samples()
     tree = build_tree(s, 2)
-    tree.validate()
+    check_tree(tree)
     assert tree.sample_count == 5
     assert tree.usable_count(1) == 5
     # depth 1: pairs (1,1) x3, (2,2) x2
     assert tree.node_count(1) == 2
-    assert tree.count_of_prefix((1,), (1,)) == 3
-    assert tree.count_of_prefix((2,), (2,)) == 2
-    assert tree.count_of_prefix((1,), (2,)) == 0
+    assert cylinder_counts(tree, 1) == {((1,), (1,)): 3, ((2,), (2,)): 2}
     # depth 2
-    assert tree.count_of_prefix((1, 1), (1, 1)) == 2
-    assert tree.count_of_prefix((1, 2), (1, 1)) == 1
-    assert tree.count_of_prefix((2, 1), (2, 2)) == 1
-    assert tree.count_of_prefix((2, 1), (2, 1)) == 1
+    assert cylinder_counts(tree, 2) == {
+        ((1, 1), (1, 1)): 2,
+        ((1, 2), (1, 1)): 1,
+        ((2, 1), (2, 2)): 1,
+        ((2, 1), (2, 1)): 1,
+    }
 
 
 def test_tree_export_golden():
@@ -124,11 +150,12 @@ def test_tree_export_golden():
 def test_tree_prefix_roundtrip():
     s = sample_boundary(semi(2), 0.7, horizon=12, trials=200, seed=9)
     tree = build_tree(s, 6)
-    tree.validate()
+    check_tree(tree)
     for t in (1, 3, 6):
-        for nid in range(tree.node_count(t)):
-            p1, p2 = tree.prefix_of_node(t, nid)
-            assert tree.count_of_prefix(p1, p2) >= 1
+        # one exported line per node, holding the samples with its prefixes
+        counts = cylinder_counts(tree, t)
+        assert len(counts) == tree.node_count(t)
+        assert counts == Counter((x.prefix1[:t], x.prefix2[:t]) for x in s)
         assert tree.usable_count(t) == 200
 
 
@@ -140,11 +167,17 @@ def test_tree_depth_validation():
     with pytest.raises(InputError):
         tree.node_count(6)
     with pytest.raises(InputError):
-        tree.count_of_prefix((1, 1), (1,))
+        list(tree.export_records(6))
 
 
 # ---------------------------------------------------------------------------
 # ball measure
+
+
+def ball_count(tree, center, t):
+    """Leave-one-out count of the depth-t ball, as ``local_dimension`` reads it."""
+    lv = tree.level(t)
+    return int(lv.sizes[lv.ids[center]]) - 1
 
 
 def test_ball_measure_leave_one_out_matches_brute_force():
@@ -159,29 +192,14 @@ def test_ball_measure_leave_one_out_matches_brute_force():
                 for j, (q1, q2) in enumerate(prefixes)
                 if j != center and q1[:t] == p1[:t] and q2[:t] == p2[:t]
             )
-            got = ball_measure(tree, center, t)
-            assert got == brute / (len(s) - 1)
-
-
-def test_ball_measure_external_sample():
-    s = sample_boundary(semi(2), 0.8, horizon=8, trials=100, seed=31)
-    tree = build_tree(s, 4)
-    probe = s[3]
-    v = ball_measure(tree, probe, 2)
-    brute = sum(
-        1
-        for sample in s
-        if sample.prefix1[:2] == probe.prefix1[:2]
-        and sample.prefix2[:2] == probe.prefix2[:2]
-    )
-    assert v == brute / len(s)
+            assert ball_count(tree, center, t) == brute
 
 
 def test_ball_measure_nonincreasing_in_depth():
     s = sample_boundary(semi(2), 0.6, horizon=10, trials=400, seed=13)
     tree = build_tree(s, 8)
     for center in (0, 100, 399):
-        vals = [ball_measure(tree, center, t) for t in range(1, 9)]
+        vals = [ball_count(tree, center, t) for t in range(1, 9)]
         assert all(b <= a for a, b in zip(vals, vals[1:]))
 
 
@@ -190,10 +208,7 @@ def test_cylinder_masses_partition_unity():
     tree = build_tree(s, 6)
     for t in (1, 3, 6):
         usable = tree.usable_count(t)
-        total = sum(
-            tree.count_of_prefix(*tree.prefix_of_node(t, nid))
-            for nid in range(tree.node_count(t))
-        )
+        total = sum(cylinder_counts(tree, t).values())
         assert total == usable <= len(s)
 
 
@@ -210,11 +225,12 @@ def test_semigroup_cylinder_masses_match_exact_law():
     p, q = coupling_weights(2, rho)
     covered = 0
     nodes = tree.node_count(t)
-    for nid in range(nodes):
-        p1, p2 = tree.prefix_of_node(t, nid)
+    counts = cylinder_counts(tree, t)
+    assert len(counts) == nodes
+    for (p1, p2), count in counts.items():
         k = sum(1 for a, b in zip(p1, p2) if a == b)
         exact = p**k * q ** (t - k)
-        lo, hi = _wilson(tree.count_of_prefix(p1, p2), trials)
+        lo, hi = _wilson(count, trials)
         covered += lo <= exact <= hi
     assert covered >= 0.9 * nodes
 
@@ -234,15 +250,6 @@ def test_shannon_consistency_on_semigroup():
     mean = sum(vals) / len(vals)
     h = h_semigroup(2, rho)
     assert abs(mean - h) / h < 0.02
-
-
-def test_ball_measure_validation():
-    s = sample_boundary(semi(2), 0.5, horizon=6, trials=30, seed=2)
-    tree = build_tree(s, 3)
-    with pytest.raises(InputError):
-        ball_measure(tree, 30, 2)  # index out of range
-    with pytest.raises(InputError):
-        ball_measure(tree, 0, 4)  # deeper than the tree
 
 
 # ---------------------------------------------------------------------------
@@ -294,11 +301,20 @@ def test_dimension_singularity_conclusive_and_not():
 
 
 def _export_reference(tree, max_depth):
-    """One line per node, prefixes rebuilt by ``prefix_of_node``."""
+    """One line per node, its prefixes rebuilt by chasing parents up the levels."""
+
+    def letter(code):
+        return code + 1 if code < tree.rank else -(code - tree.rank + 1)
+
     lines = []
     for t in range(1, max_depth + 1):
         for nid in range(tree.node_count(t)):
-            p1, p2 = tree.prefix_of_node(t, nid)
+            w1, w2, node = [], [], nid
+            for depth in range(t, 0, -1):
+                node, code = divmod(int(tree.level(depth).keys[node]), tree.base)
+                w1.append(letter(code // tree.letter_base))
+                w2.append(letter(code % tree.letter_base))
+            p1, p2 = w1[::-1], w2[::-1]
             lines.append("{} {} {}".format(
                 ",".join(str(x) for x in p1),
                 ",".join(str(x) for x in p2),
@@ -541,7 +557,7 @@ def test_zero_letter_at_deepest_stable_depth_fails_at_build_tree():
         return BoundarySampleSet(a, b, lens, lens, horizon=3, keep_depth=3,
                                  rank=2, seed=0)
 
-    build_tree(samples(l1, l2), 3).validate()  # zeros past a stable prefix pad
+    check_tree(build_tree(samples(l1, l2), 3))  # zeros past a stable prefix pad
     # (row, column, tree depth): a row's deepest stable letter, or the
     # deepest letter the tree reads
     for row, col, depth in ((0, 2, 3), (1, 1, 3), (2, 1, 2)):

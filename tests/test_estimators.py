@@ -32,10 +32,9 @@ from noisewalk.measures import (
     build_pi_rho,
     iter_convolution_levels,
     product_measure,
-    tv_distance,
     uniform_measure,
 )
-from noisewalk.oracle import brute_force_convolution, h_semigroup, tv_semigroup
+from noisewalk.oracle import brute_force_convolution, h_semigroup, tv_distance, tv_semigroup
 
 F = Fraction
 

@@ -1,4 +1,4 @@
-"""Measure construction, sampling, exact convolution, serialization."""
+"""Measure construction, sampling, exact convolution, JSON parsing."""
 
 import dataclasses
 import gc
@@ -28,24 +28,19 @@ from noisewalk.measures import (
     certified_entropy_compare,
     convolve_power,
     entropy_mass_spec,
-    first_moment,
     iter_convolution_levels,
-    load_measure,
     marginals,
     measure_from_json_dict,
-    measure_to_json_dict,
     product_measure,
     sample_path,
-    save_measure,
     shannon_entropy,
-    tv_distance,
     uniform_letter_count,
     uniform_measure,
 )
 from noisewalk import measures
 from noisewalk.measures import _WordCode, _position_bits
-from noisewalk.oracle import brute_force_convolution
-from noisewalk.words import multiply
+from noisewalk.oracle import brute_force_convolution, tv_distance
+from noisewalk.words import multiply, reduce_word
 
 F = Fraction
 H = Fraction(1, 2)
@@ -433,6 +428,46 @@ def test_tiny_truncation_reported_but_not_flagged():
         entropy_mass_spec(lv)
 
 
+def test_truncated_upper_bound_counts_every_reduced_word():
+    # F_2 has 5 reduced words of at most one letter, not 2k = 4: the lazy
+    # uniform step at rho = 1, cut to 2 of its 25 pair atoms, still has
+    # the entropy log 25 of all of them
+    mu = build_measure([(w, F(1, 5)) for w in [(), (1,), (-1,), (2,), (-2,)]])
+    (lv,) = iter_convolution_levels(build_pi_rho(mu, 1), 1, cap=2)
+    assert lv.size == 2 and lv.lost_mass == F(23, 25)
+    assert lv.entropy_kept() < math.log(25) <= lv.entropy_upper_bound()
+
+
+@st.composite
+def sandwich_steps(draw):
+    """Single or pair steps: rank 1-2, group or semigroup, 2-5 atoms of
+    at most 2 letters with the identity allowed, rho = j/4."""
+    rank = draw(st.integers(1, 2))
+    letters = list(range(1, rank + 1))
+    if not draw(st.booleans()):
+        letters += [-x for x in letters]
+    words = sorted({reduce_word(w) for w in itertools.chain(
+        [()], ((x,) for x in letters), itertools.product(letters, repeat=2)
+    )})
+    atoms = draw(st.lists(st.sampled_from(words), min_size=2, max_size=5, unique=True))
+    weights = [draw(st.integers(1, 4)) for _ in atoms]
+    mu = build_measure(
+        [(a, F(w, sum(weights))) for a, w in zip(atoms, weights)], rank=rank
+    )
+    if draw(st.booleans()):
+        return build_pi_rho(mu, F(draw(st.integers(0, 4)), 4))
+    return mu
+
+
+@settings(max_examples=300, deadline=None)
+@given(step=sandwich_steps(), cap=st.integers(1, 12))
+def test_truncated_entropy_sandwiches_the_true_entropy(step, cap):
+    true = [lv.entropy_kept() for lv in iter_convolution_levels(step, 3)]
+    for lv, h in zip(iter_convolution_levels(step, 3, cap=cap), true):
+        assert lv.entropy_kept() <= h + 1e-12
+        assert h <= lv.entropy_upper_bound() + 1e-12
+
+
 def shortlex_key(word, rank):
     """Shortlex rank order on words, letters ordered 1..k, -1..-k."""
     return (len(word), [x - 1 if x > 0 else rank - x - 1 for x in word])
@@ -795,17 +830,9 @@ def test_shannon_entropy_uniform():
     assert abs(shannon_entropy(srw(2)) - math.log(4)) < 1e-15
 
 
-def test_first_moment_exact():
-    mu = build_measure([((1,), H), ((1, 2), H)])
-    assert first_moment(mu) == F(3, 2)
-    pi = build_pi_rho(semi(2), H)
-    assert first_moment(pi) == 1  # pair length is the max, both coords length 1
-
-
 def test_point_mass_at_identity():
     pm = build_measure([((), F(1))], rank=2)
     assert shannon_entropy(pm) == 0.0
-    assert first_moment(pm) == 0
 
 
 def test_two_step_return_probabilities_group():
@@ -867,27 +894,37 @@ def test_entropy_mass_spec_of_level_matches_measure():
 
 
 # ---------------------------------------------------------------------------
-# serialization
+# JSON parsing
 
 
 def test_json_roundtrip_exact_and_float():
-    for mu in (srw(2), build_pi_rho(semi(2), F(1, 3)),
-               build_measure([((1,), 0.5), ((-1,), 0.5)])):
-        d = measure_to_json_dict(mu)
+    cases = [
+        ({"rank": 2, "kind": "single",
+          "atoms": [{"word": [1], "weight": "1/4"}, {"word": [-1], "weight": "1/4"},
+                    {"word": [2], "weight": "1/4"}, {"word": [-2], "weight": "1/4"}]},
+         srw(2)),
+        ({"rank": 2, "kind": "pair",
+          "atoms": [{"word": [[1], [1]], "weight": "5/12"}, {"word": [[1], [2]], "weight": "1/12"},
+                    {"word": [[2], [1]], "weight": "1/12"}, {"word": [[2], [2]], "weight": "5/12"}]},
+         build_pi_rho(semi(2), F(1, 3))),
+        ({"rank": 1, "kind": "single",
+          "atoms": [{"word": [1], "weight": "0.5"}, {"word": [-1], "weight": 0.5}]},
+         build_measure([((1,), 0.5), ((-1,), 0.5)])),
+        ({"rank": 2, "kind": "single",
+          "atoms": [{"word": [1, -1], "weight": 1}]},
+         build_measure([((), F(1))], rank=2)),
+    ]
+    for d, mu in cases:
         back = measure_from_json_dict(json.loads(json.dumps(d)))
         assert back.atoms == mu.atoms
         assert back.rank == mu.rank and back.kind == mu.kind
-
-
-def test_save_and_load(tmp_path):
-    mu = build_pi_rho(semi(2), F(1, 2))
-    path = tmp_path / "m.json"
-    save_measure(mu, path)
-    assert load_measure(path).atoms == mu.atoms
+        assert back.exact == mu.exact
 
 
 def test_json_error_cases():
-    good = measure_to_json_dict(semi(2))
+    good = {"rank": 2, "kind": "single",
+            "atoms": [{"word": [1], "weight": "1/2"}, {"word": [2], "weight": "1/2"}]}
+    assert measure_from_json_dict(good).atoms == semi(2).atoms
     bad = dict(good)
     bad["extra"] = 1
     with pytest.raises(InputError):

@@ -11,7 +11,6 @@ from noisewalk.measures import (
     iter_convolution_levels,
     product_measure,
     shannon_entropy,
-    tv_distance,
     uniform_measure,
 )
 from noisewalk.oracle import (
@@ -21,6 +20,7 @@ from noisewalk.oracle import (
     h_free_group_srw,
     h_semigroup,
     h_semigroup_derivative,
+    tv_distance,
     tv_semigroup,
 )
 

@@ -1,6 +1,5 @@
 """Reduced-word arithmetic against brute-force oracles."""
 
-import itertools
 import random
 
 import pytest
@@ -9,15 +8,10 @@ from noisewalk.errors import InputError
 from noisewalk.words import (
     common_prefix_length,
     distance,
-    gromov_product,
     inverse,
     is_reduced,
     multiply,
-    pair_distance,
-    pair_gromov_product,
-    pair_inverse,
     pair_length,
-    pair_multiply,
     reduce_word,
     word_length,
 )
@@ -113,14 +107,15 @@ def test_length_and_distance():
 
 
 def test_gromov_product_equals_common_prefix_exhaustive():
-    # every reduced word of length <= 5 in F_2: 1 + 4 * (3^5 - 1) / 2 = 485
+    # the Gromov product (x|y) = (|x| + |y| - d(x, y)) / 2 on the Cayley
+    # tree is the common prefix length; every reduced word of length <= 5
+    # in F_2: 1 + 4 * (3^5 - 1) / 2 = 485
     words = all_reduced_words(2, 5)
     assert len(words) == 485
     for x in words:
         gx = word_length(x)
         for y in words:
-            g = gromov_product(x, y)
-            assert g == common_prefix_length(x, y)
+            g = common_prefix_length(x, y)
             assert 2 * g == gx + word_length(y) - distance(x, y)
             assert 0 <= g <= min(gx, word_length(y))
 
@@ -144,25 +139,4 @@ def test_semigroup_words_never_cancel():
 
 def test_pair_operations_are_coordinatewise():
     u = ((1, 2), (1,))
-    v = ((-2,), (2, 2))
-    assert pair_multiply(u, v) == (multiply(u[0], v[0]), multiply(u[1], v[1]))
-    assert pair_inverse(u) == (inverse(u[0]), inverse(u[1]))
     assert pair_length(u) == max(word_length(u[0]), word_length(u[1]))
-    assert pair_distance(u, v) == max(
-        distance(u[0], v[0]), distance(u[1], v[1])
-    )
-    assert pair_gromov_product(u, v) == min(
-        gromov_product(u[0], v[0]), gromov_product(u[1], v[1])
-    )
-
-
-def test_pair_gromov_product_exhaustive_small():
-    words = all_reduced_words(2, 2)
-    pairs = list(itertools.product(words[:12], words[:12]))
-    for u in pairs[:40]:
-        for v in pairs[:40]:
-            g = pair_gromov_product(u, v)
-            assert g == min(
-                common_prefix_length(u[0], v[0]),
-                common_prefix_length(u[1], v[1]),
-            )
