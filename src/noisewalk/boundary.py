@@ -7,19 +7,21 @@ Inverse-free walks never backtrack, so there the stable prefix is the
 whole position at the horizon.
 
 Boundary samples are held in columnar arrays (one int8 letter row per
-trial) rather than per-sample objects; a ``BoundarySampleSet`` behaves
+trial, drawn in-process on first read where all atoms share one
+length) rather than per-sample objects; a ``BoundarySampleSet`` behaves
 like a sequence of ``BoundarySample`` views for small-scale use.
 
 The cylinder tree counts how many sampled boundary pairs pass through
 each pair-prefix cylinder.  Its levels are built on first use, each
-from the one above it, so a reader that stops early never pays for the
-deeper levels.  Its export is built level by level: the prefix strings
-of depth t extend those of depth t - 1 by one letter name each.  Ball
-masses in the max quasi-metric e^(-Gromov product) are cylinder
-frequencies, and the local dimension is the slope of -log(ball mass)
-against the depth t, fitted per center on a count matrix gathered one
-depth at a time; the gathering stops at the first grid depth where no
-node holds ``min_count + 1`` samples, since no deeper node can.
+from the one above it by one packed sort, so a reader that stops early
+never pays for the deeper levels or their letters.  Its export is built
+level by level: the prefix strings of depth t extend those of depth
+t - 1 by one letter name each.  Ball masses in the max quasi-metric
+e^(-Gromov product) are cylinder frequencies, and the local dimension
+is the slope of -log(ball mass) against the depth t, fitted per center
+on a count matrix gathered one depth at a time; the gathering stops at
+the first grid depth where no node holds ``min_count + 1`` samples,
+since no deeper node can.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from . import rng as rngmod
 from . import walkers
 from .errors import InputError, ValidationError
 from .estimators import EstimateResult, _mean_result
-from .measures import FiniteMeasure, build_pi_rho, uniform_letter_count
+from .measures import FiniteMeasure, _sort_in_place, build_pi_rho, uniform_letter_count
 from .oracle import h_semigroup
 from .words import Word
 
@@ -58,6 +60,10 @@ class BoundarySampleSet:
     stable-prefix letters, zero-padded past each trial's stable length.
     ``t_stable`` is the per-trial min of the two coordinate stable
     lengths (not clipped to keep_depth).
+
+    A set given ``walk``, a coupled step and its ``walkers.step_length``,
+    draws its letter columns in-process when ``columns``, ``letters1``/
+    ``letters2`` or ``__getitem__`` first reads them, four steps at a time.
     """
 
     def __init__(
@@ -70,9 +76,9 @@ class BoundarySampleSet:
         keep_depth: int,
         rank: int,
         seed: int,
+        walk: tuple[FiniteMeasure, int] | None = None,
     ):
-        self.letters1 = letters1
-        self.letters2 = letters2
+        self._letters = (letters1, letters2)
         self.len1 = len1.astype(np.int64)
         self.len2 = len2.astype(np.int64)
         self.t_stable = np.minimum(self.len1, self.len2)
@@ -80,9 +86,31 @@ class BoundarySampleSet:
         self.keep_depth = keep_depth
         self.rank = rank
         self.seed = seed
+        self._walk = walk
+        self._steps = 0  # steps drawn
+        self._drawn = 0 if walk else keep_depth  # columns that hold their letters
+
+    def columns(self, depth: int) -> tuple[np.ndarray, np.ndarray]:
+        """(letters1, letters2) with at least their first ``depth`` columns drawn."""
+        if depth > self._drawn:
+            pair, length = self._walk
+            # whole Philox counters up to the one whose steps reach column depth - 1
+            steps = min(self.horizon, 4 * -(-depth // (4 * length)))
+            drawn = walkers.step_letters(pair, self.seed, rngmod.STREAM_BOUNDARY,
+                                         len(self), self._steps, steps)
+            lo, hi = self._steps * length, min(steps * length, self.keep_depth)
+            for letters, new in zip(self._letters, drawn):
+                letters[:, lo:hi] = new[:, : hi - lo]
+            self._steps = steps
+            # past the horizon a position has no letters: its columns stay zero
+            self._drawn = self.keep_depth if steps == self.horizon else hi
+        return self._letters
+
+    letters1 = property(lambda self: self.columns(self.keep_depth)[0])
+    letters2 = property(lambda self: self.columns(self.keep_depth)[1])
 
     def __len__(self) -> int:
-        return len(self.letters1)
+        return len(self._letters[0])
 
     def usable_depth(self) -> np.ndarray:
         """Per-trial depth usable for cylinder queries."""
@@ -94,9 +122,10 @@ class BoundarySampleSet:
         i = i % len(self)
         l1 = int(min(self.len1[i], self.keep_depth))
         l2 = int(min(self.len2[i], self.keep_depth))
+        letters1, letters2 = self.columns(max(l1, l2))
         return BoundarySample(
-            prefix1=tuple(int(x) for x in self.letters1[i, :l1]),
-            prefix2=tuple(int(x) for x in self.letters2[i, :l2]),
+            prefix1=tuple(int(x) for x in letters1[i, :l1]),
+            prefix2=tuple(int(x) for x in letters2[i, :l2]),
             t_stable=int(self.t_stable[i]),
             stable=bool(self.t_stable[i] > 0),
             trial=i,
@@ -121,7 +150,8 @@ def sample_boundary(
     Each trial runs the coupled walk to 2 * horizon and records, per
     coordinate, the common prefix of the positions at the horizon and
     at twice the horizon.  ``keep_depth`` limits how many letters are
-    stored per coordinate (default: the horizon).
+    stored per coordinate (default: the horizon).  Walks whose atoms
+    have a ``walkers.step_length`` are drawn when first read, in-process.
     """
     if mu.kind != "single":
         raise ValidationError("sample_boundary needs a single-coordinate measure")
@@ -134,18 +164,15 @@ def sample_boundary(
     if not isinstance(keep_depth, int) or keep_depth < 1:
         raise InputError(f"keep_depth must be a positive integer, got {keep_depth!r}")
     coupled = build_pi_rho(mu, rho)
-    letters1, letters2, len1, len2 = walkers.boundary_prefixes(
-        coupled,
-        horizon,
-        keep_depth,
-        trials,
-        seed,
-        rngmod.STREAM_BOUNDARY,
-        workers=workers,
-    )
-    return BoundarySampleSet(
-        letters1, letters2, len1, len2, horizon, keep_depth, mu.rank, seed
-    )
+    length = walkers.step_length(coupled)
+    if length is not None:
+        letters = np.zeros((2, trials, keep_depth), dtype=np.int8)
+        full = np.full(trials, horizon * length)
+        return BoundarySampleSet(*letters, full, full, horizon, keep_depth, mu.rank, seed,
+                                 walk=(coupled, length))
+    drawn = walkers.boundary_prefixes(coupled, horizon, keep_depth, trials, seed,
+                                      rngmod.STREAM_BOUNDARY, workers=workers)
+    return BoundarySampleSet(*drawn, horizon, keep_depth, mu.rank, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -169,8 +196,9 @@ class CylinderTree:
 
     Levels are built on first use: ``level(t)`` builds every level down
     to t that is not built yet, and ``levels`` builds them all.  The
-    constructor only checks the samples, so a zero letter inside a
-    stable prefix fails here and not at a later read.
+    constructor checks letters given to the samples, so a zero letter
+    inside a stable prefix fails here and not at a later read; drawn
+    letters are nonzero by construction, and drawn only as levels read them.
     """
 
     def __init__(self, samples: BoundarySampleSet, depth: int):
@@ -189,13 +217,14 @@ class CylinderTree:
         k2 = 2 * samples.rank
         self.letter_base = k2
         self.base = k2 * k2
-        inside = self.t_stable[:, None] > np.arange(depth)[None, :]
-        zero = (samples.letters1[:, :depth] == 0) | (samples.letters2[:, :depth] == 0)
-        if (zero & inside).any():
-            raise ValidationError("zero letter inside a stable prefix")
-        self._letters = (samples.letters1, samples.letters2)
+        if samples._walk is None:
+            inside = self.t_stable[:, None] > np.arange(depth)[None, :]
+            zero = (samples.letters1[:, :depth] == 0) | (samples.letters2[:, :depth] == 0)
+            if (zero & inside).any():
+                raise ValidationError("zero letter inside a stable prefix")
+        self._samples = samples
         self._levels: list[_TreeLevel] = []
-        self._ids = np.zeros(len(samples), dtype=np.int64)  # level 0: all at the root
+        self._ids = np.zeros(len(samples), dtype=np.int32)  # level 0: all at the root
 
     def level(self, t: int) -> _TreeLevel:
         """Level t, building it and every shallower level not built yet."""
@@ -212,18 +241,19 @@ class CylinderTree:
 
     def _build_level(self, t: int) -> _TreeLevel:
         """Split the nodes of level t - 1 by the pair letter at depth t."""
-        active = self.t_stable >= t
-        x1 = self._letters[0][active, t - 1].astype(np.int64)
-        x2 = self._letters[1][active, t - 1].astype(np.int64)
+        rows = np.flatnonzero(self.t_stable >= t)
+        x1, x2 = (x[rows, t - 1].astype(np.int64) for x in self._samples.columns(t))
         c1 = np.where(x1 > 0, x1 - 1, self.rank - 1 - x1)
         c2 = np.where(x2 > 0, x2 - 1, self.rank - 1 - x2)
-        keys = self._ids[active] * self.base + c1 * self.letter_base + c2
-        uniq, inverse = np.unique(keys, return_inverse=True)
-        sizes = np.bincount(inverse, minlength=len(uniq)).astype(np.int64)
-        new_ids = np.full(self.sample_count, -1, dtype=np.int64)
-        new_ids[active] = inverse
+        keys = self._ids[rows] * np.int64(self.base) + c1 * self.letter_base + c2
+        order = _sort_in_place(keys, self.sample_count * self.base)  # parent ids < samples
+        first = np.ones(len(keys), dtype=bool)  # each run of equal keys is a node
+        np.not_equal(keys[1:], keys[:-1], out=first[1:])
+        starts = np.flatnonzero(first)
+        new_ids = np.full(self.sample_count, -1, dtype=np.int32)
+        new_ids[rows[order]] = np.cumsum(first) - 1
         self._ids = new_ids
-        return _TreeLevel(uniq, sizes, new_ids.astype(np.int32))
+        return _TreeLevel(keys[starts], np.diff(starts, append=len(keys)), new_ids)
 
     def node_count(self, t: int) -> int:
         return len(self.level(t).keys)

@@ -123,8 +123,8 @@ def _mulhilo(m: int, x: np.ndarray, hi: np.ndarray, lo: np.ndarray, scratch) -> 
     np.multiply(x, np.uint64(m), out=lo)
 
 
-def _philox_rows(seed: int, streams: np.ndarray, n: int) -> np.ndarray:
-    """The first n uint64 outputs of Philox4x64-10 for every stream.
+def _philox_rows(seed: int, streams: np.ndarray, n: int, counter: int = 1) -> np.ndarray:
+    """n uint64 outputs of Philox4x64-10 for every stream, from ``counter`` on.
 
     numpy's ``Philox(key=seed + (stream << 64))`` has key words
     (seed, stream) and encrypts counters 1, 2, ... in turn, four output
@@ -135,7 +135,7 @@ def _philox_rows(seed: int, streams: np.ndarray, n: int) -> np.ndarray:
     c0, c1, c2, c3, h0, h1, l0, l1, *scratch = np.zeros(
         (11, len(streams), blocks), dtype=np.uint64
     )
-    c0[:] = np.arange(1, blocks + 1, dtype=np.uint64)
+    c0[:] = np.arange(counter, counter + blocks, dtype=np.uint64)
     k1 = streams.astype(np.uint64)[:, None]
     for rnd in range(10):
         if rnd:
@@ -151,9 +151,9 @@ def _philox_rows(seed: int, streams: np.ndarray, n: int) -> np.ndarray:
     return np.stack([c0, c1, c2, c3], axis=-1).reshape(len(streams), 4 * blocks)[:, :n]
 
 
-def word_rows(seed: int, streams, n: int) -> np.ndarray:
-    """[len(streams), n] uint64 words; row i is the first n raw outputs of
-    ``generator(seed, streams[i])``, its ``bit_generator.random_raw(n)``.
+def word_rows(seed: int, streams, n: int, counter: int = 1) -> np.ndarray:
+    """[len(streams), n] uint64 words; row i is ``generator(seed, streams[i])``'s
+    raw outputs from Philox counter ``counter`` (its words 4(counter - 1) on).
 
     Up to ``SHORT_STREAM`` draws the rows come from the vectorized
     Philox route, beyond it from one generator per stream.  numpy's
@@ -168,9 +168,9 @@ def word_rows(seed: int, streams, n: int) -> np.ndarray:
     if n > SHORT_STREAM:
         out = np.empty((len(streams), n), dtype=np.uint64)
         for i, s in enumerate(streams.tolist()):
-            out[i] = generator(seed, s).bit_generator.random_raw(n)
+            out[i] = generator(seed, s).bit_generator.advance(counter - 1).random_raw(n)
         return out
-    return _philox_rows(seed, streams, n)
+    return _philox_rows(seed, streams, n, counter)
 
 
 def index_guide(cum_weights: np.ndarray) -> np.ndarray:

@@ -11,9 +11,12 @@ columns: each atom is expanded to its letter sequence (zero-padded to
 the longest atom), and every column applies one letter to all trials
 at once with vectorized cancel-or-push updates.  On an inverse-free
 support nothing cancels, so a position is the concatenation of its
-increments: boundary samples there run no stack machine.  They expand
-only the steps that can reach the ``keep_depth`` kept letters, squeeze
-out the padding, and read each position's length off the atom lengths.
+increments: boundary samples there run no stack machine.  Where all
+atoms share one length, ``step_letters`` draws any range of steps,
+in-process, for sample sets that draw letters on first read.  Other
+walks, in pooled blocks, expand only the steps that can reach the
+``keep_depth`` kept letters, squeeze out the padding, and sum the atom
+lengths of every step.
 """
 
 from __future__ import annotations
@@ -54,9 +57,11 @@ def letter_matrices(measure: FiniteMeasure) -> list[np.ndarray]:
 
 
 def index_block(
-    measure: FiniteMeasure, n: int, seed: int, component: int, lo: int, hi: int
+    measure: FiniteMeasure, n: int, seed: int, component: int, lo: int, hi: int,
+    counter: int = 1,
 ) -> np.ndarray:
-    """Atom indices [hi-lo, n]; row i comes from stream (component, lo + i).
+    """Atom indices [hi-lo, n]; row i comes from stream (component, lo + i),
+    from Philox counter ``counter`` on (four indices per counter).
 
     Raw Philox words become indices through one guide table per call.
     Long streams are drawn a few rows at a time, so no [trials, n] word
@@ -68,7 +73,7 @@ def index_block(
     out = np.empty((hi - lo, n), dtype=np.int32)
     rows = max(1, _WORDS_PER_DRAW // max(n, 1))
     for a in range(0, hi - lo, rows):
-        words = rngmod.word_rows(seed, streams[a : a + rows], n)
+        words = rngmod.word_rows(seed, streams[a : a + rows], n, counter)
         out[a : a + rows] = rngmod.word_indices(cum, words, guide)
     return out
 
@@ -240,22 +245,34 @@ def _inverse_free_boundary_block(measure, horizon, keep_depth, seed, component, 
     atom_lens = [np.count_nonzero(mat, axis=1) for mat in mats]
     m = min(int(lens.min()) for lens in atom_lens)
     s = horizon if m == 0 else min(horizon, -(-keep_depth // m))
-    same_len = [lens.min() == lens.max() for lens in atom_lens]
-    idx = index_block(measure, s if all(same_len) else horizon, seed, component, *block)
+    idx = index_block(measure, horizon, seed, component, *block)
     letters, lengths = [], []
-    for mat, lens, same in zip(mats, atom_lens, same_len):
+    for mat, lens in zip(mats, atom_lens):
         st = _letters(mat, idx[:, :s])
         if lens.min() < mat.shape[1]:  # move the letters left of the padding, in order
             st = np.take_along_axis(st, np.argsort(st == 0, axis=1, kind="stable"), 1)
         pt = np.count_nonzero(st, axis=1)
-        if same:
-            full = np.full(len(idx), horizon * int(lens[0]), dtype=np.int32)
-        else:
-            full = lens[idx].sum(axis=1).astype(np.int32)
-        # pt < keep_depth only when s == horizon, where pt == full
+        # pt < keep_depth only when s == horizon, where pt is the full length
         letters.append(_kept_letters(st, pt, keep_depth))
-        lengths.append(full)
+        lengths.append(lens[idx].sum(axis=1).astype(np.int32))
     return (*letters, *lengths)
+
+
+def step_length(measure: FiniteMeasure) -> int | None:
+    """The one positive length of every atom, in every coordinate, of an
+    inverse-free support; None for any other support."""
+    lens = np.concatenate([np.count_nonzero(m, axis=1) for m in letter_matrices(measure)])
+    return int(lens[0]) if measure.inverse_free and 0 < lens.min() == lens.max() else None
+
+
+def step_letters(
+    measure: FiniteMeasure, seed: int, component: int, trials: int, first: int, last: int
+) -> list[np.ndarray]:
+    """Per-coordinate [trials, (last - first) * width] int8 letters of steps
+    first..last-1 of trials 0..trials-1; ``first`` is a multiple of 4,
+    the first step of Philox counter first // 4 + 1."""
+    idx = index_block(measure, last - first, seed, component, 0, trials, first // 4 + 1)
+    return [_letters(mat, idx) for mat in letter_matrices(measure)]
 
 
 def boundary_prefixes(

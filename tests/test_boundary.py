@@ -11,7 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from noisewalk import measures
 from noisewalk import rng as rngmod
+from noisewalk import walkers
 from noisewalk.boundary import (
     BoundarySampleSet,
     CylinderTree,
@@ -593,3 +595,70 @@ def test_dimension_run_golden(tmp_path):
         "std_error": 0.06611892652126208, "subcommand": "dimension",
         "trials": 57, "value": 2.052401322890869,
     }
+
+
+def _semigroup_dimension_run(tmp_path, workers=1):
+    """A free-semigroup ``dimension`` run whose fit stops far above keep_depth."""
+    execute(parse_config("dimension", None, {
+        "group": "free_semigroup:2", "rho": 0.5, "seed": 13, "trials": 3000,
+        "horizon": 50, "keep_depth": 40, "t_grid": list(range(1, 41)), "centers": 80,
+        "min_count": 5, "export_tree_depth": 5, "workers": workers, "out": str(tmp_path),
+    }))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_inverse_free_dimension_run_golden(monkeypatch, tmp_path, workers):
+    # pinned while every kept letter was still drawn up front
+    monkeypatch.setattr(walkers, "BLOCK", 1000)  # three blocks
+    _semigroup_dimension_run(tmp_path, workers)
+    digests = {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
+               for f in ("results.json", "tree.txt")}
+    assert digests == {
+        "results.json": "6038aa7bff83f6fdccec6e77268e1e68f0f422d61b4ef9f2b4a4219bcb096d1e",
+        "tree.txt": "108f39edbaa9ccea29ddcbeab187c06cbf2d96e5ca04c05ce53ebf7c44e4b104",
+    }
+
+
+def test_dimension_run_draws_no_counter_past_the_deepest_level_read(monkeypatch, tmp_path):
+    last_counters = []
+    real = rngmod.word_rows
+
+    def spy(seed, streams, n, counter=1):
+        last_counters.append(counter + (n - 1) // 4)  # four words per counter
+        return real(seed, streams, n, counter)
+
+    monkeypatch.setattr(rngmod, "word_rows", spy)
+    levels = _LevelSpy(monkeypatch)
+    _semigroup_dimension_run(tmp_path)
+    deepest = max(levels.built)
+    assert 5 < deepest < 20  # keep_depth is 40
+    # letter d (from 0) of a one-letter step comes from counter d // 4 + 1
+    assert max(last_counters) == (deepest - 1) // 4 + 1
+
+
+@pytest.mark.parametrize("packed", [True, False])
+def test_tree_levels_match_unique_on_both_sort_routes(monkeypatch, packed):
+    routes = []
+    real = measures._position_bits
+
+    def route(key_bound, count):  # None forces the stable argsort
+        bits = real(key_bound, count) if packed else None
+        routes.append(bits is not None)
+        return bits
+
+    monkeypatch.setattr(measures, "_position_bits", route)
+    l1 = np.array([[1, -2, 0, 0], [1, 2, 0, 0], [-1, 0, 0, 0], [1, -2, 0, 0]], dtype=np.int8)
+    l2 = np.array([[2, 2, 0, 0], [2, 2, 0, 0], [1, 0, 0, 0], [2, -1, 0, 0]], dtype=np.int8)
+    lens = np.array([2, 2, 1, 2])  # no sample reaches depth 3
+    sets = [
+        BoundarySampleSet(l1, l2, lens, lens, horizon=4, keep_depth=4, rank=2, seed=0),
+        sample_boundary(srw(2), 0.5, horizon=12, trials=500, seed=3),
+        sample_boundary(semi(3), 0.5, horizon=8, trials=500, seed=3),
+    ]
+    for s in sets:
+        ref = _eager_levels(s, s.keep_depth)
+        tree = build_tree(s, s.keep_depth)
+        for t in range(1, s.keep_depth + 1):
+            _assert_level_equal(tree.level(t), ref[t - 1])
+    assert len(build_tree(sets[0], 4).level(3).keys) == 0
+    assert routes and set(routes) == {packed}

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from noisewalk import rng, walkers
+from noisewalk.boundary import BoundarySampleSet, build_tree, sample_boundary
 from noisewalk.errors import InputError
 from noisewalk.measures import (
     FiniteMeasure,
@@ -28,22 +29,35 @@ def step(atoms, rank=2):
 # rng
 
 
+STREAMS = [
+    rng.stream_id(rng.STREAM_DRIFT, 0),
+    rng.stream_id(rng.STREAM_BOUNDARY, 17),
+    rng.stream_id(rng.STREAM_PATH, 0),
+    rng.stream_id(rng.STREAM_PATH, 2**40 - 1),
+]
+
+
 @pytest.mark.parametrize("seed", [0, 2**64 - 1])
 @pytest.mark.parametrize("n", [1, 3, 4, 30, rng.SHORT_STREAM, rng.SHORT_STREAM + 1])
 def test_uniform_rows_match_per_stream_generators(seed, n):
     """``word_rows`` gives each stream's raw words, and their doubles are ``random(n)``."""
-    streams = [
-        rng.stream_id(rng.STREAM_DRIFT, 0),
-        rng.stream_id(rng.STREAM_BOUNDARY, 17),
-        rng.stream_id(rng.STREAM_PATH, 0),
-        rng.stream_id(rng.STREAM_PATH, 2**40 - 1),
-    ]
-    got = rng.word_rows(seed, streams, n)
-    raw = np.stack([rng.generator(seed, s).bit_generator.random_raw(n) for s in streams])
-    doubles = np.stack([rng.generator(seed, s).random(n) for s in streams])
-    assert got.dtype == np.uint64 and got.shape == (len(streams), n)
+    got = rng.word_rows(seed, STREAMS, n)
+    raw = np.stack([rng.generator(seed, s).bit_generator.random_raw(n) for s in STREAMS])
+    doubles = np.stack([rng.generator(seed, s).random(n) for s in STREAMS])
+    assert got.dtype == np.uint64 and got.shape == (len(STREAMS), n)
     assert got.tobytes() == raw.tobytes()
     assert ((got >> np.uint64(11)) * 2.0**-53).tobytes() == doubles.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 6, 30, rng.SHORT_STREAM + 1])
+@pytest.mark.parametrize("counter", [1, 2, 5])
+def test_rows_from_a_counter_are_the_matching_slice_of_the_stream(n, counter):
+    skip = 4 * (counter - 1)  # the words of the counters before it
+    got = rng.word_rows(7, STREAMS, n, counter)
+    raw = np.stack([rng.generator(7, s).bit_generator.random_raw(skip + n)[skip:]
+                    for s in STREAMS])
+    assert got.dtype == np.uint64 and got.shape == (len(STREAMS), n)
+    assert got.tobytes() == raw.tobytes()
 
 
 @pytest.mark.parametrize("m", rng._PHILOX_M)
@@ -194,17 +208,18 @@ def _full_stack_boundary(pi, horizon, keep_depth, trials, seed):
     return out[0][0], out[1][0], out[0][1], out[1][1]
 
 
-@pytest.mark.parametrize(
-    "mu, horizon, keep_depth",
-    [
-        (uniform_measure(2, inverse_free=True), 40, 30),  # s = 30 < horizon
-        (uniform_measure(3, inverse_free=True), 10, 30),  # horizon * L < keep_depth
-        (step([(1,), (2, 1), (1, 1, 2)]), 40, 30),  # varying length: all steps drawn
-        (step([(1,), (2, 1), (1, 1, 2)]), rng.SHORT_STREAM + 20, 12),  # long streams
-        (step([(1, 2), (2, 1), (2, 2)]), 20, 7),  # keep_depth not a multiple of L
-        (step([(), (1,), (2, 1)]), 40, 12),  # an empty atom: m = 0, all steps kept
-    ],
-)
+INVERSE_FREE_SHAPES = [
+    (uniform_measure(2, inverse_free=True), 40, 30),  # s = 30 < horizon
+    (uniform_measure(3, inverse_free=True), 10, 30),  # horizon * L < keep_depth
+    (step([(1,), (2, 1), (1, 1, 2)]), 40, 30),  # varying length: all steps drawn
+    (step([(1,), (2, 1), (1, 1, 2)]), rng.SHORT_STREAM + 20, 12),  # long streams
+    (step([(1, 2), (2, 1), (2, 2)]), 20, 7),  # keep_depth not a multiple of L
+    (step([(), (1,), (2, 1)]), 40, 12),  # an empty atom: m = 0, all steps kept
+    (step([(1, 2, 1), (2, 2, 1)]), 3, 8),  # horizon below the 4 steps of one counter
+]
+
+
+@pytest.mark.parametrize("mu, horizon, keep_depth", INVERSE_FREE_SHAPES)
 def test_inverse_free_boundary_matches_full_stack(monkeypatch, mu, horizon, keep_depth):
     monkeypatch.setattr(walkers, "BLOCK", 64)  # several blocks
     pi = build_pi_rho(mu, 0.4)
@@ -214,6 +229,36 @@ def test_inverse_free_boundary_matches_full_stack(monkeypatch, mu, horizon, keep
     for g, e in zip(got, expect):
         assert g.dtype == e.dtype
         np.testing.assert_array_equal(g, e)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("mu, horizon, keep_depth", INVERSE_FREE_SHAPES)
+def test_letters_drawn_on_read_match_full_stack(monkeypatch, mu, horizon, keep_depth,
+                                                workers):
+    monkeypatch.setattr(walkers, "BLOCK", 64)  # several blocks
+    expect = _full_stack_boundary(build_pi_rho(mu, 0.4), horizon, keep_depth, 150, 21)
+    ref = build_tree(BoundarySampleSet(*expect, horizon, keep_depth, mu.rank, 21),
+                     keep_depth)
+
+    def sample():
+        return sample_boundary(mu, 0.4, horizon, 150, 21, keep_depth, workers)
+
+    s = sample()
+    tree = build_tree(s, keep_depth)
+    half = (keep_depth + 1) // 2
+    for t in (half, 1, keep_depth, half + 1):  # levels out of order
+        lv, r = tree.level(t), ref.level(t)
+        for got, want in zip((lv.keys, lv.sizes, lv.ids), (r.keys, r.sizes, r.ids)):
+            np.testing.assert_array_equal(got, want)
+    s = sample()
+    build_tree(s, keep_depth).level(half)  # the tree draws only some columns
+    for got, want in zip((s.letters1, s.letters2, s.len1, s.len2), expect):
+        np.testing.assert_array_equal(got, want)
+    assert s.letters1.dtype == s.letters2.dtype == np.int8
+    s = sample()
+    for i in (0, 77, 149):  # a sample read first draws its letters
+        assert s[i].prefix1 == tuple(expect[0][i, : min(expect[2][i], keep_depth)].tolist())
+        assert s[i].prefix2 == tuple(expect[1][i, : min(expect[3][i], keep_depth)].tolist())
 
 
 class _InlineExecutor:
