@@ -63,7 +63,8 @@ class BoundarySampleSet:
 
     A set given ``walk``, a coupled step and its ``walkers.step_length``,
     draws its letter columns in-process when ``columns``, ``letters1``/
-    ``letters2`` or ``__getitem__`` first reads them, four steps at a time.
+    ``letters2`` or ``__getitem__`` first reads them, one Philox counter's
+    steps (``rng.PHILOX_WORDS``) at a time.
     """
 
     def __init__(
@@ -95,7 +96,8 @@ class BoundarySampleSet:
         if depth > self._drawn:
             pair, length = self._walk
             # whole Philox counters up to the one whose steps reach column depth - 1
-            steps = min(self.horizon, 4 * -(-depth // (4 * length)))
+            block = rngmod.PHILOX_WORDS
+            steps = min(self.horizon, block * -(-depth // (block * length)))
             drawn = walkers.step_letters(pair, self.seed, rngmod.STREAM_BOUNDARY,
                                          len(self), self._steps, steps)
             lo, hi = self._steps * length, min(steps * length, self.keep_depth)

@@ -387,28 +387,28 @@ def write_report(
     records: list[dict],
     plot_spec: dict | None,
     extra_files: dict[str, str],
-    meta: dict,
+    meta: dict | None,
 ) -> None:
-    """Write results.json, table.csv, meta.json, and optional extras.
+    """Write table.csv, optional extras and plot.svg, and with ``meta``
+    also results.json and meta.json.
 
-    Everything except meta.json is a pure function of the records, so
-    reruns with the same config are byte-identical.
+    ``report`` passes no ``meta``: the run that made results.json keeps
+    its record.  Everything except meta.json is a pure function of the
+    records, so reruns with the same config are byte-identical.
     """
     if not records:
         raise ValidationError("no results to report")
+    files = {"table.csv": CSV_HEADER + "\n" + "".join(_csv_row_of(r) + "\n" for r in records)}
+    if meta is not None:
+        files["results.json"] = "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
+        files["meta.json"] = json.dumps(meta, indent=2, sort_keys=True) + "\n"
+    files.update(extra_files)
+    if plot_spec is not None:
+        files["plot.svg"] = _svg_line_chart(**plot_spec)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "results.json").write_text(
-            "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
-        )
-        (out_dir / "table.csv").write_text(
-            CSV_HEADER + "\n" + "".join(_csv_row_of(r) + "\n" for r in records)
-        )
-        (out_dir / "meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
-        for name, content in extra_files.items():
+        for name, content in files.items():
             (out_dir / name).write_text(content)
-        if plot_spec is not None:
-            (out_dir / "plot.svg").write_text(_svg_line_chart(**plot_spec))
     except OSError as e:
         raise ValidationError(f"cannot write artifacts: {e}") from None
 
@@ -521,7 +521,7 @@ def _run_entropy(cfg: RunConfig):
     if method == "pointwise":
         if m is None:
             raise UnsupportedRegimeError(
-                "pointwise entropy needs a uniform single-letter semigroup measure"
+                "pointwise entropy needs a uniform step on two or more semigroup letters"
             )
         if cfg.rho is None:
             raise ValidationError("pointwise entropy needs rho")
@@ -785,7 +785,7 @@ _EXECUTORS = {
 def execute(cfg: RunConfig) -> int:
     """Run a validated config and write its artifacts.  Returns 0."""
     records, plot, extras = _EXECUTORS[cfg.subcommand](cfg)
-    meta = {
+    meta = None if cfg.subcommand == "report" else {
         "created": datetime.now(timezone.utc).isoformat(),
         "subcommand": cfg.subcommand,
         "seed": cfg.seed,

@@ -28,20 +28,19 @@ a few arrays of the previous level's size and the chunk's; a single
 level, where each block is one product, holds a key and an index per
 product for the block sort.
 
-A pair level whose states are every head times one shared tail set
-takes a product route instead: at 0 < rho <= 1 every untruncated level
-of pi_rho is such a product.  There a target head's products depend
-on its heads only through the set of first words that reach it (its
-pattern; a handful on a free group), so one stable argsort per pattern
-orders the products of all its heads, in the atom order of the chunked
-step, and each head's sums are added in the same order, with the same
-bits.  No product is sorted.  When every target head gets the same
-tail set, the new level is held as its factors (sorted heads, sorted
-tails, values row-major), with no key per atom, and the next step
-takes the product route from them; only level 1 and levels cut by a
-cap are checked for the product shape on their keys.  Levels at
-rho = 0, levels cut by a cap and single-walk levels take the chunked
-step.
+The form of a level follows from the step.  A pair step whose
+support is every first word times every second word (pi_rho at
+0 < rho <= 1 lives on supp(mu) x supp(mu)) is held as its factors
+(sorted heads, sorted tails, values row-major), with no key per atom,
+and a product level times a product step is again a product, so every
+level is factors until a cap cuts one.  Factors take a product route:
+a target head's products depend on its heads only through the set of
+first words that reach it (its pattern; a handful on a free group), so
+one stable argsort per pattern orders the products of all its heads,
+in the atom order of the chunked step, and each head's sums are added
+in the same order, with the same bits.  No product is sorted.  Keys
+take the chunked step: levels at rho = 0, levels cut by a cap, other
+pair steps and single walks.
 
 Keys and numerators are int64 while they provably fit (keys below
 B**depth, squared for pairs; numerators up to the last level with
@@ -332,14 +331,15 @@ def marginals(pi: FiniteMeasure) -> tuple[FiniteMeasure, FiniteMeasure]:
 
 
 def uniform_letter_count(mu: FiniteMeasure) -> int | None:
-    """Return m when mu is uniform on m distinct positive single letters.
+    """Return m when mu is uniform on m >= 2 distinct positive single letters.
 
     This is the regime with closed-form entropy and total variation;
-    returns None otherwise.
+    returns None otherwise, also for one letter, whose runs take the
+    exact routes.
     """
-    if mu.kind != "single":
-        return None
     m = mu.support_size
+    if mu.kind != "single" or m < 2:
+        return None
     w0 = mu.atoms[0][1]
     for a, w in mu.atoms:
         if len(a) != 1 or a[0] <= 0 or w != w0:
@@ -468,10 +468,10 @@ class ConvolutionLevel:
     including this level; the stored values describe only the kept mass.
     In exact mode the stored values are integer numerators over
     ``denominator`` = D**level.  Atoms are held as sorted shortlex keys
-    (``_WordCode``) beside their values, or, on a pair level of every
-    head times one tail set, as its factors: sorted head codes, sorted
-    tail codes and the values laid out row-major as heads x tails, with
-    no key per atom (``factors``).  ``keys`` builds the keys of either.
+    (``_WordCode``) beside their values, or, on an uncut level of a
+    product pair step, as its factors: sorted head codes, sorted tail
+    codes and the values laid out row-major as heads x tails, with no
+    key per atom (``factors``).  ``keys`` builds the keys of either.
     """
 
     level: int
@@ -742,8 +742,8 @@ def _product_step(
     heads: np.ndarray,
     tails: np.ndarray,
     vals: np.ndarray,
-) -> tuple[Support, np.ndarray]:
-    """``_times_step`` on a level of every head times one tail set.
+) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
+    """``_times_step`` on a level held as factors (every head times one tail set).
 
     A target head's pattern is the groups (first words) that reach it,
     one state run each.  Every head of a pattern gets its products in
@@ -754,10 +754,9 @@ def _product_step(
     of about ``_CHUNK`` products: gather their runs' values, multiply by
     the numerators, take the pattern's order and sum.
 
-    When every pattern reaches the same target tails, the new level is
-    every target head times that tail set and comes back as its factors
-    (target heads, tails), the values row-major, with no key written;
-    otherwise it comes back as sorted keys.
+    Every first word of a product step meets every second word, so each
+    target head gets every target tail, and the new level comes back as
+    its factors (target heads, target tails), the values row-major.
     """
     words, m = list(groups), len(tails)
     dest = code.times_words(heads, set(words))
@@ -770,38 +769,23 @@ def _product_step(
     times_tail = code.times_words(tails, {a[1] for a in atoms})
     tail_codes, rank = np.unique(np.concatenate(list(times_tail.values())), return_inverse=True)
     tail_rank = dict(zip(times_tail, rank.reshape(len(times_tail), -1)))
-
-    layouts = []  # per pattern: how one target head's products are laid out and summed
-    for reach in patterns:
+    out_v = np.empty((len(targets), len(tail_codes)), dtype=vals.dtype)
+    grid = vals.reshape(len(heads), m)
+    for p, reach in enumerate(patterns):
         gs = np.flatnonzero(reach)
         # the products of one target head: slot s holds the run of group gs[s]
         slots = [(s, i) for s, g in enumerate(gs) for i in groups[words[g]]]
         ranks = np.concatenate([tail_rank[atoms[i][1]] for _, i in slots])
         order = np.argsort(ranks, kind="stable")
-        ranks = ranks[order]
-        cuts = np.flatnonzero(np.diff(ranks, prepend=-1))  # ranks are >= 0
-        tail_keys, lens = tail_codes[ranks[cuts]], np.diff(cuts, append=len(ranks))
+        lens = np.bincount(ranks)  # terms per target tail; every tail is reached
         # one-term sums first: they are read off the products, and reduceat
         # gets only the sums of several terms, each in the same order
         order = order[np.argsort(np.repeat(lens > 1, lens), kind="stable")]
         column = np.concatenate([np.arange(m) + s * m for s, _ in slots])[order]
         factor = np.repeat(num[[i for _, i in slots]], m)[order]
-        place = np.argsort(lens > 1, kind="stable")  # output position of each sum
+        place = np.argsort(lens > 1, kind="stable")  # target tail rank of each sum
         singles, lens = int(np.count_nonzero(lens == 1)), lens[lens > 1]
         cuts = np.cumsum(lens) - lens
-        layouts.append((gs, column, factor, singles, cuts, place, tail_keys))
-    tail_sets = [tail_keys for *_, tail_keys in layouts]
-    factored = all(np.array_equal(tail_sets[0], t) for t in tail_sets[1:])
-    counts = np.array([len(place) for *_, place, _ in layouts])[pattern_of]
-    out_v = np.empty(int(counts.sum()), dtype=vals.dtype)
-    out_k = None if factored else np.empty(len(out_v), dtype=heads.dtype)
-    start = np.cumsum(counts) - counts
-    # heads with equally many sums own a row of the output each
-    rows = counts.min() == counts.max()
-    dst_v = out_v.reshape(len(targets), -1) if rows else out_v
-    dst_k = out_k.reshape(len(targets), -1) if rows and not factored else out_k
-    grid = vals.reshape(len(heads), m)
-    for p, (gs, column, factor, singles, cuts, place, tail_keys) in enumerate(layouts):
         members = np.flatnonzero(pattern_of == p)
         batch = max(1, _CHUNK // len(column))
         for b in range(0, len(members), batch):
@@ -812,11 +796,8 @@ def _product_step(
             sums[:, place[:singles]] = prod[:, :singles]
             if len(cuts):
                 sums[:, place[singles:]] = np.add.reduceat(prod[:, singles:], cuts, axis=1)
-            at = t if rows else start[t][:, None] + np.arange(len(place))
-            dst_v[at] = sums
-            if not factored:
-                dst_k[at] = targets[t][:, None] * code.stride + tail_keys
-    return ((targets, tail_sets[0]) if factored else out_k), out_v
+            out_v[t] = sums
+    return (targets, tail_codes), out_v.reshape(-1)
 
 
 def _times_step(
@@ -842,14 +823,9 @@ def _times_step(
     sums go straight into the level's arrays, allocated for every
     product but touched only as far as written, then shrunk in place.
 
-    A pair level of every head times one shared tail set takes
-    ``_product_step`` instead, which sorts no products.  That is every
-    untruncated level at 0 < rho <= 1, where pi_rho^n lives on
-    supp(mu^n) x supp(mu^n).  A factored level is one by construction
-    and goes straight there; a level of keys (level 1, or one cut by a
-    cap) goes there when ``_product_shape`` finds equal runs, each with
-    the first run's tails.  Other levels (rho = 0, levels cut by a cap,
-    single walks) take the chunked step; both routes give the same bytes.
+    A level held as factors takes ``_product_step`` instead, which
+    sorts no products; a level of keys takes the chunked step.  Both
+    routes give the same bytes.
     """
     # atom indices by first word; the atoms are sorted, so in atom order
     groups: dict[Word, list[int]] = {}
@@ -860,11 +836,7 @@ def _times_step(
     if isinstance(support, tuple):
         return _product_step(code, atoms, groups, num, *support, vals)
     keys = support
-    if pair:
-        shape = _product_shape(keys, code.stride)
-        if shape is not None:
-            return _product_step(code, atoms, groups, num, *shape, vals)
-        # runs of states sharing a left word
+    if pair:  # runs of states sharing a left word
         heads = keys // code.stride
         run_start = np.flatnonzero(np.r_[True, heads[1:] != heads[:-1]])
         run_len = np.diff(np.r_[run_start, len(keys)])
@@ -962,14 +934,16 @@ def iter_convolution_levels(
 
     Each level multiplies every kept state by every atom on the right
     (vectorized on shortlex codes), then sorts and sums equal keys, in
-    chunks of about ``_CHUNK`` products (``_times_step``).  A level of
-    every head times one tail set (from level 2 on, every untruncated
-    level at 0 < rho <= 1) is held as its factors, with no key per atom.
-    Past ``cap`` atoms the lightest are dropped, ties broken in
-    shortlex order (``_heaviest``), and only the kept atoms' keys are
-    built (``_kept``); ``strict=True`` raises ``TruncationError``
-    instead.  Exact numerators are int64 up to the last level with
-    D**level <= 2**62 and Python ints from the next, whatever ``n`` is.
+    chunks of about ``_CHUNK`` products (``_times_step``).  A pair step
+    whose sorted keys are every head times one tail set
+    (``_product_shape``; at 0 < rho <= 1, every pi_rho) is held as its
+    factors from level 1 on, with no key per atom, and so is every level
+    after it until a cap cuts one.  Past ``cap`` atoms the lightest are
+    dropped, ties broken in shortlex order (``_heaviest``), and only the
+    kept atoms' keys are built (``_kept``); ``strict=True`` raises
+    ``TruncationError`` instead.  Exact numerators are int64 up to the
+    last level with D**level <= 2**62 and Python ints from the next,
+    whatever ``n`` is.
     """
     if not isinstance(n, int) or n < 1:
         raise InputError(f"n must be a positive integer, got {n!r}")
@@ -996,6 +970,8 @@ def iter_convolution_levels(
     vals = np.array(nums, dtype=vals_dtype)
     order = np.argsort(keys)
     support, vals = keys[order], vals[order]
+    if pair:  # a product step is held as its factors from level 1 on
+        support = _product_shape(support, code.stride) or support
 
     lost: Weight = Fraction(0) if exact else 0.0
 

@@ -55,6 +55,8 @@ SHORT_STREAM = 128
 # Philox4x64 round multipliers and key increments (Random123 constants).
 _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
 _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+# raw words that one Philox4x64 counter gives; walkers and boundary read it here
+PHILOX_WORDS = 4
 _LO32 = np.uint64(0xFFFFFFFF)
 _S32 = np.uint64(32)
 
@@ -127,11 +129,11 @@ def _philox_rows(seed: int, streams: np.ndarray, n: int, counter: int = 1) -> np
     """n uint64 outputs of Philox4x64-10 for every stream, from ``counter`` on.
 
     numpy's ``Philox(key=seed + (stream << 64))`` has key words
-    (seed, stream) and encrypts counters 1, 2, ... in turn, four output
-    words per counter; here every (stream, counter) lane runs at once.
+    (seed, stream) and encrypts counters 1, 2, ... in turn, giving
+    ``PHILOX_WORDS`` words each; every (stream, counter) lane runs at once.
     The ten rounds rotate through one set of preallocated arrays.
     """
-    blocks = -(-n // 4)
+    blocks = -(-n // PHILOX_WORDS)
     c0, c1, c2, c3, h0, h1, l0, l1, *scratch = np.zeros(
         (11, len(streams), blocks), dtype=np.uint64
     )
@@ -148,12 +150,13 @@ def _philox_rows(seed: int, streams: np.ndarray, n: int, counter: int = 1) -> np
         h0 ^= c3
         h0 ^= k1
         c0, c1, c2, c3, h0, h1, l0, l1 = h1, l1, h0, l0, c0, c1, c2, c3
-    return np.stack([c0, c1, c2, c3], axis=-1).reshape(len(streams), 4 * blocks)[:, :n]
+    return np.stack([c0, c1, c2, c3], axis=-1).reshape(len(streams), -1)[:, :n]
 
 
 def word_rows(seed: int, streams, n: int, counter: int = 1) -> np.ndarray:
     """[len(streams), n] uint64 words; row i is ``generator(seed, streams[i])``'s
-    raw outputs from Philox counter ``counter`` (its words 4(counter - 1) on).
+    raw outputs from Philox counter ``counter`` (its words
+    ``PHILOX_WORDS * (counter - 1)`` on).
 
     Up to ``SHORT_STREAM`` draws the rows come from the vectorized
     Philox route, beyond it from one generator per stream.  numpy's

@@ -61,7 +61,7 @@ def index_block(
     counter: int = 1,
 ) -> np.ndarray:
     """Atom indices [hi-lo, n]; row i comes from stream (component, lo + i),
-    from Philox counter ``counter`` on (four indices per counter).
+    from Philox counter ``counter`` on (``rng.PHILOX_WORDS`` indices per counter).
 
     Raw Philox words become indices through one guide table per call.
     Long streams are drawn a few rows at a time, so no [trials, n] word
@@ -269,9 +269,10 @@ def step_letters(
     measure: FiniteMeasure, seed: int, component: int, trials: int, first: int, last: int
 ) -> list[np.ndarray]:
     """Per-coordinate [trials, (last - first) * width] int8 letters of steps
-    first..last-1 of trials 0..trials-1; ``first`` is a multiple of 4,
-    the first step of Philox counter first // 4 + 1."""
-    idx = index_block(measure, last - first, seed, component, 0, trials, first // 4 + 1)
+    first..last-1 of trials 0..trials-1; ``first`` is a multiple of
+    ``rng.PHILOX_WORDS``, the first step of a Philox counter."""
+    counter = first // rngmod.PHILOX_WORDS + 1
+    idx = index_block(measure, last - first, seed, component, 0, trials, counter)
     return [_letters(mat, idx) for mat in letter_matrices(measure)]
 
 

@@ -363,6 +363,30 @@ def test_cli_entropy_exact_golden(tmp_path):
     }
 
 
+def test_cli_sweep_keyed_levels_golden(tmp_path):
+    # float weights: every sum depends on its order.  At rho = 0 the
+    # diagonal levels are keys from level 1 and level 5 is cut by the cap;
+    # at rho = 0.5 level 1 is a product, level 3 is cut, and the levels
+    # after it take the chunked step.  Pinned before level 1 of a product
+    # step was held as factors.
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({
+        "spec_version": 1,
+        "measure": {"rank": 2, "kind": "single", "atoms": [
+            {"word": [1], "weight": "0.4"}, {"word": [-1], "weight": "0.1"},
+            {"word": [2], "weight": "0.3"}, {"word": [-2], "weight": "0.2"},
+        ]},
+        "rho_grid": [0, 0.5], "n": 20, "trials": 10, "n_max": 5, "cap": 200, "seed": 11,
+    }))
+    execute(parse_config("sweep", str(cfg), {"out": str(tmp_path / "run")}))
+    digests = {f: hashlib.sha256((tmp_path / "run" / f).read_bytes()).hexdigest()
+               for f in ("results.json", "sweep.csv")}
+    assert digests == {
+        "results.json": "026715cec99c53c61c7931c12a83ec18887463c351d3bbda973ed1dfdf96fe33",
+        "sweep.csv": "73598187112ba28b88a7755b52aa70436bc60c7521b91461d02c20aaa70e903c",
+    }
+
+
 def test_cli_tv_oracle_rows_golden(tmp_path):
     out = tmp_path / "run"
     r = run_cli("tv", "--group", "free_semigroup:2", "--rho", "0.3",
@@ -441,11 +465,47 @@ def test_cli_report_roundtrip(tmp_path):
                 "--out", str(out))
     assert r.returncode == 0, r.stderr
     original = (out / "table.csv").read_bytes()
+    # report writes only the table and the plot: the run keeps its record
+    kept = {f: (out / f).read_bytes() for f in ("meta.json", "results.json")}
     (out / "table.csv").unlink()
     r = run_cli("report", "--out", str(out), "--plot")
     assert r.returncode == 0, r.stderr
     assert (out / "table.csv").read_bytes() == original
     assert (out / "plot.svg").exists()
+    assert {f: (out / f).read_bytes() for f in kept} == kept
+    assert json.loads(kept["meta.json"])["subcommand"] == "tv"
+
+
+@pytest.mark.parametrize("subcommand, flags", [
+    ("drift", ("--rho", "0.5", "--n", "20", "--trials", "10")),
+    ("entropy", ("--rho", "0.5")),
+    ("tv", ("--rho", "0.5", "--n", "6", "--trials", "50")),
+    ("sweep", ("--rho-grid", "0:1:0.5", "--n", "20", "--trials", "10")),
+    ("dimension", ("--rho", "0.5", "--trials", "50")),
+])
+def test_cli_runs_on_one_letter(tmp_path, subcommand, flags):
+    # one letter has no closed form (those need two letters or more): the
+    # runs take the exact routes, where both coordinates walk the same ray
+    out = tmp_path / "run"
+    r = run_cli(subcommand, "--group", "free_semigroup:1", "--seed", "1",
+                "--out", str(out), *flags)
+    assert r.returncode == 0, r.stderr
+    records = [json.loads(l) for l in (out / "results.json").read_text().splitlines()]
+    for rec in records:
+        if rec["method"] in ("entropy-exact", "entropy-increment", "tv-exact"):
+            assert rec["value"] == 0.0
+    exact = {rec["method"] for rec in records} & {"entropy-increment", "tv-exact"}
+    assert exact == {"entropy": {"entropy-increment"}, "tv": {"tv-exact"},
+                     "sweep": {"entropy-increment"}}.get(subcommand, set())
+
+
+def test_cli_pointwise_entropy_on_one_letter_exits_two(tmp_path):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"spec_version": 1, "method": "pointwise"}))
+    r = run_cli("entropy", "--config", str(cfg), "--group", "free_semigroup:1",
+                "--rho", "0.5", "--seed", "1", "--out", str(tmp_path / "run"))
+    assert r.returncode == 2
+    assert "pointwise entropy needs a uniform step on two or more semigroup letters" in r.stderr
 
 
 def test_cli_report_without_results_exits_two(tmp_path):

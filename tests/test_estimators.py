@@ -266,7 +266,7 @@ def test_tv_readout_of_factored_levels_matches_key_readout():
         for lv_pi, lv_mu in zip(
             iter_convolution_levels(pi, 5), iter_convolution_levels(marginal, 5)
         ):
-            assert (lv_pi.factors is not None) == (lv_pi.level > 1)
+            assert lv_pi.factors is not None
             keyed = dataclasses.replace(lv_pi, _support=lv_pi.keys)
             assert keyed.factors is None
             got, want = (_tv_pair_readout(lv, lv_mu) for lv in (lv_pi, keyed))

@@ -123,6 +123,8 @@ def test_uniform_measures():
     assert uniform_letter_count(g) is None  # inverses present
     lop = build_measure([((1,), F(1, 4)), ((2,), F(3, 4))])
     assert uniform_letter_count(lop) is None  # not uniform
+    # one letter: the closed forms need two or more
+    assert uniform_letter_count(uniform_measure(1, inverse_free=True)) is None
 
 
 # ---------------------------------------------------------------------------
@@ -696,8 +698,9 @@ def test_row_patterns_match_unique_rows(reach):
 def chunked_only(mp):
     """Make every level take the chunked step.
 
-    Level 1 holds keys, and only ``_product_step`` makes factors, so no
-    level is factored either.
+    Only level 1 of a product step is found to be factors, by
+    ``_product_shape``; without it every level holds keys, and keys take
+    the chunked step.
     """
     mp.setattr(measures, "_product_shape", lambda keys, stride: None)
 
@@ -708,10 +711,10 @@ def factored_levels(step, n, cap=DEFAULT_CAP):
 
 
 def count_product_steps(mp):
-    """Record each call of ``_product_step``; return the record."""
+    """Record the size of the level each call of ``_product_step`` reads; return the record."""
     calls = []
     step_fn = measures._product_step
-    mp.setattr(measures, "_product_step", lambda *a: calls.append(1) or step_fn(*a))
+    mp.setattr(measures, "_product_step", lambda *a: calls.append(len(a[-1])) or step_fn(*a))
     return calls
 
 
@@ -743,32 +746,66 @@ def test_product_route_matches_chunked_route(mu, rho, drop, n, cap):
             mp.setattr(measures, "_CHUNK", chunk)
             products = count_product_steps(mp)
             assert level_record(step, n, cap) == want
-        # at 0 < rho every untruncated level of pi is supp(mu^l) x supp(mu^l),
-        # held as factors from level 2 on
-        if rho and cap == DEFAULT_CAP and step.support_size == mu.support_size**2:
-            assert len(products) == n - 1
-            assert factored_levels(step, n) == [False] + [True] * (n - 1)
+        # a level is factors exactly when the step is a product (at 0 < rho,
+        # supp(mu) x supp(mu)) and no cap has cut it or a level before it;
+        # factors take the product step, keys the chunked step
+        firsts, seconds = ({a[c] for a in step.support()} for c in (0, 1))
+        product = step.support_size == len(firsts) * len(seconds)
+        factored = [product and lv.lost_mass == 0 for lv in iter_convolution_levels(step, n, cap)]
+        assert factored_levels(step, n, cap) == factored
+        assert len(products) == sum(factored[:-1])
 
 
-def test_product_route_with_unequal_tail_sets():
-    # first word (1,) meets two second words, (2,) one; caps 1 and 2 leave
-    # one head (a product), so the next step has heads with 2 and 1 sums.
-    # The uncut levels are not products and take the chunked step.
+def test_non_product_step_takes_the_chunked_step():
+    # first word (1,) meets two second words, (2,) one: not a product.
+    # Caps 1 and 2 leave one head, a level of product shape, yet the step
+    # is not a product, so its levels stay keys and take the chunked step
     step = build_measure(
         [(((1,), (1,)), F(1, 2)), (((1,), (2,)), F(1, 4)), (((2,), (1,)), F(1, 4))]
     )
-    for cap, steps in ((1, 3), (2, 3), (DEFAULT_CAP, 0)):
-        with pytest.MonkeyPatch.context() as mp:
-            chunked_only(mp)
-            want = level_record(step, 4, cap)
+    for cap in (1, 2, DEFAULT_CAP):
         with pytest.MonkeyPatch.context() as mp:
             products = count_product_steps(mp)
-            assert level_record(step, 4, cap) == want
-        assert len(products) == steps
-        # the product steps' heads reach unequal tail sets, so they write keys
-        assert not any(factored_levels(step, 4, cap))
-    for lvl, lv in enumerate(iter_convolution_levels(step, 3), start=1):
-        assert_measures_equal(lv.to_measure(), brute_force_convolution(step, lvl))
+            levels = list(iter_convolution_levels(step, 4, cap))
+        assert not products and not any(lv.factors is not None for lv in levels)
+        # the reference: each kept level times the step, cut to the cap
+        kept, lost = ((((), ()), F(1)),), F(0)
+        for lvl, lv in enumerate(levels, start=1):
+            full: dict = {}
+            for (u1, u2), w in kept:
+                for (a1, a2), v in step.atoms:
+                    key = (multiply(u1, a1), multiply(u2, a2))
+                    full[key] = full.get(key, 0) + w * v
+            # the cap heaviest atoms, ties in shortlex order
+            ranked = sorted(
+                full.items(), key=lambda aw: (-aw[1], atom_order(aw[0], "pair", step.rank))
+            )
+            kept = tuple(sorted(ranked[:cap]))
+            lost += sum(full.values()) - sum(w for _, w in kept)
+            assert lv.to_measure().atoms == kept and lv.lost_mass == lost
+            if cap == DEFAULT_CAP:
+                assert_measures_equal(lv.to_measure(), brute_force_convolution(step, lvl))
+
+
+@pytest.mark.parametrize("cap, sizes", [
+    # levels 1-2 of pi_0.3 on F_2 are products (16 and 169 atoms); level 3
+    # is made from level 2's factors and cut, so levels 4 and 5 take the
+    # chunked step
+    (500, [16, 169]),
+    # level 1 cut to one atom: a product in shape, yet cut, so every later
+    # level takes the chunked step
+    (1, []),
+])
+def test_levels_cut_by_a_cap_stay_keys(cap, sizes):
+    step = build_pi_rho(srw(2), 0.3)
+    with pytest.MonkeyPatch.context() as mp:
+        chunked_only(mp)
+        want = level_record(step, 5, cap)
+    with pytest.MonkeyPatch.context() as mp:
+        steps = count_product_steps(mp)
+        assert level_record(step, 5, cap) == want
+    assert steps == sizes
+    assert factored_levels(step, 5, cap) == [True] * len(sizes) + [False] * (5 - len(sizes))
 
 
 def test_product_levels_sort_no_products(monkeypatch):
@@ -780,7 +817,7 @@ def test_product_levels_sort_no_products(monkeypatch):
     # the squares of the single supports, level 6 cut to the default cap;
     # the cap keeps keys
     assert [lv.size for lv in levels] == [k * k for k in (4, 13, 40, 121, 364)] + [DEFAULT_CAP]
-    assert [lv.factors is not None for lv in levels] == [False] + [True] * 4 + [False]
+    assert [lv.factors is not None for lv in levels] == [True] * 5 + [False]
 
 
 def test_numerators_are_int64_until_a_level_needs_more():
