@@ -219,6 +219,14 @@ class CylinderTree:
         k2 = 2 * samples.rank
         self.letter_base = k2
         self.base = k2 * k2
+        # pair code c1 * k2 + c2 of letters (x1, x2), read as _pair_codes[x1, x2]:
+        # a letter x > 0 has code x - 1, an inverse letter rank - 1 - x, and
+        # negative letters index from the end
+        signed = np.arange(-samples.rank, samples.rank + 1)
+        code = np.where(signed > 0, signed - 1, samples.rank - 1 - signed)
+        self._pair_codes = np.zeros((len(signed), len(signed)), dtype=np.int64)
+        self._pair_codes[signed[:, None], signed] = code[:, None] * k2 + code
+        self._reached = int(self.t_stable.min(initial=depth))  # depth every sample reaches
         if samples._walk is None:
             inside = self.t_stable[:, None] > np.arange(depth)[None, :]
             zero = (samples.letters1[:, :depth] == 0) | (samples.letters2[:, :depth] == 0)
@@ -242,18 +250,25 @@ class CylinderTree:
         return tuple(self._levels)
 
     def _build_level(self, t: int) -> _TreeLevel:
-        """Split the nodes of level t - 1 by the pair letter at depth t."""
-        rows = np.flatnonzero(self.t_stable >= t)
-        x1, x2 = (x[rows, t - 1].astype(np.int64) for x in self._samples.columns(t))
-        c1 = np.where(x1 > 0, x1 - 1, self.rank - 1 - x1)
-        c2 = np.where(x2 > 0, x2 - 1, self.rank - 1 - x2)
-        keys = self._ids[rows] * np.int64(self.base) + c1 * self.letter_base + c2
+        """Split the nodes of level t - 1 by the pair letter at depth t.
+
+        Only the samples that reach depth t are gathered, and only when
+        some sample stops above it.
+        """
+        x1, x2 = (x[:, t - 1] for x in self._samples.columns(t))
+        ids = self._ids
+        rows = None
+        if t > self._reached:
+            rows = np.flatnonzero(self.t_stable >= t)
+            x1, x2, ids = x1[rows], x2[rows], ids[rows]
+        keys = ids * np.int64(self.base)
+        keys += self._pair_codes[x1, x2]
         order = _sort_in_place(keys, self.sample_count * self.base)  # parent ids < samples
         first = np.ones(len(keys), dtype=bool)  # each run of equal keys is a node
         np.not_equal(keys[1:], keys[:-1], out=first[1:])
         starts = np.flatnonzero(first)
         new_ids = np.full(self.sample_count, -1, dtype=np.int32)
-        new_ids[rows[order]] = np.cumsum(first) - 1
+        new_ids[order if rows is None else rows[order]] = np.cumsum(first) - 1
         self._ids = new_ids
         return _TreeLevel(keys[starts], np.diff(starts, append=len(keys)), new_ids)
 
@@ -300,6 +315,37 @@ def build_tree(samples: BoundarySampleSet, depth: int) -> CylinderTree:
     return CylinderTree(samples, depth)
 
 
+# the LAPACK gelsd gufunc np.linalg.lstsq calls, (m,n),(m,nrhs),()->(n,nrhs),(nrhs),(),(p)
+_lstsq = np.linalg._umath_linalg.lstsq
+
+
+def _lstsq_failed(err, flag):
+    raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+
+
+def _line_slopes(xs: np.ndarray, ys: np.ndarray, ks: np.ndarray) -> np.ndarray:
+    """``np.polyfit(xs[:k], y[:k], 1)[0]`` bit for bit, per row y of ``ys``
+    and its k in ``ks``.
+
+    The rows with one k share polyfit's scaled matrix and rcond, and one
+    stacked call of ``np.linalg.lstsq``'s gufunc solves them, each as its
+    own one-column problem (a many-column solve rounds differently).  A
+    LAPACK failure raises ``LinAlgError``, as in ``np.linalg.lstsq``.
+    """
+    slopes = np.empty(len(ks))
+    with np.errstate(call=_lstsq_failed, invalid="call", over="ignore",
+                     divide="ignore", under="ignore"):
+        for k in np.unique(ks).tolist():
+            lhs = np.vander(xs[:k], 2)
+            scale = np.sqrt((lhs * lhs).sum(axis=0))
+            lhs /= scale
+            rows = np.flatnonzero(ks == k)
+            coef = _lstsq(lhs, ys[rows, :k, None], k * np.finfo(float).eps,
+                          signature="ddd->ddid")[0]
+            slopes[rows] = coef[:, 0, 0] / scale[0]
+    return slopes
+
+
 def local_dimension(
     samples: BoundarySampleSet,
     tree: CylinderTree,
@@ -321,9 +367,9 @@ def local_dimension(
     Node sizes never grow with depth, so once no node at a grid depth
     holds ``min_count + 1`` samples, no center is usable there or
     deeper; the fit stops at that depth and the tree's deeper levels
-    stay unbuilt.  Each slope is ``np.polyfit(x, y, 1)[0]`` bit for bit,
-    with polyfit's scaled least-squares matrix built once per number of
-    usable depths.
+    stay unbuilt.  Each slope is ``np.polyfit(x, y, 1)[0]`` bit for bit;
+    the centers with k usable depths are fitted together, in one stacked
+    call of the least-squares routine ``np.linalg.lstsq`` calls.
     """
     if len(samples) != tree.sample_count:
         raise ValidationError("tree was built from a different sample count")
@@ -367,19 +413,7 @@ def local_dimension(
     fitted = ks >= 2
     if not fitted.any():
         raise ValidationError("no center had two usable grid depths")
-    # np.polyfit(x, y, 1)[0], with its scaled least-squares set-up made
-    # once per k instead of once per center
-    xs = np.array(ts, dtype=float)
-    setups = {}
-    slopes = np.empty(int(np.count_nonzero(fitted)))
-    for i, (k, y) in enumerate(zip(ks[fitted].tolist(), ys[fitted])):
-        if k not in setups:
-            lhs = np.vander(xs[:k], 2)
-            scale = np.sqrt((lhs * lhs).sum(axis=0))
-            lhs /= scale
-            setups[k] = lhs, scale[0], k * np.finfo(float).eps
-        lhs, scale0, rcond = setups[k]
-        slopes[i] = np.linalg.lstsq(lhs, y[:k], rcond)[0][0] / scale0
+    slopes = _line_slopes(np.array(ts, dtype=float), ys[fitted], ks[fitted])
     return _mean_result(
         slopes, tree.horizon, seed, "local-dimension",
         {

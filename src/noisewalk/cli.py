@@ -325,6 +325,16 @@ def parse_config(
             raise ValidationError(
                 f"export_tree_depth {export} exceeds the deepest t_grid depth {deepest}"
             )
+        # no position at the horizon has more letters, so no deeper depth is usable
+        letters = v["horizon"] * max(len(atom) for atom, _ in mu.atoms)
+        if deepest > letters:
+            raise ValidationError(
+                f"t_grid depth {deepest} exceeds horizon x longest atom = {letters}"
+            )
+        if rho_grid is None and keep and keep > letters:
+            raise ValidationError(
+                f"keep_depth {keep} exceeds horizon x longest atom = {letters}"
+            )
 
     return RunConfig(
         subcommand, mu, rho, rho_grid, v["n"], v["trials"], v["seed"], v["cap"],

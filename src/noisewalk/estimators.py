@@ -224,13 +224,13 @@ def entropy_exact_curve(
 
 
 def entropy_rate_estimate(curve: EntropyCurve) -> tuple[float, float]:
-    """(min H_n / n, H_n - H_(n-1)): two upper bounds on the entropy rate.
+    """(min H_n / n, H_n - H_(n-1)): two upper bounds on the entropy rate h.
 
-    The first is true by subadditivity; the second, the point estimate,
-    is the increment at the deepest untruncated level, which converges
-    much faster.  It is the tighter upper bound: H_n - H_(n-1) =
+    The first is true by subadditivity.  The second, the increment at
+    the deepest untruncated level, is the certified upper bound on h
+    that the run reports, and the tighter one: H_n - H_(n-1) =
     H(X_1) - H(X_1 | X_n) is nonincreasing in n, because X_1 -> X_n ->
-    X_(n+1) is a Markov chain, and it tends to the rate.  Needs at
+    X_(n+1) is a Markov chain, and it tends to h from above.  Needs at
     least two untruncated levels.
     """
     exact_idx = [i for i, t in enumerate(curve.truncated) if not t]

@@ -17,6 +17,7 @@ from noisewalk import walkers
 from noisewalk.boundary import (
     BoundarySampleSet,
     CylinderTree,
+    _line_slopes,
     build_tree,
     dimension_singularity_check,
     local_dimension,
@@ -548,6 +549,52 @@ def test_local_dimension_with_many_depth_sets_matches_polyfit(mu, horizon, t_gri
     expect = _local_dimension_reference(build_tree(s, depth), t_grid, 400, 6, 3, depth_sets)
     assert len(set(depth_sets)) >= min_sets
     assert local_dimension(s, build_tree(s, depth), t_grid, 400, 6, 3) == expect
+
+
+def _lstsq_slope(xs, y):
+    """Slope of a line fit by one np.linalg.lstsq call, set up as np.polyfit does."""
+    lhs = np.vander(xs, 2)
+    scale = np.sqrt((lhs * lhs).sum(axis=0))
+    lhs /= scale
+    return np.linalg.lstsq(lhs, y, len(xs) * np.finfo(float).eps)[0][0] / scale[0]
+
+
+def test_stacked_slopes_equal_one_lstsq_call_per_row():
+    gen = np.random.default_rng(16)
+    xs = np.sort(gen.choice(np.arange(1, 200), size=30, replace=False)).astype(float)
+    ks = np.repeat(np.arange(2, 31), 50)  # k = 2 is the square case
+    gen.shuffle(ks)  # every k in one stack, rows of one k apart
+    ys = gen.standard_normal((len(ks), 30)) * gen.uniform(0.01, 100, (len(ks), 1))
+    expect = [_lstsq_slope(xs[:k], y[:k]) for k, y in zip(ks.tolist(), ys)]
+    assert _line_slopes(xs, ys, ks).tolist() == expect
+    assert expect == [np.polyfit(xs[:k], y[:k], 1)[0] for k, y in zip(ks.tolist(), ys)]
+    for k in (2, 3, 30):  # a stack of one
+        assert _line_slopes(xs, ys[:1], np.array([k])).tolist() == [
+            _lstsq_slope(xs[:k], ys[0, :k])
+        ]
+
+
+def test_stacked_slopes_raise_linalg_error_as_lstsq_does():
+    xs = np.array([1.0, np.nan, 3.0])  # LAPACK rejects the matrix
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.lstsq(np.vander(xs, 2), np.ones(3))
+    with pytest.raises(np.linalg.LinAlgError):
+        _line_slopes(xs, np.ones((2, 3)), np.array([3, 3]))
+
+
+@pytest.mark.parametrize("lens", [[3, 3, 3, 3], [3, 1, 0, 2]], ids=["all-stable", "some-short"])
+def test_build_level_matches_eager_levels(lens):
+    # rank 3, letters of both signs; zeros pad past each stable length
+    l1 = np.array([[1, -3, 2], [-1, 3, -2], [3, 3, -1], [-2, 1, 1]], dtype=np.int8)
+    l2 = np.array([[2, 2, -3], [-3, -1, 1], [3, 3, -1], [1, -2, 2]], dtype=np.int8)
+    lens = np.array(lens)
+    for letters in (l1, l2):
+        letters[np.arange(3) >= lens[:, None]] = 0
+    s = BoundarySampleSet(l1, l2, lens, lens, horizon=3, keep_depth=3, rank=3, seed=0)
+    tree = build_tree(s, 3)
+    assert tree._reached == min(lens)  # levels past it gather the rows that reach them
+    for t, ref in enumerate(_eager_levels(s, 3), start=1):
+        _assert_level_equal(tree.level(t), ref)
 
 
 def test_zero_letter_at_deepest_stable_depth_fails_at_build_tree():

@@ -225,6 +225,11 @@ def test_cli_wrong_key_types_exit_two(tmp_path, subcommand, bad, key):
     assert not (tmp_path / "o").exists()
 
 
+# a step whose longest atom has two letters
+_TWO_LETTER_ATOM = {"rank": 2, "kind": "single", "atoms": [
+    {"word": [1, 2], "weight": "1/2"}, {"word": [2], "weight": "1/2"}]}
+
+
 @pytest.mark.parametrize(
     "subcommand, bad, key",
     [
@@ -238,6 +243,16 @@ def test_cli_wrong_key_types_exit_two(tmp_path, subcommand, bad, key):
         ("sweep", {"rho_grid": "0:inf:0.5"}, "rho_grid"),
         ("drift", {"group": "free_group:99999999999"}, "group"),
         ("drift", {"group": f"free_semigroup:{walkers._MAX_RANK_INT8 + 1}"}, "group"),
+        # no sample has letters past horizon x longest atom
+        ("dimension", {"rho": 0.5, "horizon": 50, "trials": 50, "t_grid": [1, 10**11]},
+         "t_grid"),
+        ("dimension", {"rho_grid": [0.2, 1.0], "horizon": 50, "t_grid": [1, 10**11]},
+         "t_grid"),
+        ("dimension", {"rho": 0.5, "horizon": 50, "t_grid": [1, 51]}, "t_grid"),
+        ("dimension", {"rho": 0.5, "horizon": 50, "t_grid": [1, 10], "keep_depth": 10**11},
+         "keep_depth"),
+        ("dimension", {"measure": _TWO_LETTER_ATOM, "rho": 0.5, "horizon": 5,
+                       "t_grid": [1, 11]}, "t_grid"),
     ],
 )
 def test_oversized_configs_are_refused_before_any_work(subcommand, bad, key):
@@ -258,6 +273,11 @@ def test_largest_rho_grid_and_rank_still_parse():
     top = parse_config("drift", None, {"group": f"free_group:{walkers._MAX_RANK_INT8}",
                                        "seed": 1})
     assert top.measure.rank == walkers._MAX_RANK_INT8
+    deepest = parse_config("dimension", None, {
+        "group": "free_semigroup:2", "measure": _TWO_LETTER_ATOM, "seed": 1, "rho": 0.5,
+        "horizon": 5, "t_grid": [1, 10], "keep_depth": 10,
+    })
+    assert deepest.options["t_grid"][-1] == deepest.options["keep_depth"] == 10
 
 
 def test_readme_lists_the_config_keys():
