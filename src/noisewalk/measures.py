@@ -12,46 +12,28 @@ the common denominator D**level, which keeps arithmetic exact and makes
 entropy certification possible.  A reduced word is numbered by its
 shortlex rank, written as a base-B numeral with B = (number of
 letters) + 1 and letters 1..k, -1..-k (1..k on a semigroup) as digits
-1..B-1.  Multiplying by a letter on the right is arithmetic on these
-codes, so no table of words is built.  A level is made, sorted and
-summed in chunks of at most ``_CHUNK`` products (more only where one
-target head alone has more), in target-key order.  The head is the
-left word of a pair and the whole word of a single walk; a state's
-head times an atom's first word gives the target head, so the chunks
-are laid out before any product is made.  Within a chunk, equal keys
-meet in atom order, as in a stable sort of the whole level, so every
-sum adds the same terms in the same order at any chunk size.  Where
-int64 has room, each key carries its position in its low bits and one
-in-place sort of the packed words orders a chunk; otherwise a stable
-argsort runs.  Besides the level's own arrays, a pair level step holds
-a few arrays of the previous level's size and the chunk's; a single
-level, where each block is one product, holds a key and an index per
-product for the block sort.
+1..B-1, so multiplying by a letter on the right is arithmetic on codes
+and no table of words is built.
 
-The form of a level follows from the step.  A pair step whose
-support is every first word times every second word (pi_rho at
-0 < rho <= 1 lives on supp(mu) x supp(mu)) is held as its factors
-(sorted heads, sorted tails, values row-major), with no key per atom,
-and a product level times a product step is again a product, so every
-level is factors until a cap cuts one.  Factors take a product route:
-a target head's products depend on its heads only through the set of
-first words that reach it (its pattern; a handful on a free group), so
-one stable argsort per pattern orders the products of all its heads,
-in the atom order of the chunked step, and each head's sums are added
-in the same order, with the same bits.  No product is sorted.  Keys
-take the chunked step: levels at rho = 0, levels cut by a cap, other
-pair steps and single walks.
+The form of a level follows from the step.  A pair step on every first
+word times every second word (pi_rho at 0 < rho <= 1) is held as its
+factors (sorted heads, sorted tails, values row-major), with no key per
+atom, until a cap cuts a level; other levels are sorted keys, summed in
+chunks of about ``_CHUNK`` products in target-key order (``_times_step``).
+Factors sort no product: one (first word, second word) pair's products
+for the target heads of one pattern (the first words reaching them)
+and the target tails of one class (the second words reaching them) are
+a term plane, a row gather from the previous level held tails-major
+times one numerator.  A class's planes are added in atom order and in
+``np.add.reduceat``'s own order, ``a0 + pairwise(a1, ...)``, as the
+chunked step adds a key's terms, so a level's bits depend on neither
+its form nor the chunk size.
 
 Keys and numerators are int64 while they provably fit (keys below
 B**depth, squared for pairs; numerators up to the last level with
 D**level <= 2**62) and Python ints in object arrays otherwise; the
 dtype follows from the input, never from an option, and the results
 are the same either way.
-
-Support caps drop the lowest-mass atoms, ties broken in shortlex order
-(pairs: lexicographic in the two coordinates), and track the lost mass
-so callers can certify bounds; ``strict=True`` turns truncation into an
-error instead.
 
 A level's histogram readout (``mass_counts``, behind the entropies and
 the certified comparisons) counts the values one block of
@@ -430,7 +412,7 @@ class _WordCode:
             letters.append(self.letters[d - 1])
         return tuple(reversed(letters))
 
-    def times_words(self, codes: np.ndarray, words: set[Word]) -> dict[Word, np.ndarray]:
+    def times_words(self, codes: np.ndarray, words: Iterable[Word]) -> dict[Word, np.ndarray]:
         """Codes of u * w for every code of u in ``codes``, for each word w.
 
         Right-multiplying by letter x drops the last digit when it is
@@ -719,11 +701,8 @@ def _product_shape(keys: np.ndarray, stride: int) -> tuple[np.ndarray, np.ndarra
 
 
 def _row_patterns(reach: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct rows of a bool matrix in lexicographic order, and each row's index among them.
-
-    The result of ``np.unique(reach, axis=0, return_inverse=True)``, by
-    one lexsort and a compare of adjacent rows instead of a sort of a
-    structured dtype.
+    """Distinct rows of a bool matrix, lexicographic, and each row's index among them:
+    ``np.unique(reach, axis=0, return_inverse=True)`` by one lexsort, not a structured sort.
     """
     order = np.lexsort(reach.T[::-1])
     ranked = reach[order]
@@ -734,69 +713,90 @@ def _row_patterns(reach: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ranked[first], pattern_of
 
 
+def _preimages(images: dict) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted codes of ``images`` (an array per word) and ``where[t, k]``: what word k takes to t, or -1."""
+    codes, inv = np.unique(np.concatenate(list(images.values())), return_inverse=True)
+    where = np.full((len(codes), len(images)), -1)
+    where[inv.reshape(len(images), -1), np.arange(len(images))[:, None]] = np.arange(len(inv) // len(images))
+    return codes, where
+
+
+def _pairwise(terms: np.ndarray) -> np.ndarray:
+    """numpy's ``pairwise_sum`` along axis 0 (see ``_plane_sum``), in place into ``terms[0]``."""
+    n, rest = len(terms), 1
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return np.add(_pairwise(terms[:half]), _pairwise(terms[half:]), out=terms[0])
+    if n >= 8:
+        lanes, rest = terms[:8], n - n % 8
+        for i in range(8, rest, 8):
+            lanes += terms[i : i + 8]
+        for k in (1, 2, 4):  # ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+            lanes[:: 2 * k] += lanes[k :: 2 * k]
+    for term in terms[rest:]:
+        terms[0] += term
+    return terms[0]
+
+
+def _plane_sum(terms: np.ndarray) -> np.ndarray:
+    """Sum along axis 0, in place into ``terms[0]``, as ``np.add.reduceat`` adds a segment.
+
+    That is ``a0 + pairwise(a1, ...)``, with numpy's ``pairwise_sum``
+    (``_pairwise``): below 8 terms left to right; up to 128 eight lanes,
+    each left to right, merged as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) +
+    (r6 + r7)), then the rest left to right; above 128 two halves (the
+    first a multiple of 8 terms), each so, then added.
+    """
+    if len(terms) > 1:
+        terms[0] += _pairwise(terms[1:])
+    return terms[0]
+
+
 def _product_step(
-    code: _WordCode,
-    atoms: list,
-    groups: dict[Word, list[int]],
-    num: np.ndarray,
-    heads: np.ndarray,
-    tails: np.ndarray,
-    vals: np.ndarray,
+    code: _WordCode, atoms: list, groups: dict[Word, list[int]], num: np.ndarray,
+    heads: np.ndarray, tails: np.ndarray, vals: np.ndarray,
 ) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
     """``_times_step`` on a level held as factors (every head times one tail set).
 
-    A target head's pattern is the groups (first words) that reach it,
-    one state run each.  Every head of a pattern gets its products in
-    the same layout (group by group, atom by atom, tail by tail), so one
-    stable argsort of the pattern's target tails orders and cuts the
-    products of all of them, and equal keys meet in atom order as in
-    the chunked step.  The heads of a pattern are then done in batches
-    of about ``_CHUNK`` products: gather their runs' values, multiply by
-    the numerators, take the pattern's order and sum.
-
-    Every first word of a product step meets every second word, so each
-    target head gets every target tail, and the new level comes back as
-    its factors (target heads, target tails), the values row-major.
+    A pattern's target heads go in batches of about ``_CHUNK`` products.
+    A batch's runs are transposed tails-major once; each (pattern, class)
+    term plane (module docstring) is a row gather from them times an
+    atom's numerator; each class is written by one row scatter of its
+    ``_plane_sum``; and the sums are transposed into the new level once.
+    A product step's first words each meet every second word, so each
+    target head gets every target tail: the new level is factors again.
     """
-    words, m = list(groups), len(tails)
-    dest = code.times_words(heads, set(words))
-    targets, block_head = np.unique(np.concatenate([dest[w] for w in words]), return_inverse=True)
-    # run[t, g]: the run whose head times words[g] is targets[t], -1 if none
-    run = np.full((len(targets), len(words)), -1)
-    run[block_head.reshape(len(words), -1), np.arange(len(words))[:, None]] = np.arange(len(heads))
+    words, m, seconds = list(groups), len(tails), sorted({a[1] for a in atoms})
+    # run[t, g]: the run whose head times words[g] is targets[t]; source[u, y]:
+    # the tail that seconds[y] takes to tail_codes[u]; -1 where none
+    targets, run = _preimages(code.times_words(heads, words))
+    tail_codes, source = _preimages(code.times_words(tails, seconds))
     patterns, pattern_of = _row_patterns(run >= 0)
-    # target tail ranks of every atom's second word on the shared tails
-    times_tail = code.times_words(tails, {a[1] for a in atoms})
-    tail_codes, rank = np.unique(np.concatenate(list(times_tail.values())), return_inverse=True)
-    tail_rank = dict(zip(times_tail, rank.reshape(len(times_tail), -1)))
+    classes, class_of = _row_patterns(source >= 0)
+    second = [seconds.index(a[1]) for a in atoms]
     out_v = np.empty((len(targets), len(tail_codes)), dtype=vals.dtype)
     grid = vals.reshape(len(heads), m)
     for p, reach in enumerate(patterns):
         gs = np.flatnonzero(reach)
-        # the products of one target head: slot s holds the run of group gs[s]
+        # the pattern's atoms in atom order, each with the slot s of its group's
+        # run; a batch's block holds tail j of slot s's run in row s * m + j
         slots = [(s, i) for s, g in enumerate(gs) for i in groups[words[g]]]
-        ranks = np.concatenate([tail_rank[atoms[i][1]] for _, i in slots])
-        order = np.argsort(ranks, kind="stable")
-        lens = np.bincount(ranks)  # terms per target tail; every tail is reached
-        # one-term sums first: they are read off the products, and reduceat
-        # gets only the sums of several terms, each in the same order
-        order = order[np.argsort(np.repeat(lens > 1, lens), kind="stable")]
-        column = np.concatenate([np.arange(m) + s * m for s, _ in slots])[order]
-        factor = np.repeat(num[[i for _, i in slots]], m)[order]
-        place = np.argsort(lens > 1, kind="stable")  # target tail rank of each sum
-        singles, lens = int(np.count_nonzero(lens == 1)), lens[lens > 1]
-        cuts = np.cumsum(lens) - lens
-        members = np.flatnonzero(pattern_of == p)
-        batch = max(1, _CHUNK // len(column))
-        for b in range(0, len(members), batch):
-            t = members[b : b + batch]
-            prod = grid[run[t[:, None], gs]].reshape(len(t), -1)[:, column]
-            prod *= factor
-            sums = np.empty((len(t), len(place)), dtype=vals.dtype)
-            sums[:, place[:singles]] = prod[:, :singles]
-            if len(cuts):
-                sums[:, place[singles:]] = np.add.reduceat(prod[:, singles:], cuts, axis=1)
-            out_v[t] = sums
+        planes = []  # per class: its tails, its planes' block rows and numerators
+        for c, reached in enumerate(classes):
+            rows = np.flatnonzero(class_of == c)
+            used = [(s, i) for s, i in slots if reached[second[i]]]
+            index = np.array([s * m + source[rows, second[i]] for s, i in used])
+            planes.append((rows, index, num[[i for _, i in used]][:, None, None]))
+        heads_of = np.flatnonzero(pattern_of == p)
+        batch = max(1, _CHUNK // (len(slots) * m))
+        for t in np.split(heads_of, range(batch, len(heads_of), batch)):
+            block = grid[run[t[:, None], gs]].reshape(len(t), -1).T.copy()
+            sums = np.empty((len(tail_codes), len(t)), dtype=vals.dtype)
+            for rows, index, factor in planes:
+                terms = block[index]
+                terms *= factor
+                sums[rows] = _plane_sum(terms)
+            out_v[t] = sums.T
     return (targets, tail_codes), out_v.reshape(-1)
 
 
@@ -823,9 +823,9 @@ def _times_step(
     sums go straight into the level's arrays, allocated for every
     product but touched only as far as written, then shrunk in place.
 
-    A level held as factors takes ``_product_step`` instead, which
-    sorts no products; a level of keys takes the chunked step.  Both
-    routes give the same bytes.
+    ``np.add.reduceat`` adds a key's terms as ``a0 + pairwise(a1, ...)``;
+    a level held as factors takes ``_product_step`` instead, which sorts
+    no products and adds the same terms in that order (``_plane_sum``).
     """
     # atom indices by first word; the atoms are sorted, so in atom order
     groups: dict[Word, list[int]] = {}
@@ -933,17 +933,17 @@ def iter_convolution_levels(
     """Stream the convolution powers step, step^2, ..., step^n.
 
     Each level multiplies every kept state by every atom on the right
-    (vectorized on shortlex codes), then sorts and sums equal keys, in
-    chunks of about ``_CHUNK`` products (``_times_step``).  A pair step
-    whose sorted keys are every head times one tail set
+    (vectorized on shortlex codes) and sums equal keys (``_times_step``).
+    A pair step whose sorted keys are every head times one tail set
     (``_product_shape``; at 0 < rho <= 1, every pi_rho) is held as its
-    factors from level 1 on, with no key per atom, and so is every level
-    after it until a cap cuts one.  Past ``cap`` atoms the lightest are
-    dropped, ties broken in shortlex order (``_heaviest``), and only the
-    kept atoms' keys are built (``_kept``); ``strict=True`` raises
-    ``TruncationError`` instead.  Exact numerators are int64 up to the
-    last level with D**level <= 2**62 and Python ints from the next,
-    whatever ``n`` is.
+    factors, summed in term planes (``_product_step``), until a cap cuts
+    a level; a level's bits depend on neither its form nor ``_CHUNK``.
+    Past ``cap`` atoms the lightest are dropped, ties broken in shortlex
+    order (pairs: lexicographic in the two coordinates; ``_heaviest``),
+    and only the kept atoms' keys are built (``_kept``); the lost mass is
+    tracked so callers can certify bounds, or ``strict=True`` raises
+    ``TruncationError``.  Exact numerators are int64 up to the last level
+    with D**level <= 2**62 and Python ints from the next, whatever ``n`` is.
     """
     if not isinstance(n, int) or n < 1:
         raise InputError(f"n must be a positive integer, got {n!r}")

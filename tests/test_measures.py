@@ -1,6 +1,7 @@
 """Measure construction, sampling, exact convolution, JSON parsing."""
 
 import dataclasses
+import functools
 import gc
 import hashlib
 import itertools
@@ -12,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from noisewalk.errors import (
@@ -718,7 +719,30 @@ def count_product_steps(mp):
     return calls
 
 
+def assert_matches_brute_force(got, full):
+    """Exact weights equal; float weights within rounding, as brute force
+    adds each atom's terms in another order and drops those that underflow."""
+    if got.exact:
+        assert got.atoms == full.atoms
+        return
+    g, f = got._lookup(), full._lookup()
+    for a in g.keys() | f.keys():
+        assert math.isclose(g.get(a, 0.0), f.get(a, 0.0), rel_tol=1e-12, abs_tol=1e-300)
+
+
+# F_6 with letter weights 1/78 .. 12/78: unequal terms, so the order of
+# a float sum shows in its bits
+LOPSIDED_F6 = build_measure(
+    [((x,), F(i, 78)) for i, x in enumerate([1, 2, 3, 4, 5, 6, -1, -2, -3, -4, -5, -6], 1)]
+)
+
+
 @settings(max_examples=60, deadline=None)
+# F_6: the identity pair of level 2 sums 12 x 12 = 144 terms, past the
+# 128 that numpy's pairwise summation adds in one block
+@example(mu=uniform_measure(6), rho=0.3, drop=set(), n=2, cap=DEFAULT_CAP)
+@example(mu=uniform_measure(6), rho=F(3, 10), drop=set(), n=2, cap=DEFAULT_CAP)
+@example(mu=LOPSIDED_F6, rho=0.3, drop=set(), n=2, cap=DEFAULT_CAP)
 @given(
     mu=small_mus(),
     rho=st.one_of(
@@ -747,13 +771,40 @@ def test_product_route_matches_chunked_route(mu, rho, drop, n, cap):
             products = count_product_steps(mp)
             assert level_record(step, n, cap) == want
         # a level is factors exactly when the step is a product (at 0 < rho,
-        # supp(mu) x supp(mu)) and no cap has cut it or a level before it;
-        # factors take the product step, keys the chunked step
+        # supp(mu) x supp(mu)) and no cap has cut it or a level before it,
+        # that is no uncut level so far has more than cap atoms (a cut mass
+        # that underflows to 0.0 still cuts); factors take the product
+        # step, keys the chunked step
         firsts, seconds = ({a[c] for a in step.support()} for c in (0, 1))
         product = step.support_size == len(firsts) * len(seconds)
-        factored = [product and lv.lost_mass == 0 for lv in iter_convolution_levels(step, n, cap)]
+        sizes = itertools.accumulate(
+            (lv.size for lv in iter_convolution_levels(step, n)), max
+        )
+        factored = [product and size <= cap for size in sizes]
         assert factored_levels(step, n, cap) == factored
         assert len(products) == sum(factored[:-1])
+    for lvl, lv in enumerate(iter_convolution_levels(step, n, cap), start=1):
+        if lv.lost_mass:
+            break
+        assert_matches_brute_force(lv.to_measure(), brute_force_convolution(step, lvl))
+
+
+def test_plane_sum_adds_in_reduceat_order():
+    # the product step's sums must have the bits of the chunked step's
+    # np.add.reduceat, which adds a segment as a0 + pairwise(a1, ...); if
+    # a numpy release changes that order, this fails before any golden
+    rng = np.random.default_rng(17)
+    reordered = 0
+    for count in range(1, 301):
+        # values over many exponents: another summation order changes bits
+        planes = rng.random((count, 3, 4)) * 2.0 ** rng.integers(-60, 60, (count, 3, 4))
+        rows = np.moveaxis(planes, 0, -1).reshape(12, count)
+        # the second of two segments per row, as the chunked step cuts them
+        want = np.add.reduceat(np.hstack([rows[:, ::-1], rows]), [0, count], axis=1)[:, 1]
+        assert measures._plane_sum(planes.copy()).tobytes() == want.reshape(3, 4).tobytes()
+        left_to_right = functools.reduce(np.add, planes)
+        reordered += left_to_right.tobytes() != want.reshape(3, 4).tobytes()
+    assert reordered > 250  # a plain left-to-right sum would not pass
 
 
 def test_non_product_step_takes_the_chunked_step():
