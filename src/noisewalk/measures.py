@@ -701,7 +701,8 @@ def _product_shape(keys: np.ndarray, stride: int) -> tuple[np.ndarray, np.ndarra
 
 
 def _row_patterns(reach: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct rows of a bool matrix, lexicographic, and each row's index among them:
+    """Distinct rows of a bool matrix, lexicographic, and each row's index among them.
+
     ``np.unique(reach, axis=0, return_inverse=True)`` by one lexsort, not a structured sort.
     """
     order = np.lexsort(reach.T[::-1])
@@ -714,10 +715,12 @@ def _row_patterns(reach: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _preimages(images: dict) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted codes of ``images`` (an array per word) and ``where[t, k]``: what word k takes to t, or -1."""
+    """Sorted distinct codes of ``images`` (one code array per word, all of one length),
+    and ``where[t, k]``: the index that word k takes to code t, -1 if none."""
     codes, inv = np.unique(np.concatenate(list(images.values())), return_inverse=True)
+    inv = inv.reshape(len(images), -1)
     where = np.full((len(codes), len(images)), -1)
-    where[inv.reshape(len(images), -1), np.arange(len(images))[:, None]] = np.arange(len(inv) // len(images))
+    where[inv, np.arange(len(images))[:, None]] = np.arange(inv.shape[1])
     return codes, where
 
 
@@ -743,9 +746,8 @@ def _plane_sum(terms: np.ndarray) -> np.ndarray:
 
     That is ``a0 + pairwise(a1, ...)``, with numpy's ``pairwise_sum``
     (``_pairwise``): below 8 terms left to right; up to 128 eight lanes,
-    each left to right, merged as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) +
-    (r6 + r7)), then the rest left to right; above 128 two halves (the
-    first a multiple of 8 terms), each so, then added.
+    each left to right, merged in a tree, then the rest left to right;
+    above 128 two halves (the first a multiple of 8 terms), each so.
     """
     if len(terms) > 1:
         terms[0] += _pairwise(terms[1:])
@@ -758,39 +760,37 @@ def _product_step(
 ) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
     """``_times_step`` on a level held as factors (every head times one tail set).
 
-    A pattern's target heads go in batches of about ``_CHUNK`` products.
-    A batch's runs are transposed tails-major once; each (pattern, class)
-    term plane (module docstring) is a row gather from them times an
-    atom's numerator; each class is written by one row scatter of its
-    ``_plane_sum``; and the sums are transposed into the new level once.
-    A product step's first words each meet every second word, so each
-    target head gets every target tail: the new level is factors again.
+    A pattern's target heads go in batches of about ``_CHUNK`` products:
+    a batch's runs are transposed tails-major once, each term plane
+    (module docstring) is a row gather from them times an atom's
+    numerator, each class is one row scatter of its ``_plane_sum``, and
+    the sums are transposed into the new level once.  Every first word of
+    a product step meets every second word, so the new level is factors.
     """
     words, m, seconds = list(groups), len(tails), sorted({a[1] for a in atoms})
-    # run[t, g]: the run whose head times words[g] is targets[t]; source[u, y]:
-    # the tail that seconds[y] takes to tail_codes[u]; -1 where none
     targets, run = _preimages(code.times_words(heads, words))
     tail_codes, source = _preimages(code.times_words(tails, seconds))
     patterns, pattern_of = _row_patterns(run >= 0)
     classes, class_of = _row_patterns(source >= 0)
-    second = [seconds.index(a[1]) for a in atoms]
+    second = np.array([seconds.index(a[1]) for a in atoms])
+    # per class: its target tails, and the source tail of each for each second word
+    members = (np.flatnonzero(class_of == c) for c in range(len(classes)))
+    tables = [(rows, source[rows].T) for rows in members]
     out_v = np.empty((len(targets), len(tail_codes)), dtype=vals.dtype)
-    grid = vals.reshape(len(heads), m)
     for p, reach in enumerate(patterns):
         gs = np.flatnonzero(reach)
         # the pattern's atoms in atom order, each with the slot s of its group's
         # run; a batch's block holds tail j of slot s's run in row s * m + j
-        slots = [(s, i) for s, g in enumerate(gs) for i in groups[words[g]]]
+        slot, atom = np.array([(s, i) for s, g in enumerate(gs) for i in groups[words[g]]]).T
         planes = []  # per class: its tails, its planes' block rows and numerators
-        for c, reached in enumerate(classes):
-            rows = np.flatnonzero(class_of == c)
-            used = [(s, i) for s, i in slots if reached[second[i]]]
-            index = np.array([s * m + source[rows, second[i]] for s, i in used])
-            planes.append((rows, index, num[[i for _, i in used]][:, None, None]))
+        for (rows, tail_of), reached in zip(tables, classes):
+            used = reached[second[atom]]
+            index = slot[used, None] * m + tail_of[second[atom[used]]]
+            planes.append((rows, index, num[atom[used]][:, None, None]))
         heads_of = np.flatnonzero(pattern_of == p)
-        batch = max(1, _CHUNK // (len(slots) * m))
+        batch = max(1, _CHUNK // (len(atom) * m))
         for t in np.split(heads_of, range(batch, len(heads_of), batch)):
-            block = grid[run[t[:, None], gs]].reshape(len(t), -1).T.copy()
+            block = vals.reshape(len(heads), m)[run[t[:, None], gs]].reshape(len(t), -1).T.copy()
             sums = np.empty((len(tail_codes), len(t)), dtype=vals.dtype)
             for rows, index, factor in planes:
                 terms = block[index]
