@@ -165,6 +165,12 @@ def sample_boundary(
         keep_depth = horizon
     if not isinstance(keep_depth, int) or keep_depth < 1:
         raise InputError(f"keep_depth must be a positive integer, got {keep_depth!r}")
+    # no position at the horizon has more letters, so no deeper letter is kept
+    if keep_depth > horizon * mu.max_atom_length:
+        raise InputError(
+            f"keep_depth {keep_depth} exceeds horizon x longest atom = "
+            f"{horizon * mu.max_atom_length}"
+        )
     coupled = build_pi_rho(mu, rho)
     length = walkers.step_length(coupled)
     if length is not None:

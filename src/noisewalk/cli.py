@@ -23,9 +23,9 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
+from types import SimpleNamespace
 
 import click
 
@@ -43,22 +43,9 @@ from .errors import (
 CSV_HEADER = "rho,n,trials,seed,method,value,std_error,ci_low,ci_high"
 
 
-@dataclass
-class RunConfig:
-    """Validated description of one run."""
-
-    subcommand: str
-    measure: measures.FiniteMeasure | None
-    rho: float | None
-    rho_grid: tuple[float, ...] | None
-    n: int
-    trials: int
-    seed: int | None
-    cap: int
-    workers: int
-    out: Path
-    plot: bool
-    options: dict = field(default_factory=dict)
+class RunConfig(SimpleNamespace):
+    """Validated description of one run: its ``subcommand``, the resolved
+    step ``measure``, and every key the subcommand reads, parsed."""
 
 
 def _is_int(x) -> bool:
@@ -211,31 +198,43 @@ _PARSERS = {
     "margin": _parser(_is_number, "a number", float),
 }
 
-# Keys every run subcommand accepts, with their parsed defaults; None
+# Keys every run subcommand reads, with their parsed defaults; None
 # means unset.
-_SHARED = {"group": None, "measure": None, "seed": None, "cap": measures.DEFAULT_CAP,
-           "workers": 1, "out": Path("."), "plot": False}
+_SHARED = {"group": None, "measure": None, "seed": None, "workers": 1, "out": Path(".")}
 
-# The keys each subcommand accepts, with their parsed defaults.
+# The keys each subcommand reads, with their parsed defaults: the one
+# statement of what its config file and its flags may set.
 _SUBCOMMANDS = {
     "drift": {**_SHARED, "rho": None, "n": 1000, "trials": 400},
     "entropy": {**_SHARED, "rho": None, "n": 5000, "trials": 200,
-                "method": "auto", "n_max": 5},
-    "tv": {**_SHARED, "rho": None, "n": 50, "trials": 10_000, "n_exact": 6,
+                "cap": measures.DEFAULT_CAP, "plot": False, "method": "auto",
+                "n_max": 5},
+    "tv": {**_SHARED, "rho": None, "n": 50, "trials": 10_000,
+           "cap": measures.DEFAULT_CAP, "plot": False, "n_exact": 6,
            "threshold_frac": 0.2},
-    # dimension reads no n; 0 stands for it in the RunConfig
-    "dimension": {**_SHARED, "rho": None, "n": 0, "trials": 20_000,
+    "dimension": {**_SHARED, "rho": None, "trials": 20_000,
                   "rho_grid": None, "horizon": 200, "t_grid": None,
                   "centers": 300, "min_count": 5, "keep_depth": None,
                   "export_tree_depth": None},
-    "sweep": {**_SHARED, "n": 4000, "trials": 150, "rho_grid": None,
-              "tv_ns": (), "threshold_frac": 0.2, "margin": None, "n_max": 6},
+    "sweep": {**_SHARED, "n": 4000, "trials": 150, "cap": measures.DEFAULT_CAP,
+              "plot": False, "rho_grid": None, "tv_ns": (), "threshold_frac": 0.2,
+              "margin": None, "n_max": 6},
     "report": {"out": Path("."), "plot": False},
 }
 
-# Keys kept in RunConfig fields; every other key goes to ``options``.
-_RUN_FIELDS = {"group", "measure", "rho", "rho_grid", "n", "trials", "seed",
-               "cap", "workers", "out", "plot"}
+# The command-line flag of each key that has one, in --help order; a
+# subcommand takes the flags of its own keys.  An unset flag is None.
+_FLAGS = {
+    "seed": {"type": int, "help": "RNG seed (mandatory)."},
+    "trials": {"type": int},
+    "rho": {"type": float},
+    "rho_grid": {"type": str, "help": "Grid a:b:step."},
+    "n": {"type": int},
+    "group": {"type": str, "help": "free_group:K or free_semigroup:M."},
+    "out": {"type": click.Path(), "help": "Output directory."},
+    "workers": {"type": int},
+    "plot": {"is_flag": True, "help": "Also write plot.svg."},
+}
 
 
 def parse_config(
@@ -277,9 +276,7 @@ def parse_config(
     v = {**table, **{k: _PARSERS[k](x, k) for k, x in given.items()}}
 
     if subcommand == "report":
-        return RunConfig(
-            subcommand, None, None, None, 0, 0, None, 0, 1, v["out"], v["plot"]
-        )
+        return RunConfig(subcommand=subcommand, **v)
     if v["seed"] is None:
         raise ValidationError("seed is mandatory (no wall-clock default)")
 
@@ -297,6 +294,7 @@ def parse_config(
             )
     if mu is None:
         raise ValidationError("config needs a group or an inline measure")
+    v["measure"] = mu
 
     rho, rho_grid = v.get("rho"), v.get("rho_grid")
     if rho is not None and rho_grid is not None:
@@ -326,7 +324,7 @@ def parse_config(
                 f"export_tree_depth {export} exceeds the deepest t_grid depth {deepest}"
             )
         # no position at the horizon has more letters, so no deeper depth is usable
-        letters = v["horizon"] * max(len(atom) for atom, _ in mu.atoms)
+        letters = v["horizon"] * mu.max_atom_length
         if deepest > letters:
             raise ValidationError(
                 f"t_grid depth {deepest} exceeds horizon x longest atom = {letters}"
@@ -336,11 +334,7 @@ def parse_config(
                 f"keep_depth {keep} exceeds horizon x longest atom = {letters}"
             )
 
-    return RunConfig(
-        subcommand, mu, rho, rho_grid, v["n"], v["trials"], v["seed"], v["cap"],
-        v["workers"], v["out"], v["plot"],
-        {k: x for k, x in v.items() if k not in _RUN_FIELDS},
-    )
+    return RunConfig(subcommand=subcommand, **v)
 
 
 # ---------------------------------------------------------------------------
@@ -523,7 +517,7 @@ def _run_drift(cfg: RunConfig):
 
 def _run_entropy(cfg: RunConfig):
     m = measures.uniform_letter_count(cfg.measure)
-    method = cfg.options["method"]
+    method = cfg.method
     if method == "auto":
         method = "pointwise" if (m is not None and cfg.rho is not None) else "exact"
     records = []
@@ -543,9 +537,8 @@ def _run_entropy(cfg: RunConfig):
         step = cfg.measure
         if cfg.rho is not None:
             step = measures.build_pi_rho(cfg.measure, cfg.rho)
-        n_max = cfg.options["n_max"]
         try:
-            curve = estimators.entropy_exact_curve(step, n_max, cfg.cap, strict=True)
+            curve = estimators.entropy_exact_curve(step, cfg.n_max, cfg.cap, strict=True)
         except TruncationError as e:
             raise TruncationError(
                 f"exact entropy needs a larger cap: {e}", e.level, e.lost_mass
@@ -586,14 +579,14 @@ def _run_tv(cfg: RunConfig):
             )
             records.append(_result_record(r, "tv", cfg.rho))
     values = estimators.tv_exact_curve(
-        cfg.measure, cfg.rho, min(cfg.options["n_exact"], cfg.n), cap=cfg.cap
+        cfg.measure, cfg.rho, min(cfg.n_exact, cfg.n), cap=cfg.cap
     )
     for n, v in enumerate(values, 1):
         r = estimators.exact_result(v, n, cfg.seed, "tv-exact")
         records.append(_result_record(r, "tv", cfg.rho))
     r = estimators.tv_lower_bound_mc(
         cfg.measure, cfg.rho, cfg.n, cfg.trials, cfg.seed,
-        threshold_frac=cfg.options["threshold_frac"], workers=cfg.workers,
+        threshold_frac=cfg.threshold_frac, workers=cfg.workers,
     )
     records.append(_result_record(r, "tv", cfg.rho))
     plot = None
@@ -619,15 +612,14 @@ def _run_tv(cfg: RunConfig):
 
 
 def _run_dimension(cfg: RunConfig):
-    opts = cfg.options
     extras: dict[str, str] = {}
     records = []
     m = measures.uniform_letter_count(cfg.measure)
     if cfg.rho_grid is not None:
         rep = boundary_mod.dimension_singularity_check(
             cfg.measure, cfg.rho_grid[0], cfg.rho_grid[1],
-            horizon=opts["horizon"], trials=cfg.trials, t_grid=opts["t_grid"],
-            n_centers=opts["centers"], seed=cfg.seed, min_count=opts["min_count"],
+            horizon=cfg.horizon, trials=cfg.trials, t_grid=cfg.t_grid,
+            n_centers=cfg.centers, seed=cfg.seed, min_count=cfg.min_count,
             workers=cfg.workers,
         )
         for rho, r, closed in (
@@ -641,38 +633,37 @@ def _run_dimension(cfg: RunConfig):
         gap_half = 1.96 * rep.gap_std_error
         gap = estimators.EstimateResult(
             rep.gap, rep.gap_std_error, rep.gap - gap_half, rep.gap + gap_half,
-            opts["horizon"], cfg.trials, cfg.seed, "dimension-gap",
+            cfg.horizon, cfg.trials, cfg.seed, "dimension-gap",
             {"conclusive": rep.conclusive},
         )
         records.append(_result_record(gap, "dimension", None))
         return records, None, extras
-    keep = opts["keep_depth"] or max(opts["t_grid"])
+    keep = cfg.keep_depth or max(cfg.t_grid)
     samples = boundary_mod.sample_boundary(
-        cfg.measure, cfg.rho, opts["horizon"], cfg.trials, cfg.seed,
+        cfg.measure, cfg.rho, cfg.horizon, cfg.trials, cfg.seed,
         keep_depth=keep, workers=cfg.workers,
     )
-    tree = boundary_mod.build_tree(samples, max(opts["t_grid"]))
+    tree = boundary_mod.build_tree(samples, max(cfg.t_grid))
     r = boundary_mod.local_dimension(
-        samples, tree, opts["t_grid"], opts["centers"], cfg.seed,
-        min_count=opts["min_count"],
+        samples, tree, cfg.t_grid, cfg.centers, cfg.seed,
+        min_count=cfg.min_count,
     )
     rec = _result_record(r, "dimension", cfg.rho)
     if m is not None:
         rec["details"]["closed_form"] = oracle.h_semigroup(m, cfg.rho)
     records.append(rec)
-    if opts["export_tree_depth"]:
+    if cfg.export_tree_depth:
         extras["tree.txt"] = "".join(
-            line + "\n" for line in tree.export_records(opts["export_tree_depth"])
+            line + "\n" for line in tree.export_records(cfg.export_tree_depth)
         )
     return records, None, extras
 
 
 def _run_sweep(cfg: RunConfig):
-    opts = cfg.options
     table = estimators.rho_sweep(
         cfg.measure, cfg.rho_grid, n=cfg.n, trials=cfg.trials, seed=cfg.seed,
-        tv_ns=opts["tv_ns"], threshold_frac=opts["threshold_frac"],
-        entropy_exact_max=opts["n_max"], cap=cfg.cap, workers=cfg.workers,
+        tv_ns=cfg.tv_ns, threshold_frac=cfg.threshold_frac,
+        entropy_exact_max=cfg.n_max, cap=cfg.cap, workers=cfg.workers,
     )
     records = []
     for row in table.rows:
@@ -683,7 +674,7 @@ def _run_sweep(cfg: RunConfig):
         records.append(_result_record(row.drift, "sweep", row.rho))
         for tn, tr in row.tv_lower:
             records.append(_result_record(tr, "sweep", row.rho))
-    star = estimators.rho_star_estimate(table, opts["margin"])
+    star = estimators.rho_star_estimate(table, cfg.margin)
     r = estimators.exact_result(
         star.value, 0, cfg.seed, "rho-star", trials=0,
         details={"margin": star.margin, "warning": star.warning},
@@ -691,7 +682,7 @@ def _run_sweep(cfg: RunConfig):
     records.append(_result_record(r, "sweep", None))
     header = ["rho", "h_value", "h_std_error", "h_closed_form",
               "drift_value", "drift_std_error"]
-    for tn in opts["tv_ns"]:
+    for tn in cfg.tv_ns:
         header.append(f"tv{tn}_value")
     lines = [",".join(header)]
     for row in table.rows:
@@ -803,7 +794,7 @@ def execute(cfg: RunConfig) -> int:
         "package_version": __version__,
         "argv": sys.argv,
     }
-    write_report(cfg.out, records, plot if cfg.plot else None, extras, meta)
+    write_report(cfg.out, records, plot, extras, meta)
     return 0
 
 
@@ -820,42 +811,23 @@ def _dispatch(subcommand: str, config: str | None, flags: dict) -> None:
     sys.exit(0)
 
 
-def _common_options(f):
-    opts = [
-        click.option("--config", type=click.Path(), default=None,
-                     help="JSON config file."),
-        click.option("--seed", type=int, default=None, help="RNG seed (mandatory)."),
-        click.option("--trials", type=int, default=None),
-        click.option("--rho", type=float, default=None),
-        click.option("--rho-grid", "rho_grid", type=str, default=None,
-                     help="Grid a:b:step."),
-        click.option("--n", type=int, default=None),
-        click.option("--group", type=str, default=None,
-                     help="free_group:K or free_semigroup:M."),
-        click.option("--out", type=click.Path(), default=None,
-                     help="Output directory."),
-        click.option("--workers", type=int, default=None),
-        click.option("--plot", is_flag=True, default=None,
-                     help="Also write plot.svg."),
-    ]
-    for opt in reversed(opts):
-        f = opt(f)
-    return f
-
-
 @click.group()
 @click.version_option(__version__)
 def main():
     """Coupled random walks on free groups: drift, entropy, TV, dimension."""
 
 
-def _make_command(name: str, extra_help: str):
-    @main.command(name=name, help=extra_help)
-    @_common_options
-    def cmd(config, **flags):
-        _dispatch(name, config, flags)
-
-    return cmd
+def _make_command(name: str, help_text: str) -> None:
+    """Add subcommand ``name``: ``--config`` plus the flags of its keys."""
+    params = [click.Option(["--config"], type=click.Path(), help="JSON config file.")]
+    params += [
+        click.Option([f"--{key.replace('_', '-')}", key], default=None, **_FLAGS[key])
+        for key in _FLAGS if key in _SUBCOMMANDS[name]
+    ]
+    main.add_command(click.Command(
+        name, params=params, help=help_text,
+        callback=lambda config, **flags: _dispatch(name, config, flags),
+    ))
 
 
 _make_command("drift", "Monte Carlo drift of the walk (coupled pair when rho given).")
@@ -863,15 +835,8 @@ _make_command("entropy", "Entropy rate: pointwise Monte Carlo or exact convoluti
 _make_command("tv", "Total variation: closed form, exact, and Monte Carlo lower bound.")
 _make_command("dimension", "Boundary local dimension (singularity check with 2 rhos).")
 _make_command("sweep", "Entropy/drift/TV sweep over a rho grid, with rho* estimate.")
-
-
-@main.command(name="report")
-@click.option("--config", type=click.Path(), default=None)
-@click.option("--out", type=click.Path(), default=None)
-@click.option("--plot", is_flag=True, default=None)
-def report_cmd(config, out, plot):
-    """Regenerate table.csv (and plot) from an existing results.json."""
-    _dispatch("report", config, {"out": out, "plot": plot})
+_make_command("report", "Rewrite table.csv from an existing results.json, and with "
+              "--plot draw a summary chart of it.")
 
 
 if __name__ == "__main__":

@@ -19,22 +19,6 @@ Word = tuple[int, ...]
 WordPair = tuple[Word, Word]
 
 
-def check_letters(letters: Iterable[int], rank: int | None = None) -> None:
-    """Raise InputError unless every letter is a nonzero int within the rank.
-
-    >>> check_letters((1, -2), rank=2)
-    >>> check_letters((0,))
-    Traceback (most recent call last):
-        ...
-    noisewalk.errors.InputError: letter 0 is not a valid generator index
-    """
-    for x in letters:
-        if not isinstance(x, (int,)) or isinstance(x, bool) or x == 0:
-            raise InputError(f"letter {x!r} is not a valid generator index")
-        if rank is not None and abs(x) > rank:
-            raise InputError(f"letter {x} exceeds rank {rank}")
-
-
 def is_reduced(letters: Sequence[int]) -> bool:
     """True when no adjacent pair cancels.
 

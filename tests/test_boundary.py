@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -86,6 +87,24 @@ def test_sample_boundary_validation():
         sample_boundary(semi(2), 0.5, horizon=0, trials=10, seed=1)
     with pytest.raises(InputError):
         sample_boundary(semi(2), 0.5, horizon=10, trials=0, seed=1)
+
+
+@pytest.mark.parametrize("mu", [semi(2), srw(2)], ids=["semigroup", "group"])
+def test_sample_boundary_refuses_keep_depth_past_every_letter(mu):
+    # no sample has letters past horizon x longest atom = 50, so a deeper
+    # keep_depth is refused before its letter arrays are allocated
+    tracemalloc.start()
+    try:
+        with pytest.raises(InputError, match="keep_depth 100000000000 exceeds horizon"):
+            sample_boundary(mu, 0.5, horizon=50, trials=50, seed=1, keep_depth=10**11)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    with pytest.raises(InputError, match="keep_depth 51 exceeds horizon x longest atom = 50"):
+        sample_boundary(mu, 0.5, horizon=50, trials=50, seed=1, keep_depth=51)
+    deepest = sample_boundary(mu, 0.5, horizon=50, trials=50, seed=1, keep_depth=50)
+    assert deepest.keep_depth == 50
 
 
 # ---------------------------------------------------------------------------

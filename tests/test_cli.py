@@ -11,8 +11,10 @@ from pathlib import Path
 
 import pytest
 
+from click.testing import CliRunner
+
 from noisewalk import walkers
-from noisewalk.cli import _SUBCOMMANDS, CSV_HEADER, execute, parse_config
+from noisewalk.cli import _SUBCOMMANDS, CSV_HEADER, execute, main, parse_config
 from noisewalk.errors import ValidationError
 from noisewalk.oracle import h_semigroup, tv_semigroup
 
@@ -45,7 +47,7 @@ def test_parse_config_defaults_and_flags(tmp_path):
     assert cfg.n == 100
     assert cfg.trials == 77  # flag overrides the drift default
     assert cfg.measure.inverse_free and cfg.measure.rank == 2
-    assert cfg.workers == 1 and not cfg.plot
+    assert cfg.workers == 1
 
 
 def test_parse_config_flag_overrides_file(tmp_path):
@@ -203,7 +205,7 @@ def test_cli_validation_errors_exit_two(tmp_path):
     [
         ("drift", {"group": 5}, "group"),
         ("drift", {"out": 5}, "out"),
-        ("drift", {"plot": "no"}, "plot"),
+        ("tv", {"rho": 0.5, "plot": "no"}, "plot"),
         ("tv", {"rho": 0.5, "route": "pair"}, "route"),
         ("sweep", {"rho_grid": [0.2, 0.8], "rho": 0.5}, "rho"),
         ("sweep", {"rho_grid": "0:1:1e-12"}, "rho_grid"),
@@ -223,6 +225,45 @@ def test_cli_wrong_key_types_exit_two(tmp_path, subcommand, bad, key):
     assert "Traceback" not in r.stderr
     assert re.search(rf"\b{key}\b", r.stderr), r.stderr
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("form", ["file", "flag"])
+@pytest.mark.parametrize("subcommand, key, value", [
+    ("drift", "cap", 5), ("drift", "plot", True),
+    ("dimension", "n", 5), ("dimension", "cap", 5), ("dimension", "plot", True),
+], ids=["drift-cap", "drift-plot", "dimension-n", "dimension-cap", "dimension-plot"])
+def test_cli_refuses_keys_the_subcommand_does_not_read(tmp_path, subcommand, key, value,
+                                                       form):
+    # neither drift nor dimension draws a chart or builds an exact law, and
+    # dimension walks to its horizon, not to n
+    given = {"spec_version": 1, "group": "free_semigroup:2", "rho": 0.5, "seed": 1}
+    flag = ()
+    if form == "file":
+        given[key] = value
+    else:
+        flag = (f"--{key}",) if value is True else (f"--{key}", str(value))
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(given))
+    r = run_cli(subcommand, "--config", str(cfg), "--out", str(tmp_path / "o"), *flag)
+    assert r.returncode == 2, r.stderr
+    assert "Traceback" not in r.stderr
+    assert re.search(rf"\b{key}\b", r.stderr), r.stderr
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("subcommand, flags", [
+    ("drift", "seed trials rho n group out workers"),
+    ("entropy", "seed trials rho n group out workers plot"),
+    ("tv", "seed trials rho n group out workers plot"),
+    ("dimension", "seed trials rho rho-grid group out workers"),
+    ("sweep", "seed trials rho-grid n group out workers plot"),
+    ("report", "out plot"),
+])
+def test_cli_help_lists_the_flags_of_its_keys(subcommand, flags):
+    r = CliRunner().invoke(main, [subcommand, "--help"])
+    assert r.exit_code == 0, r.output
+    assert re.findall(r"^  --([a-z-]+)", r.output, re.M) == ["config", *flags.split(), "help"]
+    assert {f.replace("-", "_") for f in flags.split()} <= set(_SUBCOMMANDS[subcommand])
 
 
 # a step whose longest atom has two letters
@@ -277,7 +318,7 @@ def test_largest_rho_grid_and_rank_still_parse():
         "group": "free_semigroup:2", "measure": _TWO_LETTER_ATOM, "seed": 1, "rho": 0.5,
         "horizon": 5, "t_grid": [1, 10], "keep_depth": 10,
     })
-    assert deepest.options["t_grid"][-1] == deepest.options["keep_depth"] == 10
+    assert deepest.t_grid[-1] == deepest.keep_depth == 10
 
 
 def test_readme_lists_the_config_keys():

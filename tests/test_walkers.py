@@ -210,7 +210,8 @@ def _full_stack_boundary(pi, horizon, keep_depth, trials, seed):
 
 INVERSE_FREE_SHAPES = [
     (uniform_measure(2, inverse_free=True), 40, 30),  # s = 30 < horizon
-    (uniform_measure(3, inverse_free=True), 10, 30),  # horizon * L < keep_depth
+    # horizon * L < keep_depth: sample_boundary refuses it
+    (uniform_measure(3, inverse_free=True), 10, 30),
     (step([(1,), (2, 1), (1, 1, 2)]), 40, 30),  # varying length: all steps drawn
     (step([(1,), (2, 1), (1, 1, 2)]), rng.SHORT_STREAM + 20, 12),  # long streams
     (step([(1, 2), (2, 1), (2, 2)]), 20, 7),  # keep_depth not a multiple of L
@@ -235,6 +236,10 @@ def test_inverse_free_boundary_matches_full_stack(monkeypatch, mu, horizon, keep
 @pytest.mark.parametrize("mu, horizon, keep_depth", INVERSE_FREE_SHAPES)
 def test_letters_drawn_on_read_match_full_stack(monkeypatch, mu, horizon, keep_depth,
                                                 workers):
+    if keep_depth > horizon * mu.max_atom_length:  # no sample has letters that deep
+        with pytest.raises(InputError, match=r"keep_depth \d+ exceeds horizon"):
+            sample_boundary(mu, 0.4, horizon, 150, 21, keep_depth, workers)
+        return
     monkeypatch.setattr(walkers, "BLOCK", 64)  # several blocks
     expect = _full_stack_boundary(build_pi_rho(mu, 0.4), horizon, keep_depth, 150, 21)
     ref = build_tree(BoundarySampleSet(*expect, horizon, keep_depth, mu.rank, 21),
