@@ -34,7 +34,6 @@ from .estimators import (
     EstimateResult,
     RhoStarEstimate,
     SweepRow,
-    SweepTable,
     drift_mc,
     entropy_exact_curve,
     entropy_rate_estimate,
@@ -98,7 +97,6 @@ __all__ = [
     "NoiseWalkError",
     "RhoStarEstimate",
     "SweepRow",
-    "SweepTable",
     "TruncationError",
     "UnsupportedRegimeError",
     "ValidationError",

@@ -106,6 +106,9 @@ def _inline_measure(value) -> measures.FiniteMeasure | None:
     """The inline step measure, or None for "uniform" (the group's own)."""
     if value == "uniform":
         return None
+    rank = value.get("rank")
+    if _is_int(rank) and rank > walkers._MAX_RANK_INT8:  # checked before any word table
+        raise ValidationError(f"measure rank {rank} exceeds {walkers._MAX_RANK_INT8}")
     try:
         mu = measures.measure_from_json_dict(value)
     except (InputError, ValidationError) as e:
@@ -210,7 +213,7 @@ _SUBCOMMANDS = {
                 "cap": measures.DEFAULT_CAP, "plot": False, "method": "auto",
                 "n_max": 5},
     "tv": {**_SHARED, "rho": None, "n": 50, "trials": 10_000,
-           "cap": measures.DEFAULT_CAP, "plot": False, "n_exact": 6,
+           "cap": 2_000_000, "plot": False, "n_exact": 6,
            "threshold_frac": 0.2},
     "dimension": {**_SHARED, "rho": None, "trials": 20_000,
                   "rho_grid": None, "horizon": 200, "t_grid": None,
@@ -254,8 +257,8 @@ def parse_config(
         try:
             with open(config_path) as f:
                 cfg = json.load(f)
-        except FileNotFoundError:
-            raise ValidationError(f"config file not found: {config_path}") from None
+        except (OSError, UnicodeDecodeError) as e:
+            raise ValidationError(f"cannot read config file {config_path}: {e}") from None
         except json.JSONDecodeError as e:
             raise ValidationError(f"config is not valid JSON: {e}") from None
         if not isinstance(cfg, dict):
@@ -312,14 +315,18 @@ def parse_config(
             v["t_grid"] = _PARSERS["t_grid"](
                 list(range(1, min(21, v["horizon"] + 1))), "t_grid"
             )
-        # 0 means the default; a rho_grid run ignores both keys
         keep, export = v["keep_depth"], v["export_tree_depth"]
+        if rho_grid is not None:  # the two-point check builds no tree
+            for key in ("keep_depth", "export_tree_depth"):
+                if v[key] is not None:
+                    raise ValidationError(f"dimension with a rho_grid does not read {key}")
+        # 0 means the default
         deepest = max(v["t_grid"])
-        if rho_grid is None and keep and keep < deepest:
+        if keep and keep < deepest:
             raise ValidationError(
                 f"keep_depth {keep} is below the deepest t_grid depth {deepest}"
             )
-        if rho_grid is None and export and export > deepest:
+        if export and export > deepest:
             raise ValidationError(
                 f"export_tree_depth {export} exceeds the deepest t_grid depth {deepest}"
             )
@@ -329,7 +336,7 @@ def parse_config(
             raise ValidationError(
                 f"t_grid depth {deepest} exceeds horizon x longest atom = {letters}"
             )
-        if rho_grid is None and keep and keep > letters:
+        if keep and keep > letters:
             raise ValidationError(
                 f"keep_depth {keep} exceeds horizon x longest atom = {letters}"
             )
@@ -387,14 +394,10 @@ def _csv_row_of(record: dict) -> str:
 
 
 def write_report(
-    out_dir: Path,
-    records: list[dict],
-    plot_spec: dict | None,
-    extra_files: dict[str, str],
-    meta: dict | None,
+    out_dir: Path, records: list[dict], extra_files: dict[str, str], meta: dict | None
 ) -> None:
-    """Write table.csv, optional extras and plot.svg, and with ``meta``
-    also results.json and meta.json.
+    """Write table.csv and the extra files, and with ``meta`` also
+    results.json and meta.json.
 
     ``report`` passes no ``meta``: the run that made results.json keeps
     its record.  Everything except meta.json is a pure function of the
@@ -407,14 +410,63 @@ def write_report(
         files["results.json"] = "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
         files["meta.json"] = json.dumps(meta, indent=2, sort_keys=True) + "\n"
     files.update(extra_files)
-    if plot_spec is not None:
-        files["plot.svg"] = _svg_line_chart(**plot_spec)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
         for name, content in files.items():
             (out_dir / name).write_text(content)
     except OSError as e:
         raise ValidationError(f"cannot write artifacts: {e}") from None
+
+
+# The series each charted method adds to plot.svg: its x key, series label
+# and y-axis name.  A record charted against rho also adds its
+# details.closed_form, when it has one, to the series "closed form".
+_CHARTED = {
+    "entropy-exact": ("n", "H(n)", "H (nats)"),
+    "tv-oracle": ("n", "closed form", "TV"),
+    "tv-exact": ("n", "exact", "TV"),
+    "shannon-pointwise": ("rho", "h estimate", "h (nats)"),
+    "entropy-increment": ("rho", "h estimate", "h (nats)"),
+}
+
+
+def _chart(records: list[dict]) -> str | None:
+    """plot.svg of the records, or None when no record is charted.
+
+    The x axis is n when any record is charted against n, and rho
+    otherwise; records charted against rho with a null rho are skipped.
+    A record is named by its results.json line, its position plus one.
+    """
+    charted = []
+    for line, r in enumerate(records, 1):
+        method = r.get("method")
+        if isinstance(method, str) and method in _CHARTED:
+            charted.append((line, r, *_CHARTED[method]))
+    x_key = "n" if any(c[2] == "n" for c in charted) else "rho"
+    series: dict[str, list] = {}
+    ylabels: dict[str, None] = {}
+    for line, r, key, label, ylabel in charted:
+        x = r.get(key)
+        if key != x_key or (key == "rho" and x is None):
+            continue
+        ys = [(label, "value", r.get("value"))]
+        details = r.get("details")
+        if key == "rho" and isinstance(details, dict) and details.get("closed_form") is not None:
+            ys.append(("closed form", "closed_form", details["closed_form"]))
+        for to, name, y in ys:
+            if not (_is_number(x) and _is_number(y)):
+                raise ValidationError(
+                    f"results.json line {line} has no numeric {key} and {name} to plot"
+                )
+            series.setdefault(to, []).append((x, y))
+        ylabels[ylabel] = None
+    if not series:
+        return None
+    ylabel = " / ".join(ylabels)
+    return _svg_line_chart(
+        [(label, sorted(points)) for label, points in series.items()],
+        f"{ylabel} against {x_key}", x_key, ylabel,
+    )
 
 
 def _svg_line_chart(series, title, xlabel, ylabel) -> str:
@@ -427,8 +479,6 @@ def _svg_line_chart(series, title, xlabel, ylabel) -> str:
     ml, mr, mt, mb = 64, 16, 36, 48
     palette = ["#1f6fb2", "#d1495b", "#3a7d44", "#8e6c8a", "#c77d2e", "#3d3d3d"]
     pts = [p for _, data in series for p in data]
-    if not pts:
-        raise ValidationError("nothing to plot")
     xs = [p[0] for p in pts]
     ys = [p[1] for p in pts]
     x0, x1 = min(xs), max(xs)
@@ -512,7 +562,7 @@ def _run_drift(cfg: RunConfig):
                 method=f"drift-mc-{label}",
             )
             records.append(_result_record(coord, "drift", cfg.rho))
-    return records, None, {}
+    return records, {}
 
 
 def _run_entropy(cfg: RunConfig):
@@ -521,7 +571,6 @@ def _run_entropy(cfg: RunConfig):
     if method == "auto":
         method = "pointwise" if (m is not None and cfg.rho is not None) else "exact"
     records = []
-    plot = None
     if method == "pointwise":
         if m is None:
             raise UnsupportedRegimeError(
@@ -556,17 +605,7 @@ def _run_entropy(cfg: RunConfig):
             details={"upper_rate": upper},
         )
         records.append(_result_record(r, "entropy", cfg.rho))
-        if cfg.plot:
-            plot = {
-                "series": [
-                    ("H(n)", [(n, v) for n, v in zip(curve.ns, curve.values)]),
-                    ("n * increment", [(n, n * increment) for n in curve.ns]),
-                ],
-                "title": "Exact entropy growth",
-                "xlabel": "n",
-                "ylabel": "H (nats)",
-            }
-    return records, plot, {}
+    return records, {}
 
 
 def _run_tv(cfg: RunConfig):
@@ -589,26 +628,7 @@ def _run_tv(cfg: RunConfig):
         threshold_frac=cfg.threshold_frac, workers=cfg.workers,
     )
     records.append(_result_record(r, "tv", cfg.rho))
-    plot = None
-    if cfg.plot:
-        series = []
-        oracle_pts = [
-            (rec["n"], rec["value"]) for rec in records if rec["method"] == "tv-oracle"
-        ]
-        exact_pts = [
-            (rec["n"], rec["value"]) for rec in records if rec["method"] == "tv-exact"
-        ]
-        if oracle_pts:
-            series.append(("closed form", oracle_pts))
-        if exact_pts:
-            series.append(("exact", exact_pts))
-        plot = {
-            "series": series,
-            "title": f"Total variation vs n (rho={cfg.rho})",
-            "xlabel": "n",
-            "ylabel": "TV",
-        }
-    return records, plot, {}
+    return records, {}
 
 
 def _run_dimension(cfg: RunConfig):
@@ -637,7 +657,7 @@ def _run_dimension(cfg: RunConfig):
             {"conclusive": rep.conclusive},
         )
         records.append(_result_record(gap, "dimension", None))
-        return records, None, extras
+        return records, extras
     keep = cfg.keep_depth or max(cfg.t_grid)
     samples = boundary_mod.sample_boundary(
         cfg.measure, cfg.rho, cfg.horizon, cfg.trials, cfg.seed,
@@ -656,17 +676,17 @@ def _run_dimension(cfg: RunConfig):
         extras["tree.txt"] = "".join(
             line + "\n" for line in tree.export_records(cfg.export_tree_depth)
         )
-    return records, None, extras
+    return records, extras
 
 
 def _run_sweep(cfg: RunConfig):
-    table = estimators.rho_sweep(
+    rows = estimators.rho_sweep(
         cfg.measure, cfg.rho_grid, n=cfg.n, trials=cfg.trials, seed=cfg.seed,
         tv_ns=cfg.tv_ns, threshold_frac=cfg.threshold_frac,
         entropy_exact_max=cfg.n_max, cap=cfg.cap, workers=cfg.workers,
     )
     records = []
-    for row in table.rows:
+    for row in rows:
         rec = _result_record(row.entropy, "sweep", row.rho)
         if row.closed_form_entropy is not None:
             rec["details"]["closed_form"] = row.closed_form_entropy
@@ -674,7 +694,7 @@ def _run_sweep(cfg: RunConfig):
         records.append(_result_record(row.drift, "sweep", row.rho))
         for tn, tr in row.tv_lower:
             records.append(_result_record(tr, "sweep", row.rho))
-    star = estimators.rho_star_estimate(table, cfg.margin)
+    star = estimators.rho_star_estimate(rows, cfg.margin)
     r = estimators.exact_result(
         star.value, 0, cfg.seed, "rho-star", trials=0,
         details={"margin": star.margin, "warning": star.warning},
@@ -685,7 +705,7 @@ def _run_sweep(cfg: RunConfig):
     for tn in cfg.tv_ns:
         header.append(f"tv{tn}_value")
     lines = [",".join(header)]
-    for row in table.rows:
+    for row in rows:
         cells = [
             repr(row.rho),
             repr(row.entropy.value),
@@ -697,80 +717,28 @@ def _run_sweep(cfg: RunConfig):
         for _, tr in row.tv_lower:
             cells.append(repr(tr.value))
         lines.append(",".join(cells))
-    extras = {"sweep.csv": "".join(line + "\n" for line in lines)}
-    plot = None
-    if cfg.plot:
-        series = [
-            ("h estimate", [(row.rho, row.entropy.value) for row in table.rows])
-        ]
-        if table.uniform_letters is not None:
-            series.append(
-                ("closed form",
-                 [(row.rho, row.closed_form_entropy) for row in table.rows])
-            )
-        plot = {
-            "series": series,
-            "title": "Entropy vs noise parameter",
-            "xlabel": "rho",
-            "ylabel": "h (nats)",
-        }
-    return records, plot, extras
-
-
-def _plot_point(record: dict, x_key: str, number: int) -> tuple:
-    point = (record.get(x_key), record.get("value"))
-    if not all(_is_number(p) for p in point):
-        raise ValidationError(
-            f"results.json line {number} has no numeric {x_key} and value to plot"
-        )
-    return point
+    return records, {"sweep.csv": "".join(line + "\n" for line in lines)}
 
 
 def _run_report(cfg: RunConfig):
+    """The records of results.json, one JSON object per line; a blank line
+    is refused too, so a line number always names the record it gives."""
     path = cfg.out / "results.json"
-    if not path.exists():
-        raise ValidationError(f"no results.json in {cfg.out}")
-    records, numbers = [], []
-    with open(path) as f:
-        for number, line in enumerate(f, 1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise ValidationError(f"results.json line {number} is not JSON: {e}") from None
-            if not isinstance(record, dict):
-                raise ValidationError(f"results.json line {number} is not a JSON object")
-            records.append(record)
-            numbers.append(number)
-    if not records:
-        raise ValidationError("results.json is empty")
-    plot = None
-    if cfg.plot:
-        by_rho = [
-            _plot_point(r, "rho", number)
-            for number, r in zip(numbers, records)
-            if r.get("rho") is not None
-            and r.get("method") in ("shannon-pointwise", "entropy-increment")
-        ]
-        tv_curve = [
-            _plot_point(r, "n", number)
-            for number, r in zip(numbers, records)
-            if r.get("method") == "tv-oracle"
-        ]
-        series = []
-        if by_rho:
-            series.append(("h estimate", sorted(by_rho)))
-        if tv_curve:
-            series.append(("tv closed form", sorted(tv_curve)))
-        if series:
-            plot = {
-                "series": series,
-                "title": "Report",
-                "xlabel": "rho / n",
-                "ylabel": "value",
-            }
-    return records, plot, {}
+    try:
+        with open(path) as f:
+            lines = list(f)
+    except (OSError, UnicodeDecodeError) as e:
+        raise ValidationError(f"cannot read {path}: {e}") from None
+    records = []
+    for number, line in enumerate(lines, 1):
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as e:
+            raise ValidationError(f"results.json line {number} is not JSON: {e}") from None
+        if not isinstance(record, dict):
+            raise ValidationError(f"results.json line {number} is not a JSON object")
+        records.append(record)
+    return records, {}  # write_report refuses an empty list
 
 
 _EXECUTORS = {
@@ -784,8 +752,12 @@ _EXECUTORS = {
 
 
 def execute(cfg: RunConfig) -> int:
-    """Run a validated config and write its artifacts.  Returns 0."""
-    records, plot, extras = _EXECUTORS[cfg.subcommand](cfg)
+    """Run a validated config and write its artifacts, with plot.svg drawn
+    from the records when the config sets ``plot``.  Returns 0."""
+    records, extras = _EXECUTORS[cfg.subcommand](cfg)
+    chart = _chart(records) if getattr(cfg, "plot", False) else None
+    if chart is not None:
+        extras["plot.svg"] = chart
     meta = None if cfg.subcommand == "report" else {
         "created": datetime.now(timezone.utc).isoformat(),
         "subcommand": cfg.subcommand,
@@ -794,7 +766,7 @@ def execute(cfg: RunConfig) -> int:
         "package_version": __version__,
         "argv": sys.argv,
     }
-    write_report(cfg.out, records, plot, extras, meta)
+    write_report(cfg.out, records, extras, meta)
     return 0
 
 

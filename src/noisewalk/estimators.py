@@ -453,12 +453,6 @@ class SweepRow:
     closed_form_entropy: float | None
 
 
-@dataclass(frozen=True)
-class SweepTable:
-    rows: tuple[SweepRow, ...]
-    uniform_letters: int | None  # m when semigroup closed forms apply
-
-
 def rho_sweep(
     mu: FiniteMeasure,
     rho_grid,
@@ -470,8 +464,9 @@ def rho_sweep(
     entropy_exact_max: int = 8,
     cap: int = DEFAULT_CAP,
     workers: int = 1,
-) -> SweepTable:
-    """Estimate entropy, drift, and TV lower bounds over a rho grid.
+) -> tuple[SweepRow, ...]:
+    """Estimate entropy, drift, and TV lower bounds over a rho grid, one
+    row per grid point.
 
     Grid cells reuse the same substreams (common random numbers), which
     keeps curves smooth in rho and results deterministic in the seed.
@@ -508,7 +503,7 @@ def rho_sweep(
                 )
             )
         rows.append(SweepRow(r, ent, dr, tuple(tvs), closed))
-    return SweepTable(tuple(rows), m)
+    return tuple(rows)
 
 
 @dataclass(frozen=True)
@@ -520,8 +515,10 @@ class RhoStarEstimate:
     warning: bool  # set when no grid point qualifies
 
 
-def rho_star_estimate(table: SweepTable, margin: float | None = None) -> RhoStarEstimate:
-    """Estimate the divergence threshold from a sweep table.
+def rho_star_estimate(
+    rows: tuple[SweepRow, ...], margin: float | None = None
+) -> RhoStarEstimate:
+    """Estimate the divergence threshold from the rows of a sweep.
 
     Compares each grid entropy against the entropy at the largest rho
     (the independent end).  The default margin is three times the
@@ -529,9 +526,9 @@ def rho_star_estimate(table: SweepTable, margin: float | None = None) -> RhoStar
     warning when nothing qualifies; on coarse grids with a clear
     entropy gap this picks the last grid point below the reference.
     """
-    if not table.rows:
-        raise InputError("sweep table is empty")
-    rows = sorted(table.rows, key=lambda r: r.rho)
+    if not rows:
+        raise InputError("sweep has no rows")
+    rows = sorted(rows, key=lambda r: r.rho)
     ref = rows[-1].entropy
     if margin is None:
         margin = 3.0 * ref.std_error

@@ -188,11 +188,11 @@ def test_08_exact_dimension():
 
 def test_09_entropy_continuity_in_rho():
     grid = [round(i * 0.05, 2) for i in range(21)]
-    table = rho_sweep(uniform_measure(2, inverse_free=True), grid,
-                      n=5000, trials=200, seed=SEED)
+    rows = rho_sweep(uniform_measure(2, inverse_free=True), grid,
+                     n=5000, trials=200, seed=SEED)
     ok = True
     worst_margin = 0.0
-    for a, b in zip(table.rows, table.rows[1:]):
+    for a, b in zip(rows, rows[1:]):
         diff = abs(b.entropy.value - a.entropy.value)
         noise = 3.0 * math.hypot(a.entropy.std_error, b.entropy.std_error)
         if a.rho == 0.0:

@@ -157,11 +157,13 @@ def test_parse_config_dimension_depths_name_the_option():
         parse_config("dimension", None, {**base, "rho": 0.5, "keep_depth": 5})
     with pytest.raises(ValidationError, match="export_tree_depth 40 "):
         parse_config("dimension", None, {**base, "rho": 0.5, "export_tree_depth": 40})
-    # 0 means the default for both keys, and a rho_grid run ignores them
+    # 0 means the default for both keys
     parse_config("dimension", None,
                  {**base, "rho": 0.5, "keep_depth": 0, "export_tree_depth": 0})
-    parse_config("dimension", None, {**base, "rho_grid": [0.2, 0.8],
-                                     "keep_depth": 5, "export_tree_depth": 40})
+    # a rho_grid run builds no tree, so it refuses both keys, even at 0
+    for key in ("keep_depth", "export_tree_depth"):
+        with pytest.raises(ValidationError, match=rf"does not read {key}$"):
+            parse_config("dimension", None, {**base, "rho_grid": [0.2, 0.8], key: 0})
 
 
 # ---------------------------------------------------------------------------
@@ -294,6 +296,10 @@ _TWO_LETTER_ATOM = {"rank": 2, "kind": "single", "atoms": [
          "keep_depth"),
         ("dimension", {"measure": _TWO_LETTER_ATOM, "rho": 0.5, "horizon": 5,
                        "t_grid": [1, 11]}, "t_grid"),
+        # an inline measure's word table has 2 x rank letters
+        ("entropy", {"group": None, "rho": 0.5, "measure": {
+            "rank": 10**9, "kind": "single", "atoms": [{"word": [1], "weight": "1"}]}},
+         "measure"),
     ],
 )
 def test_oversized_configs_are_refused_before_any_work(subcommand, bad, key):
@@ -314,6 +320,10 @@ def test_largest_rho_grid_and_rank_still_parse():
     top = parse_config("drift", None, {"group": f"free_group:{walkers._MAX_RANK_INT8}",
                                        "seed": 1})
     assert top.measure.rank == walkers._MAX_RANK_INT8
+    inline = parse_config("drift", None, {"seed": 1, "measure": {
+        "rank": walkers._MAX_RANK_INT8, "kind": "single",
+        "atoms": [{"word": [1], "weight": "1"}]}})
+    assert inline.measure.rank == walkers._MAX_RANK_INT8
     deepest = parse_config("dimension", None, {
         "group": "free_semigroup:2", "measure": _TWO_LETTER_ATOM, "seed": 1, "rho": 0.5,
         "horizon": 5, "t_grid": [1, 10], "keep_depth": 10,
@@ -346,6 +356,36 @@ def test_cli_missing_spec_version_exits_two(tmp_path):
     r = run_cli("drift", "--config", str(cfg), "--out", str(tmp_path / "o"))
     assert r.returncode == 2
     assert "spec_version" in r.stderr
+
+
+@pytest.mark.parametrize("fault", ["not-utf8", "directory"])
+@pytest.mark.parametrize("name", ["c.json", "results.json"])
+def test_cli_unreadable_files_exit_two(tmp_path, name, fault):
+    path = tmp_path / name
+    if fault == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b'{"spec_version": 1, "seed": 1, "out": "\xff"}\n')
+    if name == "c.json":
+        r = run_cli("drift", "--config", str(path), "--group", "free_semigroup:2",
+                    "--out", str(tmp_path / "o"))
+    else:
+        r = run_cli("report", "--out", str(tmp_path))
+    assert r.returncode == 2, r.stderr
+    assert "Traceback" not in r.stderr
+    assert str(path) in r.stderr
+    assert not (tmp_path / "o").exists() and not (tmp_path / "table.csv").exists()
+
+
+def test_cli_tv_default_cap_holds_six_free_group_levels(tmp_path):
+    # level 6 of free_group:2 at rho 0.5 has 1,194,649 pair atoms
+    assert _SUBCOMMANDS["tv"]["cap"] == 2_000_000
+    out = tmp_path / "run"
+    r = run_cli("tv", "--group", "free_group:2", "--rho", "0.5", "--seed", "7",
+                "--out", str(out))
+    assert r.returncode == 0, r.stderr
+    records = [json.loads(l) for l in (out / "results.json").read_text().splitlines()]
+    assert [rec["n"] for rec in records if rec["method"] == "tv-exact"] == [1, 2, 3, 4, 5, 6]
 
 
 def test_cli_budget_error_exits_three(tmp_path):
@@ -482,6 +522,32 @@ def test_cli_sweep_artifacts_and_plot(tmp_path):
     assert "<polyline" in svg and svg.rstrip().endswith("</svg>")
 
 
+@pytest.mark.parametrize("subcommand, keys, labels", [
+    ("entropy", {"group": "free_group:2", "rho": 0.5, "method": "exact", "n_max": 3},
+     ["H(n)"]),
+    ("entropy", {"group": "free_semigroup:2", "rho": 0.5, "n": 200, "trials": 20},
+     ["h estimate", "closed form"]),
+    ("tv", {"group": "free_semigroup:2", "rho": 0.3, "n": 6, "n_exact": 3, "trials": 100},
+     ["closed form", "exact"]),
+    ("tv", {"group": "free_group:2", "rho": 0.5, "n": 4, "n_exact": 3, "trials": 100},
+     ["exact"]),
+    ("sweep", {"group": "free_semigroup:2", "rho_grid": [0.0, 0.5, 1.0], "n": 50,
+               "trials": 10}, ["h estimate", "closed form"]),
+    ("sweep", {"group": "free_group:2", "rho_grid": [0.0, 1.0], "n": 20, "trials": 10,
+               "n_max": 3}, ["h estimate"]),
+], ids=["entropy-exact", "entropy-pointwise", "tv-semigroup", "tv-group", "sweep-semigroup",
+        "sweep-group"])
+def test_report_plot_redraws_the_run_chart(tmp_path, subcommand, keys, labels):
+    execute(parse_config(subcommand, None,
+                         {**keys, "seed": 7, "plot": True, "out": str(tmp_path)}))
+    drawn = (tmp_path / "plot.svg").read_bytes()
+    assert re.findall(rb'font-size="11" fill="#\w+">([^<]*)</text>', drawn) == [
+        label.encode() for label in labels]
+    (tmp_path / "plot.svg").unlink()
+    execute(parse_config("report", None, {"out": str(tmp_path), "plot": True}))
+    assert (tmp_path / "plot.svg").read_bytes() == drawn
+
+
 def test_cli_dimension_artifacts(tmp_path):
     out = tmp_path / "run"
     cfg = tmp_path / "c.json"
@@ -575,7 +641,8 @@ def test_cli_report_without_results_exits_two(tmp_path):
 
 
 @pytest.mark.parametrize("line, problem", [("{not json", "is not JSON"),
-                                           ("[1, 2]", "is not a JSON object")])
+                                           ("[1, 2]", "is not a JSON object"),
+                                           ("", "is not JSON")])
 def test_cli_report_malformed_results_exits_two(tmp_path, line, problem):
     (tmp_path / "results.json").write_text('{"method": "x"}\n' + line + "\n")
     r = run_cli("report", "--out", str(tmp_path))

@@ -357,44 +357,42 @@ def test_tv_lower_bound_validation():
 def test_rho_sweep_semigroup_rows():
     mu = semi(2)
     grid = [0.0, 0.25, 0.5, 0.75, 1.0]
-    table = rho_sweep(mu, grid, n=800, trials=80, seed=17, tv_ns=(8,))
-    assert table.uniform_letters == 2
-    assert [row.rho for row in table.rows] == grid
-    for row in table.rows:
+    rows = rho_sweep(mu, grid, n=800, trials=80, seed=17, tv_ns=(8,))
+    assert [row.rho for row in rows] == grid
+    for row in rows:
         h = h_semigroup(2, row.rho)
         assert row.closed_form_entropy == h
         assert abs(row.entropy.value - h) / h < 0.02
         assert row.drift.value == 1.0
         assert len(row.tv_lower) == 1 and row.tv_lower[0][0] == 8
     # entropy increases with the noise parameter
-    vals = [row.entropy.value for row in table.rows]
+    vals = [row.entropy.value for row in rows]
     assert all(b > a for a, b in zip(vals, vals[1:]))
 
 
 def test_rho_sweep_group_uses_exact_curve():
-    table = rho_sweep(srw(2), [0.0, 1.0], n=200, trials=50, seed=2,
-                      entropy_exact_max=3)
-    assert table.uniform_letters is None
-    for row in table.rows:
+    rows = rho_sweep(srw(2), [0.0, 1.0], n=200, trials=50, seed=2,
+                     entropy_exact_max=3)
+    for row in rows:
         assert row.closed_form_entropy is None
         assert row.entropy.method == "entropy-increment"
 
 
 def test_rho_star_picks_last_gap_point():
-    table = rho_sweep(semi(2), [0.0, 0.25, 0.5, 0.75, 1.0],
-                      n=2000, trials=150, seed=23)
-    est = rho_star_estimate(table, margin=0.01)
+    rows = rho_sweep(semi(2), [0.0, 0.25, 0.5, 0.75, 1.0],
+                     n=2000, trials=150, seed=23)
+    est = rho_star_estimate(rows, margin=0.01)
     assert est.value == 0.75
     assert not est.warning
 
 
 def test_rho_star_default_margin_and_warnings():
-    table = rho_sweep(semi(2), [0.0, 0.5, 1.0], n=1500, trials=120, seed=29)
-    est = rho_star_estimate(table)
-    assert est.margin == 3.0 * table.rows[-1].entropy.std_error
+    rows = rho_sweep(semi(2), [0.0, 0.5, 1.0], n=1500, trials=120, seed=29)
+    est = rho_star_estimate(rows)
+    assert est.margin == 3.0 * rows[-1].entropy.std_error
     assert est.value == 0.5
     # a margin larger than the whole entropy range cannot be met
-    est_wide = rho_star_estimate(table, margin=10.0)
+    est_wide = rho_star_estimate(rows, margin=10.0)
     assert est_wide.warning and est_wide.value == 0.0
 
 

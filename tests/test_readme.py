@@ -1,21 +1,42 @@
-"""The README's Python API example runs as written."""
+"""The README's Quick start commands and Python API example run as written."""
 
 import re
+import shlex
 from pathlib import Path
 
+from click.testing import CliRunner
+
 import noisewalk
+from noisewalk.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
-def api_block():
+def block(heading, lang):
     text = README.read_text()
-    section = text[text.index("## Python API"):]
-    return re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    section = text[text.index(heading):]
+    return re.search(rf"```{lang}\n(.*?)```", section, re.S).group(1)
+
+
+def test_readme_quick_start_runs(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    text = block("## Quick start", "sh").replace("\\\n", " ")
+    commands = [shlex.split(line) for line in text.splitlines()
+                if line.strip() and not line.lstrip().startswith("#")]
+    assert [c[:2] for c in commands] == [
+        ["noisewalk", name] for name in ("drift", "entropy", "tv", "dimension", "sweep", "report")
+    ]
+    runner = CliRunner()
+    for command in commands:
+        if command[1] == "report":  # the run's chart, drawn again from its records
+            drawn = Path("runs/sweep/plot.svg").read_bytes()
+        r = runner.invoke(main, command[1:])
+        assert r.exit_code == 0, (command, r.output)
+    assert Path("runs/sweep/plot.svg").read_bytes() == drawn
 
 
 def test_readme_python_api_block_runs(capsys):
-    code = api_block()
+    code = block("## Python API", "python")
     imported = re.search(r"from noisewalk import \((.*?)\)", code, re.S).group(1)
     names = [n.strip() for n in imported.split(",") if n.strip()]
     assert names and set(names) <= set(noisewalk.__all__)
