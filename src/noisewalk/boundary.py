@@ -7,16 +7,16 @@ Inverse-free walks never backtrack, so there the stable prefix is the
 whole position at the horizon.
 
 Boundary samples are held in columnar arrays (one int8 letter row per
-trial, drawn in-process on first read where all atoms share one
-length) rather than per-sample objects; a ``BoundarySampleSet`` behaves
-like a sequence of ``BoundarySample`` views for small-scale use.
+trial, or, where all atoms share one length, the atom indices of the
+Philox counters drawn so far) rather than per-sample objects; a
+``BoundarySampleSet`` behaves like a sequence of ``BoundarySample`` views.
 
 The cylinder tree counts how many sampled boundary pairs pass through
-each pair-prefix cylinder.  Its levels are built on first use, each
-from the one above it by one packed sort, so a reader that stops early
-never pays for the deeper levels or their letters.  Its export is built
-level by level: the prefix strings of depth t extend those of depth
-t - 1 by one letter name each.  Ball masses in the max quasi-metric
+each pair-prefix cylinder.  Its levels are built on first use, per batch
+of depths drawn together, by one packed sort of their pair codes, so a
+reader that stops early never pays for the deeper batches.  Its export
+is built level by level: the prefix strings of depth t extend those of
+depth t - 1 by one letter name each.  Ball masses in the max quasi-metric
 e^(-Gromov product) are cylinder frequencies, and the local dimension
 is the slope of -log(ball mass) against the depth t, fitted per center
 on a count matrix gathered one depth at a time; the gathering stops at
@@ -61,16 +61,17 @@ class BoundarySampleSet:
     ``t_stable`` is the per-trial min of the two coordinate stable
     lengths (not clipped to keep_depth).
 
-    A set given ``walk``, a coupled step and its ``walkers.step_length``,
-    draws its letter columns in-process when ``columns``, ``letters1``/
-    ``letters2`` or ``__getitem__`` first reads them, one Philox counter's
-    steps (``rng.PHILOX_WORDS``) at a time.
+    A set given ``walk`` (a coupled step and its ``walkers.step_length``
+    L) in place of letters keeps the int32 atom indices of the steps it
+    has drawn, one Philox counter (``rng.PHILOX_WORDS`` steps) at a time.
+    ``pair_codes`` reads them through an [atoms, L] table of pair codes;
+    ``letters1``/``letters2`` and ``__getitem__`` build letters on first read.
     """
 
     def __init__(
         self,
-        letters1: np.ndarray,
-        letters2: np.ndarray,
+        letters1: np.ndarray | None,
+        letters2: np.ndarray | None,
         len1: np.ndarray,
         len2: np.ndarray,
         horizon: int,
@@ -87,32 +88,52 @@ class BoundarySampleSet:
         self.keep_depth = keep_depth
         self.rank = rank
         self.seed = seed
+        # pair code c1 * 2k + c2 of letters (x1, x2) is _codes[x1, x2]: letter x > 0 has
+        # code x - 1, an inverse letter rank - 1 - x; negative letters index from the end
+        x = np.roll(np.arange(-rank, rank + 1), rank + 1)  # the letter at each index
+        code = np.where(x > 0, x - 1, rank - 1 - x)
+        self._codes = (code[:, None] * 2 * rank + code).astype(np.int32)
         self._walk = walk
-        self._steps = 0  # steps drawn
-        self._drawn = 0 if walk else keep_depth  # columns that hold their letters
+        if walk:
+            self._atom_codes = self._codes[tuple(walkers.letter_matrices(walk[0]))]
+            self._idx = np.empty((len(self.len1), 0), dtype=np.int32)  # the steps drawn
 
-    def columns(self, depth: int) -> tuple[np.ndarray, np.ndarray]:
-        """(letters1, letters2) with at least their first ``depth`` columns drawn."""
-        if depth > self._drawn:
-            pair, length = self._walk
-            # whole Philox counters up to the one whose steps reach column depth - 1
-            block = rngmod.PHILOX_WORDS
-            steps = min(self.horizon, block * -(-depth // (block * length)))
-            drawn = walkers.step_letters(pair, self.seed, rngmod.STREAM_BOUNDARY,
-                                         len(self), self._steps, steps)
-            lo, hi = self._steps * length, min(steps * length, self.keep_depth)
-            for letters, new in zip(self._letters, drawn):
-                letters[:, lo:hi] = new[:, : hi - lo]
-            self._steps = steps
-            # past the horizon a position has no letters: its columns stay zero
-            self._drawn = self.keep_depth if steps == self.horizon else hi
+    def draw(self, depth: int) -> int:
+        """Draw the steps that reach column ``depth`` - 1, in whole Philox
+        counters; return how many leading columns are drawn."""
+        if self._walk is None:
+            return self.keep_depth
+        (pair, length), block, drawn = self._walk, rngmod.PHILOX_WORDS, self._idx.shape[1]
+        steps = min(self.horizon, block * -(-depth // (block * length)))
+        if steps > drawn:
+            self._idx = np.hstack([self._idx, walkers.step_indices(
+                pair, self.seed, rngmod.STREAM_BOUNDARY, len(self), drawn, steps)])
+        return min(self._idx.shape[1] * length, self.keep_depth)  # keep_depth <= horizon * L
+
+    def pair_codes(self, lo: int, hi: int, rows: np.ndarray | None = None) -> np.ndarray:
+        """[samples, hi - lo] int32 pair codes of columns lo..hi-1, of the
+        samples ``rows`` (default all), by one gather from a code table."""
+        if self._walk is None:
+            return self._codes[tuple(x[:, lo:hi] if rows is None else x[rows, lo:hi]
+                                     for x in self._letters)]
+        length, first = self._walk[1], lo // self._walk[1]
+        self.draw(hi)
+        idx = self._idx[:, first : -(-hi // length)]
+        codes = self._atom_codes.take(idx if rows is None else idx[rows], axis=0)
+        return codes.reshape(len(codes), -1)[:, lo - first * length : hi - first * length]
+
+    def _columns(self) -> tuple[np.ndarray, np.ndarray]:
+        if self._letters[0] is None:  # build the letters of the drawn atoms
+            self.draw(self.keep_depth)
+            self._letters = tuple(walkers._letters(mat, self._idx)[:, : self.keep_depth]
+                                  for mat in walkers.letter_matrices(self._walk[0]))
         return self._letters
 
-    letters1 = property(lambda self: self.columns(self.keep_depth)[0])
-    letters2 = property(lambda self: self.columns(self.keep_depth)[1])
+    letters1 = property(lambda self: self._columns()[0])
+    letters2 = property(lambda self: self._columns()[1])
 
     def __len__(self) -> int:
-        return len(self._letters[0])
+        return len(self.len1)
 
     def usable_depth(self) -> np.ndarray:
         """Per-trial depth usable for cylinder queries."""
@@ -122,9 +143,8 @@ class BoundarySampleSet:
         if not -len(self) <= i < len(self):
             raise IndexError(i)
         i = i % len(self)
-        l1 = int(min(self.len1[i], self.keep_depth))
-        l2 = int(min(self.len2[i], self.keep_depth))
-        letters1, letters2 = self.columns(max(l1, l2))
+        l1, l2 = (int(min(n[i], self.keep_depth)) for n in (self.len1, self.len2))
+        letters1, letters2 = self._columns()
         return BoundarySample(
             prefix1=tuple(int(x) for x in letters1[i, :l1]),
             prefix2=tuple(int(x) for x in letters2[i, :l2]),
@@ -133,9 +153,6 @@ class BoundarySampleSet:
             trial=i,
             seed=self.seed,
         )
-
-    def __iter__(self) -> Iterator[BoundarySample]:
-        return (self[i] for i in range(len(self)))
 
 
 def sample_boundary(
@@ -165,18 +182,12 @@ def sample_boundary(
         keep_depth = horizon
     if not isinstance(keep_depth, int) or keep_depth < 1:
         raise InputError(f"keep_depth must be a positive integer, got {keep_depth!r}")
-    # no position at the horizon has more letters, so no deeper letter is kept
-    if keep_depth > horizon * mu.max_atom_length:
-        raise InputError(
-            f"keep_depth {keep_depth} exceeds horizon x longest atom = "
-            f"{horizon * mu.max_atom_length}"
-        )
+    walkers.check_keep_depth(mu, horizon, keep_depth)
     coupled = build_pi_rho(mu, rho)
     length = walkers.step_length(coupled)
     if length is not None:
-        letters = np.zeros((2, trials, keep_depth), dtype=np.int8)
         full = np.full(trials, horizon * length)
-        return BoundarySampleSet(*letters, full, full, horizon, keep_depth, mu.rank, seed,
+        return BoundarySampleSet(None, None, full, full, horizon, keep_depth, mu.rank, seed,
                                  walk=(coupled, length))
     drawn = walkers.boundary_prefixes(coupled, horizon, keep_depth, trials, seed,
                                       rngmod.STREAM_BOUNDARY, workers=workers)
@@ -203,10 +214,12 @@ class CylinderTree:
     key // base and letter codes as key % base.
 
     Levels are built on first use: ``level(t)`` builds every level down
-    to t that is not built yet, and ``levels`` builds them all.  The
-    constructor checks letters given to the samples, so a zero letter
-    inside a stable prefix fails here and not at a later read; drawn
-    letters are nonzero by construction, and drawn only as levels read them.
+    to t that is not built yet, and ``levels`` builds them all.  The d
+    depths the samples draw together, as many as fit, are sorted once as
+    ``parent id << (bits * d) | pair codes``.  The constructor checks
+    letters given to the samples, so a zero letter inside a stable prefix
+    fails here and not at a later read; drawn letters are nonzero by
+    construction, and drawn only as levels read them.
     """
 
     def __init__(self, samples: BoundarySampleSet, depth: int):
@@ -217,7 +230,7 @@ class CylinderTree:
                 f"depth {depth} exceeds stored prefix depth {samples.keep_depth}"
             )
         self.depth = depth
-        self.sample_count = len(samples)
+        self.sample_count = n = len(samples)
         self.horizon = samples.horizon
         self.rank = samples.rank
         self.t_stable = samples.usable_depth()
@@ -225,13 +238,9 @@ class CylinderTree:
         k2 = 2 * samples.rank
         self.letter_base = k2
         self.base = k2 * k2
-        # pair code c1 * k2 + c2 of letters (x1, x2), read as _pair_codes[x1, x2]:
-        # a letter x > 0 has code x - 1, an inverse letter rank - 1 - x, and
-        # negative letters index from the end
-        signed = np.arange(-samples.rank, samples.rank + 1)
-        code = np.where(signed > 0, signed - 1, samples.rank - 1 - signed)
-        self._pair_codes = np.zeros((len(signed), len(signed)), dtype=np.int64)
-        self._pair_codes[signed[:, None], signed] = code[:, None] * k2 + code
+        self._bits = (self.base - 1).bit_length()  # of one depth's pair code
+        # depths whose codes fit in int64 beside a parent id and the sort's positions
+        self._batch_depths = max(1, (63 - n.bit_length() - (n - 1).bit_length()) // self._bits)
         self._reached = int(self.t_stable.min(initial=depth))  # depth every sample reaches
         if samples._walk is None:
             inside = self.t_stable[:, None] > np.arange(depth)[None, :]
@@ -240,7 +249,8 @@ class CylinderTree:
                 raise ValidationError("zero letter inside a stable prefix")
         self._samples = samples
         self._levels: list[_TreeLevel] = []
-        self._ids = np.zeros(len(samples), dtype=np.int32)  # level 0: all at the root
+        self._ids = np.zeros(n, dtype=np.int32)  # level 0: all at the root
+        self._batch_end = 0  # deepest level of the sorted batch, in _keys and _rows
 
     def level(self, t: int) -> _TreeLevel:
         """Level t, building it and every shallower level not built yet."""
@@ -256,27 +266,34 @@ class CylinderTree:
         return tuple(self._levels)
 
     def _build_level(self, t: int) -> _TreeLevel:
-        """Split the nodes of level t - 1 by the pair letter at depth t.
-
-        Only the samples that reach depth t are gathered, and only when
-        some sample stops above it.
-        """
-        x1, x2 = (x[:, t - 1] for x in self._samples.columns(t))
-        ids = self._ids
-        rows = None
+        """Split the nodes of level t - 1 by the pair letter at depth t: the
+        runs of the batch's keys shifted down to depth t, among the samples
+        that reach it.  Past the batch, sort the depths drawn with t first."""
+        bits = self._bits
+        if t > self._batch_end:
+            end = min(self._samples.draw(t), self.depth, t - 1 + self._batch_depths)
+            rows = None if t <= self._reached else np.flatnonzero(self.t_stable >= t)
+            keys = (self._ids if rows is None else self._ids[rows]).astype(np.int64)
+            for codes in self._samples.pair_codes(t - 1, end, rows).T:
+                keys <<= bits
+                keys |= codes
+            order = _sort_in_place(keys, self.sample_count << (bits * (end - t + 1)))
+            self._keys, self._rows = keys, order if rows is None else rows[order]
+            self._batch_end = end
+        prefix = self._keys >> (bits * (self._batch_end - t))
+        rows = self._rows
         if t > self._reached:
-            rows = np.flatnonzero(self.t_stable >= t)
-            x1, x2, ids = x1[rows], x2[rows], ids[rows]
-        keys = ids * np.int64(self.base)
-        keys += self._pair_codes[x1, x2]
-        order = _sort_in_place(keys, self.sample_count * self.base)  # parent ids < samples
-        first = np.ones(len(keys), dtype=bool)  # each run of equal keys is a node
-        np.not_equal(keys[1:], keys[:-1], out=first[1:])
+            reach = np.flatnonzero(self.t_stable[rows] >= t)
+            prefix, rows = prefix[reach], rows[reach]
+        first = np.ones(len(prefix), dtype=bool)  # each run of equal prefixes is a node
+        np.not_equal(prefix[1:], prefix[:-1], out=first[1:])
         starts = np.flatnonzero(first)
-        new_ids = np.full(self.sample_count, -1, dtype=np.int32)
-        new_ids[order if rows is None else rows[order]] = np.cumsum(first) - 1
-        self._ids = new_ids
-        return _TreeLevel(keys[starts], np.diff(starts, append=len(keys)), new_ids)
+        keys = self._ids[rows[starts]] * np.int64(self.base) + (prefix[starts] & (1 << bits) - 1)
+        self._ids = np.full(self.sample_count, -1, dtype=np.int32)
+        self._ids[rows] = np.cumsum(first) - 1
+        if t == self._batch_end:  # the batch's last level: its keys are done
+            self._keys = self._rows = None
+        return _TreeLevel(keys, np.diff(starts, append=len(prefix)), self._ids)
 
     def node_count(self, t: int) -> int:
         return len(self.level(t).keys)
@@ -289,11 +306,6 @@ class CylinderTree:
         if not isinstance(t, int) or not 1 <= t <= self.depth:
             raise InputError(f"depth t must lie in [1, {self.depth}], got {t!r}")
 
-    def _decode_letter(self, code: int) -> int:
-        if code < self.rank:
-            return code + 1
-        return -(code - self.rank + 1)
-
     def export_records(self, max_depth: int | None = None) -> Iterator[str]:
         """Yield one line per node: 'prefix1 prefix2 count'.
 
@@ -302,9 +314,9 @@ class CylinderTree:
         """
         limit = self.depth if max_depth is None else max_depth
         self._check_depth(limit)
-        names = np.array(
-            [str(self._decode_letter(c)) for c in range(self.letter_base)], dtype=object
-        )
+        # code c < rank is letter c + 1, a larger one the inverse letter rank - 1 - c
+        names = np.array([str(c + 1 if c < self.rank else self.rank - 1 - c)
+                          for c in range(self.letter_base)], dtype=object)
         # a node's prefix strings are its parent's plus one letter each
         p1 = p2 = np.array([""], dtype=object)
         for t in range(1, limit + 1):

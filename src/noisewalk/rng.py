@@ -131,17 +131,26 @@ def _philox_rows(seed: int, streams: np.ndarray, n: int, counter: int = 1) -> np
     numpy's ``Philox(key=seed + (stream << 64))`` has key words
     (seed, stream) and encrypts counters 1, 2, ... in turn, giving
     ``PHILOX_WORDS`` words each; every (stream, counter) lane runs at once.
-    The ten rounds rotate through one set of preallocated arrays.
+    Lanes share c1 = c2 = c3 = 0 and k0 = seed, so round 1 multiplies only
+    the counter row and round 2 one seed; the other eight use full arrays.
     """
     blocks = -(-n // PHILOX_WORDS)
-    c0, c1, c2, c3, h0, h1, l0, l1, *scratch = np.zeros(
-        (11, len(streams), blocks), dtype=np.uint64
-    )
-    c0[:] = np.arange(counter, counter + blocks, dtype=np.uint64)
+    c0, c1, c2, c3, h0, h1, l0, l1, *scratch = np.empty((11, len(streams), blocks), np.uint64)
     k1 = streams.astype(np.uint64)[:, None]
-    for rnd in range(10):
-        if rnd:
-            k1 += np.uint64(_PHILOX_W[1])
+    # round 1 multiplies the counter row: c0 becomes seed, c1 stays 0
+    hi, lo, *row = np.empty((5, blocks), dtype=np.uint64)
+    _mulhilo(_PHILOX_M[0], np.arange(counter, counter + blocks, dtype=np.uint64), hi, lo, row)
+    np.bitwise_xor(hi, k1, out=c2)
+    # round 2 multiplies c0 = seed by M0 once
+    k1 += np.uint64(_PHILOX_W[1])
+    _mulhilo(_PHILOX_M[1], c2, h1, l1, scratch)
+    np.bitwise_xor(h1, np.uint64((seed + _PHILOX_W[0]) % 2**64), out=c0)
+    c1, l1 = l1, c1
+    seed_hi, seed_lo = divmod(seed * _PHILOX_M[0], 2**64)
+    np.bitwise_xor(lo ^ np.uint64(seed_hi), k1, out=c2)
+    c3[:] = seed_lo
+    for rnd in range(2, 10):
+        k1 += np.uint64(_PHILOX_W[1])
         k0 = np.uint64((seed + rnd * _PHILOX_W[0]) % 2**64)
         _mulhilo(_PHILOX_M[0], c0, h0, l0, scratch)
         _mulhilo(_PHILOX_M[1], c2, h1, l1, scratch)
@@ -168,6 +177,9 @@ def word_rows(seed: int, streams, n: int, counter: int = 1) -> np.ndarray:
         raise InputError("streams must be nonnegative")
     if n < 0:
         raise InputError(f"n must be nonnegative, got {n}")
+    last = counter + max(-(-n // PHILOX_WORDS), 1) - 1  # the routes agree until c0 wraps
+    if counter < 1 or last >= 2**64:
+        raise InputError(f"Philox counters {counter}..{last} leave [1, 2^64)")
     if n > SHORT_STREAM:
         out = np.empty((len(streams), n), dtype=np.uint64)
         for i, s in enumerate(streams.tolist()):

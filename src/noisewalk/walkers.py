@@ -12,8 +12,8 @@ the longest atom), and every column applies one letter to all trials
 at once with vectorized cancel-or-push updates.  On an inverse-free
 support nothing cancels, so a position is the concatenation of its
 increments: boundary samples there run no stack machine.  Where all
-atoms share one length, ``step_letters`` draws any range of steps,
-in-process, for sample sets that draw letters on first read.  Other
+atoms share one length, ``step_indices`` draws the atoms of any range
+of steps, in-process, for sample sets that draw on first read.  Other
 walks, in pooled blocks, expand only the steps that can reach the
 ``keep_depth`` kept letters, squeeze out the padding, and sum the atom
 lengths of every step.
@@ -47,8 +47,7 @@ def letter_matrices(measure: FiniteMeasure) -> list[np.ndarray]:
     out = []
     for c in range(coords):
         rows = [(a[c] if measure.kind == "pair" else a) for a, _ in measure.atoms]
-        width = max((len(r) for r in rows), default=1)
-        width = max(width, 1)
+        width = max([1, *map(len, rows)])
         mat = np.zeros((len(rows), width), dtype=np.int8)
         for i, r in enumerate(rows):
             mat[i, : len(r)] = r
@@ -265,15 +264,21 @@ def step_length(measure: FiniteMeasure) -> int | None:
     return int(lens[0]) if measure.inverse_free and 0 < lens.min() == lens.max() else None
 
 
-def step_letters(
+def step_indices(
     measure: FiniteMeasure, seed: int, component: int, trials: int, first: int, last: int
-) -> list[np.ndarray]:
-    """Per-coordinate [trials, (last - first) * width] int8 letters of steps
-    first..last-1 of trials 0..trials-1; ``first`` is a multiple of
-    ``rng.PHILOX_WORDS``, the first step of a Philox counter."""
+) -> np.ndarray:
+    """[trials, last - first] int32 atom indices of steps first..last-1 of
+    trials 0..trials-1, from the Philox counter whose first step is ``first``."""
+    if first % rngmod.PHILOX_WORDS or not 0 <= first <= last:
+        raise InputError(f"steps {first}..{last} must start a Philox counter and run forwards")
     counter = first // rngmod.PHILOX_WORDS + 1
-    idx = index_block(measure, last - first, seed, component, 0, trials, counter)
-    return [_letters(mat, idx) for mat in letter_matrices(measure)]
+    return index_block(measure, last - first, seed, component, 0, trials, counter)
+
+
+def check_keep_depth(measure: FiniteMeasure, horizon: int, keep_depth: int) -> None:
+    """Refuse a ``keep_depth`` deeper than any position at the horizon."""
+    if keep_depth > (most := horizon * measure.max_atom_length):
+        raise InputError(f"keep_depth {keep_depth} exceeds horizon x longest atom = {most}")
 
 
 def boundary_prefixes(
@@ -297,5 +302,6 @@ def boundary_prefixes(
     """
     if pair_measure.kind != "pair":
         raise InputError("boundary_prefixes needs a pair measure")
+    check_keep_depth(pair_measure, horizon, keep_depth)
     func = partial(_boundary_block, pair_measure, horizon, keep_depth, seed, component)
     return tuple(_map_blocks(func, horizon, trials, workers))

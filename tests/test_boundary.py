@@ -29,6 +29,7 @@ from noisewalk.errors import InputError, ValidationError
 from noisewalk.estimators import _mean_result
 from noisewalk.measures import uniform_measure
 from noisewalk.oracle import h_semigroup
+from test_walkers import INVERSE_FREE_SHAPES
 
 
 def semi(m=2):
@@ -700,6 +701,87 @@ def test_dimension_run_draws_no_counter_past_the_deepest_level_read(monkeypatch,
     assert 5 < deepest < 20  # keep_depth is 40
     # letter d (from 0) of a one-letter step comes from counter d // 4 + 1
     assert max(last_counters) == (deepest - 1) // 4 + 1
+
+
+class _RouteSpy:
+    """Records whether each ``_sort_in_place`` call takes the packed route."""
+
+    def __init__(self, mp):
+        self.packed = []
+        real = measures._position_bits
+
+        def spy(key_bound, count):
+            bits = real(key_bound, count)
+            self.packed.append(bits is not None)
+            return bits
+
+        mp.setattr(measures, "_position_bits", spy)
+
+
+def _no_letter_reads(mp):
+    """Make any read of a sample set's letter columns fail."""
+    def refuse(*args):
+        raise AssertionError("read letter columns")
+
+    mp.setattr(walkers, "_letters", refuse)
+    mp.setattr(BoundarySampleSet, "_columns", refuse)
+
+
+@pytest.mark.parametrize("mu, horizon, keep_depth", INVERSE_FREE_SHAPES)
+def test_batched_levels_match_eager_levels_on_inverse_free_shapes(mu, horizon, keep_depth):
+    if keep_depth > horizon * mu.max_atom_length:  # refused before any draw
+        return
+    ref = _eager_levels(sample_boundary(mu, 0.4, horizon, 150, 21, keep_depth), keep_depth)
+    s = sample_boundary(mu, 0.4, horizon, 150, 21, keep_depth)
+    lazy = walkers.step_length(measures.build_pi_rho(mu, 0.4)) is not None
+    with pytest.MonkeyPatch.context() as mp:
+        routes = _RouteSpy(mp)
+        if lazy:  # the tree reads pair codes off the atom indices
+            _no_letter_reads(mp)
+        tree = build_tree(s, keep_depth)
+        half = (keep_depth + 1) // 2
+        for t in (half, 1, keep_depth, half + 1):
+            _assert_level_equal(tree.level(t), ref[t - 1])
+        levels = tree.levels
+    for lv, r in zip(levels, ref):
+        _assert_level_equal(lv, r)
+    assert routes.packed and all(routes.packed)
+
+
+def test_batched_levels_where_one_depth_fits_a_packed_key():
+    # rank 120 codes take 16 bits; 32,769 samples and their positions take
+    # 16 bits each, so a parent id, one code and a position fill 48 bits and
+    # a second code would pass 63
+    n, rank, depth = 2**15 + 1, 120, 3
+    gen = np.random.default_rng(20)
+    letters = gen.integers(1, rank + 1, (2, n, depth)) * gen.choice([-1, 1], (2, n, depth))
+    letters[:, :2000, :] = gen.integers(1, 3, (2, 2000, depth))  # nodes of many samples
+    lens = gen.integers(1, depth + 1, n)
+    lens[: n // 2] = depth
+    letters[:, np.arange(depth)[None, :] >= lens[:, None]] = 0
+    s = BoundarySampleSet(*letters.astype(np.int8), lens, lens, horizon=depth,
+                          keep_depth=depth, rank=rank, seed=0)
+    ref = _eager_levels(s, depth)
+    with pytest.MonkeyPatch.context() as mp:
+        routes = _RouteSpy(mp)
+        tree = build_tree(s, depth)
+        assert tree._batch_depths == 1
+        for t in range(1, depth + 1):
+            _assert_level_equal(tree.level(t), ref[t - 1])
+    assert routes.packed == [True] * depth
+    assert max(lv[1].max() for lv in ref) > 1  # some nodes hold several samples
+
+
+@pytest.mark.parametrize("trials", [1, 2, 2**12, 2**14 + 1])
+def test_batch_depths_are_the_most_a_packed_key_holds(trials):
+    s = sample_boundary(semi(2), 0.5, horizon=60, trials=trials, seed=4)
+    tree = build_tree(s, 60)
+    d, bits = tree._batch_depths, tree._bits
+    assert bits == 4  # 16 pair codes
+    fits = lambda depths: measures._position_bits(trials << bits * depths, trials)
+    assert fits(d) is not None and fits(d + 1) is None
+    for t, ref in enumerate(_eager_levels(s, 12), start=1):
+        _assert_level_equal(tree.level(t), ref)
 
 
 @pytest.mark.parametrize("packed", [True, False])

@@ -1,6 +1,7 @@
 """Random streams and the batch walk engine."""
 
 import concurrent.futures
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -58,6 +59,34 @@ def test_rows_from_a_counter_are_the_matching_slice_of_the_stream(n, counter):
                     for s in STREAMS])
     assert got.dtype == np.uint64 and got.shape == (len(STREAMS), n)
     assert got.tobytes() == raw.tobytes()
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+@pytest.mark.parametrize("n", [5, 8, 30, rng.SHORT_STREAM + 1])
+@pytest.mark.parametrize("counter", [2, 3, 7])
+def test_rows_from_late_counters_match_generators_at_extreme_seeds(seed, n, counter):
+    # two or more blocks, so round 1's counter is a row and not one word
+    skip = 4 * (counter - 1)
+    got = rng.word_rows(seed, STREAMS, n, counter)
+    raw = np.stack([rng.generator(seed, s).bit_generator.random_raw(skip + n)[skip:]
+                    for s in STREAMS])
+    assert got.tobytes() == raw.tobytes()
+
+
+def test_word_rows_refuse_counters_past_the_first_counter_word(monkeypatch):
+    last = rng.word_rows(5, [1], 4, 2**64 - 1)  # the last counter the word holds
+    expect = rng.generator(5, 1).bit_generator.advance(2**64 - 2).random_raw(4)
+    assert last.tobytes() == expect[None].tobytes()
+
+    def no_draw(*args):
+        raise AssertionError("drew words")
+
+    monkeypatch.setattr(rng, "_philox_rows", no_draw)
+    monkeypatch.setattr(rng, "generator", no_draw)
+    for n, counter in [(8, 2**64 - 1), (4, 2**64), (200, 2**64 - 49), (8, 0), (8, -1),
+                       (200, 0), (200, -2**70)]:
+        with pytest.raises(InputError, match="Philox counters"):
+            rng.word_rows(5, [1], n, counter)
 
 
 @pytest.mark.parametrize("m", rng._PHILOX_M)
@@ -225,6 +254,10 @@ def test_inverse_free_boundary_matches_full_stack(monkeypatch, mu, horizon, keep
     monkeypatch.setattr(walkers, "BLOCK", 64)  # several blocks
     pi = build_pi_rho(mu, 0.4)
     assert pi.inverse_free
+    if keep_depth > horizon * mu.max_atom_length:  # no sample has letters that deep
+        with pytest.raises(InputError, match=r"keep_depth \d+ exceeds horizon"):
+            walkers.boundary_prefixes(pi, horizon, keep_depth, 150, 21, rng.STREAM_BOUNDARY)
+        return
     got = walkers.boundary_prefixes(pi, horizon, keep_depth, 150, 21, rng.STREAM_BOUNDARY)
     expect = _full_stack_boundary(pi, horizon, keep_depth, 150, 21)
     for g, e in zip(got, expect):
@@ -264,6 +297,33 @@ def test_letters_drawn_on_read_match_full_stack(monkeypatch, mu, horizon, keep_d
     for i in (0, 77, 149):  # a sample read first draws its letters
         assert s[i].prefix1 == tuple(expect[0][i, : min(expect[2][i], keep_depth)].tolist())
         assert s[i].prefix2 == tuple(expect[1][i, : min(expect[3][i], keep_depth)].tolist())
+
+
+def test_step_indices_start_at_a_counter_and_run_forwards():
+    pi = build_pi_rho(uniform_measure(2, inverse_free=True), 0.5)
+    got = walkers.step_indices(pi, 3, rng.STREAM_BOUNDARY, 2, 4, 10)
+    whole = walkers.index_block(pi, 10, 3, rng.STREAM_BOUNDARY, 0, 2)
+    np.testing.assert_array_equal(got, whole[:, 4:10])
+    assert walkers.step_indices(pi, 3, rng.STREAM_BOUNDARY, 2, 8, 8).shape == (2, 0)
+    for first, last in ((2, 6), (1, 4), (8, 4), (-4, 4)):
+        with pytest.raises(InputError, match="must start a Philox counter"):
+            walkers.step_indices(pi, 3, rng.STREAM_BOUNDARY, 2, first, last)
+
+
+@pytest.mark.parametrize("group", ["free_semigroup", "free_group"])
+def test_boundary_prefixes_refuse_keep_depth_past_every_letter(group):
+    pi = build_pi_rho(uniform_measure(2, inverse_free=group == "free_semigroup"), 0.5)
+    tracemalloc.start()
+    try:
+        with pytest.raises(InputError, match="keep_depth 100000000000 exceeds horizon"):
+            walkers.boundary_prefixes(pi, 50, 10**11, 50, 1, rng.STREAM_BOUNDARY)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    with pytest.raises(InputError, match="keep_depth 51 exceeds horizon x longest atom = 50"):
+        walkers.boundary_prefixes(pi, 50, 51, 50, 1, rng.STREAM_BOUNDARY)
+    assert walkers.boundary_prefixes(pi, 50, 50, 50, 1, rng.STREAM_BOUNDARY)[0].shape == (50, 50)
 
 
 class _InlineExecutor:
