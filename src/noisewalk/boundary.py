@@ -7,9 +7,10 @@ Inverse-free walks never backtrack, so there the stable prefix is the
 whole position at the horizon.
 
 Boundary samples are held in columnar arrays (one int8 letter row per
-trial, or, where all atoms share one length, the atom indices of the
-Philox counters drawn so far) rather than per-sample objects; a
-``BoundarySampleSet`` behaves like a sequence of ``BoundarySample`` views.
+trial and coordinate; on an inverse-free step filled one Philox counter
+at a time, for the trials a reader needs) rather than per-sample
+objects; a ``BoundarySampleSet`` behaves like a sequence of
+``BoundarySample`` views.
 
 The cylinder tree counts how many sampled boundary pairs pass through
 each pair-prefix cylinder.  Its levels are built on first use, per batch
@@ -34,7 +35,7 @@ import numpy as np
 
 from . import rng as rngmod
 from . import walkers
-from .errors import InputError, ValidationError
+from .errors import InputError, ValidationError, check_count
 from .estimators import EstimateResult, _mean_result
 from .measures import FiniteMeasure, _sort_in_place, build_pi_rho, uniform_letter_count
 from .oracle import h_semigroup
@@ -53,106 +54,152 @@ class BoundarySample:
     seed: int
 
 
+_ALL = np.iinfo(np.int64).max  # the reach of a trial that has drawn every step
+
+
 class BoundarySampleSet:
     """Columnar batch of boundary samples; indexable like a sequence.
 
     ``letters1``/``letters2`` are [trials, keep_depth] int8 arrays of
     stable-prefix letters, zero-padded past each trial's stable length.
-    ``t_stable`` is the per-trial min of the two coordinate stable
-    lengths (not clipped to keep_depth).
+    ``len1``/``len2`` are the full stable lengths and ``t_stable`` is
+    their per-trial min; none of them is clipped to keep_depth.
 
-    A set given ``walk`` (a coupled step and its ``walkers.step_length``
-    L) in place of letters keeps the int32 atom indices of the steps it
-    has drawn, one Philox counter (``rng.PHILOX_WORDS`` steps) at a time.
-    ``pair_codes`` reads them through an [atoms, L] table of pair codes;
-    ``letters1``/``letters2`` and ``__getitem__`` build letters on first read.
+    A set given ``walk``, an inverse-free coupled step and the number of
+    trials, in place of letters and lengths holds the walk's positions
+    at the horizon, which are its stable prefixes.  It fills its letters
+    one Philox counter (``rng.PHILOX_WORDS`` steps) at a time, for the
+    trials still short of the depth read: ``letters1``/``letters2`` draw
+    every trial to keep_depth, a sample its own trial, and the lengths
+    every step of every trial.
     """
 
     def __init__(
         self,
         letters1: np.ndarray | None,
         letters2: np.ndarray | None,
-        len1: np.ndarray,
-        len2: np.ndarray,
+        len1: np.ndarray | None,
+        len2: np.ndarray | None,
         horizon: int,
         keep_depth: int,
         rank: int,
         seed: int,
         walk: tuple[FiniteMeasure, int] | None = None,
     ):
-        self._letters = (letters1, letters2)
-        self.len1 = len1.astype(np.int64)
-        self.len2 = len2.astype(np.int64)
-        self.t_stable = np.minimum(self.len1, self.len2)
         self.horizon = horizon
         self.keep_depth = keep_depth
         self.rank = rank
         self.seed = seed
-        # pair code c1 * 2k + c2 of letters (x1, x2) is _codes[x1, x2]: letter x > 0 has
-        # code x - 1, an inverse letter rank - 1 - x; negative letters index from the end
-        x = np.roll(np.arange(-rank, rank + 1), rank + 1)  # the letter at each index
+        # a letter pair's key is its two int8 letters read as one uint16, and
+        # _codes[key] its pair code c1 * 2k + c2: letter x > 0 has code x - 1,
+        # an inverse letter rank - 1 - x
+        x = np.arange(-rank, rank + 1)
         code = np.where(x > 0, x - 1, rank - 1 - x)
-        self._codes = (code[:, None] * 2 * rank + code).astype(np.int32)
+        self._codes = np.zeros(2**16, dtype=np.int32)
+        pairs = np.stack(np.broadcast_arrays(x[:, None], x), axis=-1).astype(np.int8)
+        self._codes[pairs.view(np.uint16)[..., 0]] = code[:, None] * 2 * rank + code
         self._walk = walk
-        if walk:
-            self._atom_codes = self._codes[tuple(walkers.letter_matrices(walk[0]))]
-            self._idx = np.empty((len(self.len1), 0), dtype=np.int32)  # the steps drawn
+        if walk is None:  # every step drawn; the shortest atom is not known
+            self._pairs = np.stack([letters1.T, letters2.T], axis=-1).astype(np.int8, copy=False)
+            self._fill = np.array([len1, len2], dtype=np.int64)
+            self._reach, self._shortest = np.full(len(len1), _ALL), 0
+        else:
+            # letter pairs [keep_depth, trials, 2], so that a depth's pair keys
+            # are contiguous; the last byte takes the letters past keep_depth
+            self._flat = np.zeros(keep_depth * walk[1] * 2 + 1, dtype=np.int8)
+            self._pairs = self._flat[:-1].reshape(keep_depth, walk[1], 2)
+            self._mats = walkers.letter_matrices(walk[0])
+            self._atom_lens = [np.count_nonzero(mat, axis=1) for mat in self._mats]
+            self._shortest = min(int(lens.min()) for lens in self._atom_lens)
+            # atoms of one length in both coordinates: a counter copies one block
+            one = self._mats[0].shape == self._mats[1].shape and all(m.all() for m in self._mats)
+            self._atom_keys = np.stack(self._mats, -1).view(np.uint16)[..., 0] if one else None
+            self._fill = np.zeros((2, walk[1]), dtype=np.int64)  # letters drawn
+            self._steps = np.zeros(walk[1], dtype=np.int64)
+            # per trial, the leading columns drawn in both coordinates
+            self._reach = np.zeros(walk[1], dtype=np.int64)
+        self._keys = self._pairs.view(np.uint16)[..., 0]
 
     def draw(self, depth: int) -> int:
-        """Draw the steps that reach column ``depth`` - 1, in whole Philox
-        counters; return how many leading columns are drawn."""
-        if self._walk is None:
-            return self.keep_depth
-        (pair, length), block, drawn = self._walk, rngmod.PHILOX_WORDS, self._idx.shape[1]
-        steps = min(self.horizon, block * -(-depth // (block * length)))
-        if steps > drawn:
-            self._idx = np.hstack([self._idx, walkers.step_indices(
-                pair, self.seed, rngmod.STREAM_BOUNDARY, len(self), drawn, steps)])
-        return min(self._idx.shape[1] * length, self.keep_depth)  # keep_depth <= horizon * L
+        """Draw whole Philox counters for the trials short of ``depth``
+        letters in either coordinate, until each has them or has drawn
+        every step; return how many leading columns every trial has drawn."""
+        while (short := self._reach < depth).any():
+            first = int(self._steps.min(where=short, initial=self.horizon))
+            # the trials at one counter draw it together
+            self._draw_counter(np.flatnonzero(short & (self._steps == first)), first)
+        return min(int(self._reach.min(initial=_ALL)), self.keep_depth)
+
+    def _draw_counter(self, trials: np.ndarray, first: int) -> None:
+        """Append the letters of the counter whose first step is ``first``
+        to each of ``trials``, from its fill pointer on, leaving out the
+        atoms' zero padding and the letters past keep_depth."""
+        last = min(first + rngmod.PHILOX_WORDS, self.horizon)
+        idx = walkers.step_indices(self._walk[0], self.seed, rngmod.STREAM_BOUNDARY, trials,
+                                   first, last).T
+        rows = slice(None) if len(trials) == len(self) else trials
+        self._steps[rows] = last
+        depth, fill = self.keep_depth, self._fill[:, rows]
+        if self._atom_keys is not None:  # every trial is at column first * atom length
+            block = self._atom_keys.take(idx, axis=0).transpose(0, 2, 1).reshape(-1, len(trials))
+            start = first * self._atom_keys.shape[1]
+            self._keys[start : start + len(block), rows] = block[: max(0, depth - start)]
+            fill[:] = start + len(block)
+        else:  # each step's letters go to the fill pointer, which moves by the
+            # atom's length, so the next step writes over the padding zeros
+            for c, (mat, lens) in enumerate(zip(self._mats, self._atom_lens)):
+                for atoms in idx:
+                    at = fill[c] + np.arange(mat.shape[1])[:, None]
+                    self._flat[np.where(at < depth, (at * len(self) + trials) * 2 + c,
+                                        len(self._flat) - 1)] = mat.T.take(atoms, axis=1)
+                    fill[c] += lens.take(atoms)
+        self._fill[:, rows] = fill
+        self._reach[rows] = _ALL if last == self.horizon else np.minimum(fill.min(0), depth)
 
     def pair_codes(self, lo: int, hi: int, rows: np.ndarray | None = None) -> np.ndarray:
-        """[samples, hi - lo] int32 pair codes of columns lo..hi-1, of the
-        samples ``rows`` (default all), by one gather from a code table."""
-        if self._walk is None:
-            return self._codes[tuple(x[:, lo:hi] if rows is None else x[rows, lo:hi]
-                                     for x in self._letters)]
-        length, first = self._walk[1], lo // self._walk[1]
-        self.draw(hi)
-        idx = self._idx[:, first : -(-hi // length)]
-        codes = self._atom_codes.take(idx if rows is None else idx[rows], axis=0)
-        return codes.reshape(len(codes), -1)[:, lo - first * length : hi - first * length]
+        """[hi - lo, samples] int32 pair codes of columns lo..hi-1, which
+        ``draw`` has drawn, of the samples ``rows`` (default all), by one
+        gather from a code table."""
+        return self._codes.take(self._keys[lo:hi] if rows is None else self._keys[lo:hi, rows])
 
     def _columns(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._letters[0] is None:  # build the letters of the drawn atoms
-            self.draw(self.keep_depth)
-            self._letters = tuple(walkers._letters(mat, self._idx)[:, : self.keep_depth]
-                                  for mat in walkers.letter_matrices(self._walk[0]))
-        return self._letters
+        self.draw(self.keep_depth)
+        return self._pairs[..., 0].T, self._pairs[..., 1].T
 
     letters1 = property(lambda self: self._columns()[0])
     letters2 = property(lambda self: self._columns()[1])
 
+    def _lengths(self) -> np.ndarray:
+        """[2, samples] full stable lengths: the letters of every step."""
+        self.draw(_ALL)
+        return self._fill
+
+    len1 = property(lambda self: self._lengths()[0])
+    len2 = property(lambda self: self._lengths()[1])
+    t_stable = property(lambda self: self._lengths().min(axis=0))
+
     def __len__(self) -> int:
-        return len(self.len1)
+        return len(self._reach)
 
     def usable_depth(self) -> np.ndarray:
-        """Per-trial depth usable for cylinder queries."""
-        return np.minimum(self.t_stable, self.keep_depth)
+        """Per-trial depth usable for cylinder queries, min(t_stable,
+        keep_depth).  It is keep_depth for every trial, and nothing is
+        drawn, when horizon steps of the shortest atom reach keep_depth."""
+        if self.keep_depth <= self.horizon * self._shortest:
+            return np.full(len(self), self.keep_depth, dtype=np.int64)
+        self.draw(self.keep_depth)
+        return np.minimum(self._fill.min(axis=0), self.keep_depth)
 
     def __getitem__(self, i: int) -> BoundarySample:
         if not -len(self) <= i < len(self):
             raise IndexError(i)
         i = i % len(self)
-        l1, l2 = (int(min(n[i], self.keep_depth)) for n in (self.len1, self.len2))
-        letters1, letters2 = self._columns()
-        return BoundarySample(
-            prefix1=tuple(int(x) for x in letters1[i, :l1]),
-            prefix2=tuple(int(x) for x in letters2[i, :l2]),
-            t_stable=int(self.t_stable[i]),
-            stable=bool(self.t_stable[i] > 0),
-            trial=i,
-            seed=self.seed,
-        )
+        while self._reach[i] < _ALL:  # draw every step of this trial alone
+            self._draw_counter(np.array([i]), int(self._steps[i]))
+        lens = self._fill[:, i].tolist()
+        p1, p2 = (tuple(self._pairs[: min(n, self.keep_depth), i, c].tolist())
+                  for c, n in enumerate(lens))
+        return BoundarySample(p1, p2, min(lens), min(lens) > 0, i, self.seed)
 
 
 def sample_boundary(
@@ -166,29 +213,26 @@ def sample_boundary(
 ) -> BoundarySampleSet:
     """Sample boundary prefix pairs of the coupled walk.
 
-    Each trial runs the coupled walk to 2 * horizon and records, per
-    coordinate, the common prefix of the positions at the horizon and
-    at twice the horizon.  ``keep_depth`` limits how many letters are
-    stored per coordinate (default: the horizon).  Walks whose atoms
-    have a ``walkers.step_length`` are drawn when first read, in-process.
+    Per trial and coordinate, the stable prefix is the common prefix of
+    the positions at the horizon and at twice the horizon.
+    ``keep_depth`` limits how many letters are stored per coordinate
+    (default: the horizon).  On an inverse-free step nothing cancels, so
+    the stable prefix is the whole position at the horizon: the set
+    draws it when first read, in-process, and ``workers`` is not used.
+    Other steps run ``walkers.boundary_prefixes`` in ``workers``
+    processes.
     """
     if mu.kind != "single":
         raise ValidationError("sample_boundary needs a single-coordinate measure")
-    if not isinstance(horizon, int) or horizon < 1:
-        raise InputError(f"horizon must be a positive integer, got {horizon!r}")
-    if not isinstance(trials, int) or trials < 1:
-        raise InputError(f"trials must be a positive integer, got {trials!r}")
-    if keep_depth is None:
-        keep_depth = horizon
-    if not isinstance(keep_depth, int) or keep_depth < 1:
-        raise InputError(f"keep_depth must be a positive integer, got {keep_depth!r}")
+    keep_depth = horizon if keep_depth is None else keep_depth
+    for name, count in (("horizon", horizon), ("trials", trials), ("keep_depth", keep_depth),
+                        ("workers", workers)):
+        check_count(name, count)
     walkers.check_keep_depth(mu, horizon, keep_depth)
     coupled = build_pi_rho(mu, rho)
-    length = walkers.step_length(coupled)
-    if length is not None:
-        full = np.full(trials, horizon * length)
-        return BoundarySampleSet(None, None, full, full, horizon, keep_depth, mu.rank, seed,
-                                 walk=(coupled, length))
+    if coupled.inverse_free:
+        return BoundarySampleSet(None, None, None, None, horizon, keep_depth, mu.rank, seed,
+                                 walk=(coupled, trials))
     drawn = walkers.boundary_prefixes(coupled, horizon, keep_depth, trials, seed,
                                       rngmod.STREAM_BOUNDARY, workers=workers)
     return BoundarySampleSet(*drawn, horizon, keep_depth, mu.rank, seed)
@@ -223,8 +267,7 @@ class CylinderTree:
     """
 
     def __init__(self, samples: BoundarySampleSet, depth: int):
-        if not isinstance(depth, int) or depth < 1:
-            raise InputError(f"depth must be a positive integer, got {depth!r}")
+        check_count("depth", depth)
         if depth > samples.keep_depth:
             raise ValidationError(
                 f"depth {depth} exceeds stored prefix depth {samples.keep_depth}"
@@ -274,7 +317,7 @@ class CylinderTree:
             end = min(self._samples.draw(t), self.depth, t - 1 + self._batch_depths)
             rows = None if t <= self._reached else np.flatnonzero(self.t_stable >= t)
             keys = (self._ids if rows is None else self._ids[rows]).astype(np.int64)
-            for codes in self._samples.pair_codes(t - 1, end, rows).T:
+            for codes in self._samples.pair_codes(t - 1, end, rows):
                 keys <<= bits
                 keys |= codes
             order = _sort_in_place(keys, self.sample_count << (bits * (end - t + 1)))
@@ -396,8 +439,7 @@ def local_dimension(
         raise InputError("t_grid needs at least two distinct depths")
     for t in ts:
         tree._check_depth(t)
-    if not isinstance(n_centers, int) or n_centers < 1:
-        raise InputError(f"n_centers must be a positive integer, got {n_centers!r}")
+    check_count("n_centers", n_centers)
     if min_count < 1:
         raise InputError("min_count must be at least 1")
     eligible = np.flatnonzero(tree.t_stable >= ts[0])

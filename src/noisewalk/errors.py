@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the count check that raises one."""
 
 
 class NoiseWalkError(Exception):
@@ -32,3 +32,9 @@ class BudgetError(NoiseWalkError, RuntimeError):
 
 class UnsupportedRegimeError(NoiseWalkError, ValueError):
     """Operation is only defined for a different group/semigroup regime."""
+
+
+def check_count(name: str, count) -> None:
+    """Refuse a ``count`` that is not a positive int (a bool is not a count)."""
+    if not isinstance(count, int) or isinstance(count, bool) or count < 1:
+        raise InputError(f"{name} must be a positive integer, got {count!r}")

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import rng as rngmod
 from . import walkers
-from .errors import BudgetError, InputError, ValidationError
+from .errors import BudgetError, InputError, ValidationError, check_count
 from .measures import (
     DEFAULT_CAP,
     ConvolutionLevel,
@@ -138,10 +138,8 @@ def shannon_pointwise(
     -(k log p + (n - k) log q) / n.  At rho = 0 only diagonal draws
     occur and the q term never appears.
     """
-    if not isinstance(n, int) or n < 1:
-        raise InputError(f"n must be a positive integer, got {n!r}")
-    if not isinstance(trials, int) or trials < 1:
-        raise InputError(f"trials must be a positive integer, got {trials!r}")
+    check_count("n", n)
+    check_count("trials", trials)
     p, q = coupling_weights(m, rho)
     diag_prob = m * p
     log_p = math.log(p)
@@ -350,8 +348,7 @@ def tv_exact_curve(
     """
     if mu.kind != "single":
         raise ValidationError("exact TV needs a single-coordinate step measure")
-    if not isinstance(n_max, int) or n_max < 1:
-        raise InputError(f"n must be a positive integer, got {n_max!r}")
+    check_count("n", n_max)
     rho_w = rho_weight(rho)
     if mu.inverse_free and all(len(a) == 1 for a, _ in mu.atoms):
         return list(_tv_value_classes(mu, rho_w, n_max, cap))

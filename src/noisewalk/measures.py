@@ -52,7 +52,7 @@ from typing import Iterable, Iterator, Union
 import numpy as np
 
 from . import rng as rngmod
-from .errors import BudgetError, InputError, TruncationError, ValidationError
+from .errors import BudgetError, InputError, TruncationError, ValidationError, check_count
 from .words import Word, WordPair, multiply, pair_length, reduce_word
 
 Weight = Union[Fraction, float]
@@ -219,8 +219,7 @@ def build_measure(
         if max_letter == 0:
             raise ValidationError("cannot infer rank from identity-only support")
         rank = max_letter
-    if not isinstance(rank, int) or rank < 1:
-        raise InputError(f"rank must be a positive integer, got {rank!r}")
+    check_count("rank", rank)
     if max_letter > rank:
         raise InputError(f"letter index {max_letter} exceeds rank {rank}")
 
@@ -244,8 +243,7 @@ def uniform_measure(rank: int, inverse_free: bool = False) -> FiniteMeasure:
     each (simple random walk).  Free semigroup (``inverse_free=True``):
     the k positive letters, weight 1/k each.
     """
-    if not isinstance(rank, int) or rank < 1:
-        raise InputError(f"rank must be a positive integer, got {rank!r}")
+    check_count("rank", rank)
     letters = list(range(1, rank + 1))
     if not inverse_free:
         letters += [-i for i in range(1, rank + 1)]
@@ -945,10 +943,8 @@ def iter_convolution_levels(
     ``TruncationError``.  Exact numerators are int64 up to the last level
     with D**level <= 2**62 and Python ints from the next, whatever ``n`` is.
     """
-    if not isinstance(n, int) or n < 1:
-        raise InputError(f"n must be a positive integer, got {n!r}")
-    if not isinstance(cap, int) or cap < 1:
-        raise InputError(f"cap must be a positive integer, got {cap!r}")
+    check_count("n", n)
+    check_count("cap", cap)
 
     exact = step.exact
     pair = step.kind == "pair"

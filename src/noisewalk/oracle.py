@@ -13,7 +13,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from .errors import BudgetError, InputError, ValidationError
+from .errors import BudgetError, InputError, ValidationError, check_count
 from .measures import FiniteMeasure, Weight, build_measure
 from .words import multiply
 
@@ -115,8 +115,7 @@ def tv_semigroup(m: int, rho: float, n: int) -> float:
     q = 0 and only the j = n term carries coupled mass.
     """
     _check_semigroup_params(m, rho)
-    if not isinstance(n, int) or n < 1:
-        raise InputError(f"n must be a positive integer, got {n!r}")
+    check_count("n", n)
     rho = float(rho)
     if rho == 1.0:
         return 0.0
@@ -150,8 +149,7 @@ def brute_force_convolution(step: FiniteMeasure, n: int) -> FiniteMeasure:
     Exponential-time reference for cross-checking the real engine;
     refuses runs beyond a 10^7 sequence budget.
     """
-    if not isinstance(n, int) or n < 1:
-        raise InputError(f"n must be a positive integer, got {n!r}")
+    check_count("n", n)
     if step.support_size**n > _BRUTE_FORCE_BUDGET:
         raise BudgetError(
             f"brute force over {step.support_size}^{n} sequences exceeds budget"

@@ -81,10 +81,12 @@ def stream_id(component: int, trial: int = 0) -> int:
     return component * _COMPONENT_SHIFT + trial
 
 
-def stream_ids(component: int, lo: int, hi: int) -> np.ndarray:
-    """Stream ids of trials lo..hi-1 of a component, as int64."""
-    first, last = stream_id(component, lo), stream_id(component, hi - 1)
-    return np.arange(first, last + 1, dtype=np.int64)
+def stream_ids(component: int, trials) -> np.ndarray:
+    """Stream ids of a component's trials (a sequence of ints), as int64."""
+    trials = np.asarray(trials, dtype=np.int64).reshape(-1)
+    for trial in (trials.min(initial=0), trials.max(initial=0)):
+        stream_id(component, int(trial))  # refuses a trial out of range
+    return trials + stream_id(component)
 
 
 def generator(seed: int, stream: int = 0) -> np.random.Generator:
@@ -149,17 +151,21 @@ def _philox_rows(seed: int, streams: np.ndarray, n: int, counter: int = 1) -> np
     seed_hi, seed_lo = divmod(seed * _PHILOX_M[0], 2**64)
     np.bitwise_xor(lo ^ np.uint64(seed_hi), k1, out=c2)
     c3[:] = seed_lo
+    out = np.empty((len(streams), blocks, PHILOX_WORDS), dtype=np.uint64)
     for rnd in range(2, 10):
         k1 += np.uint64(_PHILOX_W[1])
         k0 = np.uint64((seed + rnd * _PHILOX_W[0]) % 2**64)
+        n0, n2 = h1, h0  # where the round's c0 and c2 go
+        if rnd == 9:  # the last round writes its four words straight into the output
+            n0, l1, n2, l0 = np.moveaxis(out, -1, 0)
         _mulhilo(_PHILOX_M[0], c0, h0, l0, scratch)
         _mulhilo(_PHILOX_M[1], c2, h1, l1, scratch)
         h1 ^= c1
-        h1 ^= k0
+        np.bitwise_xor(h1, k0, out=n0)
         h0 ^= c3
-        h0 ^= k1
-        c0, c1, c2, c3, h0, h1, l0, l1 = h1, l1, h0, l0, c0, c1, c2, c3
-    return np.stack([c0, c1, c2, c3], axis=-1).reshape(len(streams), -1)[:, :n]
+        np.bitwise_xor(h0, k1, out=n2)
+        c0, c1, c2, c3, h0, h1, l0, l1 = n0, l1, n2, l0, c0, c1, c2, c3
+    return out.reshape(len(streams), -1)[:, :n]
 
 
 def word_rows(seed: int, streams, n: int, counter: int = 1) -> np.ndarray:

@@ -11,12 +11,10 @@ columns: each atom is expanded to its letter sequence (zero-padded to
 the longest atom), and every column applies one letter to all trials
 at once with vectorized cancel-or-push updates.  On an inverse-free
 support nothing cancels, so a position is the concatenation of its
-increments: boundary samples there run no stack machine.  Where all
-atoms share one length, ``step_indices`` draws the atoms of any range
-of steps, in-process, for sample sets that draw on first read.  Other
-walks, in pooled blocks, expand only the steps that can reach the
-``keep_depth`` kept letters, squeeze out the padding, and sum the atom
-lengths of every step.
+increments and boundary samples need no stack machine: ``step_indices``
+draws the atoms of any range of steps of any trial rows, in-process,
+for the sample sets of ``boundary.sample_boundary``, which draw on
+first read.
 """
 
 from __future__ import annotations
@@ -27,16 +25,12 @@ from functools import partial
 import numpy as np
 
 from . import rng as rngmod
-from .errors import BudgetError, InputError
+from .errors import BudgetError, InputError, check_count
 from .measures import FiniteMeasure
 
 BLOCK = 4096
 _MAX_RANK_INT8 = 120
 _WORDS_PER_DRAW = 2**20  # long streams are drawn at most this many words at a time
-
-
-def block_ranges(trials: int) -> list[tuple[int, int]]:
-    return [(lo, min(lo + BLOCK, trials)) for lo in range(0, trials, BLOCK)]
 
 
 def letter_matrices(measure: FiniteMeasure) -> list[np.ndarray]:
@@ -56,11 +50,11 @@ def letter_matrices(measure: FiniteMeasure) -> list[np.ndarray]:
 
 
 def index_block(
-    measure: FiniteMeasure, n: int, seed: int, component: int, lo: int, hi: int,
-    counter: int = 1,
+    measure: FiniteMeasure, n: int, seed: int, component: int, trials, counter: int = 1,
 ) -> np.ndarray:
-    """Atom indices [hi-lo, n]; row i comes from stream (component, lo + i),
-    from Philox counter ``counter`` on (``rng.PHILOX_WORDS`` indices per counter).
+    """Atom indices [len(trials), n]; row i comes from stream (component,
+    trials[i]), from Philox counter ``counter`` on (``rng.PHILOX_WORDS``
+    indices per counter).
 
     Raw Philox words become indices through one guide table per call.
     Long streams are drawn a few rows at a time, so no [trials, n] word
@@ -68,10 +62,10 @@ def index_block(
     """
     cum = measure._cumulative()
     guide = rngmod.index_guide(cum)
-    streams = rngmod.stream_ids(component, lo, hi)
-    out = np.empty((hi - lo, n), dtype=np.int32)
+    streams = rngmod.stream_ids(component, trials)
+    out = np.empty((len(streams), n), dtype=np.int32)
     rows = max(1, _WORDS_PER_DRAW // max(n, 1))
-    for a in range(0, hi - lo, rows):
+    for a in range(0, len(streams), rows):
         words = rngmod.word_rows(seed, streams[a : a + rows], n, counter)
         out[a : a + rows] = rngmod.word_indices(cum, words, guide)
     return out
@@ -106,32 +100,27 @@ def _run_stack(
     return st, pt
 
 
-def _letters(mat: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """Letter columns [T, steps * width] of the atoms ``idx`` [T, steps]."""
-    return mat[idx].reshape(len(idx), -1)
-
-
 def _final_stacks(
     measure: FiniteMeasure, n: int, seed: int, component: int, lo: int, hi: int
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Per-coordinate (stacks, ptrs) of one block of walks after n steps."""
-    idx = index_block(measure, n, seed, component, lo, hi)
-    return [_run_stack(_letters(mat, idx)) for mat in letter_matrices(measure)]
+    idx = index_block(measure, n, seed, component, np.arange(lo, hi))
+    return [_run_stack(mat[idx].reshape(len(idx), -1)) for mat in letter_matrices(measure)]
 
 
 def _map_blocks(func, n: int, trials: int, workers: int) -> list[np.ndarray]:
     """Run ``func`` on every block of ``trials`` and join the parts.
 
     ``func(block)`` returns a tuple of per-trial arrays for its block,
-    and ``n`` is the walk length bound into it; both counts must be
-    positive.  Part i of the result is the block-order concatenation of
-    entry i.  The pool has at most one process per block and per core;
-    results do not depend on how many there are.
+    and ``n`` is the walk length bound into it; both counts, and
+    ``workers``, must be positive.  Part i of the result is the
+    block-order concatenation of entry i.  The pool has at most one
+    process per block and per core; results do not depend on how many
+    there are.
     """
-    for name, count in (("n", n), ("trials", trials)):
-        if not isinstance(count, int) or count < 1:
-            raise InputError(f"{name} must be a positive integer, got {count!r}")
-    blocks = block_ranges(trials)
+    for name, count in (("n", n), ("trials", trials), ("workers", workers)):
+        check_count(name, count)
+    blocks = [(lo, min(lo + BLOCK, trials)) for lo in range(0, trials, BLOCK)]
     workers = min(workers, len(blocks), os.cpu_count() or 1)
     if workers <= 1:
         parts = [func(b) for b in blocks]
@@ -182,11 +171,10 @@ def _common_prefix_lengths(
 def _kept_letters(st: np.ndarray, lengths: np.ndarray, keep_depth: int) -> np.ndarray:
     """[T, keep_depth] int8 whose row i is st[i, :min(lengths[i], keep_depth)],
     zero padded."""
-    clip = np.minimum(lengths, keep_depth)
     letters = np.zeros((len(st), keep_depth), dtype=np.int8)
     w = min(st.shape[1], keep_depth)
     letters[:, :w] = st[:, :w]
-    letters[np.arange(keep_depth)[None, :] >= clip[:, None]] = 0
+    letters[np.arange(keep_depth)[None, :] >= lengths[:, None]] = 0
     return letters
 
 
@@ -215,64 +203,30 @@ def pair_prefix_lengths(
 
 def _boundary_block(measure, horizon, keep_depth, seed, component, block):
     """(letters1, letters2, len1, len2) of one block of boundary_prefixes."""
-    if measure.inverse_free:
-        return _inverse_free_boundary_block(
-            measure, horizon, keep_depth, seed, component, block
-        )
-    idx = index_block(measure, 2 * horizon, seed, component, *block)
+    idx = index_block(measure, 2 * horizon, seed, component, np.arange(*block))
     letters, lengths = [], []
     for mat in letter_matrices(measure):
-        snap = _run_stack(_letters(mat, idx[:, :horizon]))
-        st, pt = _run_stack(_letters(mat, idx[:, horizon:]), snap)
+        cols = mat[idx].reshape(len(idx), -1)  # letter columns, horizon * width per half
+        snap = _run_stack(cols[:, : horizon * mat.shape[1]])
+        st, pt = _run_stack(cols[:, horizon * mat.shape[1] :], snap)
         plen = _common_prefix_lengths(*snap, st, pt)
         letters.append(_kept_letters(snap[0], plen, keep_depth))
         lengths.append(plen)
     return (*letters, *lengths)
 
 
-def _inverse_free_boundary_block(measure, horizon, keep_depth, seed, component, block):
-    """``_boundary_block`` on an inverse-free support.
-
-    Positions only ever grow, so the state at the horizon is a prefix of
-    every later state: the stable prefix is the full position at the
-    horizon, and the later steps need not be simulated.  Of the horizon
-    steps, only the first s can reach the kept letters, where every step
-    adds at least m letters.  Nothing cancels, so the reduced word is the
-    letter row with its padding zeros squeezed out; no stack machine runs.
-    """
-    mats = letter_matrices(measure)
-    atom_lens = [np.count_nonzero(mat, axis=1) for mat in mats]
-    m = min(int(lens.min()) for lens in atom_lens)
-    s = horizon if m == 0 else min(horizon, -(-keep_depth // m))
-    idx = index_block(measure, horizon, seed, component, *block)
-    letters, lengths = [], []
-    for mat, lens in zip(mats, atom_lens):
-        st = _letters(mat, idx[:, :s])
-        if lens.min() < mat.shape[1]:  # move the letters left of the padding, in order
-            st = np.take_along_axis(st, np.argsort(st == 0, axis=1, kind="stable"), 1)
-        pt = np.count_nonzero(st, axis=1)
-        # pt < keep_depth only when s == horizon, where pt is the full length
-        letters.append(_kept_letters(st, pt, keep_depth))
-        lengths.append(lens[idx].sum(axis=1).astype(np.int32))
-    return (*letters, *lengths)
-
-
-def step_length(measure: FiniteMeasure) -> int | None:
-    """The one positive length of every atom, in every coordinate, of an
-    inverse-free support; None for any other support."""
-    lens = np.concatenate([np.count_nonzero(m, axis=1) for m in letter_matrices(measure)])
-    return int(lens[0]) if measure.inverse_free and 0 < lens.min() == lens.max() else None
-
-
 def step_indices(
-    measure: FiniteMeasure, seed: int, component: int, trials: int, first: int, last: int
+    measure: FiniteMeasure, seed: int, component: int, trials, first: int, last: int
 ) -> np.ndarray:
-    """[trials, last - first] int32 atom indices of steps first..last-1 of
-    trials 0..trials-1, from the Philox counter whose first step is ``first``."""
+    """[len(trials), last - first] int32 atom indices of steps first..last-1
+    of the given trials, from the Philox counter whose first step is ``first``.
+
+    Each trial owns its stream, so a row is the same whichever trials are
+    drawn beside it."""
     if first % rngmod.PHILOX_WORDS or not 0 <= first <= last:
         raise InputError(f"steps {first}..{last} must start a Philox counter and run forwards")
     counter = first // rngmod.PHILOX_WORDS + 1
-    return index_block(measure, last - first, seed, component, 0, trials, counter)
+    return index_block(measure, last - first, seed, component, trials, counter)
 
 
 def check_keep_depth(measure: FiniteMeasure, horizon: int, keep_depth: int) -> None:
@@ -292,10 +246,10 @@ def boundary_prefixes(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Stable prefixes of a batch of pair walks.
 
-    Runs each walk to 2 * horizon and takes, per coordinate, the common
-    prefix of the positions at the horizon and at twice the horizon.
-    Inverse-free walks shortcut this: the prefix is the full position at
-    the horizon, and only its first ``keep_depth`` letters are built.
+    Runs each walk to 2 * horizon through the stack machine and takes,
+    per coordinate, the common prefix of the positions at the horizon
+    and at twice the horizon; this holds on any support.
+    (``boundary.sample_boundary`` draws inverse-free walks another way.)
     Returns (letters1, letters2, len1, len2) where the letter arrays are
     [trials, keep_depth] int8, zero padded beyond the per-trial stable
     length, and len1/len2 are the full stable lengths.

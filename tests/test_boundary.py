@@ -703,6 +703,38 @@ def test_dimension_run_draws_no_counter_past_the_deepest_level_read(monkeypatch,
     assert max(last_counters) == (deepest - 1) // 4 + 1
 
 
+def test_prefix_code_tree_draws_each_trial_only_to_the_depth_read(monkeypatch):
+    # every atom of {1, 21, 22} adds at least m = 1 letter, and keep_depth <= horizon * m
+    mu = measures.build_measure([((1,), Fraction(1, 2)), ((2, 1), Fraction(1, 3)),
+                                 ((2, 2), Fraction(1, 6))])
+    horizon, keep_depth, trials, seed = 40, 30, 300, 5
+    pi = measures.build_pi_rho(mu, 0.5)
+    whole = walkers.index_block(pi, horizon, seed, rngmod.STREAM_BOUNDARY, np.arange(trials))
+    counters = np.zeros(trials, dtype=np.int64)  # counters drawn, per trial
+    real = walkers.step_indices
+
+    def spy(measure, seed_, component, rows, first, last):
+        got = real(measure, seed_, component, rows, first, last)
+        np.testing.assert_array_equal(got, whole[rows, first:last])  # rows of the full draw
+        np.add.at(counters, rows, -(-(last - first) // rngmod.PHILOX_WORDS))
+        return got
+
+    monkeypatch.setattr(walkers, "step_indices", spy)
+    s = sample_boundary(mu, 0.5, horizon, trials, seed, keep_depth)
+    assert (s.usable_depth() == keep_depth).all()
+    tree = build_tree(s, keep_depth)
+    assert not counters.any()
+    # the fewer letters of the two coordinates after each counter's four steps
+    reach = np.minimum(*(np.cumsum(np.count_nonzero(mat, axis=1)[whole], axis=1)
+                         for mat in walkers.letter_matrices(pi)))[:, 3::4]
+    for t in range(1, keep_depth + 1):
+        tree.level(t)
+        assert counters.max() <= -(-t // 4)
+        # each trial has drawn the counters that reach depth t, and not one more
+        np.testing.assert_array_equal(counters, np.argmax(reach >= t, axis=1) + 1)
+    assert len(set(counters.tolist())) > 1
+
+
 class _RouteSpy:
     """Records whether each ``_sort_in_place`` call takes the packed route."""
 
@@ -719,11 +751,12 @@ class _RouteSpy:
 
 
 def _no_letter_reads(mp):
-    """Make any read of a sample set's letter columns fail."""
+    """Make reading ``letters1``/``letters2``, which draws every trial to
+    keep_depth, or running the stack machine fail."""
     def refuse(*args):
         raise AssertionError("read letter columns")
 
-    mp.setattr(walkers, "_letters", refuse)
+    mp.setattr(walkers, "_run_stack", refuse)
     mp.setattr(BoundarySampleSet, "_columns", refuse)
 
 
@@ -733,11 +766,9 @@ def test_batched_levels_match_eager_levels_on_inverse_free_shapes(mu, horizon, k
         return
     ref = _eager_levels(sample_boundary(mu, 0.4, horizon, 150, 21, keep_depth), keep_depth)
     s = sample_boundary(mu, 0.4, horizon, 150, 21, keep_depth)
-    lazy = walkers.step_length(measures.build_pi_rho(mu, 0.4)) is not None
     with pytest.MonkeyPatch.context() as mp:
         routes = _RouteSpy(mp)
-        if lazy:  # the tree reads pair codes off the atom indices
-            _no_letter_reads(mp)
+        _no_letter_reads(mp)  # the tree draws only the columns it reads
         tree = build_tree(s, keep_depth)
         half = (keep_depth + 1) // 2
         for t in (half, 1, keep_depth, half + 1):

@@ -157,8 +157,11 @@ def test_word_indices_match_searchsorted_with_more_atoms_than_bins(k):
 
 
 def test_stream_ids_are_consecutive_stream_id_values():
-    ids = rng.stream_ids(rng.STREAM_BOUNDARY, 5, 9)
+    ids = rng.stream_ids(rng.STREAM_BOUNDARY, range(5, 9))
     assert ids.tolist() == [rng.stream_id(rng.STREAM_BOUNDARY, t) for t in range(5, 9)]
+    trials = [9, 2, 2**40 - 1]
+    assert rng.stream_ids(rng.STREAM_PATH, trials).tolist() == [
+        rng.stream_id(rng.STREAM_PATH, t) for t in trials]
 
 
 def test_rng_validation():
@@ -176,8 +179,9 @@ def test_rng_validation():
         rng.word_rows(0, [3], -1)
     with pytest.raises(InputError):
         rng.stream_id(rng.STREAM_DRIFT, 2**40)
-    with pytest.raises(InputError):
-        rng.stream_ids(rng.STREAM_DRIFT, 2**40 - 2, 2**40 + 1)
+    for trials in (range(2**40 - 2, 2**40 + 1), [3, -1]):
+        with pytest.raises(InputError):
+            rng.stream_ids(rng.STREAM_DRIFT, trials)
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +192,7 @@ def test_rng_validation():
 def test_index_block_rows_match_per_stream_sampling(monkeypatch, n):
     monkeypatch.setattr(walkers, "_WORDS_PER_DRAW", 7 * n)  # several draws per block
     pi = build_pi_rho(uniform_measure(2), 0.3)
-    got = walkers.index_block(pi, n, 9, rng.STREAM_DRIFT, 100, 140)
+    got = walkers.index_block(pi, n, 9, rng.STREAM_DRIFT, np.arange(100, 140))
     cum = pi._cumulative()
     expect = [
         np.minimum(
@@ -225,7 +229,7 @@ def test_run_stack_resumes_from_a_state():
 
 def _full_stack_boundary(pi, horizon, keep_depth, trials, seed):
     """Inverse-free boundary prefixes from all horizon steps of the stack machine."""
-    idx = walkers.index_block(pi, horizon, seed, rng.STREAM_BOUNDARY, 0, trials)
+    idx = walkers.index_block(pi, horizon, seed, rng.STREAM_BOUNDARY, np.arange(trials))
     out = []
     for mat in walkers.letter_matrices(pi):
         st, pt = walkers._run_stack(mat[idx].reshape(trials, -1))
@@ -238,31 +242,39 @@ def _full_stack_boundary(pi, horizon, keep_depth, trials, seed):
 
 
 INVERSE_FREE_SHAPES = [
-    (uniform_measure(2, inverse_free=True), 40, 30),  # s = 30 < horizon
+    (uniform_measure(2, inverse_free=True), 40, 30),  # 30 letters in 30 of 40 steps
     # horizon * L < keep_depth: sample_boundary refuses it
     (uniform_measure(3, inverse_free=True), 10, 30),
-    (step([(1,), (2, 1), (1, 1, 2)]), 40, 30),  # varying length: all steps drawn
+    (step([(1,), (2, 1), (1, 1, 2)]), 40, 30),  # varying length
     (step([(1,), (2, 1), (1, 1, 2)]), rng.SHORT_STREAM + 20, 12),  # long streams
     (step([(1, 2), (2, 1), (2, 2)]), 20, 7),  # keep_depth not a multiple of L
-    (step([(), (1,), (2, 1)]), 40, 12),  # an empty atom: m = 0, all steps kept
+    # an empty atom: the shortest atom adds no letter, and trials end short
+    (step([(), (1,), (2, 1)]), 40, 12),
     (step([(1, 2, 1), (2, 2, 1)]), 3, 8),  # horizon below the 4 steps of one counter
+    # the weighted prefix code {1, 21, 22}, and {1, 2, 12}
+    (build_measure([((1,), Fraction(1, 2)), ((2, 1), Fraction(1, 3)),
+                    ((2, 2), Fraction(1, 6))]), 40, 30),
+    (step([(1,), (2,), (1, 2)]), 12, 20),
 ]
 
 
 @pytest.mark.parametrize("mu, horizon, keep_depth", INVERSE_FREE_SHAPES)
 def test_inverse_free_boundary_matches_full_stack(monkeypatch, mu, horizon, keep_depth):
+    """Lengths read before any letter draw every step, in whole counters."""
     monkeypatch.setattr(walkers, "BLOCK", 64)  # several blocks
     pi = build_pi_rho(mu, 0.4)
     assert pi.inverse_free
     if keep_depth > horizon * mu.max_atom_length:  # no sample has letters that deep
         with pytest.raises(InputError, match=r"keep_depth \d+ exceeds horizon"):
-            walkers.boundary_prefixes(pi, horizon, keep_depth, 150, 21, rng.STREAM_BOUNDARY)
+            sample_boundary(mu, 0.4, horizon, 150, 21, keep_depth)
         return
-    got = walkers.boundary_prefixes(pi, horizon, keep_depth, 150, 21, rng.STREAM_BOUNDARY)
+    s = sample_boundary(mu, 0.4, horizon, 150, 21, keep_depth)
     expect = _full_stack_boundary(pi, horizon, keep_depth, 150, 21)
-    for g, e in zip(got, expect):
-        assert g.dtype == e.dtype
+    got = (s.len1, s.len2, s.letters1, s.letters2)
+    for g, e in zip(got, (*expect[2:], *expect[:2])):
         np.testing.assert_array_equal(g, e)
+    np.testing.assert_array_equal(s.t_stable, np.minimum(expect[2], expect[3]))
+    assert s.letters1.dtype == np.int8 and s.len1.dtype == np.int64
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -301,13 +313,16 @@ def test_letters_drawn_on_read_match_full_stack(monkeypatch, mu, horizon, keep_d
 
 def test_step_indices_start_at_a_counter_and_run_forwards():
     pi = build_pi_rho(uniform_measure(2, inverse_free=True), 0.5)
-    got = walkers.step_indices(pi, 3, rng.STREAM_BOUNDARY, 2, 4, 10)
-    whole = walkers.index_block(pi, 10, 3, rng.STREAM_BOUNDARY, 0, 2)
+    got = walkers.step_indices(pi, 3, rng.STREAM_BOUNDARY, np.arange(5), 4, 10)
+    whole = walkers.index_block(pi, 10, 3, rng.STREAM_BOUNDARY, np.arange(5))
     np.testing.assert_array_equal(got, whole[:, 4:10])
-    assert walkers.step_indices(pi, 3, rng.STREAM_BOUNDARY, 2, 8, 8).shape == (2, 0)
+    some = np.array([4, 1])  # any trials, in any order, draw their own rows
+    np.testing.assert_array_equal(
+        walkers.step_indices(pi, 3, rng.STREAM_BOUNDARY, some, 4, 10), whole[some, 4:10])
+    assert walkers.step_indices(pi, 3, rng.STREAM_BOUNDARY, [0, 1], 8, 8).shape == (2, 0)
     for first, last in ((2, 6), (1, 4), (8, 4), (-4, 4)):
         with pytest.raises(InputError, match="must start a Philox counter"):
-            walkers.step_indices(pi, 3, rng.STREAM_BOUNDARY, 2, first, last)
+            walkers.step_indices(pi, 3, rng.STREAM_BOUNDARY, [0, 1], first, last)
 
 
 @pytest.mark.parametrize("group", ["free_semigroup", "free_group"])
@@ -355,6 +370,27 @@ def test_pool_size_is_clamped(monkeypatch, cores, expect):
     got = walkers.pair_prefix_lengths(pi, 12, 100, 5, rng.STREAM_TV_COUPLED, workers=10**6)
     assert _InlineExecutor.opened == expect  # 100 trials make 3 blocks
     np.testing.assert_array_equal(got, serial)
+
+
+@pytest.mark.parametrize("workers", [1.5, "2", 0, -2, True, 2.5])
+@pytest.mark.parametrize("walk", ["final_lengths", "pair_prefix_lengths", "boundary_prefixes",
+                                  "sample_boundary_inverse_free", "sample_boundary_group"])
+def test_walks_refuse_workers_that_are_not_a_positive_int(walk, workers):
+    pi = build_pi_rho(uniform_measure(2), 0.5)
+    run = {
+        "final_lengths": lambda: walkers.final_lengths(pi, 10, 100, 1, rng.STREAM_DRIFT,
+                                                       workers=workers),
+        "pair_prefix_lengths": lambda: walkers.pair_prefix_lengths(
+            pi, 10, 100, 1, rng.STREAM_TV_COUPLED, workers=workers),
+        "boundary_prefixes": lambda: walkers.boundary_prefixes(
+            pi, 10, 10, 100, 1, rng.STREAM_BOUNDARY, workers=workers),
+        "sample_boundary_inverse_free": lambda: sample_boundary(
+            uniform_measure(2, inverse_free=True), 0.5, 10, 100, 1, workers=workers),
+        "sample_boundary_group": lambda: sample_boundary(uniform_measure(2), 0.5, 10, 100, 1,
+                                                         workers=workers),
+    }[walk]
+    with pytest.raises(InputError, match=f"workers must be a positive integer, got {workers!r}"):
+        run()
 
 
 @pytest.mark.parametrize("trials", [0, 1.5])
