@@ -259,9 +259,8 @@ INVERSE_FREE_SHAPES = [
 
 
 @pytest.mark.parametrize("mu, horizon, keep_depth", INVERSE_FREE_SHAPES)
-def test_inverse_free_boundary_matches_full_stack(monkeypatch, mu, horizon, keep_depth):
+def test_inverse_free_boundary_matches_full_stack(mu, horizon, keep_depth):
     """Lengths read before any letter draw every step, in whole counters."""
-    monkeypatch.setattr(walkers, "BLOCK", 64)  # several blocks
     pi = build_pi_rho(mu, 0.4)
     assert pi.inverse_free
     if keep_depth > horizon * mu.max_atom_length:  # no sample has letters that deep
