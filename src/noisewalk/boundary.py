@@ -54,7 +54,7 @@ class BoundarySample:
     seed: int
 
 
-_ALL = np.iinfo(np.int64).max  # the reach of a trial that has drawn every step
+_ALL = np.iinfo(np.int32).max  # the reach of a trial that has drawn every step
 
 
 class BoundarySampleSet:
@@ -115,9 +115,9 @@ class BoundarySampleSet:
             one = self._mats[0].shape == self._mats[1].shape and all(m.all() for m in self._mats)
             self._atom_keys = np.stack(self._mats, -1).view(np.uint16)[..., 0] if one else None
             self._fill = np.zeros((2, walk[1]), dtype=np.int64)  # letters drawn
-            self._steps = np.zeros(walk[1], dtype=np.int64)
+            self._steps = np.zeros(walk[1], dtype=np.int32)
             # per trial, the leading columns drawn in both coordinates
-            self._reach = np.zeros(walk[1], dtype=np.int64)
+            self._reach = np.zeros(walk[1], dtype=np.int32)
         self._keys = self._pairs.view(np.uint16)[..., 0]
 
     def draw(self, depth: int) -> int:
@@ -144,7 +144,7 @@ class BoundarySampleSet:
             block = self._atom_keys.take(idx, axis=0).transpose(0, 2, 1).reshape(-1, len(trials))
             start = first * self._atom_keys.shape[1]
             self._keys[start : start + len(block), rows] = block[: max(0, depth - start)]
-            fill[:] = start + len(block)
+            fill = np.full((2, 1), start + len(block))  # one value for every trial
         else:  # each step's letters go to the fill pointer, which moves by the
             # atom's length, so the next step writes over the padding zeros
             for c, (mat, lens) in enumerate(zip(self._mats, self._atom_lens)):
