@@ -32,12 +32,10 @@ from .errors import (
 from .estimators import (
     EntropyCurve,
     EstimateResult,
-    RhoStarEstimate,
     SweepRow,
     drift_mc,
     entropy_exact_curve,
     entropy_rate_estimate,
-    rho_star_estimate,
     rho_sweep,
     shannon_pointwise,
     tv_exact,
@@ -57,7 +55,6 @@ from .measures import (
     marginals,
     measure_from_json_dict,
     product_measure,
-    sample_path,
     shannon_entropy,
     uniform_letter_count,
     uniform_measure,
@@ -67,7 +64,6 @@ from .oracle import (
     drift_free_group_srw,
     h_free_group_srw,
     h_semigroup,
-    h_semigroup_derivative,
     tv_semigroup,
 )
 from .words import (
@@ -95,7 +91,6 @@ __all__ = [
     "FiniteMeasure",
     "InputError",
     "NoiseWalkError",
-    "RhoStarEstimate",
     "SweepRow",
     "TruncationError",
     "UnsupportedRegimeError",
@@ -116,7 +111,6 @@ __all__ = [
     "entropy_rate_estimate",
     "h_free_group_srw",
     "h_semigroup",
-    "h_semigroup_derivative",
     "inverse",
     "iter_convolution_levels",
     "local_dimension",
@@ -126,10 +120,8 @@ __all__ = [
     "pair_length",
     "product_measure",
     "reduce_word",
-    "rho_star_estimate",
     "rho_sweep",
     "sample_boundary",
-    "sample_path",
     "shannon_entropy",
     "shannon_pointwise",
     "tv_exact",

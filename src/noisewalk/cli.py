@@ -198,7 +198,6 @@ _PARSERS = {
     "keep_depth": _integer(0),
     "export_tree_depth": _integer(0),
     "tv_ns": _positive_ints(0, "a list of integers >= 1"),
-    "margin": _parser(_is_number, "a number", float),
 }
 
 # Keys every run subcommand reads, with their parsed defaults; None
@@ -221,7 +220,7 @@ _SUBCOMMANDS = {
                   "export_tree_depth": None},
     "sweep": {**_SHARED, "n": 4000, "trials": 150, "cap": measures.DEFAULT_CAP,
               "plot": False, "rho_grid": None, "tv_ns": (), "threshold_frac": 0.2,
-              "margin": None, "n_max": 6},
+              "n_max": 6},
     "report": {"out": Path("."), "plot": False},
 }
 
@@ -599,11 +598,7 @@ def _run_entropy(cfg: RunConfig):
                          "truncated": curve.truncated[i]},
             )
             records.append(_result_record(r, "entropy", cfg.rho))
-        upper, increment = estimators.entropy_rate_estimate(curve)
-        r = estimators.exact_result(
-            increment, curve.ns[-1], cfg.seed, "entropy-increment",
-            details={"upper_rate": upper},
-        )
+        r = estimators._entropy_rate_result(curve, cfg.seed)
         records.append(_result_record(r, "entropy", cfg.rho))
     return records, {}
 
@@ -680,28 +675,24 @@ def _run_dimension(cfg: RunConfig):
 
 
 def _run_sweep(cfg: RunConfig):
+    # each coordinate of pi_rho is a mu-walk, so one drift of mu serves
+    # every grid point
+    drift = estimators.drift_mc(cfg.measure, cfg.n, cfg.trials, cfg.seed,
+                                workers=cfg.workers)
+    records = [_result_record(drift, "sweep", None)]
     rows = estimators.rho_sweep(
         cfg.measure, cfg.rho_grid, n=cfg.n, trials=cfg.trials, seed=cfg.seed,
         tv_ns=cfg.tv_ns, threshold_frac=cfg.threshold_frac,
         entropy_exact_max=cfg.n_max, cap=cfg.cap, workers=cfg.workers,
     )
-    records = []
     for row in rows:
         rec = _result_record(row.entropy, "sweep", row.rho)
         if row.closed_form_entropy is not None:
             rec["details"]["closed_form"] = row.closed_form_entropy
         records.append(rec)
-        records.append(_result_record(row.drift, "sweep", row.rho))
         for tn, tr in row.tv_lower:
             records.append(_result_record(tr, "sweep", row.rho))
-    star = estimators.rho_star_estimate(rows, cfg.margin)
-    r = estimators.exact_result(
-        star.value, 0, cfg.seed, "rho-star", trials=0,
-        details={"margin": star.margin, "warning": star.warning},
-    )
-    records.append(_result_record(r, "sweep", None))
-    header = ["rho", "h_value", "h_std_error", "h_closed_form",
-              "drift_value", "drift_std_error"]
+    header = ["rho", "h_value", "h_std_error", "h_closed_form"]
     for tn in cfg.tv_ns:
         header.append(f"tv{tn}_value")
     lines = [",".join(header)]
@@ -711,8 +702,6 @@ def _run_sweep(cfg: RunConfig):
             repr(row.entropy.value),
             repr(row.entropy.std_error),
             "" if row.closed_form_entropy is None else repr(row.closed_form_entropy),
-            repr(row.drift.value),
-            repr(row.drift.std_error),
         ]
         for _, tr in row.tv_lower:
             cells.append(repr(tr.value))
@@ -806,7 +795,7 @@ _make_command("drift", "Monte Carlo drift of the walk (coupled pair when rho giv
 _make_command("entropy", "Entropy rate: pointwise Monte Carlo or exact convolution.")
 _make_command("tv", "Total variation: closed form, exact, and Monte Carlo lower bound.")
 _make_command("dimension", "Boundary local dimension (singularity check with 2 rhos).")
-_make_command("sweep", "Entropy/drift/TV sweep over a rho grid, with rho* estimate.")
+_make_command("sweep", "Entropy and TV sweep over a rho grid, after one drift of mu.")
 _make_command("report", "Rewrite table.csv from an existing results.json, and with "
               "--plot draw a summary chart of it.")
 

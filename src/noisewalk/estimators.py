@@ -244,7 +244,7 @@ def _entropy_rate_result(curve: EntropyCurve, seed: int) -> EstimateResult:
     i = [j for j, t in enumerate(curve.truncated) if not t][-1]
     return exact_result(
         increment, curve.ns[i], seed, "entropy-increment",
-        details={"upper_rate": upper, "levels_used": curve.ns[i]},
+        details={"upper_rate": upper},
     )
 
 
@@ -445,7 +445,6 @@ def tv_lower_bound_mc(
 class SweepRow:
     rho: float
     entropy: EstimateResult
-    drift: EstimateResult
     tv_lower: tuple[tuple[int, EstimateResult], ...]
     closed_form_entropy: float | None
 
@@ -462,8 +461,12 @@ def rho_sweep(
     cap: int = DEFAULT_CAP,
     workers: int = 1,
 ) -> tuple[SweepRow, ...]:
-    """Estimate entropy, drift, and TV lower bounds over a rho grid, one
-    row per grid point.
+    """Estimate the entropy and TV lower bounds over a rho grid, one row
+    per grid point.
+
+    Only what depends on rho is estimated: each coordinate of pi_rho is a
+    mu-walk, so every grid point has the drift of mu itself, which
+    ``drift_mc(mu, ...)`` estimates once.
 
     Grid cells reuse the same substreams (common random numbers), which
     keeps curves smooth in rho and results deterministic in the seed.
@@ -480,15 +483,13 @@ def rho_sweep(
     m = uniform_letter_count(mu)
     rows = []
     for r in grid:
-        coupled = build_pi_rho(mu, r)
         if m is not None:
             ent = shannon_pointwise(m, r, n, trials, seed)
             closed = h_semigroup(m, r)
         else:
-            curve = entropy_exact_curve(coupled, entropy_exact_max, cap=cap)
+            curve = entropy_exact_curve(build_pi_rho(mu, r), entropy_exact_max, cap=cap)
             ent = _entropy_rate_result(curve, seed)
             closed = None
-        dr = drift_mc(coupled, n, trials, seed, workers=workers)
         tvs = []
         for tn in tv_ns:
             tvs.append(
@@ -499,37 +500,5 @@ def rho_sweep(
                     ),
                 )
             )
-        rows.append(SweepRow(r, ent, dr, tuple(tvs), closed))
+        rows.append(SweepRow(r, ent, tuple(tvs), closed))
     return tuple(rows)
-
-
-@dataclass(frozen=True)
-class RhoStarEstimate:
-    """Largest grid rho whose entropy sits below the top value by the margin."""
-
-    value: float
-    margin: float
-    warning: bool  # set when no grid point qualifies
-
-
-def rho_star_estimate(
-    rows: tuple[SweepRow, ...], margin: float | None = None
-) -> RhoStarEstimate:
-    """Estimate the divergence threshold from the rows of a sweep.
-
-    Compares each grid entropy against the entropy at the largest rho
-    (the independent end).  The default margin is three times the
-    pooled standard error at that reference point.  Returns 0 with a
-    warning when nothing qualifies; on coarse grids with a clear
-    entropy gap this picks the last grid point below the reference.
-    """
-    if not rows:
-        raise InputError("sweep has no rows")
-    rows = sorted(rows, key=lambda r: r.rho)
-    ref = rows[-1].entropy
-    if margin is None:
-        margin = 3.0 * ref.std_error
-    qualifying = [r.rho for r in rows if r.entropy.value < ref.value - margin]
-    if not qualifying:
-        return RhoStarEstimate(0.0, margin, True)
-    return RhoStarEstimate(max(qualifying), margin, False)

@@ -51,9 +51,8 @@ from typing import Iterable, Iterator, Union
 
 import numpy as np
 
-from . import rng as rngmod
 from .errors import BudgetError, InputError, TruncationError, ValidationError, check_count
-from .words import Word, WordPair, multiply, pair_length, reduce_word
+from .words import Word, WordPair, pair_length, reduce_word
 
 Weight = Union[Fraction, float]
 Atom = Union[Word, WordPair]
@@ -325,50 +324,6 @@ def uniform_letter_count(mu: FiniteMeasure) -> int | None:
         if len(a) != 1 or a[0] <= 0 or w != w0:
             return None
     return m
-
-
-# ---------------------------------------------------------------------------
-# sampling
-
-
-@dataclass(frozen=True)
-class PathSample:
-    """One sampled trajectory: increments and the walk positions.
-
-    ``positions`` has length n + 1 and starts at the identity.
-    """
-
-    increments: tuple[Atom, ...]
-    positions: tuple[Atom, ...]
-    seed: int
-    stream: int
-
-    @property
-    def n(self) -> int:
-        return len(self.increments)
-
-
-def sample_path(step: FiniteMeasure, n: int, seed: int, stream: int = 0) -> PathSample:
-    """Sample an n-step trajectory of the random walk driven by ``step``.
-
-    Increments are drawn by inverse CDF over the atoms in their stored
-    (letter-sequence) order from the Philox stream (seed, stream).
-    """
-    if not isinstance(n, int) or n < 0:
-        raise InputError(f"n must be a nonnegative integer, got {n!r}")
-    gen = rngmod.generator(seed, stream)
-    idx = rngmod.sample_indices(step._cumulative(), n, gen)
-    incs = [step.atoms[i][0] for i in idx]
-    if step.kind == "pair":
-        pos: list[Atom] = [((), ())]
-        for a in incs:
-            prev = pos[-1]
-            pos.append((multiply(prev[0], a[0]), multiply(prev[1], a[1])))
-    else:
-        pos = [()]
-        for a in incs:
-            pos.append(multiply(pos[-1], a))
-    return PathSample(tuple(incs), tuple(pos), seed, stream)
 
 
 # ---------------------------------------------------------------------------

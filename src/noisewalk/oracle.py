@@ -62,22 +62,6 @@ def h_semigroup(m: int, rho: float) -> float:
     return math.log(m) - (1.0 - c) * math.log1p(-c) - c * math.log(rho / m)
 
 
-def h_semigroup_derivative(m: int, rho: float) -> float:
-    """d/drho of h_semigroup for rho in (0, 1].
-
-    Differentiating the closed form gives ((m-1)/m) log(m (1-c)/rho)
-    with c = (m-1) rho / m.  The derivative decreases in rho and blows
-    up as rho -> 0+, so callers bounding increments near 0 should use
-    the exact secant instead.
-    """
-    _check_semigroup_params(m, rho)
-    rho = float(rho)
-    if rho <= 0:
-        raise InputError("derivative unbounded at rho = 0; use a secant bound")
-    c = (m - 1) * rho / m
-    return (m - 1) / m * math.log(m * (1.0 - c) / rho)
-
-
 def drift_free_group_srw(k: int) -> Fraction:
     """Drift of the simple random walk on the free group of rank k.
 

@@ -44,7 +44,6 @@ STREAM_TV_COUPLED = 2
 STREAM_TV_INDEPENDENT = 3
 STREAM_BOUNDARY = 4
 STREAM_DIMENSION_CENTERS = 5
-STREAM_PATH = 6
 
 _COMPONENT_SHIFT = 2**40  # room for 2^40 trials per component
 

@@ -1,6 +1,6 @@
 """Acceptance gate: ten criteria, one printed pass/fail line each.
 
-Each test prints exactly one line of the form
+Each numbered test prints exactly one line of the form
 
     [acceptance NN] <name>: PASS|FAIL (<detail>)
 
@@ -30,7 +30,7 @@ from noisewalk.measures import (
     iter_convolution_levels,
     uniform_measure,
 )
-from noisewalk.oracle import h_semigroup, h_semigroup_derivative, tv_semigroup
+from noisewalk.oracle import h_semigroup, tv_semigroup
 
 F = Fraction
 SEED = 20260815
@@ -184,6 +184,22 @@ def test_08_exact_dimension():
     dt = time.perf_counter() - t0
     ok &= dt < 300.0
     report(8, "exact dimension", ok, "; ".join(details) + f", {dt:.1f}s")
+
+
+def h_semigroup_derivative(m, rho):
+    """d/drho of h_semigroup for rho in (0, 1]: ((m-1)/m) log(m (1-c)/rho)
+    with c = (m-1) rho / m.  It decreases in rho and diverges as rho -> 0+,
+    where acceptance 09 bounds the first cell by the closed-form secant."""
+    c = (m - 1) * rho / m
+    return (m - 1) / m * math.log(m * (1.0 - c) / rho)
+
+
+def test_h_derivative_matches_finite_difference():
+    eps = 1e-6
+    for m in (2, 3):
+        for rho in (0.2, 0.5, 0.9):
+            fd = (h_semigroup(m, rho + eps) - h_semigroup(m, rho - eps)) / (2 * eps)
+            assert abs(h_semigroup_derivative(m, rho) - fd) < 1e-6
 
 
 def test_09_entropy_continuity_in_rho():

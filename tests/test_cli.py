@@ -7,7 +7,6 @@ import re
 import subprocess
 import sys
 import tracemalloc
-from pathlib import Path
 
 import pytest
 
@@ -133,14 +132,13 @@ def test_parse_config_inline_measure_and_conflicts():
         ("sweep", {"tv_ns": [0]}),
         ("sweep", {"tv_ns": 3}),
         ("sweep", {"threshold_frac": [0.2]}),
-        ("sweep", {"margin": "wide"}),
         ("dimension", {"t_grid": [1.5, 2.7]}),
         ("dimension", {"export_tree_depth": "6"}),
         ("dimension", {"t_grid": [1, 10], "keep_depth": 5}),
         ("dimension", {"t_grid": [1, 10], "export_tree_depth": 40}),
     ],
     ids=["rho-str", "rho-bool", "threshold-str", "tv_ns-str", "tv_ns-zero",
-         "tv_ns-scalar", "threshold-list", "margin-str", "t_grid-float",
+         "tv_ns-scalar", "threshold-list", "t_grid-float",
          "export-depth-str", "keep-depth-shallow", "export-depth-deep"],
 )
 def test_parse_config_rejects_malformed_values(subcommand, bad):
@@ -210,11 +208,12 @@ def test_cli_validation_errors_exit_two(tmp_path):
         ("tv", {"rho": 0.5, "plot": "no"}, "plot"),
         ("tv", {"rho": 0.5, "route": "pair"}, "route"),
         ("sweep", {"rho_grid": [0.2, 0.8], "rho": 0.5}, "rho"),
+        ("sweep", {"rho_grid": [0.2, 0.8], "margin": 0.1}, "margin"),
         ("sweep", {"rho_grid": "0:1:1e-12"}, "rho_grid"),
         ("drift", {"group": "free_group:99999999999"}, "group"),
     ],
-    ids=["group-int", "out-int", "plot-str", "tv-route", "sweep-rho", "rho_grid-huge",
-         "group-huge"],
+    ids=["group-int", "out-int", "plot-str", "tv-route", "sweep-rho", "sweep-margin",
+         "rho_grid-huge", "group-huge"],
 )
 def test_cli_wrong_key_types_exit_two(tmp_path, subcommand, bad, key):
     cfg = tmp_path / "c.json"
@@ -329,25 +328,6 @@ def test_largest_rho_grid_and_rank_still_parse():
         "horizon": 5, "t_grid": [1, 10], "keep_depth": 10,
     })
     assert deepest.t_grid[-1] == deepest.keep_depth == 10
-
-
-def test_readme_lists_the_config_keys():
-    text = (Path(__file__).parents[1] / "README.md").read_text()
-    shared_line, extras = text.split("Keys shared by the run subcommands:")[1].split(
-        "Extra keys per subcommand:"
-    )
-    shared = set(re.findall(r"`([a-z_]+)`", shared_line))
-    block = extras.strip().split("\n\n")[0]
-    bullets = {  # a bullet's keys come before its first full stop
-        name: set(re.findall(r"`([a-z_]+)`", re.split(r"\.\s", keys)[0]))
-        for name, keys in re.findall(r"^\* `([a-z]+)`: (.*?)(?=^\* |\Z)", block, re.M | re.S)
-    }
-    assert set(bullets) == set(_SUBCOMMANDS)
-    runs = [keys for name, keys in _SUBCOMMANDS.items() if name != "report"]
-    assert shared == set.intersection(*map(set, runs))
-    for name, keys in _SUBCOMMANDS.items():
-        listed = bullets[name] if name == "report" else shared | bullets[name]
-        assert listed == set(keys), name
 
 
 def test_cli_missing_spec_version_exits_two(tmp_path):
@@ -469,7 +449,9 @@ def test_cli_sweep_keyed_levels_golden(tmp_path):
     # diagonal levels are keys from level 1 and level 5 is cut by the cap;
     # at rho = 0.5 level 1 is a product, level 3 is cut, and the levels
     # after it take the chunked step.  Pinned before level 1 of a product
-    # step was held as factors.
+    # step was held as factors; re-pinned when the sweep traded its per-rho
+    # drift rows and its rho-star row for one drift of mu, every other
+    # record keeping its bytes.
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({
         "spec_version": 1,
@@ -483,9 +465,24 @@ def test_cli_sweep_keyed_levels_golden(tmp_path):
     digests = {f: hashlib.sha256((tmp_path / "run" / f).read_bytes()).hexdigest()
                for f in ("results.json", "sweep.csv")}
     assert digests == {
-        "results.json": "026715cec99c53c61c7931c12a83ec18887463c351d3bbda973ed1dfdf96fe33",
-        "sweep.csv": "73598187112ba28b88a7755b52aa70436bc60c7521b91461d02c20aaa70e903c",
+        "results.json": "67289cc11952adc0f408877f9e9b2369b43c6647c146bc4d6940fccec00a2d7a",
+        "sweep.csv": "fe0bf2ab39831ea8507018afa1e0faea5c5911702731c5f342cce983460fc16a",
     }
+
+
+def test_cli_sweep_drift_record_is_the_drift_of_mu(tmp_path):
+    # each coordinate of pi_rho is a mu-walk: the sweep's one drift-mc
+    # record is the record drift writes without rho
+    common = {"group": "free_group:2", "n": 60, "trials": 30, "seed": 3}
+    execute(parse_config("sweep", None, {**common, "rho_grid": [0.0, 1.0], "n_max": 2,
+                                         "out": str(tmp_path / "sweep")}))
+    execute(parse_config("drift", None, {**common, "out": str(tmp_path / "drift")}))
+    sweep, drift = ([json.loads(line) for line in (tmp_path / name / "results.json")
+                     .read_text().splitlines()] for name in ("sweep", "drift"))
+    assert [r["method"] for r in sweep].count("drift-mc") == 1
+    assert len(drift) == 1 and sweep[0]["rho"] is None
+    assert sweep[0].pop("subcommand") == "sweep" and drift[0].pop("subcommand") == "drift"
+    assert sweep[0] == drift[0]
 
 
 def test_cli_tv_oracle_rows_golden(tmp_path):

@@ -18,7 +18,6 @@ from noisewalk.estimators import (
     drift_mc,
     entropy_exact_curve,
     entropy_rate_estimate,
-    rho_star_estimate,
     rho_sweep,
     shannon_pointwise,
     tv_exact,
@@ -351,7 +350,7 @@ def test_tv_lower_bound_validation():
 
 
 # ---------------------------------------------------------------------------
-# sweep and rho*
+# sweep
 
 
 def test_rho_sweep_semigroup_rows():
@@ -363,7 +362,6 @@ def test_rho_sweep_semigroup_rows():
         h = h_semigroup(2, row.rho)
         assert row.closed_form_entropy == h
         assert abs(row.entropy.value - h) / h < 0.02
-        assert row.drift.value == 1.0
         assert len(row.tv_lower) == 1 and row.tv_lower[0][0] == 8
     # entropy increases with the noise parameter
     vals = [row.entropy.value for row in rows]
@@ -376,24 +374,6 @@ def test_rho_sweep_group_uses_exact_curve():
     for row in rows:
         assert row.closed_form_entropy is None
         assert row.entropy.method == "entropy-increment"
-
-
-def test_rho_star_picks_last_gap_point():
-    rows = rho_sweep(semi(2), [0.0, 0.25, 0.5, 0.75, 1.0],
-                     n=2000, trials=150, seed=23)
-    est = rho_star_estimate(rows, margin=0.01)
-    assert est.value == 0.75
-    assert not est.warning
-
-
-def test_rho_star_default_margin_and_warnings():
-    rows = rho_sweep(semi(2), [0.0, 0.5, 1.0], n=1500, trials=120, seed=29)
-    est = rho_star_estimate(rows)
-    assert est.margin == 3.0 * rows[-1].entropy.std_error
-    assert est.value == 0.5
-    # a margin larger than the whole entropy range cannot be met
-    est_wide = rho_star_estimate(rows, margin=10.0)
-    assert est_wide.warning and est_wide.value == 0.0
 
 
 def test_rho_sweep_validation():

@@ -1,4 +1,4 @@
-"""Measure construction, sampling, exact convolution, JSON parsing."""
+"""Measure construction, exact convolution, JSON parsing."""
 
 import dataclasses
 import functools
@@ -33,7 +33,6 @@ from noisewalk.measures import (
     marginals,
     measure_from_json_dict,
     product_measure,
-    sample_path,
     shannon_entropy,
     uniform_letter_count,
     uniform_measure,
@@ -174,53 +173,6 @@ def test_pi_rho_exactness_rules():
 def test_product_measure_matches_pi_rho_at_one():
     mu = srw(2)
     assert product_measure(mu, mu).atoms == build_pi_rho(mu, 1).atoms
-
-
-# ---------------------------------------------------------------------------
-# sampling
-
-
-def test_sample_path_shapes_and_reduction():
-    mu = srw(2)
-    p = sample_path(mu, 50, seed=123)
-    assert p.n == 50
-    assert len(p.positions) == 51
-    assert p.positions[0] == ()
-    for i, inc in enumerate(p.increments):
-        assert p.positions[i + 1] == multiply(p.positions[i], inc)
-
-
-def test_sample_path_zero_steps():
-    p = sample_path(srw(2), 0, seed=5)
-    assert p.positions == ((),)
-    assert p.increments == ()
-
-
-def test_sample_path_pair_positions():
-    pi = build_pi_rho(semi(2), H)
-    p = sample_path(pi, 20, seed=77)
-    w1, w2 = p.positions[-1]
-    assert len(w1) == 20 and len(w2) == 20
-
-
-def test_sample_path_frequencies():
-    mu = build_measure([((1,), F(1, 4)), ((2,), F(3, 4))])
-    n = 20000
-    p = sample_path(mu, n, seed=2024)
-    counts = Counter(p.increments)
-    for atom, w in mu.atoms:
-        w = float(w)
-        sigma = math.sqrt(w * (1 - w) / n)
-        assert abs(counts[atom] / n - w) < 4 * sigma
-
-
-def test_sample_path_deterministic_in_seed_and_stream():
-    mu = srw(2)
-    a = sample_path(mu, 30, seed=9, stream=3)
-    b = sample_path(mu, 30, seed=9, stream=3)
-    c = sample_path(mu, 30, seed=9, stream=4)
-    assert a.increments == b.increments
-    assert a.increments != c.increments
 
 
 # ---------------------------------------------------------------------------

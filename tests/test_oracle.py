@@ -19,7 +19,6 @@ from noisewalk.oracle import (
     drift_free_group_srw,
     h_free_group_srw,
     h_semigroup,
-    h_semigroup_derivative,
     tv_distance,
     tv_semigroup,
 )
@@ -61,19 +60,6 @@ def test_h_strictly_increasing_in_rho():
     for m in (2, 3):
         vals = [h_semigroup(m, rho) for rho in RHO_GRID]
         assert all(b > a for a, b in zip(vals, vals[1:]))
-
-
-def test_h_derivative_matches_finite_difference():
-    eps = 1e-6
-    for m in (2, 3):
-        for rho in (0.2, 0.5, 0.9):
-            fd = (h_semigroup(m, rho + eps) - h_semigroup(m, rho - eps)) / (2 * eps)
-            assert abs(h_semigroup_derivative(m, rho) - fd) < 1e-6
-
-
-def test_h_derivative_undefined_at_zero():
-    with pytest.raises(InputError):
-        h_semigroup_derivative(2, 0)
 
 
 def test_h_param_validation():

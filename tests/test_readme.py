@@ -7,7 +7,7 @@ from pathlib import Path
 from click.testing import CliRunner
 
 import noisewalk
-from noisewalk.cli import main
+from noisewalk.cli import _SUBCOMMANDS, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -42,3 +42,24 @@ def test_readme_python_api_block_runs(capsys):
     assert names and set(names) <= set(noisewalk.__all__)
     exec(compile(code, str(README), "exec"), {"__name__": "readme"})
     assert capsys.readouterr().out.splitlines() == ["0.7666001608995433", "997/2048"]
+
+
+def test_readme_lists_the_config_keys():
+    # the backticked names of each list, less subcommand names, are the
+    # keys the subcommand reads: a key named in README but not read fails
+    text = README.read_text()
+    shared_text, extras = text.split("Keys shared by the run subcommands:")[1].split(
+        "Extra keys per subcommand:"
+    )
+
+    def keys(prose):
+        return set(re.findall(r"`([a-z_]+)`", prose)) - set(_SUBCOMMANDS)
+
+    bullets = {name: keys(body) for name, body in re.findall(
+        r"^\* `([a-z]+)`: (.*?)(?=^\* |\Z)", extras.strip().split("\n\n")[0], re.M | re.S)}
+    assert set(bullets) == set(_SUBCOMMANDS)
+    runs = [set(table) for name, table in _SUBCOMMANDS.items() if name != "report"]
+    assert keys(shared_text) == set.intersection(*runs)
+    for name, table in _SUBCOMMANDS.items():
+        listed = bullets[name] if name == "report" else keys(shared_text) | bullets[name]
+        assert listed == set(table), name

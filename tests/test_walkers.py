@@ -16,9 +16,9 @@ from noisewalk.measures import (
     FiniteMeasure,
     build_measure,
     build_pi_rho,
-    sample_path,
     uniform_measure,
 )
+from noisewalk.words import multiply
 
 
 def step(atoms, rank=2):
@@ -33,8 +33,8 @@ def step(atoms, rank=2):
 STREAMS = [
     rng.stream_id(rng.STREAM_DRIFT, 0),
     rng.stream_id(rng.STREAM_BOUNDARY, 17),
-    rng.stream_id(rng.STREAM_PATH, 0),
-    rng.stream_id(rng.STREAM_PATH, 2**40 - 1),
+    rng.stream_id(rng.STREAM_DIMENSION_CENTERS, 0),
+    rng.stream_id(rng.STREAM_DIMENSION_CENTERS, 2**40 - 1),
 ]
 
 
@@ -160,8 +160,8 @@ def test_stream_ids_are_consecutive_stream_id_values():
     ids = rng.stream_ids(rng.STREAM_BOUNDARY, range(5, 9))
     assert ids.tolist() == [rng.stream_id(rng.STREAM_BOUNDARY, t) for t in range(5, 9)]
     trials = [9, 2, 2**40 - 1]
-    assert rng.stream_ids(rng.STREAM_PATH, trials).tolist() == [
-        rng.stream_id(rng.STREAM_PATH, t) for t in trials]
+    assert rng.stream_ids(rng.STREAM_DIMENSION_CENTERS, trials).tolist() == [
+        rng.stream_id(rng.STREAM_DIMENSION_CENTERS, t) for t in trials]
 
 
 def test_rng_validation():
@@ -419,17 +419,28 @@ def small_walk_steps(draw):
     return mu
 
 
+def sample_path_end(step, n, seed, stream):
+    """The coordinate words after n steps of one path, its atoms drawn by
+    inverse CDF from the stream (seed, stream) and multiplied one by one."""
+    idx = rng.sample_indices(step._cumulative(), n, rng.generator(seed, stream))
+    words = ((), ()) if step.kind == "pair" else ((),)
+    for i in idx:
+        atom = step.atoms[i][0]
+        words = tuple(map(multiply, words, atom if step.kind == "pair" else (atom,)))
+    return words
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     measure=small_walk_steps(),
     n=st.integers(1, 40),
     trials=st.integers(1, 5),
     seed=st.integers(0, 2**64 - 1),
-    component=st.sampled_from([rng.STREAM_DRIFT, rng.STREAM_BOUNDARY, rng.STREAM_PATH]),
+    component=st.sampled_from([rng.STREAM_DRIFT, rng.STREAM_BOUNDARY,
+                               rng.STREAM_DIMENSION_CENTERS]),
 )
 def test_final_lengths_match_sample_path(measure, n, trials, seed, component):
     got = walkers.final_lengths(measure, n, trials, seed, component)
     for i in range(trials):
-        last = sample_path(measure, n, seed, rng.stream_id(component, i)).positions[-1]
-        words = last if measure.kind == "pair" else (last,)
+        words = sample_path_end(measure, n, seed, rng.stream_id(component, i))
         assert [int(lengths[i]) for lengths in got] == [len(w) for w in words]
