@@ -449,9 +449,7 @@ def test_cli_sweep_keyed_levels_golden(tmp_path):
     # diagonal levels are keys from level 1 and level 5 is cut by the cap;
     # at rho = 0.5 level 1 is a product, level 3 is cut, and the levels
     # after it take the chunked step.  Pinned before level 1 of a product
-    # step was held as factors; re-pinned when the sweep traded its per-rho
-    # drift rows and its rho-star row for one drift of mu, every other
-    # record keeping its bytes.
+    # step was held as factors.
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({
         "spec_version": 1,
