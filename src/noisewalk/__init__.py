@@ -12,10 +12,8 @@ steps, and seeded Monte Carlo.
 """
 
 from .boundary import (
-    BoundarySample,
     BoundarySampleSet,
     CylinderTree,
-    DimensionGapReport,
     build_tree,
     dimension_singularity_check,
     local_dimension,
@@ -44,12 +42,10 @@ from .estimators import (
 )
 from .measures import (
     ConvolutionLevel,
-    ConvolutionResult,
     FiniteMeasure,
     build_measure,
     build_pi_rho,
     certified_entropy_compare,
-    convolve_power,
     entropy_mass_spec,
     iter_convolution_levels,
     marginals,
@@ -79,13 +75,10 @@ from .words import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundarySample",
     "BoundarySampleSet",
     "BudgetError",
     "ConvolutionLevel",
-    "ConvolutionResult",
     "CylinderTree",
-    "DimensionGapReport",
     "EntropyCurve",
     "EstimateResult",
     "FiniteMeasure",
@@ -100,7 +93,6 @@ __all__ = [
     "build_tree",
     "certified_entropy_compare",
     "common_prefix_length",
-    "convolve_power",
     "coupling_weights",
     "dimension_singularity_check",
     "distance",

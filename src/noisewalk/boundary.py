@@ -9,8 +9,7 @@ whole position at the horizon.
 Boundary samples are held in columnar arrays (one int8 letter row per
 trial and coordinate; on an inverse-free step filled one Philox counter
 at a time, for the trials a reader needs) rather than per-sample
-objects; a ``BoundarySampleSet`` behaves like a sequence of
-``BoundarySample`` views.
+objects.
 
 The cylinder tree counts how many sampled boundary pairs pass through
 each pair-prefix cylinder.  Its levels are built on first use, per batch
@@ -37,41 +36,22 @@ from . import rng as rngmod
 from . import walkers
 from .errors import InputError, ValidationError, check_count
 from .estimators import EstimateResult, _mean_result
-from .measures import FiniteMeasure, _sort_in_place, build_pi_rho, uniform_letter_count
-from .oracle import h_semigroup
-from .words import Word
-
-
-@dataclass(frozen=True)
-class BoundarySample:
-    """Stable prefix pair of one trajectory (a view into a sample set)."""
-
-    prefix1: Word
-    prefix2: Word
-    t_stable: int
-    stable: bool
-    trial: int
-    seed: int
-
-
-_ALL = np.iinfo(np.int32).max  # the reach of a trial that has drawn every step
+from .measures import FiniteMeasure, _sort_in_place, build_pi_rho
 
 
 class BoundarySampleSet:
-    """Columnar batch of boundary samples; indexable like a sequence.
+    """Columnar batch of boundary samples.
 
     ``letters1``/``letters2`` are [trials, keep_depth] int8 arrays of
-    stable-prefix letters, zero-padded past each trial's stable length.
-    ``len1``/``len2`` are the full stable lengths and ``t_stable`` is
-    their per-trial min; none of them is clipped to keep_depth.
+    stable-prefix letters, zero-padded past each trial's stable length
+    (``len1``/``len2`` given to the constructor), and ``usable_depth()``
+    is min(len1, len2, keep_depth) per trial.
 
     A set given ``walk``, an inverse-free coupled step and the number of
     trials, in place of letters and lengths holds the walk's positions
     at the horizon, which are its stable prefixes.  It fills its letters
     one Philox counter (``rng.PHILOX_WORDS`` steps) at a time, for the
-    trials still short of the depth read: ``letters1``/``letters2`` draw
-    every trial to keep_depth, a sample its own trial, and the lengths
-    every step of every trial.
+    trials still short of the depth read, and never past keep_depth.
     """
 
     def __init__(
@@ -102,7 +82,7 @@ class BoundarySampleSet:
         if walk is None:  # every step drawn; the shortest atom is not known
             self._pairs = np.stack([letters1.T, letters2.T], axis=-1).astype(np.int8, copy=False)
             self._fill = np.array([len1, len2], dtype=np.int64)
-            self._reach, self._shortest = np.full(len(len1), _ALL), 0
+            self._reach, self._shortest = np.full(len(len1), keep_depth), 0
         else:
             # letter pairs [keep_depth, trials, 2], so that a depth's pair keys
             # are contiguous; the last byte takes the letters past keep_depth
@@ -116,7 +96,8 @@ class BoundarySampleSet:
             self._atom_keys = np.stack(self._mats, -1).view(np.uint16)[..., 0] if one else None
             self._fill = np.zeros((2, walk[1]), dtype=np.int64)  # letters drawn
             self._steps = np.zeros(walk[1], dtype=np.int32)
-            # per trial, the leading columns drawn in both coordinates
+            # per trial, the leading columns drawn in both coordinates, and
+            # keep_depth once every step is drawn
             self._reach = np.zeros(walk[1], dtype=np.int32)
         self._keys = self._pairs.view(np.uint16)[..., 0]
 
@@ -128,7 +109,7 @@ class BoundarySampleSet:
             first = int(self._steps.min(where=short, initial=self.horizon))
             # the trials at one counter draw it together
             self._draw_counter(np.flatnonzero(short & (self._steps == first)), first)
-        return min(int(self._reach.min(initial=_ALL)), self.keep_depth)
+        return int(self._reach.min())
 
     def _draw_counter(self, trials: np.ndarray, first: int) -> None:
         """Append the letters of the counter whose first step is ``first``
@@ -154,7 +135,7 @@ class BoundarySampleSet:
                                         len(self._flat) - 1)] = mat.T.take(atoms, axis=1)
                     fill[c] += lens.take(atoms)
         self._fill[:, rows] = fill
-        self._reach[rows] = _ALL if last == self.horizon else np.minimum(fill.min(0), depth)
+        self._reach[rows] = depth if last == self.horizon else np.minimum(fill.min(0), depth)
 
     def pair_codes(self, lo: int, hi: int, rows: np.ndarray | None = None) -> np.ndarray:
         """[hi - lo, samples] int32 pair codes of columns lo..hi-1, which
@@ -169,37 +150,17 @@ class BoundarySampleSet:
     letters1 = property(lambda self: self._columns()[0])
     letters2 = property(lambda self: self._columns()[1])
 
-    def _lengths(self) -> np.ndarray:
-        """[2, samples] full stable lengths: the letters of every step."""
-        self.draw(_ALL)
-        return self._fill
-
-    len1 = property(lambda self: self._lengths()[0])
-    len2 = property(lambda self: self._lengths()[1])
-    t_stable = property(lambda self: self._lengths().min(axis=0))
-
     def __len__(self) -> int:
         return len(self._reach)
 
     def usable_depth(self) -> np.ndarray:
-        """Per-trial depth usable for cylinder queries, min(t_stable,
+        """Per-trial depth usable for cylinder queries, min(len1, len2,
         keep_depth).  It is keep_depth for every trial, and nothing is
         drawn, when horizon steps of the shortest atom reach keep_depth."""
         if self.keep_depth <= self.horizon * self._shortest:
             return np.full(len(self), self.keep_depth, dtype=np.int64)
         self.draw(self.keep_depth)
         return np.minimum(self._fill.min(axis=0), self.keep_depth)
-
-    def __getitem__(self, i: int) -> BoundarySample:
-        if not -len(self) <= i < len(self):
-            raise IndexError(i)
-        i = i % len(self)
-        while self._reach[i] < _ALL:  # draw every step of this trial alone
-            self._draw_counter(np.array([i]), int(self._steps[i]))
-        lens = self._fill[:, i].tolist()
-        p1, p2 = (tuple(self._pairs[: min(n, self.keep_depth), i, c].tolist())
-                  for c, n in enumerate(lens))
-        return BoundarySample(p1, p2, min(lens), min(lens) > 0, i, self.seed)
 
 
 def sample_boundary(
@@ -277,7 +238,6 @@ class CylinderTree:
         self.horizon = samples.horizon
         self.rank = samples.rank
         self.t_stable = samples.usable_depth()
-        self.seed = samples.seed
         k2 = 2 * samples.rank
         self.letter_base = k2
         self.base = k2 * k2
@@ -440,8 +400,7 @@ def local_dimension(
     for t in ts:
         tree._check_depth(t)
     check_count("n_centers", n_centers)
-    if min_count < 1:
-        raise InputError("min_count must be at least 1")
+    check_count("min_count", min_count)
     eligible = np.flatnonzero(tree.t_stable >= ts[0])
     if len(eligible) == 0:
         raise ValidationError("no sample is stable to the smallest grid depth")
@@ -486,19 +445,6 @@ def local_dimension(
     )
 
 
-@dataclass(frozen=True)
-class DimensionGapReport:
-    """Comparison of local dimensions at two noise levels."""
-
-    dim_a: EstimateResult
-    dim_b: EstimateResult
-    gap: float
-    gap_std_error: float
-    conclusive: bool  # the two 95% intervals are disjoint
-    closed_form_a: float | None
-    closed_form_b: float | None
-
-
 def dimension_singularity_check(
     mu: FiniteMeasure,
     rho_a: float,
@@ -510,11 +456,13 @@ def dimension_singularity_check(
     seed: int,
     min_count: int = 5,
     workers: int = 1,
-) -> DimensionGapReport:
+) -> tuple[EstimateResult, EstimateResult, EstimateResult]:
     """Test whether two couplings produce boundary measures of different dimension.
 
-    Distinct exact dimensions imply mutually singular harmonic measures,
-    so a conclusive gap (disjoint confidence intervals) is evidence of
+    Returns the local dimensions at ``rho_a`` and ``rho_b`` and their gap
+    b - a, whose ``details["conclusive"]`` says whether the two 95%
+    intervals are disjoint.  Distinct exact dimensions imply mutually
+    singular harmonic measures, so a conclusive gap is evidence of
     singularity.  Both runs reuse the same seed and substreams (common
     random numbers), which correlates the estimates but never widens the
     reported intervals' validity for the individual dimensions.
@@ -531,13 +479,6 @@ def dimension_singularity_check(
     gap = b.value - a.value
     se = math.hypot(a.std_error, b.std_error)
     conclusive = a.ci_high < b.ci_low or b.ci_high < a.ci_low
-    m = uniform_letter_count(mu)
-    return DimensionGapReport(
-        dim_a=a,
-        dim_b=b,
-        gap=gap,
-        gap_std_error=se,
-        conclusive=conclusive,
-        closed_form_a=h_semigroup(m, rho_a) if m is not None else None,
-        closed_form_b=h_semigroup(m, rho_b) if m is not None else None,
-    )
+    gap_result = EstimateResult(gap, se, gap - 1.96 * se, gap + 1.96 * se, horizon, trials,
+                                seed, "dimension-gap", {"conclusive": conclusive})
+    return a, b, gap_result

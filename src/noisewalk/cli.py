@@ -628,49 +628,37 @@ def _run_tv(cfg: RunConfig):
 
 def _run_dimension(cfg: RunConfig):
     extras: dict[str, str] = {}
-    records = []
-    m = measures.uniform_letter_count(cfg.measure)
     if cfg.rho_grid is not None:
-        rep = boundary_mod.dimension_singularity_check(
+        results = boundary_mod.dimension_singularity_check(
             cfg.measure, cfg.rho_grid[0], cfg.rho_grid[1],
             horizon=cfg.horizon, trials=cfg.trials, t_grid=cfg.t_grid,
             n_centers=cfg.centers, seed=cfg.seed, min_count=cfg.min_count,
             workers=cfg.workers,
         )
-        for rho, r, closed in (
-            (cfg.rho_grid[0], rep.dim_a, rep.closed_form_a),
-            (cfg.rho_grid[1], rep.dim_b, rep.closed_form_b),
-        ):
-            rec = _result_record(r, "dimension", rho)
-            if closed is not None:
-                rec["details"]["closed_form"] = closed
-            records.append(rec)
-        gap_half = 1.96 * rep.gap_std_error
-        gap = estimators.EstimateResult(
-            rep.gap, rep.gap_std_error, rep.gap - gap_half, rep.gap + gap_half,
-            cfg.horizon, cfg.trials, cfg.seed, "dimension-gap",
-            {"conclusive": rep.conclusive},
+        rhos = (*cfg.rho_grid, None)  # the gap record has no rho
+    else:
+        keep = cfg.keep_depth or max(cfg.t_grid)
+        samples = boundary_mod.sample_boundary(
+            cfg.measure, cfg.rho, cfg.horizon, cfg.trials, cfg.seed,
+            keep_depth=keep, workers=cfg.workers,
         )
-        records.append(_result_record(gap, "dimension", None))
-        return records, extras
-    keep = cfg.keep_depth or max(cfg.t_grid)
-    samples = boundary_mod.sample_boundary(
-        cfg.measure, cfg.rho, cfg.horizon, cfg.trials, cfg.seed,
-        keep_depth=keep, workers=cfg.workers,
-    )
-    tree = boundary_mod.build_tree(samples, max(cfg.t_grid))
-    r = boundary_mod.local_dimension(
-        samples, tree, cfg.t_grid, cfg.centers, cfg.seed,
-        min_count=cfg.min_count,
-    )
-    rec = _result_record(r, "dimension", cfg.rho)
-    if m is not None:
-        rec["details"]["closed_form"] = oracle.h_semigroup(m, cfg.rho)
-    records.append(rec)
-    if cfg.export_tree_depth:
-        extras["tree.txt"] = "".join(
-            line + "\n" for line in tree.export_records(cfg.export_tree_depth)
-        )
+        tree = boundary_mod.build_tree(samples, max(cfg.t_grid))
+        results = (boundary_mod.local_dimension(
+            samples, tree, cfg.t_grid, cfg.centers, cfg.seed,
+            min_count=cfg.min_count,
+        ),)
+        rhos = (cfg.rho,)
+        if cfg.export_tree_depth:
+            extras["tree.txt"] = "".join(
+                line + "\n" for line in tree.export_records(cfg.export_tree_depth)
+            )
+    m = measures.uniform_letter_count(cfg.measure)
+    records = []
+    for rho, r in zip(rhos, results):
+        rec = _result_record(r, "dimension", rho)
+        if m is not None and rho is not None:
+            rec["details"]["closed_form"] = oracle.h_semigroup(m, rho)
+        records.append(rec)
     return records, extras
 
 

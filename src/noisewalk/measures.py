@@ -558,15 +558,6 @@ class ConvolutionLevel:
         return FiniteMeasure(tuple(atoms), self.rank, self.kind)
 
 
-@dataclass(frozen=True)
-class ConvolutionResult:
-    """Materialized convolution powers: measures[i] is the (i+1)-fold power."""
-
-    measures: list[FiniteMeasure]
-    lost_mass: list[Weight]
-    truncated: list[bool]
-
-
 def _step_numerators(step: FiniteMeasure) -> tuple[int, list[int]]:
     denom = math.lcm(*[w.denominator for _, w in step.atoms])
     nums = [int(w * denom) for _, w in step.atoms]
@@ -959,26 +950,6 @@ def iter_convolution_levels(
             _vals=vals,
             _code=code,
         )
-
-
-def convolve_power(
-    step: FiniteMeasure,
-    n: int,
-    cap: int = DEFAULT_CAP,
-    strict: bool = False,
-) -> ConvolutionResult:
-    """Materialize the convolution powers up to n as measures.
-
-    For large pair supports prefer ``iter_convolution_levels`` and work
-    with the streamed levels; materializing Fractions is the memory
-    bottleneck, not the convolution itself.
-    """
-    measures, lost, flags = [], [], []
-    for lv in iter_convolution_levels(step, n, cap=cap, strict=strict):
-        measures.append(lv.to_measure())
-        lost.append(lv.lost_mass)
-        flags.append(lv.truncated)
-    return ConvolutionResult(measures, lost, flags)
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from noisewalk.boundary import (
 from noisewalk.cli import execute, parse_config
 from noisewalk.errors import InputError, ValidationError
 from noisewalk.estimators import _mean_result
-from noisewalk.measures import uniform_measure
+from noisewalk.measures import build_pi_rho, uniform_measure
 from noisewalk.oracle import h_semigroup
 from test_walkers import INVERSE_FREE_SHAPES
 
@@ -53,6 +53,12 @@ def hand_built_samples():
                              rank=2, seed=0)
 
 
+def prefixes(s):
+    """Per sample, its two kept stable prefixes: the nonzero letters of its rows."""
+    return [(tuple(x for x in r1 if x), tuple(x for x in r2 if x))
+            for r1, r2 in zip(s.letters1.tolist(), s.letters2.tolist())]
+
+
 # ---------------------------------------------------------------------------
 # sampling
 
@@ -60,7 +66,9 @@ def hand_built_samples():
 def test_semigroup_prefixes_are_fully_stable():
     s = sample_boundary(semi(2), 0.5, horizon=40, trials=64, seed=12)
     assert len(s) == 64
-    assert (s.t_stable == 40).all()
+    assert (s.usable_depth() == 40).all()
+    assert (np.count_nonzero(s.letters1, axis=1) == 40).all()
+    assert (np.count_nonzero(s.letters2, axis=1) == 40).all()
     # letters are positive generators only
     assert (s.letters1 >= 1).all() and (s.letters1 <= 2).all()
 
@@ -69,10 +77,10 @@ def test_group_prefixes_partially_stable():
     s = sample_boundary(srw(2), 0.5, horizon=60, trials=128, seed=12)
     frac_deep = float((s.usable_depth() >= 10).mean())
     assert frac_deep > 0.9  # the walk has positive drift, rays stabilize
-    sample = s[0]
-    assert sample.prefix1 == tuple(
-        int(x) for x in s.letters1[0, : min(s.len1[0], s.keep_depth)]
-    )
+    l1, l2, len1, len2 = walkers.boundary_prefixes(build_pi_rho(srw(2), 0.5), 60, 60, 128, 12,
+                                                   rngmod.STREAM_BOUNDARY)
+    np.testing.assert_array_equal(s.usable_depth(), np.minimum(np.minimum(len1, len2), 60))
+    assert prefixes(s)[0] == (tuple(l1[0, : len1[0]].tolist()), tuple(l2[0, : len2[0]].tolist()))
 
 
 def test_sample_boundary_reproducible_and_worker_independent():
@@ -80,7 +88,7 @@ def test_sample_boundary_reproducible_and_worker_independent():
     b = sample_boundary(srw(2), 0.3, horizon=30, trials=50, seed=7, workers=4)
     assert (a.letters1 == b.letters1).all()
     assert (a.letters2 == b.letters2).all()
-    assert (a.t_stable == b.t_stable).all()
+    assert (a.usable_depth() == b.usable_depth()).all()
 
 
 def test_sample_boundary_validation():
@@ -178,7 +186,7 @@ def test_tree_prefix_roundtrip():
         # one exported line per node, holding the samples with its prefixes
         counts = cylinder_counts(tree, t)
         assert len(counts) == tree.node_count(t)
-        assert counts == Counter((x.prefix1[:t], x.prefix2[:t]) for x in s)
+        assert counts == Counter((p1[:t], p2[:t]) for p1, p2 in prefixes(s))
         assert tree.usable_count(t) == 200
 
 
@@ -206,13 +214,13 @@ def ball_count(tree, center, t):
 def test_ball_measure_leave_one_out_matches_brute_force():
     s = sample_boundary(semi(2), 0.8, horizon=8, trials=300, seed=31)
     tree = build_tree(s, 4)
-    prefixes = [(sample.prefix1[:4], sample.prefix2[:4]) for sample in s]
+    pairs = prefixes(s)
     for center in (0, 17, 299):
-        p1, p2 = prefixes[center]
+        p1, p2 = pairs[center]
         for t in (1, 2, 4):
             brute = sum(
                 1
-                for j, (q1, q2) in enumerate(prefixes)
+                for j, (q1, q2) in enumerate(pairs)
                 if j != center and q1[:t] == p1[:t] and q2[:t] == p2[:t]
             )
             assert ball_count(tree, center, t) == brute
@@ -266,11 +274,8 @@ def test_shannon_consistency_on_semigroup():
     rho, t = 0.5, 25
     s = sample_boundary(semi(2), rho, horizon=t, trials=5000, seed=29)
     p, q = coupling_weights(2, rho)
-    vals = []
-    for sample in s:
-        k = sum(1 for a, b in zip(sample.prefix1, sample.prefix2) if a == b)
-        vals.append(-(k * math.log(p) + (t - k) * math.log(q)) / t)
-    mean = sum(vals) / len(vals)
+    k = np.count_nonzero((s.letters1 == s.letters2) & (s.letters1 != 0), axis=1)
+    mean = float(np.mean(-(k * math.log(p) + (t - k) * math.log(q)) / t))
     h = h_semigroup(2, rho)
     assert abs(mean - h) / h < 0.02
 
@@ -302,21 +307,27 @@ def test_local_dimension_validation():
     other = sample_boundary(semi(2), 0.5, horizon=8, trials=49, seed=2)
     with pytest.raises(ValidationError):
         local_dimension(other, tree, (1, 2), 10, seed=2)
+    for bad in (0, True, 2.5):  # a bool or a float is not a count
+        with pytest.raises(InputError, match="min_count must be a positive integer"):
+            local_dimension(s, tree, (1, 2), 10, seed=2, min_count=bad)
 
 
 def test_dimension_singularity_conclusive_and_not():
     mu = semi(2)
     kwargs = dict(horizon=80, trials=20_000, t_grid=tuple(range(1, 13)),
                   n_centers=150, seed=47)
-    rep = dimension_singularity_check(mu, 0.2, 1.0, **kwargs)
-    assert rep.conclusive
-    assert rep.gap > 0
-    assert rep.closed_form_a == h_semigroup(2, 0.2)
-    assert rep.closed_form_b == h_semigroup(2, 1.0)
+    a, b, gap = dimension_singularity_check(mu, 0.2, 1.0, **kwargs)
+    assert gap.details == {"conclusive": True}
+    assert gap.value == b.value - a.value > 0
+    assert gap.std_error == math.hypot(a.std_error, b.std_error)
+    assert (gap.ci_low, gap.ci_high) == (gap.value - 1.96 * gap.std_error,
+                                         gap.value + 1.96 * gap.std_error)
+    assert (gap.n, gap.trials, gap.seed, gap.method) == (80, 20_000, 47, "dimension-gap")
     # same noise level on both sides: identical estimates, no gap
-    rep_same = dimension_singularity_check(mu, 0.6, 0.6, **kwargs)
-    assert not rep_same.conclusive
-    assert rep_same.gap == 0.0
+    a, b, gap = dimension_singularity_check(mu, 0.6, 0.6, **kwargs)
+    assert a == b
+    assert gap.details == {"conclusive": False}
+    assert gap.value == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -594,12 +605,16 @@ def test_stacked_slopes_equal_one_lstsq_call_per_row():
         ]
 
 
-def test_stacked_slopes_raise_linalg_error_as_lstsq_does():
+def test_stacked_slopes_raise_linalg_error_as_lstsq_does(capfd):
     xs = np.array([1.0, np.nan, 3.0])  # LAPACK rejects the matrix
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.lstsq(np.vander(xs, 2), np.ones(3))
     with pytest.raises(np.linalg.LinAlgError):
         _line_slopes(xs, np.ones((2, 3)), np.array([3, 3]))
+    # LAPACK prints a complaint about the NaN on stdout; reading it keeps it
+    # off the test log (capfd writes back what is left unread).  Its text
+    # comes from the BLAS build, so it is not checked.
+    capfd.readouterr()
 
 
 @pytest.mark.parametrize("lens", [[3, 3, 3, 3], [3, 1, 0, 2]], ids=["all-stable", "some-short"])

@@ -468,6 +468,28 @@ def test_cli_sweep_keyed_levels_golden(tmp_path):
     }
 
 
+@pytest.mark.parametrize("keys,digests", [
+    ({"group": "free_semigroup:2", "rho_grid": [0.2, 1.0], "trials": 4000, "seed": 7}, {
+        "results.json": "0150b9b8147d23fc62653c610826b54b3f9ecd2b9ec01eda467bdb81c49233d1",
+        "table.csv": "ecc5d7a4245ce976b890cc601d763cd896a28732d2eedd6a36e9d7440dc05a26",
+    }),
+    ({"group": "free_group:2", "rho_grid": [0.3, 0.9], "trials": 3000, "seed": 5}, {
+        "results.json": "ec35356b4df35755d52bd17cd59f909a654b6f8c4cef5d1f612f166282dba951",
+        "table.csv": "3a03d8fe7a19289fe753631a9163fa33f44a480d0aa0d4ce586b35506551561b",
+    }),
+])
+def test_cli_dimension_two_point_golden(tmp_path, keys, digests):
+    # both local-dimension records (with the closed forms on a uniform
+    # semigroup step) and the dimension-gap record
+    execute(parse_config("dimension", None, {**keys, "out": str(tmp_path)}))
+    assert {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
+            for f in digests} == digests
+    recs = [json.loads(l) for l in (tmp_path / "results.json").read_text().splitlines()]
+    semigroup = keys["group"] == "free_semigroup:2"
+    assert [r["details"].get("closed_form") for r in recs] == [
+        *(h_semigroup(2, rho) if semigroup else None for rho in keys["rho_grid"]), None]
+
+
 def test_cli_sweep_drift_record_is_the_drift_of_mu(tmp_path):
     # each coordinate of pi_rho is a mu-walk: the sweep's one drift-mc
     # record is the record drift writes without rho

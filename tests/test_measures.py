@@ -27,7 +27,6 @@ from noisewalk.measures import (
     build_measure,
     build_pi_rho,
     certified_entropy_compare,
-    convolve_power,
     entropy_mass_spec,
     iter_convolution_levels,
     marginals,
@@ -195,13 +194,10 @@ def assert_measures_equal(a: FiniteMeasure, b: FiniteMeasure):
 )
 def test_convolution_matches_brute_force(step):
     n = 3 if step.kind == "pair" else 4
-    got = convolve_power(step, n)
-    assert not any(got.truncated)
-    acc = step
-    for lvl in range(1, n + 1):
-        assert_measures_equal(got.measures[lvl - 1], brute_force_convolution(step, lvl))
-        if lvl > 1:
-            acc = acc  # brute_force handles the powering itself
+    levels = list(iter_convolution_levels(step, n))
+    assert not any(lv.truncated for lv in levels)
+    for lvl, lv in enumerate(levels, start=1):
+        assert_measures_equal(lv.to_measure(), brute_force_convolution(step, lvl))
 
 
 def test_convolution_deep_words_match_brute_force(monkeypatch):
@@ -249,9 +245,9 @@ def test_convolution_deep_words_match_brute_force(monkeypatch):
     ):
         monkeypatch.setattr(measures, "_CHUNK", chunk)
         routes.clear()
-        got = convolve_power(step, n)
+        got = [lv.to_measure() for lv in iter_convolution_levels(step, n)]
         assert routes == packed
-        for lvl, m in enumerate(got.measures, start=1):
+        for lvl, m in enumerate(got, start=1):
             assert_measures_equal(m, brute_force_convolution(step, lvl))
         assert list(iter_convolution_levels(step, n))[-1].keys.dtype == key_dtype
 
@@ -297,8 +293,7 @@ def test_level_values_at_pair_coordinate_codes():
 
 def test_convolution_float_step():
     step = build_measure([((1,), 0.5), ((-1,), 0.5)])
-    res = convolve_power(step, 4)
-    lv4 = res.measures[3]
+    lv4 = [lv.to_measure() for lv in iter_convolution_levels(step, 4)][3]
     assert abs(float(lv4.total()) - 1.0) < 1e-12
     # SRW on Z: P(position 0 after 4 steps) = 6/16
     assert abs(lv4.weight_of(()) - 6 / 16) < 1e-12
@@ -329,13 +324,12 @@ def test_subadditivity_on_group():
 
 def test_truncation_flags_and_strict():
     step = srw(2)
-    res = convolve_power(step, 5, cap=20)
-    assert any(res.truncated)
-    idx = res.truncated.index(True)
-    assert res.lost_mass[idx] > 0
-    assert res.measures[idx].support_size <= 20
+    levels = list(iter_convolution_levels(step, 5, cap=20))
+    cut = next(lv for lv in levels if lv.truncated)
+    assert cut.lost_mass > 0
+    assert cut.to_measure().support_size <= 20
     with pytest.raises(TruncationError) as ei:
-        convolve_power(step, 5, cap=20, strict=True)
+        list(iter_convolution_levels(step, 5, cap=20, strict=True))
     # strict mode refuses to drop mass, so it raises with nothing lost yet
     assert ei.value.level >= 1
     assert ei.value.lost_mass == 0

@@ -260,7 +260,7 @@ INVERSE_FREE_SHAPES = [
 
 @pytest.mark.parametrize("mu, horizon, keep_depth", INVERSE_FREE_SHAPES)
 def test_inverse_free_boundary_matches_full_stack(mu, horizon, keep_depth):
-    """Lengths read before any letter draw every step, in whole counters."""
+    """Usable depths read before any letter draw to keep_depth, in whole counters."""
     pi = build_pi_rho(mu, 0.4)
     assert pi.inverse_free
     if keep_depth > horizon * mu.max_atom_length:  # no sample has letters that deep
@@ -269,11 +269,13 @@ def test_inverse_free_boundary_matches_full_stack(mu, horizon, keep_depth):
         return
     s = sample_boundary(mu, 0.4, horizon, 150, 21, keep_depth)
     expect = _full_stack_boundary(pi, horizon, keep_depth, 150, 21)
-    got = (s.len1, s.len2, s.letters1, s.letters2)
-    for g, e in zip(got, (*expect[2:], *expect[:2])):
-        np.testing.assert_array_equal(g, e)
-    np.testing.assert_array_equal(s.t_stable, np.minimum(expect[2], expect[3]))
-    assert s.letters1.dtype == np.int8 and s.len1.dtype == np.int64
+    np.testing.assert_array_equal(
+        s.usable_depth(), np.minimum(np.minimum(expect[2], expect[3]), keep_depth))
+    for got, want, lens in ((s.letters1, expect[0], expect[2]), (s.letters2, expect[1], expect[3])):
+        np.testing.assert_array_equal(got, want)
+        # drawn letters are nonzero: a kept prefix is a row's nonzero letters
+        np.testing.assert_array_equal(np.count_nonzero(got, axis=1), np.minimum(lens, keep_depth))
+    assert s.letters1.dtype == s.letters2.dtype == np.int8
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -301,13 +303,11 @@ def test_letters_drawn_on_read_match_full_stack(monkeypatch, mu, horizon, keep_d
             np.testing.assert_array_equal(got, want)
     s = sample()
     build_tree(s, keep_depth).level(half)  # the tree draws only some columns
-    for got, want in zip((s.letters1, s.letters2, s.len1, s.len2), expect):
+    for got, want in zip((s.letters1, s.letters2), expect):
         np.testing.assert_array_equal(got, want)
     assert s.letters1.dtype == s.letters2.dtype == np.int8
-    s = sample()
-    for i in (0, 77, 149):  # a sample read first draws its letters
-        assert s[i].prefix1 == tuple(expect[0][i, : min(expect[2][i], keep_depth)].tolist())
-        assert s[i].prefix2 == tuple(expect[1][i, : min(expect[3][i], keep_depth)].tolist())
+    np.testing.assert_array_equal(
+        s.usable_depth(), np.minimum(np.minimum(expect[2], expect[3]), keep_depth))
 
 
 def test_step_indices_start_at_a_counter_and_run_forwards():
