@@ -30,7 +30,6 @@ from .errors import (
 from .estimators import (
     EntropyCurve,
     EstimateResult,
-    SweepRow,
     drift_mc,
     entropy_exact_curve,
     entropy_rate_estimate,
@@ -84,7 +83,6 @@ __all__ = [
     "FiniteMeasure",
     "InputError",
     "NoiseWalkError",
-    "SweepRow",
     "TruncationError",
     "UnsupportedRegimeError",
     "ValidationError",

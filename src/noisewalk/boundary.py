@@ -189,6 +189,7 @@ def sample_boundary(
     for name, count in (("horizon", horizon), ("trials", trials), ("keep_depth", keep_depth),
                         ("workers", workers)):
         check_count(name, count)
+    rngmod.check_seed(seed)
     walkers.check_keep_depth(mu, horizon, keep_depth)
     coupled = build_pi_rho(mu, rho)
     if coupled.inverse_free:
@@ -306,7 +307,7 @@ class CylinderTree:
         return int(self.level(t).sizes.sum())
 
     def _check_depth(self, t: int) -> None:
-        if not isinstance(t, int) or not 1 <= t <= self.depth:
+        if not isinstance(t, int) or isinstance(t, bool) or not 1 <= t <= self.depth:
             raise InputError(f"depth t must lie in [1, {self.depth}], got {t!r}")
 
     def export_records(self, max_depth: int | None = None) -> Iterator[str]:
@@ -394,11 +395,11 @@ def local_dimension(
     """
     if len(samples) != tree.sample_count:
         raise ValidationError("tree was built from a different sample count")
-    ts = sorted(set(int(t) for t in t_grid))
+    for t in t_grid:
+        tree._check_depth(t)
+    ts = sorted(set(t_grid))
     if len(ts) < 2:
         raise InputError("t_grid needs at least two distinct depths")
-    for t in ts:
-        tree._check_depth(t)
     check_count("n_centers", n_centers)
     check_count("min_count", min_count)
     eligible = np.flatnonzero(tree.t_stable >= ts[0])

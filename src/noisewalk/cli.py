@@ -578,9 +578,7 @@ def _run_entropy(cfg: RunConfig):
         if cfg.rho is None:
             raise ValidationError("pointwise entropy needs rho")
         r = estimators.shannon_pointwise(m, cfg.rho, cfg.n, cfg.trials, cfg.seed)
-        rec = _result_record(r, "entropy", cfg.rho)
-        rec["details"]["closed_form"] = oracle.h_semigroup(m, cfg.rho)
-        records.append(rec)
+        records.append(_result_record(r, "entropy", cfg.rho))
     else:
         step = cfg.measure
         if cfg.rho is not None:
@@ -668,32 +666,19 @@ def _run_sweep(cfg: RunConfig):
     drift = estimators.drift_mc(cfg.measure, cfg.n, cfg.trials, cfg.seed,
                                 workers=cfg.workers)
     records = [_result_record(drift, "sweep", None)]
-    rows = estimators.rho_sweep(
+    points = estimators.rho_sweep(
         cfg.measure, cfg.rho_grid, n=cfg.n, trials=cfg.trials, seed=cfg.seed,
         tv_ns=cfg.tv_ns, threshold_frac=cfg.threshold_frac,
         entropy_exact_max=cfg.n_max, cap=cfg.cap, workers=cfg.workers,
     )
-    for row in rows:
-        rec = _result_record(row.entropy, "sweep", row.rho)
-        if row.closed_form_entropy is not None:
-            rec["details"]["closed_form"] = row.closed_form_entropy
-        records.append(rec)
-        for tn, tr in row.tv_lower:
-            records.append(_result_record(tr, "sweep", row.rho))
-    header = ["rho", "h_value", "h_std_error", "h_closed_form"]
-    for tn in cfg.tv_ns:
-        header.append(f"tv{tn}_value")
-    lines = [",".join(header)]
-    for row in rows:
-        cells = [
-            repr(row.rho),
-            repr(row.entropy.value),
-            repr(row.entropy.std_error),
-            "" if row.closed_form_entropy is None else repr(row.closed_form_entropy),
-        ]
-        for _, tr in row.tv_lower:
-            cells.append(repr(tr.value))
-        lines.append(",".join(cells))
+    lines = [",".join(["rho", "h_value", "h_std_error", "h_closed_form",
+                       *(f"tv{tn}_value" for tn in cfg.tv_ns)])]
+    for rho, (ent, *tvs) in points:
+        records += [_result_record(r, "sweep", rho) for r in (ent, *tvs)]
+        closed = ent.details.get("closed_form")
+        lines.append(",".join([repr(rho), repr(ent.value), repr(ent.std_error),
+                               "" if closed is None else repr(closed),
+                               *(repr(tr.value) for tr in tvs)]))
     return records, {"sweep.csv": "".join(line + "\n" for line in lines)}
 
 

@@ -136,7 +136,8 @@ def shannon_pointwise(
     is p^k q^(n-k) where k counts positions where the two coordinates
     drew the same letter, so each trajectory contributes
     -(k log p + (n - k) log q) / n.  At rho = 0 only diagonal draws
-    occur and the q term never appears.
+    occur and the q term never appears.  The details carry the closed
+    form ``h_semigroup(m, rho)`` as ``closed_form``.
     """
     check_count("n", n)
     check_count("trials", trials)
@@ -155,7 +156,8 @@ def shannon_pointwise(
         else:
             vals[t] = -(k * log_p + (n - k) * log_q) / n
     return _mean_result(
-        vals, n, seed, "shannon-pointwise", {"m": m, "rho": float(rho), "p": p, "q": q}
+        vals, n, seed, "shannon-pointwise",
+        {"m": m, "rho": float(rho), "p": p, "q": q, "closed_form": h_semigroup(m, rho)},
     )
 
 
@@ -349,6 +351,7 @@ def tv_exact_curve(
     if mu.kind != "single":
         raise ValidationError("exact TV needs a single-coordinate step measure")
     check_count("n", n_max)
+    check_count("cap", cap)
     rho_w = rho_weight(rho)
     if mu.inverse_free and all(len(a) == 1 for a, _ in mu.atoms):
         return list(_tv_value_classes(mu, rho_w, n_max, cap))
@@ -441,14 +444,6 @@ def tv_lower_bound_mc(
 # sweeps over the coupling parameter
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    rho: float
-    entropy: EstimateResult
-    tv_lower: tuple[tuple[int, EstimateResult], ...]
-    closed_form_entropy: float | None
-
-
 def rho_sweep(
     mu: FiniteMeasure,
     rho_grid,
@@ -460,9 +455,10 @@ def rho_sweep(
     entropy_exact_max: int = 8,
     cap: int = DEFAULT_CAP,
     workers: int = 1,
-) -> tuple[SweepRow, ...]:
-    """Estimate the entropy and TV lower bounds over a rho grid, one row
-    per grid point.
+) -> tuple[tuple[float, tuple[EstimateResult, ...]], ...]:
+    """Estimate the entropy and TV lower bounds over a rho grid: one
+    ``(rho, (entropy, *tv_lower))`` per grid point, the TV lower bounds
+    in ``tv_ns`` order, each with its n in ``.n``.
 
     Only what depends on rho is estimated: each coordinate of pi_rho is a
     mu-walk, so every grid point has the drift of mu itself, which
@@ -470,35 +466,22 @@ def rho_sweep(
 
     Grid cells reuse the same substreams (common random numbers), which
     keeps curves smooth in rho and results deterministic in the seed.
-    Uniform single-letter supports use the pointwise entropy estimator
-    and record the closed form; other supports use exact convolution
-    increments up to ``entropy_exact_max`` levels.
+    Uniform single-letter supports use the pointwise entropy estimator,
+    whose details carry the closed form; other supports use exact
+    convolution increments up to ``entropy_exact_max`` levels.
     """
-    grid = [float(r) for r in rho_grid]
+    grid = [float(rho_weight(r)) for r in rho_grid]
     if not grid:
         raise InputError("rho grid is empty")
-    for r in grid:
-        if not 0 <= r <= 1:
-            raise InputError(f"rho must lie in [0, 1], got {r}")
     m = uniform_letter_count(mu)
-    rows = []
+    points = []
     for r in grid:
         if m is not None:
             ent = shannon_pointwise(m, r, n, trials, seed)
-            closed = h_semigroup(m, r)
         else:
             curve = entropy_exact_curve(build_pi_rho(mu, r), entropy_exact_max, cap=cap)
             ent = _entropy_rate_result(curve, seed)
-            closed = None
-        tvs = []
-        for tn in tv_ns:
-            tvs.append(
-                (
-                    tn,
-                    tv_lower_bound_mc(
-                        mu, r, tn, trials, seed, threshold_frac, workers=workers
-                    ),
-                )
-            )
-        rows.append(SweepRow(r, ent, tuple(tvs), closed))
-    return tuple(rows)
+        tvs = (tv_lower_bound_mc(mu, r, tn, trials, seed, threshold_frac, workers=workers)
+               for tn in tv_ns)
+        points.append((r, (ent, *tvs)))
+    return tuple(points)

@@ -976,11 +976,8 @@ def entropy_mass_spec(source) -> tuple[int, Counter]:
     if isinstance(source, FiniteMeasure):
         if not source.exact:
             raise ValidationError("entropy certification needs exact weights")
-        denom = math.lcm(*[w.denominator for _, w in source.atoms])
-        c: Counter = Counter()
-        for _, w in source.atoms:
-            c[int(w * denom)] += 1
-        return denom, c
+        denom, nums = _step_numerators(source)
+        return denom, Counter(nums)
     raise InputError(f"cannot extract mass spec from {source!r}")
 
 

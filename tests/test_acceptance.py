@@ -204,20 +204,20 @@ def test_h_derivative_matches_finite_difference():
 
 def test_09_entropy_continuity_in_rho():
     grid = [round(i * 0.05, 2) for i in range(21)]
-    rows = rho_sweep(uniform_measure(2, inverse_free=True), grid,
-                     n=5000, trials=200, seed=SEED)
+    points = rho_sweep(uniform_measure(2, inverse_free=True), grid,
+                       n=5000, trials=200, seed=SEED)
     ok = True
     worst_margin = 0.0
-    for a, b in zip(rows, rows[1:]):
-        diff = abs(b.entropy.value - a.entropy.value)
-        noise = 3.0 * math.hypot(a.entropy.std_error, b.entropy.std_error)
-        if a.rho == 0.0:
+    for (rho_a, (a,)), (rho_b, (b,)) in zip(points, points[1:]):
+        diff = abs(b.value - a.value)
+        noise = 3.0 * math.hypot(a.std_error, b.std_error)
+        if rho_a == 0.0:
             # the derivative diverges at rho = 0; the closed-form secant
             # bounds the true increment on the first cell
-            bound = (h_semigroup(2, b.rho) - h_semigroup(2, a.rho)) + noise
+            bound = (h_semigroup(2, rho_b) - h_semigroup(2, rho_a)) + noise
         else:
             # h is concave increasing, so the left endpoint bounds the slope
-            bound = h_semigroup_derivative(2, a.rho) * (b.rho - a.rho) + noise
+            bound = h_semigroup_derivative(2, rho_a) * (rho_b - rho_a) + noise
         worst_margin = max(worst_margin, diff - bound)
         ok &= diff <= bound
     report(9, "entropy continuity in rho", ok,

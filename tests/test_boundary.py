@@ -91,11 +91,21 @@ def test_sample_boundary_reproducible_and_worker_independent():
     assert (a.usable_depth() == b.usable_depth()).all()
 
 
-def test_sample_boundary_validation():
+def test_sample_boundary_validation(monkeypatch):
     with pytest.raises(InputError):
         sample_boundary(semi(2), 0.5, horizon=0, trials=10, seed=1)
     with pytest.raises(InputError):
         sample_boundary(semi(2), 0.5, horizon=10, trials=0, seed=1)
+
+    def unreached(*args):
+        raise AssertionError("the coupled step was built")
+
+    # a bad seed is refused before any work, on either route
+    monkeypatch.setattr("noisewalk.boundary.build_pi_rho", unreached)
+    for mu in (semi(2), srw(2)):
+        for seed in (-1, 2**64):
+            with pytest.raises(InputError, match="seed must lie in"):
+                sample_boundary(mu, 0.5, horizon=10, trials=10, seed=seed)
 
 
 @pytest.mark.parametrize("mu", [semi(2), srw(2)], ids=["semigroup", "group"])
@@ -199,6 +209,8 @@ def test_tree_depth_validation():
         tree.node_count(6)
     with pytest.raises(InputError):
         list(tree.export_records(6))
+    with pytest.raises(InputError):
+        tree.level(True)  # a bool is not a depth
 
 
 # ---------------------------------------------------------------------------
@@ -304,6 +316,9 @@ def test_local_dimension_validation():
         local_dimension(s, tree, (3,), 10, seed=2)  # single depth
     with pytest.raises(InputError):
         local_dimension(s, tree, (1, 9), 10, seed=2)  # beyond tree depth
+    for t_grid in ((1, 2.5, 3), (True, 3), (1, 2, "3")):  # each entry must be an int
+        with pytest.raises(InputError, match="depth t must lie in"):
+            local_dimension(s, tree, t_grid, 10, seed=2)
     other = sample_boundary(semi(2), 0.5, horizon=8, trials=49, seed=2)
     with pytest.raises(ValidationError):
         local_dimension(other, tree, (1, 2), 10, seed=2)

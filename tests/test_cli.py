@@ -490,6 +490,29 @@ def test_cli_dimension_two_point_golden(tmp_path, keys, digests):
         *(h_semigroup(2, rho) if semigroup else None for rho in keys["rho_grid"]), None]
 
 
+@pytest.mark.parametrize("group", ["free_semigroup:2", "free_group:2"],
+                         ids=["pointwise", "exact-increment"])
+def test_cli_sweep_csv_rows_are_the_sweep_records(tmp_path, group):
+    # each sweep.csv row is read off its grid point's results.json records:
+    # the entropy record, then one TV lower bound per tv_ns entry
+    tv_ns = [3, 5]
+    execute(parse_config("sweep", None, {
+        "group": group, "rho_grid": [0.0, 0.5, 1.0], "n": 30, "trials": 20, "n_max": 3,
+        "tv_ns": tv_ns, "seed": 4, "out": str(tmp_path)}))
+    recs = [json.loads(l) for l in (tmp_path / "results.json").read_text().splitlines()]
+    header, *rows = (tmp_path / "sweep.csv").read_text().splitlines()
+    assert header == "rho,h_value,h_std_error,h_closed_form,tv3_value,tv5_value"
+    assert recs.pop(0)["method"] == "drift-mc" and len(recs) == 3 * len(rows) == 9
+    for row, (ent, *tvs) in zip(rows, zip(*[iter(recs)] * 3)):
+        closed = ent["details"].get("closed_form")
+        assert (closed is not None) == (group == "free_semigroup:2")
+        assert [(r["rho"], r["n"], r["method"]) for r in tvs] == [
+            (ent["rho"], tn, "tv-lower-mc") for tn in tv_ns]
+        assert row.split(",") == [
+            repr(ent["rho"]), repr(ent["value"]), repr(ent["std_error"]),
+            "" if closed is None else repr(closed), *(repr(r["value"]) for r in tvs)]
+
+
 def test_cli_sweep_drift_record_is_the_drift_of_mu(tmp_path):
     # each coordinate of pi_rho is a mu-walk: the sweep's one drift-mc
     # record is the record drift writes without rho

@@ -301,6 +301,10 @@ def test_tv_exact_input_validation():
         tv_exact(semi(2), F(1, 2), 0)
     with pytest.raises(InputError):
         tv_exact(semi(2), F(3, 2), 2)
+    for mu in (semi(2), srw(2)):  # the value-class route and the pair route
+        for cap in (0, -5, True, 2.5, "x"):
+            with pytest.raises(InputError, match="cap must be a positive integer"):
+                tv_exact_curve(mu, 0.5, 1, cap=cap)
 
 
 # ---------------------------------------------------------------------------
@@ -356,24 +360,24 @@ def test_tv_lower_bound_validation():
 def test_rho_sweep_semigroup_rows():
     mu = semi(2)
     grid = [0.0, 0.25, 0.5, 0.75, 1.0]
-    rows = rho_sweep(mu, grid, n=800, trials=80, seed=17, tv_ns=(8,))
-    assert [row.rho for row in rows] == grid
-    for row in rows:
-        h = h_semigroup(2, row.rho)
-        assert row.closed_form_entropy == h
-        assert abs(row.entropy.value - h) / h < 0.02
-        assert len(row.tv_lower) == 1 and row.tv_lower[0][0] == 8
+    points = rho_sweep(mu, grid, n=800, trials=80, seed=17, tv_ns=(8,))
+    assert [rho for rho, _ in points] == grid
+    for rho, (ent, *tvs) in points:
+        h = h_semigroup(2, rho)
+        assert ent.details["closed_form"] == h
+        assert abs(ent.value - h) / h < 0.02
+        assert len(tvs) == 1 and tvs[0].n == 8
     # entropy increases with the noise parameter
-    vals = [row.entropy.value for row in rows]
+    vals = [ent.value for _, (ent, *_) in points]
     assert all(b > a for a, b in zip(vals, vals[1:]))
 
 
 def test_rho_sweep_group_uses_exact_curve():
-    rows = rho_sweep(srw(2), [0.0, 1.0], n=200, trials=50, seed=2,
-                     entropy_exact_max=3)
-    for row in rows:
-        assert row.closed_form_entropy is None
-        assert row.entropy.method == "entropy-increment"
+    points = rho_sweep(srw(2), [0.0, 1.0], n=200, trials=50, seed=2,
+                       entropy_exact_max=3)
+    for _, (ent,) in points:
+        assert "closed_form" not in ent.details
+        assert ent.method == "entropy-increment"
 
 
 def test_rho_sweep_validation():
@@ -381,3 +385,6 @@ def test_rho_sweep_validation():
         rho_sweep(semi(2), [], n=10, trials=10, seed=1)
     with pytest.raises(InputError):
         rho_sweep(semi(2), [1.2], n=10, trials=10, seed=1)
+    for bad in ("0.5", True):  # a string or a bool is not a rho
+        with pytest.raises(InputError, match="rho must be a number"):
+            rho_sweep(semi(2), [0.25, bad], n=10, trials=10, seed=1)
