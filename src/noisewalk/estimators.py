@@ -397,18 +397,27 @@ def tv_lower_bound_mc(
     give the event enough mass to separate couplings close to
     independence; the default 0.2 suits strongly coupled walks.
     """
+    g_i = _independent_prefixes(mu, n, trials, seed, threshold_frac, workers)
+    return _tv_lower_result(mu, rho, g_i, n, trials, seed, threshold_frac, workers)
+
+
+def _independent_prefixes(mu, n, trials, seed, threshold_frac, workers) -> np.ndarray:
+    """Gromov products of independent mu-walk pairs after n steps; they do not depend on rho."""
     if mu.kind != "single":
         raise ValidationError("tv_lower_bound_mc needs a single-coordinate measure")
     if not 0 < threshold_frac <= 1:
         raise InputError(f"threshold_frac must lie in (0, 1], got {threshold_frac!r}")
-    j = math.ceil(threshold_frac * n)
-    coupled = build_pi_rho(mu, rho)
-    indep = product_measure(mu, mu)
-    g_c = walkers.pair_prefix_lengths(
-        coupled, n, trials, seed, rngmod.STREAM_TV_COUPLED, workers=workers
+    return walkers.pair_prefix_lengths(
+        product_measure(mu, mu), n, trials, seed, rngmod.STREAM_TV_INDEPENDENT,
+        workers=workers,
     )
-    g_i = walkers.pair_prefix_lengths(
-        indep, n, trials, seed, rngmod.STREAM_TV_INDEPENDENT, workers=workers
+
+
+def _tv_lower_result(mu, rho, g_i, n, trials, seed, threshold_frac, workers) -> EstimateResult:
+    """The ``tv-lower-mc`` result from pi_rho-coupled walks and the independent ``g_i``."""
+    j = math.ceil(threshold_frac * n)
+    g_c = walkers.pair_prefix_lengths(
+        build_pi_rho(mu, rho), n, trials, seed, rngmod.STREAM_TV_COUPLED, workers=workers
     )
     k1 = int((g_c >= j).sum())
     k2 = int((g_i >= j).sum())
@@ -417,9 +426,7 @@ def tv_lower_bound_mc(
     lo2, hi2 = _wilson(k2, trials)
     half = math.sqrt(((hi1 - lo1) / 2) ** 2 + ((hi2 - lo2) / 2) ** 2)
     value = abs(p1 - p2)
-    se = math.sqrt(
-        p1 * (1 - p1) / trials + p2 * (1 - p2) / trials
-    )
+    se = math.sqrt(p1 * (1 - p1) / trials + p2 * (1 - p2) / trials)
     return EstimateResult(
         value=value,
         std_error=se,
@@ -462,7 +469,8 @@ def rho_sweep(
 
     Only what depends on rho is estimated: each coordinate of pi_rho is a
     mu-walk, so every grid point has the drift of mu itself, which
-    ``drift_mc(mu, ...)`` estimates once.
+    ``drift_mc(mu, ...)`` estimates once, and the independent walks of
+    each TV lower bound are drawn once per n of ``tv_ns``.
 
     Grid cells reuse the same substreams (common random numbers), which
     keeps curves smooth in rho and results deterministic in the seed.
@@ -474,6 +482,8 @@ def rho_sweep(
     if not grid:
         raise InputError("rho grid is empty")
     m = uniform_letter_count(mu)
+    indep = [_independent_prefixes(mu, tn, trials, seed, threshold_frac, workers)
+             for tn in tv_ns]
     points = []
     for r in grid:
         if m is not None:
@@ -481,7 +491,7 @@ def rho_sweep(
         else:
             curve = entropy_exact_curve(build_pi_rho(mu, r), entropy_exact_max, cap=cap)
             ent = _entropy_rate_result(curve, seed)
-        tvs = (tv_lower_bound_mc(mu, r, tn, trials, seed, threshold_frac, workers=workers)
-               for tn in tv_ns)
+        tvs = (_tv_lower_result(mu, r, g_i, tn, trials, seed, threshold_frac, workers)
+               for tn, g_i in zip(tv_ns, indep))
         points.append((r, (ent, *tvs)))
     return tuple(points)

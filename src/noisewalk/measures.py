@@ -39,6 +39,9 @@ A level's histogram readout (``mass_counts``, behind the entropies and
 the certified comparisons) counts the values one block of
 ``_READ_BLOCK`` at a time and merges the blocks' (value, count) pairs,
 so it copies no whole level; the block does not follow ``_CHUNK``.
+The deepest level of a run, made by a product step and not cut, is built
+only when its values are read: its readout counts each batch of the last
+step and drops it, so an entropy run to n holds level n - 1 plus one batch.
 """
 
 from __future__ import annotations
@@ -407,6 +410,7 @@ class ConvolutionLevel:
     product pair step, as its factors: sorted head codes, sorted tail
     codes and the values laid out row-major as heads x tails, with no
     key per atom (``factors``).  ``keys`` builds the keys of either.
+    An unbuilt level holds the ``_ProductStep`` that makes its values.
     """
 
     level: int
@@ -419,7 +423,7 @@ class ConvolutionLevel:
     truncated: bool
     lost_mass: Weight
     _support: Support = field(repr=False)
-    _vals: np.ndarray = field(repr=False)
+    _vals: np.ndarray | _ProductStep = field(repr=False)
     _code: _WordCode = field(repr=False)
     _entropy: float | None = field(default=None, init=False, repr=False, compare=False)
 
@@ -458,11 +462,13 @@ class ConvolutionLevel:
         uniq, inv = np.unique(np.concatenate(coords), return_inverse=True)
         words = np.fromiter(map(code.decode, uniq.tolist()), dtype=object, count=len(uniq))
         atoms = words[inv].reshape(len(coords), -1).tolist()
-        yield from zip(zip(*atoms) if pair else atoms[0], self._vals.tolist())
+        yield from zip(zip(*atoms) if pair else atoms[0], self.values.tolist())
 
     @property
     def values(self) -> np.ndarray:
-        """Stored values (numerators or floats) in key order."""
+        """Stored values (numerators or floats) in key order; built on the first read."""
+        if not isinstance(self._vals, np.ndarray):
+            self._vals = self._vals.values()
         return self._vals
 
     def coordinate_codes(self) -> list[np.ndarray]:
@@ -482,31 +488,26 @@ class ConvolutionLevel:
         """
         keys = self.keys
         pos = np.minimum(np.searchsorted(keys, codes), self.size - 1)
-        return np.where(keys[pos] == codes, self._vals[pos], 0)
+        return np.where(keys[pos] == codes, self.values[pos], 0)
 
     def mass_counts(self) -> Counter:
         """Multiplicity of each distinct stored value (numerator or float), in value order.
 
         The values are counted ``_READ_BLOCK`` at a time and the blocks'
         (value, count) pairs merged by one more ``np.unique``, so no copy
-        of the whole level is made.
+        of the whole level is made; an unbuilt level counts its step's batches.
         """
         vals = self._vals
-        blocks = [
+        uniq, cnt = vals.mass_counts() if not isinstance(vals, np.ndarray) else _merged([
             np.unique(vals[i : i + _READ_BLOCK], return_counts=True)
             for i in range(0, max(len(vals), 1), _READ_BLOCK)
-        ]
-        uniq, cnt = blocks[0]
-        if len(blocks) > 1:
-            uniq, inv = np.unique(np.concatenate([u for u, _ in blocks]), return_inverse=True)
-            cnt = np.zeros(len(uniq), dtype=np.int64)
-            np.add.at(cnt, inv, np.concatenate([c for _, c in blocks]))
+        ])
         return Counter(dict(zip(uniq.tolist(), cnt.tolist())))
 
     def kept_total(self) -> Weight:
         if self.exact:
-            return Fraction(int(self._vals.sum()), self.denominator)
-        return math.fsum(self._vals.tolist())
+            return Fraction(int(self.values.sum()), self.denominator)
+        return math.fsum(self.values.tolist())
 
     def entropy_kept(self) -> float:
         """Sum of -w log w over kept atoms, in nats.
@@ -556,6 +557,16 @@ class ConvolutionLevel:
             atoms.append((atom, w))
         atoms.sort(key=lambda kv: kv[0])
         return FiniteMeasure(tuple(atoms), self.rank, self.kind)
+
+
+def _merged(hists: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
+    """One (value, count) histogram of several, in value order."""
+    if len(hists) == 1:
+        return hists[0]
+    uniq, inv = np.unique(np.concatenate([u for u, _ in hists]), return_inverse=True)
+    cnt = np.zeros(len(uniq), dtype=np.int64)
+    np.add.at(cnt, inv, np.concatenate([c for _, c in hists]))
+    return uniq, cnt
 
 
 def _step_numerators(step: FiniteMeasure) -> tuple[int, list[int]]:
@@ -698,55 +709,105 @@ def _plane_sum(terms: np.ndarray) -> np.ndarray:
     return terms[0]
 
 
-def _product_step(
-    code: _WordCode, atoms: list, groups: dict[Word, list[int]], num: np.ndarray,
-    heads: np.ndarray, tails: np.ndarray, vals: np.ndarray,
-) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
+class _ProductStep:
     """``_times_step`` on a level held as factors (every head times one tail set).
 
-    A pattern's target heads go in batches of about ``_CHUNK`` products:
-    a batch's runs are transposed tails-major once, each term plane
-    (module docstring) is a row gather from them times an atom's
-    numerator, each class is one row scatter of its ``_plane_sum``, and
-    the sums are transposed into the new level once.  Every first word of
-    a product step meets every second word, so the new level is factors.
+    Made as its plan, so the new level's factors and ``len`` are known
+    before any product.  A pattern's target heads go in batches of about
+    ``_CHUNK`` products: a batch's runs are gathered tails-major once,
+    each term plane (module docstring) is a row gather from them times an
+    atom's numerator, and each class is one row scatter of its
+    ``_plane_sum``.  Every first word of a product step meets every
+    second word, so the new level is factors.
     """
-    words, m, seconds = list(groups), len(tails), sorted({a[1] for a in atoms})
-    targets, run = _preimages(code.times_words(heads, words))
-    tail_codes, source = _preimages(code.times_words(tails, seconds))
-    patterns, pattern_of = _row_patterns(run >= 0)
-    classes, class_of = _row_patterns(source >= 0)
-    second = np.array([seconds.index(a[1]) for a in atoms])
-    # per class: its target tails, and the source tail of each for each second word
-    members = (np.flatnonzero(class_of == c) for c in range(len(classes)))
-    tables = [(rows, source[rows].T) for rows in members]
-    out_v = np.empty((len(targets), len(tail_codes)), dtype=vals.dtype)
-    for p, reach in enumerate(patterns):
-        gs = np.flatnonzero(reach)
-        # the pattern's atoms in atom order, each with the slot s of its group's
-        # run; a batch's block holds tail j of slot s's run in row s * m + j
-        slot, atom = np.array([(s, i) for s, g in enumerate(gs) for i in groups[words[g]]]).T
-        planes = []  # per class: its tails, its planes' block rows and numerators
-        for (rows, tail_of), reached in zip(tables, classes):
-            used = reached[second[atom]]
-            index = slot[used, None] * m + tail_of[second[atom[used]]]
-            planes.append((rows, index, num[atom[used]][:, None, None]))
-        heads_of = np.flatnonzero(pattern_of == p)
-        batch = max(1, _CHUNK // (len(atom) * m))
-        for t in np.split(heads_of, range(batch, len(heads_of), batch)):
-            block = vals.reshape(len(heads), m)[run[t[:, None], gs]].reshape(len(t), -1).T.copy()
-            sums = np.empty((len(tail_codes), len(t)), dtype=vals.dtype)
-            for rows, index, factor in planes:
-                terms = block[index]
-                terms *= factor
-                sums[rows] = _plane_sum(terms)
+
+    def __init__(
+        self, code: _WordCode, atoms: list, groups: dict[Word, list[int]], num: np.ndarray,
+        heads: np.ndarray, tails: np.ndarray, vals: np.ndarray,
+    ):
+        words, m, seconds = list(groups), len(tails), sorted({a[1] for a in atoms})
+        targets, self.run = _preimages(code.times_words(heads, words))
+        tail_codes, source = _preimages(code.times_words(tails, seconds))
+        patterns, pattern_of = _row_patterns(self.run >= 0)
+        classes, class_of = _row_patterns(source >= 0)
+        second = np.array([seconds.index(a[1]) for a in atoms])
+        # per class: its target tails, and the source tail of each for each second word
+        members = (np.flatnonzero(class_of == c) for c in range(len(classes)))
+        tables = [(rows, source[rows].T) for rows in members]
+        self.plan = []  # per pattern: its groups, its batches of target heads, its planes
+        for p, reach in enumerate(patterns):
+            gs = np.flatnonzero(reach)
+            # the pattern's atoms in atom order, each with the slot s of its group's
+            # run; a batch's block holds tail j of slot s's run in row s * m + j
+            slot, atom = np.array([(s, i) for s, g in enumerate(gs) for i in groups[words[g]]]).T
+            planes = []  # per class: its tails, its planes' block rows and numerators
+            for (rows, tail_of), reached in zip(tables, classes):
+                used = reached[second[atom]]
+                index = slot[used, None] * m + tail_of[second[atom[used]]]
+                planes.append((rows, index, num[atom[used]][:, None, None]))
+            heads_of = np.flatnonzero(pattern_of == p)
+            batch = max(1, _CHUNK // (len(atom) * m))
+            self.plan.append((gs, np.split(heads_of, range(batch, len(heads_of), batch)), planes))
+        self.factors = (targets, tail_codes)
+        self.vals = vals.reshape(len(heads), m)
+        self.counts = None
+
+    def __len__(self) -> int:
+        return len(self.factors[0]) * len(self.factors[1])
+
+    def batches(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """Yield each batch's target heads and sums, tails-major, in buffers all batches reuse."""
+        m, width = self.vals.shape[1], len(self.factors[1])
+        # sized for the widest batch of any pattern (its first)
+        block_n = max(len(ts[0]) * len(gs) * m for gs, ts, _ in self.plan)
+        terms_n = max(len(ts[0]) * ix.size for _, ts, planes in self.plan for _, ix, _ in planes)
+        gather_buf, block_buf, terms_buf, sums_buf = (np.empty(k, self.vals.dtype) for k in (
+            block_n, block_n, terms_n, width * max(len(ts[0]) for _, ts, _ in self.plan)))
+        for gs, batches, planes in self.plan:
+            for t in batches:
+                size = len(t) * len(gs) * m
+                gather = gather_buf[:size].reshape(len(t), len(gs), m)
+                # mode="clip" writes straight into out; the default buffers a copy
+                np.take(self.vals, self.run[t[:, None], gs], axis=0, out=gather, mode="clip")
+                block = block_buf[:size].reshape(len(gs) * m, len(t))
+                block[...] = gather.reshape(len(t), -1).T
+                sums = sums_buf[: width * len(t)].reshape(width, len(t))
+                for rows, index, factor in planes:
+                    terms = terms_buf[: index.size * len(t)].reshape(*index.shape, len(t))
+                    np.take(block, index, axis=0, out=terms, mode="clip")
+                    terms *= factor
+                    sums[rows] = _plane_sum(terms)
+                yield t, sums
+
+    def values(self) -> np.ndarray:
+        """The new level's values, row-major as heads x tails."""
+        out_v = np.empty((len(self.factors[0]), len(self.factors[1])), dtype=self.vals.dtype)
+        for t, sums in self.batches():
             out_v[t] = sums.T
-    return (targets, tail_codes), out_v.reshape(-1)
+        return out_v.reshape(-1)
+
+    def mass_counts(self) -> tuple[np.ndarray, np.ndarray]:
+        """The new level's (value, count) runs, counted once, a batch at a time.
+
+        They merge into one histogram whenever more than ``_READ_BLOCK`` wait.
+        """
+        if self.counts is None:
+            hist, pending, held = [], [], 0
+            for _, sums in self.batches():
+                flat = sums.reshape(-1)
+                flat.sort()  # in the batch buffer: the next batch writes all of it
+                first = np.flatnonzero(np.r_[True, flat[1:] != flat[:-1]])
+                pending.append((flat[first], np.diff(first, append=len(flat))))
+                held += len(first)
+                if held > _READ_BLOCK:
+                    hist, pending, held = [_merged(hist + pending)], [], 0
+            self.counts = _merged(hist + pending)
+        return self.counts
 
 
 def _times_step(
     code: _WordCode, pair: bool, atoms: list, nums: list, support: Support, vals: np.ndarray
-) -> tuple[Support, np.ndarray]:
+) -> tuple[Support, np.ndarray | _ProductStep]:
     """Multiply every state by every atom on the right; sort and sum equal keys.
 
     The products are made, sorted and summed in chunks of about
@@ -768,8 +829,9 @@ def _times_step(
     product but touched only as far as written, then shrunk in place.
 
     ``np.add.reduceat`` adds a key's terms as ``a0 + pairwise(a1, ...)``;
-    a level held as factors takes ``_product_step`` instead, which sorts
-    no products and adds the same terms in that order (``_plane_sum``).
+    a level held as factors takes ``_ProductStep`` instead, which sorts
+    no products and adds the same terms in that order (``_plane_sum``),
+    and is returned unrun in place of the values.
     """
     # atom indices by first word; the atoms are sorted, so in atom order
     groups: dict[Word, list[int]] = {}
@@ -778,7 +840,8 @@ def _times_step(
     words = list(groups)
     num = np.array(nums, dtype=vals.dtype)
     if isinstance(support, tuple):
-        return _product_step(code, atoms, groups, num, *support, vals)
+        step = _ProductStep(code, atoms, groups, num, *support, vals)
+        return step.factors, step
     keys = support
     if pair:  # runs of states sharing a left word
         heads = keys // code.stride
@@ -880,14 +943,16 @@ def iter_convolution_levels(
     (vectorized on shortlex codes) and sums equal keys (``_times_step``).
     A pair step whose sorted keys are every head times one tail set
     (``_product_shape``; at 0 < rho <= 1, every pi_rho) is held as its
-    factors, summed in term planes (``_product_step``), until a cap cuts
+    factors, summed in term planes (``_ProductStep``), until a cap cuts
     a level; a level's bits depend on neither its form nor ``_CHUNK``.
+    An uncut level n made so is yielded unbuilt (module docstring).
     Past ``cap`` atoms the lightest are dropped, ties broken in shortlex
     order (pairs: lexicographic in the two coordinates; ``_heaviest``),
     and only the kept atoms' keys are built (``_kept``); the lost mass is
     tracked so callers can certify bounds, or ``strict=True`` raises
-    ``TruncationError``.  Exact numerators are int64 up to the last level
-    with D**level <= 2**62 and Python ints from the next, whatever ``n`` is.
+    ``TruncationError`` (before a product step makes any product).
+    Exact numerators are int64 up to the last level with D**level <=
+    2**62 and Python ints from the next, whatever ``n`` is.
     """
     check_count("n", n)
     check_count("cap", cap)
@@ -922,13 +987,13 @@ def iter_convolution_levels(
             if exact and vals.dtype != object and denom**level > _INT64_SAFE:
                 vals = vals.astype(object)  # numerators may pass int64 from here
             support, vals = _times_step(code, pair, atoms, nums, support, vals)
+        if len(vals) > cap and strict:
+            raise TruncationError(
+                f"support size {len(vals)} exceeds cap {cap} at level {level}", level, float(lost)
+            )
+        if not isinstance(vals, np.ndarray) and (level < n or len(vals) > cap):
+            vals = vals.values()  # only the last uncut level stays a step
         if len(vals) > cap:
-            if strict:
-                raise TruncationError(
-                    f"support size {len(vals)} exceeds cap {cap} at level {level}",
-                    level,
-                    float(lost),
-                )
             keep = _heaviest(vals, cap)
             dropped = vals[~keep].sum()  # in key order
             if exact:
@@ -937,18 +1002,11 @@ def iter_convolution_levels(
                 lost = lost + float(dropped)
             support, vals = _kept(support, keep, code.stride), vals[keep]
         yield ConvolutionLevel(
-            level=level,
-            kind=step.kind,
-            rank=step.rank,
-            inverse_free=step.inverse_free,
-            step_max_len=step.max_atom_length,
-            exact=exact,
+            level=level, kind=step.kind, rank=step.rank, inverse_free=step.inverse_free,
+            step_max_len=step.max_atom_length, exact=exact,
             denominator=None if not exact else denom**level,
-            truncated=_flag_truncated(lost),
-            lost_mass=lost,
-            _support=support,
-            _vals=vals,
-            _code=code,
+            truncated=_flag_truncated(lost), lost_mass=lost,
+            _support=support, _vals=vals, _code=code,
         )
 
 

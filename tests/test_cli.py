@@ -379,6 +379,28 @@ def test_cli_budget_error_exits_three(tmp_path):
     assert "cap" in r.stderr
 
 
+def test_cli_entropy_refuses_a_product_level_past_the_cap_before_making_it(tmp_path):
+    # level 6 of free_group:2 at rho 0.5 has 1,194,649 pair atoms (9.6 MB of
+    # float masses); its size is known before its step makes a product, so
+    # a strict run stops there instead of making the level and cutting it
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({
+        "spec_version": 1, "group": "free_group:2", "rho": 0.5, "seed": 1,
+        "method": "exact", "n_max": 6, "cap": 1_000_000,
+    }))
+    tracemalloc.start()
+    try:
+        r = CliRunner().invoke(
+            main, ["entropy", "--config", str(cfg), "--out", str(tmp_path / "o")]
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert r.exit_code == 3
+    assert "support size 1194649 exceeds cap 1000000 at level 6" in r.output
+    assert peak < 1_194_649 * 8
+
+
 def test_cli_pointwise_on_group_exits_two(tmp_path):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from noisewalk import walkers
 from noisewalk.errors import InputError, ValidationError
 from noisewalk.estimators import (
     EntropyCurve,
@@ -34,6 +35,7 @@ from noisewalk.measures import (
     uniform_measure,
 )
 from noisewalk.oracle import brute_force_convolution, h_semigroup, tv_distance, tv_semigroup
+from noisewalk.rng import STREAM_TV_INDEPENDENT
 
 F = Fraction
 
@@ -370,6 +372,28 @@ def test_rho_sweep_semigroup_rows():
     # entropy increases with the noise parameter
     vals = [ent.value for _, (ent, *_) in points]
     assert all(b > a for a, b in zip(vals, vals[1:]))
+
+
+def test_rho_sweep_draws_the_independent_walks_once_per_n(monkeypatch):
+    # they do not depend on rho; each grid point reads the same draw and
+    # gets the bytes tv_lower_bound_mc gives on its own
+    mu, grid, tv_ns = srw(2), [0.0, 0.25, 0.5, 0.75, 1.0], (20, 30)
+    draws = []
+    prefixes = walkers.pair_prefix_lengths
+
+    def counted(step, n, trials, seed, stream, **kw):
+        draws.append((n, stream))
+        return prefixes(step, n, trials, seed, stream, **kw)
+
+    monkeypatch.setattr(walkers, "pair_prefix_lengths", counted)
+    points = rho_sweep(mu, grid, n=50, trials=2000, seed=3, tv_ns=tv_ns,
+                       threshold_frac=0.1, entropy_exact_max=2)
+    indep = [n for n, stream in draws if stream == STREAM_TV_INDEPENDENT]
+    assert indep == list(tv_ns)
+    assert len(draws) == len(tv_ns) * (1 + len(grid))
+    monkeypatch.undo()
+    for r, (_, *tvs) in points:
+        assert tvs == [tv_lower_bound_mc(mu, r, tn, 2000, 3, 0.1) for tn in tv_ns]
 
 
 def test_rho_sweep_group_uses_exact_curve():

@@ -37,6 +37,7 @@ from noisewalk.measures import (
     uniform_measure,
 )
 from noisewalk import measures
+from noisewalk.estimators import entropy_exact_curve
 from noisewalk.measures import _WordCode, _position_bits
 from noisewalk.oracle import brute_force_convolution, tv_distance
 from noisewalk.words import multiply, reduce_word
@@ -620,6 +621,112 @@ def test_mass_counts_stay_within_memory_bound(half_level6):
     assert peak < 6 * 2**20
 
 
+def test_entropy_curve_never_builds_its_deepest_level():
+    # level 6 (1,194,649 float masses, 9.6 MB) was built only to be
+    # counted: the traced peak was 13.3 MiB; level 5 and one batch of
+    # the last step are left
+    tracemalloc.start()
+    try:
+        entropy_exact_curve(build_pi_rho(uniform_measure(2), 0.5), 6, cap=2_000_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2**20
+
+
+def count_batch_runs(mp):
+    """Record each run of a ``_ProductStep``'s batch loop; return the record."""
+    runs = []
+    batches = measures._ProductStep.batches
+    mp.setattr(measures._ProductStep, "batches", lambda self: runs.append(1) or batches(self))
+    return runs
+
+
+def value_reads(lv):
+    """Every public read of a level that needs its values.
+
+    Keys enter only through ``values_at``: their stride follows the
+    deepest level of the run.
+    """
+    vals = lv.values
+    return (
+        vals.dtype, vals.tolist() if vals.dtype == object else vals.tobytes(),
+        lv.factors and [f.tolist() for f in lv.factors],
+        list(lv.iter_items()), [c.tolist() for c in lv.coordinate_codes()],
+        lv.values_at(lv.keys).tolist(), lv.kept_total(), lv.to_measure(),
+    )
+
+
+def readout(lv):
+    """The histogram readout of a level and every read behind it."""
+    counts = lv.mass_counts()
+    spec = entropy_mass_spec(lv) if lv.exact and not lv.lost_mass else None
+    return (list(counts.items()), [(type(k), type(c)) for k, c in counts.items()],
+            lv.entropy_kept(), lv.entropy_upper_bound(), spec)
+
+
+@settings(max_examples=100, deadline=None)
+@example(mu=srw(2), rho=0.5, n=3, cap=DEFAULT_CAP)  # float64, deferred
+@example(mu=srw(2), rho=F(1, 2), n=3, cap=DEFAULT_CAP)  # int64, deferred
+@example(mu=srw(2), rho=F(1, 2**31), n=2, cap=DEFAULT_CAP)  # Python ints, deferred
+@example(mu=srw(2), rho=F(1, 2), n=3, cap=200)  # level 3 cut
+@given(
+    mu=small_mus(),
+    rho=st.one_of(
+        st.floats(0, 1, exclude_min=True),
+        st.fractions(0, 1, max_denominator=12),
+        st.sampled_from([0.0, F(1, 2**31), F(2**31 - 1, 2**31)]),  # F(1, 2**31): object
+    ),
+    n=st.integers(1, 3),
+    cap=st.one_of(st.integers(1, 30), st.just(DEFAULT_CAP)),
+)
+def test_deepest_level_reads_as_the_level_built_before_another(mu, rho, n, cap):
+    step = build_pi_rho(mu, rho)
+    want = list(iter_convolution_levels(step, n + 1, cap))[n - 1]
+    meta = lambda lv: (lv.size, lv.level, lv.lost_mass, lv.truncated, lv.denominator)
+    want_reads = (meta(want), readout(want), value_reads(want))
+    with pytest.MonkeyPatch.context() as mp:
+        runs = count_batch_runs(mp)
+        *_, first = iter_convolution_levels(step, n, cap)
+        *_, second = iter_convolution_levels(step, n, cap)
+        runs.clear()
+        deferred = not isinstance(first._vals, np.ndarray)
+        assert (meta(first), meta(second)) == (want_reads[0],) * 2
+        assert not runs  # nothing is built or counted for the sizes
+        # readout first: the last step runs once to count it, once more to store it
+        got_readout, got_readout_again = readout(first), readout(first)
+        assert runs == [1] * deferred
+        assert (got_readout, value_reads(first)) == want_reads[1:]
+        assert got_readout_again == got_readout and runs == [1, 1] * deferred
+        runs.clear()
+        # values first: the step runs once, and the readout counts the values
+        assert value_reads(second) == want_reads[2]
+        assert readout(second) == want_reads[1] and runs == [1] * deferred
+        assert first.keys.tolist() == second.keys.tolist()
+
+
+@pytest.mark.parametrize("chunk", [1, 3])
+@pytest.mark.parametrize("block", [1, 3])
+def test_deferred_readout_merges_to_the_one_shot_counts(chunk, block, monkeypatch):
+    monkeypatch.setattr(measures, "_CHUNK", chunk)
+    monkeypatch.setattr(measures, "_READ_BLOCK", block)
+    merges = []
+    merged = measures._merged
+    monkeypatch.setattr(measures, "_merged", lambda hists: merges.append(1) or merged(hists))
+    for step, n, dtype in [
+        (build_pi_rho(srw(2), 0.3), 3, np.float64),
+        (build_pi_rho(srw(2), F(3, 20)), 3, np.int64),
+        (build_pi_rho(srw(2), F(1, 2**31)), 2, object),
+    ]:
+        *_, lv = iter_convolution_levels(step, n)
+        assert not isinstance(lv._vals, np.ndarray)
+        merges.clear()
+        got = lv.mass_counts()
+        assert len(merges) > 10  # a batch per target head, merged batch by batch
+        assert lv.values.dtype == dtype
+        assert_same_counts(got, one_shot_counts(lv.values))
+
+
 @st.composite
 def bool_rows(draw):
     """Bool matrices with repeated rows and some all-False columns."""
@@ -658,10 +765,10 @@ def factored_levels(step, n, cap=DEFAULT_CAP):
 
 
 def count_product_steps(mp):
-    """Record the size of the level each call of ``_product_step`` reads; return the record."""
+    """Record the size of the level each ``_ProductStep`` reads; return the record."""
     calls = []
-    step_fn = measures._product_step
-    mp.setattr(measures, "_product_step", lambda *a: calls.append(len(a[-1])) or step_fn(*a))
+    step_cls = measures._ProductStep
+    mp.setattr(measures, "_ProductStep", lambda *a: calls.append(len(a[-1])) or step_cls(*a))
     return calls
 
 
