@@ -426,7 +426,9 @@ def _tv_lower_result(mu, rho, g_i, n, trials, seed, threshold_frac, workers) -> 
     lo2, hi2 = _wilson(k2, trials)
     half = math.sqrt(((hi1 - lo1) / 2) ** 2 + ((hi2 - lo2) / 2) ** 2)
     value = abs(p1 - p2)
-    se = math.sqrt(p1 * (1 - p1) / trials + p2 * (1 - p2) / trials)
+    se = math.sqrt(
+        p1 * (1 - p1) / trials + p2 * (1 - p2) / trials
+    )
     return EstimateResult(
         value=value,
         std_error=se,

@@ -493,15 +493,16 @@ class ConvolutionLevel:
     def mass_counts(self) -> Counter:
         """Multiplicity of each distinct stored value (numerator or float), in value order.
 
-        The values are counted ``_READ_BLOCK`` at a time and the blocks'
-        (value, count) pairs merged by one more ``np.unique``, so no copy
-        of the whole level is made; an unbuilt level counts its step's batches.
+        A built level is counted in copies of ``_READ_BLOCK`` values, so no
+        copy of the whole level is made; an unbuilt level counts its step's
+        batches (``_counted``).
         """
         vals = self._vals
-        uniq, cnt = vals.mass_counts() if not isinstance(vals, np.ndarray) else _merged([
-            np.unique(vals[i : i + _READ_BLOCK], return_counts=True)
-            for i in range(0, max(len(vals), 1), _READ_BLOCK)
-        ])
+        if isinstance(vals, np.ndarray):
+            starts = range(0, max(len(vals), 1), _READ_BLOCK)
+            uniq, cnt = _counted(vals[i : i + _READ_BLOCK].copy() for i in starts)
+        else:
+            uniq, cnt = vals.mass_counts()
         return Counter(dict(zip(uniq.tolist(), cnt.tolist())))
 
     def kept_total(self) -> Weight:
@@ -557,6 +558,25 @@ class ConvolutionLevel:
             atoms.append((atom, w))
         atoms.sort(key=lambda kv: kv[0])
         return FiniteMeasure(tuple(atoms), self.rank, self.kind)
+
+
+def _counted(blocks: Iterable[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """(value, count) histogram, in value order, of 1-D blocks it sorts in place.
+
+    Each block's (value, count) runs wait until more wait than both
+    ``_READ_BLOCK`` and the histogram holds, then merge into it: the
+    merges take O(N log N) for N runs in all, and memory stays within
+    about twice the distinct values, plus ``_READ_BLOCK`` and one block.
+    """
+    hist, pending, held = [], [], 0
+    for flat in blocks:
+        flat.sort()
+        first = np.flatnonzero(np.r_[True, flat[1:] != flat[:-1]][: len(flat)])
+        pending.append((flat[first], np.diff(first, append=len(flat))))
+        held += len(first)
+        if held > max(_READ_BLOCK, len(hist[0][0]) if hist else 0):
+            hist, pending, held = [_merged(hist + pending)], [], 0
+    return _merged(hist + pending)
 
 
 def _merged(hists: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
@@ -787,21 +807,10 @@ class _ProductStep:
         return out_v.reshape(-1)
 
     def mass_counts(self) -> tuple[np.ndarray, np.ndarray]:
-        """The new level's (value, count) runs, counted once, a batch at a time.
-
-        They merge into one histogram whenever more than ``_READ_BLOCK`` wait.
-        """
+        """The new level's (value, count) histogram, counted once, a batch at a time."""
         if self.counts is None:
-            hist, pending, held = [], [], 0
-            for _, sums in self.batches():
-                flat = sums.reshape(-1)
-                flat.sort()  # in the batch buffer: the next batch writes all of it
-                first = np.flatnonzero(np.r_[True, flat[1:] != flat[:-1]])
-                pending.append((flat[first], np.diff(first, append=len(flat))))
-                held += len(first)
-                if held > _READ_BLOCK:
-                    hist, pending, held = [_merged(hist + pending)], [], 0
-            self.counts = _merged(hist + pending)
+            # sorted in the batch buffer: the next batch writes all of it
+            self.counts = _counted(sums.reshape(-1) for _, sums in self.batches())
         return self.counts
 
 
@@ -989,7 +998,9 @@ def iter_convolution_levels(
             support, vals = _times_step(code, pair, atoms, nums, support, vals)
         if len(vals) > cap and strict:
             raise TruncationError(
-                f"support size {len(vals)} exceeds cap {cap} at level {level}", level, float(lost)
+                f"support size {len(vals)} exceeds cap {cap} at level {level}",
+                level,
+                float(lost),
             )
         if not isinstance(vals, np.ndarray) and (level < n or len(vals) > cap):
             vals = vals.values()  # only the last uncut level stays a step
@@ -1002,11 +1013,18 @@ def iter_convolution_levels(
                 lost = lost + float(dropped)
             support, vals = _kept(support, keep, code.stride), vals[keep]
         yield ConvolutionLevel(
-            level=level, kind=step.kind, rank=step.rank, inverse_free=step.inverse_free,
-            step_max_len=step.max_atom_length, exact=exact,
+            level=level,
+            kind=step.kind,
+            rank=step.rank,
+            inverse_free=step.inverse_free,
+            step_max_len=step.max_atom_length,
+            exact=exact,
             denominator=None if not exact else denom**level,
-            truncated=_flag_truncated(lost), lost_mass=lost,
-            _support=support, _vals=vals, _code=code,
+            truncated=_flag_truncated(lost),
+            lost_mass=lost,
+            _support=support,
+            _vals=vals,
+            _code=code,
         )
 
 

@@ -595,18 +595,19 @@ def test_mass_counts_match_one_shot_unique(half_level6, monkeypatch):
 def test_mass_counts_blocks_do_not_follow_the_chunk(monkeypatch):
     # at _CHUNK = 1 a readout in blocks of _CHUNK would count one value at a time
     *_, lv = iter_convolution_levels(build_pi_rho(srw(2), 0.3), 3)
-    calls = []
-    unique = np.unique
-    monkeypatch.setattr(np, "unique", lambda *a, **k: calls.append(1) or unique(*a, **k))
+    sizes = []
+    counted = measures._counted
+    monkeypatch.setattr(
+        measures, "_counted", lambda blocks: counted(sizes.append(len(b)) or b for b in blocks)
+    )
     monkeypatch.setattr(measures, "_CHUNK", 1)
     want = one_shot_counts(lv.values)
-    calls.clear()
     assert_same_counts(lv.mass_counts(), want)
-    assert len(calls) == 1  # 1,600 values: one block, nothing to merge
+    assert sizes == [1600]  # one block
     monkeypatch.setattr(measures, "_READ_BLOCK", 3)
-    calls.clear()
+    sizes.clear()
     assert_same_counts(lv.mass_counts(), want)
-    assert len(calls) == -(-lv.size // 3) + 1  # every block, then the merge
+    assert sizes == [3] * 533 + [1]
 
 
 def test_mass_counts_stay_within_memory_bound(half_level6):
@@ -722,9 +723,35 @@ def test_deferred_readout_merges_to_the_one_shot_counts(chunk, block, monkeypatc
         assert not isinstance(lv._vals, np.ndarray)
         merges.clear()
         got = lv.mass_counts()
-        assert len(merges) > 10  # a batch per target head, merged batch by batch
+        assert len(merges) > 5  # a batch per target head, merged as they come
         assert lv.values.dtype == dtype
         assert_same_counts(got, one_shot_counts(lv.values))
+
+
+def test_readout_merges_take_linear_work_on_mostly_distinct_values(monkeypatch):
+    # merging the waiting runs into the whole histogram at every batch is
+    # quadratic: it merged 10,778 values for this level's deferred readout
+    monkeypatch.setattr(measures, "_CHUNK", 1)
+    monkeypatch.setattr(measures, "_READ_BLOCK", 1)
+    merged_in = []
+    merged = measures._merged
+    monkeypatch.setattr(
+        measures, "_merged",
+        lambda hists: merged_in.append(sum(len(u) for u, _ in hists)) or merged(hists),
+    )
+    mu = build_measure([((1,), 0.1), ((2,), 0.2), ((-1,), 0.3), ((-2,), 0.4)])
+    *_, lv = iter_convolution_levels(build_pi_rho(mu, 0.37), 3)
+    assert not isinstance(lv._vals, np.ndarray)
+    deferred = lv.mass_counts()
+    deferred_work = sum(merged_in)
+    want = one_shot_counts(lv.values)
+    assert (lv.size, len(want)) == (1600, 417)
+    merged_in.clear()
+    assert_same_counts(lv.mass_counts(), want)  # now counted from the built values
+    assert_same_counts(deferred, want)
+    # each merge but the last takes under twice the runs that waited, the
+    # last under twice the histogram plus _READ_BLOCK
+    assert deferred_work <= 4 * lv.size + 1 and sum(merged_in) <= 4 * lv.size + 1
 
 
 @st.composite
