@@ -29,6 +29,18 @@ times one numerator.  A class's planes are added in atom order and in
 chunked step adds a key's terms, so a level's bits depend on neither
 its form nor the chunk size.
 
+A factored level stores one row per orbit of heads under the group of
+every permutation of the generators (with signs on a free group) acting
+on both coordinates, when (a) the step's weights are invariant under it
+and (b) level arithmetic is exact: numerators, or float weights in
+2**-e with e * n <= 53 (``_symmetric``).  The head of a stored row is
+its orbit's shortlex-least member; another head reads that row through
+a permutation of the tails (``_Orbits``).  A step sums only the stored
+rows' target heads, and a readout counts each stored value once per
+head of its orbit.  Otherwise the group is trivial and every head is a
+row of its own.  ``size`` and the cap count every atom, and a read of
+per-atom values expands the level once.
+
 Keys and numerators are int64 while they provably fit (keys below
 B**depth, squared for pairs; numerators up to the last level with
 D**level <= 2**62) and Python ints in object arrays otherwise; the
@@ -49,6 +61,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Iterator, Union
 
@@ -411,6 +424,13 @@ class ConvolutionLevel:
     codes and the values laid out row-major as heads x tails, with no
     key per atom (``factors``).  ``keys`` builds the keys of either.
     An unbuilt level holds the ``_ProductStep`` that makes its values.
+
+    A factored level of a symmetric step (``_symmetric``: an invariant
+    step and exact level arithmetic) stores one row per orbit of heads
+    (``_Orbits``); ``size`` still counts every atom, ``mass_counts``
+    counts each stored value once per head of its orbit, and
+    ``values`` (behind ``iter_items``, ``values_at`` and ``to_measure``)
+    expands the level once and keeps the expansion.
     """
 
     level: int
@@ -425,10 +445,15 @@ class ConvolutionLevel:
     _support: Support = field(repr=False)
     _vals: np.ndarray | _ProductStep = field(repr=False)
     _code: _WordCode = field(repr=False)
+    _orbits: _Orbits | None = field(default=None, repr=False)
     _entropy: float | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def size(self) -> int:
+        """Number of atoms, every head of a factored level counted."""
+        if self.factors is not None:
+            heads, tails = self.factors
+            return len(heads) * len(tails)
         return len(self._vals)
 
     @property
@@ -466,9 +491,11 @@ class ConvolutionLevel:
 
     @property
     def values(self) -> np.ndarray:
-        """Stored values (numerators or floats) in key order; built on the first read."""
+        """Values (numerators or floats) in key order; built and expanded on the first read."""
         if not isinstance(self._vals, np.ndarray):
             self._vals = self._vals.values()
+        if self._orbits is not None:
+            self._vals, self._orbits = self._orbits.expand(self._vals), None
         return self._vals
 
     def coordinate_codes(self) -> list[np.ndarray]:
@@ -493,22 +520,17 @@ class ConvolutionLevel:
     def mass_counts(self) -> Counter:
         """Multiplicity of each distinct stored value (numerator or float), in value order.
 
-        A built level is counted in copies of ``_READ_BLOCK`` values, so no
-        copy of the whole level is made; an unbuilt level counts its step's
-        batches (``_counted``).
+        A built level is counted in copies of ``_READ_BLOCK`` stored values,
+        so no copy of the whole level is made, each stored row as often as
+        its orbit has heads; an unbuilt level counts its step's batches
+        (``_counted``).
         """
         vals = self._vals
         if isinstance(vals, np.ndarray):
-            starts = range(0, max(len(vals), 1), _READ_BLOCK)
-            uniq, cnt = _counted(vals[i : i + _READ_BLOCK].copy() for i in starts)
+            uniq, cnt = _counted(_stored_blocks(vals, self._orbits))
         else:
             uniq, cnt = vals.mass_counts()
         return Counter(dict(zip(uniq.tolist(), cnt.tolist())))
-
-    def kept_total(self) -> Weight:
-        if self.exact:
-            return Fraction(int(self.values.sum()), self.denominator)
-        return math.fsum(self.values.tolist())
 
     def entropy_kept(self) -> float:
         """Sum of -w log w over kept atoms, in nats.
@@ -560,19 +582,37 @@ class ConvolutionLevel:
         return FiniteMeasure(tuple(atoms), self.rank, self.kind)
 
 
-def _counted(blocks: Iterable[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+def _stored_blocks(vals: np.ndarray, orbits: _Orbits | None) -> Iterator[tuple[np.ndarray, int]]:
+    """Copies of about ``_READ_BLOCK`` stored values, each with the orbit size of its rows."""
+    if orbits is None:
+        for i in range(0, max(len(vals), 1), _READ_BLOCK):
+            yield vals[i : i + _READ_BLOCK].copy(), 1
+        return
+    rows = vals.reshape(len(orbits.sizes), -1)
+    step = max(1, _READ_BLOCK // rows.shape[1])  # whole rows, each block one orbit size
+    for k in np.unique(orbits.sizes):
+        of_size = np.flatnonzero(orbits.sizes == k)
+        for i in range(0, len(of_size), step):
+            yield rows[of_size[i : i + step]].reshape(-1), int(k)
+
+
+def _counted(blocks: Iterable[tuple[np.ndarray, int]]) -> tuple[np.ndarray, np.ndarray]:
     """(value, count) histogram, in value order, of 1-D blocks it sorts in place.
 
-    Each block's (value, count) runs wait until more wait than both
+    Each block comes with a multiplicity, the times each of its values
+    counts.  Each block's (value, count) runs wait until more wait than both
     ``_READ_BLOCK`` and the histogram holds, then merge into it: the
     merges take O(N log N) for N runs in all, and memory stays within
     about twice the distinct values, plus ``_READ_BLOCK`` and one block.
     """
     hist, pending, held = [], [], 0
-    for flat in blocks:
+    for flat, k in blocks:
         flat.sort()
         first = np.flatnonzero(np.r_[True, flat[1:] != flat[:-1]][: len(flat)])
-        pending.append((flat[first], np.diff(first, append=len(flat))))
+        cnt = np.diff(first, append=len(flat))
+        if k > 1:
+            cnt *= k
+        pending.append((flat[first], cnt))
         held += len(first)
         if held > max(_READ_BLOCK, len(hist[0][0]) if hist else 0):
             hist, pending, held = [_merged(hist + pending)], [], 0
@@ -676,7 +716,7 @@ def _product_shape(keys: np.ndarray, stride: int) -> tuple[np.ndarray, np.ndarra
 
 
 def _row_patterns(reach: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct rows of a bool matrix, lexicographic, and each row's index among them.
+    """Distinct rows of a matrix, lexicographic, and each row's index among them.
 
     ``np.unique(reach, axis=0, return_inverse=True)`` by one lexsort, not a structured sort.
     """
@@ -729,6 +769,115 @@ def _plane_sum(terms: np.ndarray) -> np.ndarray:
     return terms[0]
 
 
+def _symmetric(step: FiniteMeasure, n: int) -> bool:
+    """Whether levels 1..n of a pair step may store one row per orbit of heads.
+
+    The group is every permutation of the generators, with signs on a
+    free group, acting on both coordinates.  It takes (a) a step whose
+    weights it keeps, checked on a transposition, a k-cycle and (on a
+    group) inverting a_1, which generate it; and (b) exact level
+    arithmetic: numerators, or float weights that are multiples of
+    2**-e with e * n <= 53, so that every product and partial sum of a
+    level is a multiple of 2**(-e * level) in [0, 1] and no float sum
+    depends on its order.  Then a head's row, read through its orbit's
+    row, has the bits of its own.
+    """
+    if step.kind != "pair":
+        return False
+    if not step.exact:
+        e = max(w.as_integer_ratio()[1].bit_length() - 1 for _, w in step.atoms)
+        if e * n > 53:
+            return False
+    k = step.rank
+    moves = [{1: 2, 2: 1}] if k > 1 else []
+    if k > 2:
+        moves.append({i: i % k + 1 for i in range(1, k + 1)})
+    if not step.inverse_free:
+        moves.append({1: -1})
+    weights = step._lookup()
+    for move in moves:
+        image = lambda word: tuple(move.get(abs(x), abs(x)) * (1 if x > 0 else -1) for x in word)
+        if any(weights.get((image(x), image(y))) != w for (x, y), w in step.atoms):
+            return False
+    return bool(moves)
+
+
+def _digits(code: _WordCode, codes: np.ndarray) -> list[np.ndarray]:
+    """Letter digits of each code, first letter first; shorter words lead with 0s."""
+    digits = []
+    while np.any(codes):
+        digits.append((codes % code.base).astype(np.intp))
+        codes = codes // code.base
+    return digits[::-1]
+
+
+def _relabelled(code: _WordCode, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Codes of each word's first-appearance relabelling, and the relabelling.
+
+    The word's first generator becomes a_1, with the sign that makes the
+    letter positive, the next new one a_2, and so on: the shortlex-least
+    image of the word under the group (``_symmetric``).  Generators the
+    word does not use follow in index order, positive.  ``image[w, i-1]``
+    is the signed index of the image of a_i under word w's relabelling.
+    """
+    k = code.base - 1 if code.inverse_free else (code.base - 1) // 2
+    rows = np.arange(len(codes))
+    image = np.zeros((len(codes), k + 1), dtype=np.intp)  # column 0: no letter
+    fresh = np.ones(len(codes), dtype=np.intp)
+    out = np.zeros_like(codes)
+    for d in _digits(code, codes):
+        sign = np.where(d > k, -1, 1)
+        gen = d - (d > k) * k
+        new = (d > 0) & (image[rows, gen] == 0)
+        image[rows[new], gen[new]] = sign[new] * fresh[new]
+        fresh += new
+        letter = image[rows, gen] * sign
+        out = out * code.base + np.where(letter < 0, k - letter, letter)
+    for i in range(1, k + 1):
+        unused = image[:, i] == 0
+        image[unused, i] = fresh[unused]
+        fresh += unused
+    return out, image[:, 1:]
+
+
+class _Orbits:
+    """A factored level's heads by orbit, each orbit stored as one row.
+
+    Head h reads the row ``row_of[h]``, that of its relabelling
+    (``_relabelled``), through the tail permutation ``perms[perm_of[h]]``:
+    value(h, t) = value(g h, g t) for the g relabelling h, and
+    ``perms[u, j]`` is the position of g_u(tails[j]) among the tails.
+    ``canon`` indexes the heads of the stored rows, in head order, and
+    ``sizes`` counts each orbit's heads.
+    """
+
+    def __init__(self, code: _WordCode, heads: np.ndarray, tails: np.ndarray):
+        relabelled, image = _relabelled(code, heads)
+        canon, self.row_of = np.unique(relabelled, return_inverse=True)
+        self.canon = np.searchsorted(heads, canon)
+        self.sizes = np.bincount(self.row_of)
+        self.gens, self.perm_of = _row_patterns(image)
+        self.code, self.tails = code, tails
+
+    @cached_property
+    def perms(self) -> np.ndarray:
+        """Made on the first gather: the deepest level of a run may need none."""
+        code, gens, k = self.code, self.gens, self.gens.shape[1]
+        # per relabelling, the image digit of each letter digit
+        signed = np.hstack([np.zeros((len(gens), 1), dtype=np.intp), gens, -gens])
+        table = np.where(signed < 0, k - signed, signed)[:, : code.base]
+        moved = np.zeros((len(gens), len(self.tails)), dtype=self.tails.dtype)
+        for d in _digits(code, self.tails):
+            moved = moved * code.base + table[:, d]
+        return np.searchsorted(self.tails, moved.reshape(-1)).reshape(moved.shape)
+
+    def expand(self, rows: np.ndarray) -> np.ndarray:
+        """Every head's values, row-major as heads x tails, from the stored rows (flat)."""
+        index = self.perms[self.perm_of]
+        index += (self.row_of * self.perms.shape[1])[:, None]
+        return rows[index].reshape(-1)
+
+
 class _ProductStep:
     """``_times_step`` on a level held as factors (every head times one tail set).
 
@@ -739,15 +888,25 @@ class _ProductStep:
     atom's numerator, and each class is one row scatter of its
     ``_plane_sum``.  Every first word of a product step meets every
     second word, so the new level is factors.
+
+    A level with ``_Orbits`` makes one with them: only the stored rows'
+    target heads are summed, a source head's row is gathered through its
+    orbit's permutation, and the batches are planned per pattern and
+    orbit size, so each batch counts with one multiplicity.
     """
 
     def __init__(
         self, code: _WordCode, atoms: list, groups: dict[Word, list[int]], num: np.ndarray,
-        heads: np.ndarray, tails: np.ndarray, vals: np.ndarray,
+        orbits: _Orbits | None, heads: np.ndarray, tails: np.ndarray, vals: np.ndarray,
     ):
         words, m, seconds = list(groups), len(tails), sorted({a[1] for a in atoms})
-        targets, self.run = _preimages(code.times_words(heads, words))
+        targets, run = _preimages(code.times_words(heads, words))
         tail_codes, source = _preimages(code.times_words(tails, seconds))
+        if orbits is None:
+            self.orbits, self.run, sizes = None, run, np.ones(len(targets), dtype=np.intp)
+        else:
+            self.orbits = _Orbits(code, targets, tail_codes)
+            self.run, sizes = run[self.orbits.canon], self.orbits.sizes
         patterns, pattern_of = _row_patterns(self.run >= 0)
         classes, class_of = _row_patterns(source >= 0)
         second = np.array([seconds.index(a[1]) for a in atoms])
@@ -765,30 +924,45 @@ class _ProductStep:
                 used = reached[second[atom]]
                 index = slot[used, None] * m + tail_of[second[atom[used]]]
                 planes.append((rows, index, num[atom[used]][:, None, None]))
-            heads_of = np.flatnonzero(pattern_of == p)
             batch = max(1, _CHUNK // (len(atom) * m))
-            self.plan.append((gs, np.split(heads_of, range(batch, len(heads_of), batch)), planes))
+            batches, heads_of = [], np.flatnonzero(pattern_of == p)
+            for k in np.unique(sizes[heads_of]):  # one orbit size per batch
+                rows = heads_of[sizes[heads_of] == k]
+                batches += [(t, int(k)) for t in np.split(rows, range(batch, len(rows), batch))]
+            self.plan.append((gs, batches, planes))
         self.factors = (targets, tail_codes)
-        self.vals = vals.reshape(len(heads), m)
+        self.source_orbits = orbits
+        self.vals = vals.reshape(-1, m)
         self.counts = None
 
     def __len__(self) -> int:
         return len(self.factors[0]) * len(self.factors[1])
 
-    def batches(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """Yield each batch's target heads and sums, tails-major, in buffers all batches reuse."""
+    def batches(self) -> Iterator[tuple[np.ndarray, np.ndarray, int]]:
+        """Yield each batch's stored rows, sums (tails-major) and orbit size, in reused buffers."""
         m, width = self.vals.shape[1], len(self.factors[1])
-        # sized for the widest batch of any pattern (its first)
-        block_n = max(len(ts[0]) * len(gs) * m for gs, ts, _ in self.plan)
-        terms_n = max(len(ts[0]) * ix.size for _, ts, planes in self.plan for _, ix, _ in planes)
+        # sized for the widest batch of any pattern (the first of each orbit size)
+        widest = [(len(gs), max(len(t) for t, _ in ts), planes) for gs, ts, planes in self.plan]
+        block_n = max(g * w * m for g, w, _ in widest)
+        terms_n = max(w * ix.size for _, w, planes in widest for _, ix, _ in planes)
         gather_buf, block_buf, terms_buf, sums_buf = (np.empty(k, self.vals.dtype) for k in (
-            block_n, block_n, terms_n, width * max(len(ts[0]) for _, ts, _ in self.plan)))
+            block_n, block_n, terms_n, width * max(w for _, w, _ in widest)))
+        if self.source_orbits is not None:
+            index_buf, flat = np.empty(block_n, np.intp), self.vals.reshape(-1)
         for gs, batches, planes in self.plan:
-            for t in batches:
+            for t, k in batches:
                 size = len(t) * len(gs) * m
                 gather = gather_buf[:size].reshape(len(t), len(gs), m)
+                src = self.run[t[:, None], gs]
                 # mode="clip" writes straight into out; the default buffers a copy
-                np.take(self.vals, self.run[t[:, None], gs], axis=0, out=gather, mode="clip")
+                if self.source_orbits is None:
+                    np.take(self.vals, src, axis=0, out=gather, mode="clip")
+                else:  # a source head's row: its orbit's stored row, permuted
+                    at = index_buf[:size].reshape(gather.shape)
+                    read = self.source_orbits
+                    np.take(read.perms, read.perm_of[src], axis=0, out=at, mode="clip")
+                    at += (read.row_of[src] * m)[:, :, None]
+                    np.take(flat, at, out=gather, mode="clip")
                 block = block_buf[:size].reshape(len(gs) * m, len(t))
                 block[...] = gather.reshape(len(t), -1).T
                 sums = sums_buf[: width * len(t)].reshape(width, len(t))
@@ -797,12 +971,12 @@ class _ProductStep:
                     np.take(block, index, axis=0, out=terms, mode="clip")
                     terms *= factor
                     sums[rows] = _plane_sum(terms)
-                yield t, sums
+                yield t, sums, k
 
     def values(self) -> np.ndarray:
-        """The new level's values, row-major as heads x tails."""
-        out_v = np.empty((len(self.factors[0]), len(self.factors[1])), dtype=self.vals.dtype)
-        for t, sums in self.batches():
+        """The new level's stored rows, row-major as stored heads x tails."""
+        out_v = np.empty((len(self.run), len(self.factors[1])), dtype=self.vals.dtype)
+        for t, sums, _ in self.batches():
             out_v[t] = sums.T
         return out_v.reshape(-1)
 
@@ -810,12 +984,13 @@ class _ProductStep:
         """The new level's (value, count) histogram, counted once, a batch at a time."""
         if self.counts is None:
             # sorted in the batch buffer: the next batch writes all of it
-            self.counts = _counted(sums.reshape(-1) for _, sums in self.batches())
+            self.counts = _counted((sums.reshape(-1), k) for _, sums, k in self.batches())
         return self.counts
 
 
 def _times_step(
-    code: _WordCode, pair: bool, atoms: list, nums: list, support: Support, vals: np.ndarray
+    code: _WordCode, pair: bool, atoms: list, nums: list, support: Support, vals: np.ndarray,
+    orbits: _Orbits | None,
 ) -> tuple[Support, np.ndarray | _ProductStep]:
     """Multiply every state by every atom on the right; sort and sum equal keys.
 
@@ -849,7 +1024,7 @@ def _times_step(
     words = list(groups)
     num = np.array(nums, dtype=vals.dtype)
     if isinstance(support, tuple):
-        step = _ProductStep(code, atoms, groups, num, *support, vals)
+        step = _ProductStep(code, atoms, groups, num, orbits, *support, vals)
         return step.factors, step
     keys = support
     if pair:  # runs of states sharing a left word
@@ -955,6 +1130,8 @@ def iter_convolution_levels(
     factors, summed in term planes (``_ProductStep``), until a cap cuts
     a level; a level's bits depend on neither its form nor ``_CHUNK``.
     An uncut level n made so is yielded unbuilt (module docstring).
+    Factored levels of a symmetric step store a row per orbit of heads
+    (``_symmetric``, worked out from the step and ``n``, with no option).
     Past ``cap`` atoms the lightest are dropped, ties broken in shortlex
     order (pairs: lexicographic in the two coordinates; ``_heaviest``),
     and only the kept atoms' keys are built (``_kept``); the lost mass is
@@ -986,8 +1163,12 @@ def iter_convolution_levels(
     vals = np.array(nums, dtype=vals_dtype)
     order = np.argsort(keys)
     support, vals = keys[order], vals[order]
+    orbits = None
     if pair:  # a product step is held as its factors from level 1 on
         support = _product_shape(support, code.stride) or support
+        if isinstance(support, tuple) and _symmetric(step, n):
+            orbits = _Orbits(code, *support)
+            vals = vals.reshape(len(support[0]), -1)[orbits.canon].reshape(-1)
 
     lost: Weight = Fraction(0) if exact else 0.0
 
@@ -995,16 +1176,20 @@ def iter_convolution_levels(
         if level > 1:
             if exact and vals.dtype != object and denom**level > _INT64_SAFE:
                 vals = vals.astype(object)  # numerators may pass int64 from here
-            support, vals = _times_step(code, pair, atoms, nums, support, vals)
-        if len(vals) > cap and strict:
+            support, vals = _times_step(code, pair, atoms, nums, support, vals, orbits)
+            orbits = None if isinstance(vals, np.ndarray) else vals.orbits
+        size = len(support[0]) * len(support[1]) if isinstance(support, tuple) else len(vals)
+        if size > cap and strict:
             raise TruncationError(
-                f"support size {len(vals)} exceeds cap {cap} at level {level}",
+                f"support size {size} exceeds cap {cap} at level {level}",
                 level,
                 float(lost),
             )
-        if not isinstance(vals, np.ndarray) and (level < n or len(vals) > cap):
+        if not isinstance(vals, np.ndarray) and (level < n or size > cap):
             vals = vals.values()  # only the last uncut level stays a step
-        if len(vals) > cap:
+        if size > cap:
+            if orbits is not None:
+                vals, orbits = orbits.expand(vals), None
             keep = _heaviest(vals, cap)
             dropped = vals[~keep].sum()  # in key order
             if exact:
@@ -1025,6 +1210,7 @@ def iter_convolution_levels(
             _support=support,
             _vals=vals,
             _code=code,
+            _orbits=orbits,
         )
 
 

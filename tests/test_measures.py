@@ -305,7 +305,7 @@ def test_level_metadata_and_entropy():
     levels = list(iter_convolution_levels(step, 3))
     for lv in levels:
         assert lv.exact and not lv.truncated and lv.lost_mass == 0
-        assert lv.kept_total() == 1
+        assert Fraction(int(lv.values.sum()), lv.denominator) == 1
         m = lv.to_measure()
         assert abs(lv.entropy_kept() - shannon_entropy(m)) < 1e-12
         assert lv.entropy_upper_bound() >= lv.entropy_kept() - 1e-15
@@ -352,7 +352,7 @@ def test_truncated_level_mass_accounting():
     step = srw(2)
     levels = list(iter_convolution_levels(step, 5, cap=30))
     for lv in levels:
-        assert lv.kept_total() + lv.lost_mass == 1
+        assert Fraction(int(lv.values.sum()), lv.denominator) + lv.lost_mass == 1
 
 
 def test_truncated_float_levels_golden():
@@ -598,7 +598,8 @@ def test_mass_counts_blocks_do_not_follow_the_chunk(monkeypatch):
     sizes = []
     counted = measures._counted
     monkeypatch.setattr(
-        measures, "_counted", lambda blocks: counted(sizes.append(len(b)) or b for b in blocks)
+        measures, "_counted",
+        lambda blocks: counted((sizes.append(len(b)) or b, k) for b, k in blocks),
     )
     monkeypatch.setattr(measures, "_CHUNK", 1)
     want = one_shot_counts(lv.values)
@@ -654,7 +655,9 @@ def value_reads(lv):
         vals.dtype, vals.tolist() if vals.dtype == object else vals.tobytes(),
         lv.factors and [f.tolist() for f in lv.factors],
         list(lv.iter_items()), [c.tolist() for c in lv.coordinate_codes()],
-        lv.values_at(lv.keys).tolist(), lv.kept_total(), lv.to_measure(),
+        lv.values_at(lv.keys).tolist(),
+        Fraction(int(vals.sum()), lv.denominator) if lv.exact else math.fsum(vals.tolist()),
+        lv.to_measure(),
     )
 
 
@@ -714,16 +717,22 @@ def test_deferred_readout_merges_to_the_one_shot_counts(chunk, block, monkeypatc
     merges = []
     merged = measures._merged
     monkeypatch.setattr(measures, "_merged", lambda hists: merges.append(1) or merged(hists))
-    for step, n, dtype in [
+    for orbits, (step, n, dtype) in itertools.product([False, True], [
         (build_pi_rho(srw(2), 0.3), 3, np.float64),
         (build_pi_rho(srw(2), F(3, 20)), 3, np.int64),
         (build_pi_rho(srw(2), F(1, 2**31)), 2, object),
-    ]:
-        *_, lv = iter_convolution_levels(step, n)
+    ]):
+        with pytest.MonkeyPatch.context() as mp:
+            if not orbits:  # one stored row per head, on every step
+                mp.setattr(measures, "_symmetric", lambda step, n: False)
+            *_, lv = iter_convolution_levels(step, n)
         assert not isinstance(lv._vals, np.ndarray)
         merges.clear()
         got = lv.mass_counts()
-        assert len(merges) > 5  # a batch per target head, merged as they come
+        # a batch per stored row, merged as they come: every target head
+        # without orbits; with them 6 rows at level 3 and 3 at level 2
+        # (the float steps, not dyadic, keep a row per head)
+        assert len(merges) > (2 if orbits and dtype != np.float64 else 5)
         assert lv.values.dtype == dtype
         assert_same_counts(got, one_shot_counts(lv.values))
 
@@ -949,6 +958,82 @@ def test_product_levels_sort_no_products(monkeypatch):
     # the cap keeps keys
     assert [lv.size for lv in levels] == [k * k for k in (4, 13, 40, 121, 364)] + [DEFAULT_CAP]
     assert [lv.factors is not None for lv in levels] == [True] * 5 + [False]
+
+
+def orbit_reads(step, n):
+    """Per level: whether it stores rows by orbit, then its histogram (items
+    and types), kept-entropy bits, value bytes, keys and size, each read
+    before the values are expanded."""
+    as_bytes = lambda a: a.tolist() if a.dtype == object else a.tobytes()
+    out = []
+    for lv in iter_convolution_levels(step, n, cap=2_000_000):
+        by_orbit = lv._orbits is not None or getattr(lv._vals, "orbits", None) is not None
+        counts = lv.mass_counts()
+        out.append((
+            by_orbit, list(counts.items()), [(type(k), type(c)) for k, c in counts.items()],
+            lv.entropy_kept().hex(), as_bytes(lv.values), as_bytes(lv.keys), lv.size,
+        ))
+    return out
+
+
+@pytest.mark.parametrize("mu, n", [
+    (uniform_measure(1), 6),  # orbits of 2 words: a^j and a^-j
+    (uniform_measure(2), 6),
+    # level 5 of F_3 has 15.3M pair atoms and level 6 381M
+    (uniform_measure(3), 4),
+    (uniform_measure(3, inverse_free=True), 6),
+], ids=["free_group:1", "free_group:2", "free_group:3", "free_semigroup:3"])
+@pytest.mark.parametrize("rho", [F(0), F(1, 10), F(3, 20), F(1, 2), F(1), 0.5, 0.25])
+def test_orbit_rows_read_as_one_row_per_head(mu, rho, n):
+    step = build_pi_rho(mu, rho)
+    got = orbit_reads(step, n)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(measures, "_symmetric", lambda step, n: False)
+        want = orbit_reads(step, n)
+    assert not any(r[0] for r in want)
+    # orbits on every factored level (0 < rho) of an exact or dyadic step:
+    # floats on F_3 and the semigroup (1/36, 1/9) are not dyadic
+    dyadic = step.exact or mu.rank < 3
+    assert [r[0] for r in got] == [0 < rho and dyadic] * n
+    assert [r[1:] for r in got] == [r[1:] for r in want]
+    for lvl, lv in enumerate(iter_convolution_levels(step, 3 if mu.rank == 3 else 4), start=1):
+        assert_matches_brute_force(lv.to_measure(), brute_force_convolution(step, lvl))
+
+
+def test_symmetry_needs_an_invariant_step_and_exact_sums():
+    assert measures._symmetric(build_pi_rho(srw(2), F(3, 10)), 6)
+    assert measures._symmetric(build_pi_rho(semi(3), F(1, 2)), 6)
+    # float 0.3 is not dyadic: sums could depend on their order
+    assert not measures._symmetric(build_pi_rho(srw(2), 0.3), 6)
+    # a lopsided step is kept by no signed permutation but the identity
+    assert not measures._symmetric(build_pi_rho(LOPSIDED_F6, F(1, 2)), 2)
+    lopsided = build_measure([((1,), F(1, 2)), ((-1,), F(1, 4)), ((2,), F(1, 8)), ((-2,), F(1, 8))])
+    assert not measures._symmetric(build_pi_rho(lopsided, F(1, 2)), 2)
+    # float pi_0.5 on F_2 has weights in 2**-5: levels to 10 keep 53 bits, not 11
+    half = build_pi_rho(srw(2), 0.5)
+    assert measures._symmetric(half, 10) and not measures._symmetric(half, 11)
+    # one generator of a semigroup: only the identity
+    assert not measures._symmetric(build_pi_rho(semi(1), F(1, 2)), 4)
+    assert measures._symmetric(build_pi_rho(srw(1), F(1, 2)), 4)
+
+
+@pytest.mark.parametrize("rank, inverse_free", [(2, False), (3, False), (3, True)])
+def test_relabelling_is_the_shortlex_least_image(rank, inverse_free):
+    code = _WordCode(rank, inverse_free, 4)
+    letters = code.letters
+    words = [w for length in range(5) for w in itertools.product(letters, repeat=length)
+             if reduce_word(w) == w]
+    codes = np.array(sorted(code.encode(w) for w in words))
+    relabelled, image = measures._relabelled(code, codes)
+    signs = [(1,)] * rank if inverse_free else [(1, -1)] * rank
+    group = [dict(zip(range(1, rank + 1), (s * p for s, p in zip(sg, perm))))
+             for perm in itertools.permutations(range(1, rank + 1))
+             for sg in itertools.product(*signs)]
+    act = lambda g, w: tuple(g[abs(x)] * (1 if x > 0 else -1) for x in w)
+    for c, r, g in zip(codes.tolist(), relabelled.tolist(), image.tolist()):
+        w = code.decode(c)
+        assert r == min(code.encode(act(h, w)) for h in group)
+        assert code.encode(act(dict(zip(range(1, rank + 1), g)), w)) == r
 
 
 def test_numerators_are_int64_until_a_level_needs_more():
