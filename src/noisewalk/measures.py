@@ -38,8 +38,9 @@ its orbit's shortlex-least member; another head reads that row through
 a permutation of the tails (``_Orbits``).  A step sums only the stored
 rows' target heads, and a readout counts each stored value once per
 head of its orbit.  Otherwise the group is trivial and every head is a
-row of its own.  ``size`` and the cap count every atom, and a read of
-per-atom values expands the level once.
+row of its own.  ``size`` and the cap count every atom; a level the cap
+cuts is summed for every head, and a read of per-atom values expands
+a level once.
 
 Keys and numerators are int64 while they provably fit (keys below
 B**depth, squared for pairs; numerators up to the last level with
@@ -892,16 +893,20 @@ class _ProductStep:
     A level with ``_Orbits`` makes one with them: only the stored rows'
     target heads are summed, a source head's row is gathered through its
     orbit's permutation, and the batches are planned per pattern and
-    orbit size, so each batch counts with one multiplicity.
+    orbit size, so each batch counts with one multiplicity.  A level the
+    cap will cut needs every head: its source is expanded first.
     """
 
     def __init__(
         self, code: _WordCode, atoms: list, groups: dict[Word, list[int]], num: np.ndarray,
-        orbits: _Orbits | None, heads: np.ndarray, tails: np.ndarray, vals: np.ndarray,
+        orbits: _Orbits | None, cap: int, heads: np.ndarray, tails: np.ndarray,
+        vals: np.ndarray,
     ):
         words, m, seconds = list(groups), len(tails), sorted({a[1] for a in atoms})
         targets, run = _preimages(code.times_words(heads, words))
         tail_codes, source = _preimages(code.times_words(tails, seconds))
+        if orbits is not None and len(targets) * len(tail_codes) > cap:
+            vals, orbits = orbits.expand(vals), None  # a level the cap cuts needs every head
         if orbits is None:
             self.orbits, self.run, sizes = None, run, np.ones(len(targets), dtype=np.intp)
         else:
@@ -913,6 +918,7 @@ class _ProductStep:
         # per class: its target tails, and the source tail of each for each second word
         members = (np.flatnonzero(class_of == c) for c in range(len(classes)))
         tables = [(rows, source[rows].T) for rows in members]
+        orbit_sizes = np.unique(sizes).tolist()
         self.plan = []  # per pattern: its groups, its batches of target heads, its planes
         for p, reach in enumerate(patterns):
             gs = np.flatnonzero(reach)
@@ -925,10 +931,10 @@ class _ProductStep:
                 index = slot[used, None] * m + tail_of[second[atom[used]]]
                 planes.append((rows, index, num[atom[used]][:, None, None]))
             batch = max(1, _CHUNK // (len(atom) * m))
-            batches, heads_of = [], np.flatnonzero(pattern_of == p)
-            for k in np.unique(sizes[heads_of]):  # one orbit size per batch
-                rows = heads_of[sizes[heads_of] == k]
-                batches += [(t, int(k)) for t in np.split(rows, range(batch, len(rows), batch))]
+            batches = []
+            for k in orbit_sizes:  # one orbit size per batch
+                rows = np.flatnonzero((pattern_of == p) & (sizes == k))
+                batches += [(t, k) for t in np.split(rows, range(batch, len(rows), batch)) if len(t)]
             self.plan.append((gs, batches, planes))
         self.factors = (targets, tail_codes)
         self.source_orbits = orbits
@@ -990,7 +996,7 @@ class _ProductStep:
 
 def _times_step(
     code: _WordCode, pair: bool, atoms: list, nums: list, support: Support, vals: np.ndarray,
-    orbits: _Orbits | None,
+    orbits: _Orbits | None, cap: int,
 ) -> tuple[Support, np.ndarray | _ProductStep]:
     """Multiply every state by every atom on the right; sort and sum equal keys.
 
@@ -1024,7 +1030,7 @@ def _times_step(
     words = list(groups)
     num = np.array(nums, dtype=vals.dtype)
     if isinstance(support, tuple):
-        step = _ProductStep(code, atoms, groups, num, orbits, *support, vals)
+        step = _ProductStep(code, atoms, groups, num, orbits, cap, *support, vals)
         return step.factors, step
     keys = support
     if pair:  # runs of states sharing a left word
@@ -1166,7 +1172,7 @@ def iter_convolution_levels(
     orbits = None
     if pair:  # a product step is held as its factors from level 1 on
         support = _product_shape(support, code.stride) or support
-        if isinstance(support, tuple) and _symmetric(step, n):
+        if isinstance(support, tuple) and len(vals) <= cap and _symmetric(step, n):
             orbits = _Orbits(code, *support)
             vals = vals.reshape(len(support[0]), -1)[orbits.canon].reshape(-1)
 
@@ -1176,7 +1182,7 @@ def iter_convolution_levels(
         if level > 1:
             if exact and vals.dtype != object and denom**level > _INT64_SAFE:
                 vals = vals.astype(object)  # numerators may pass int64 from here
-            support, vals = _times_step(code, pair, atoms, nums, support, vals, orbits)
+            support, vals = _times_step(code, pair, atoms, nums, support, vals, orbits, cap)
             orbits = None if isinstance(vals, np.ndarray) else vals.orbits
         size = len(support[0]) * len(support[1]) if isinstance(support, tuple) else len(vals)
         if size > cap and strict:
@@ -1188,8 +1194,6 @@ def iter_convolution_levels(
         if not isinstance(vals, np.ndarray) and (level < n or size > cap):
             vals = vals.values()  # only the last uncut level stays a step
         if size > cap:
-            if orbits is not None:
-                vals, orbits = orbits.expand(vals), None
             keep = _heaviest(vals, cap)
             dropped = vals[~keep].sum()  # in key order
             if exact:

@@ -996,6 +996,11 @@ def test_orbit_rows_read_as_one_row_per_head(mu, rho, n):
     dyadic = step.exact or mu.rank < 3
     assert [r[0] for r in got] == [0 < rho and dyadic] * n
     assert [r[1:] for r in got] == [r[1:] for r in want]
+    # a level the cap cuts is summed for every head, from its source expanded
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(measures, "_symmetric", lambda step, n: False)
+        want_cut = level_record(step, n, 20_000)
+    assert level_record(step, n, 20_000) == want_cut
     for lvl, lv in enumerate(iter_convolution_levels(step, 3 if mu.rank == 3 else 4), start=1):
         assert_matches_brute_force(lv.to_measure(), brute_force_convolution(step, lvl))
 
