@@ -19,15 +19,17 @@ is built level by level: the prefix strings of depth t extend those of
 depth t - 1 by one letter name each.  Ball masses in the max quasi-metric
 e^(-Gromov product) are cylinder frequencies, and the local dimension
 is the slope of -log(ball mass) against the depth t, fitted per center
-on a count matrix gathered one depth at a time; the gathering stops at
-the first grid depth where no node holds ``min_count + 1`` samples,
-since no deeper node can.
+on a count matrix gathered one depth at a time.  A cylinder holding at
+most ``min_count`` samples can give no center a usable count, there or
+deeper, so the fit drops it: only the samples of cylinders that hold
+more go on to draw and sort deeper letters, and the fit stops at the
+first depth where every cylinder has dropped out.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterator
 
 import numpy as np
@@ -101,15 +103,19 @@ class BoundarySampleSet:
             self._reach = np.zeros(walk[1], dtype=np.int32)
         self._keys = self._pairs.view(np.uint16)[..., 0]
 
-    def draw(self, depth: int) -> int:
-        """Draw whole Philox counters for the trials short of ``depth``
-        letters in either coordinate, until each has them or has drawn
-        every step; return how many leading columns every trial has drawn."""
-        while (short := self._reach < depth).any():
-            first = int(self._steps.min(where=short, initial=self.horizon))
+    def draw(self, depth: int, rows: np.ndarray | None = None) -> int:
+        """Draw whole Philox counters for the trials ``rows`` (default all)
+        short of ``depth`` letters in either coordinate, until each has
+        them or has drawn every step; return how many leading columns
+        every one of those trials has drawn."""
+        sub = slice(None) if rows is None else rows
+        while (short := self._reach[sub] < depth).any():
+            steps = self._steps[sub]
+            first = int(steps.min(where=short, initial=self.horizon))
             # the trials at one counter draw it together
-            self._draw_counter(np.flatnonzero(short & (self._steps == first)), first)
-        return int(self._reach.min())
+            at = np.flatnonzero(short & (steps == first))
+            self._draw_counter(at if rows is None else rows[at], first)
+        return int(self._reach[sub].min(initial=self.keep_depth))
 
     def _draw_counter(self, trials: np.ndarray, first: int) -> None:
         """Append the letters of the counter whose first step is ``first``
@@ -208,7 +214,20 @@ def sample_boundary(
 class _TreeLevel:
     keys: np.ndarray  # sorted int64: parent_id * base + pair letter code
     sizes: np.ndarray  # int64 visit counts per node
-    ids: np.ndarray  # int32 node id per sample, -1 when unusable at this depth
+    ids: np.ndarray  # int32 node id per sample, -1 when not in the level
+
+
+@dataclass
+class _LevelRun:
+    """Where a run of levels stands: its deepest level (depth ``t``) and
+    the sorted batch of the depths past it drawn together, through
+    ``batch_end``: the batch's keys and the sample rows they belong to."""
+
+    t: int
+    level: _TreeLevel
+    keys: np.ndarray | None = None
+    rows: np.ndarray | None = None
+    batch_end: int = 0
 
 
 class CylinderTree:
@@ -226,6 +245,9 @@ class CylinderTree:
     letters given to the samples, so a zero letter inside a stable prefix
     fails here and not at a later read; drawn letters are nonzero by
     construction, and drawn only as levels read them.
+
+    ``local_dimension`` goes on past the levels built with levels of its
+    own, which split only large cylinders and are not kept here.
     """
 
     def __init__(self, samples: BoundarySampleSet, depth: int):
@@ -253,14 +275,15 @@ class CylinderTree:
                 raise ValidationError("zero letter inside a stable prefix")
         self._samples = samples
         self._levels: list[_TreeLevel] = []
-        self._ids = np.zeros(n, dtype=np.int32)  # level 0: all at the root
-        self._batch_end = 0  # deepest level of the sorted batch, in _keys and _rows
+        # level 0: every sample at the root
+        root = _TreeLevel(np.zeros(1, dtype=np.int64), np.array([n]), np.zeros(n, dtype=np.int32))
+        self._run = _LevelRun(0, root)
 
     def level(self, t: int) -> _TreeLevel:
         """Level t, building it and every shallower level not built yet."""
         self._check_depth(t)
         while len(self._levels) < t:
-            self._levels.append(self._build_level(len(self._levels) + 1))
+            self._levels.append(self._build_level(self._run, 0))
         return self._levels[t - 1]
 
     @property
@@ -269,35 +292,61 @@ class CylinderTree:
         self.level(self.depth)
         return tuple(self._levels)
 
-    def _build_level(self, t: int) -> _TreeLevel:
-        """Split the nodes of level t - 1 by the pair letter at depth t: the
-        runs of the batch's keys shifted down to depth t, among the samples
-        that reach it.  Past the batch, sort the depths drawn with t first."""
-        bits = self._bits
-        if t > self._batch_end:
-            end = min(self._samples.draw(t), self.depth, t - 1 + self._batch_depths)
-            rows = None if t <= self._reached else np.flatnonzero(self.t_stable >= t)
-            keys = (self._ids if rows is None else self._ids[rows]).astype(np.int64)
+    def _levels_above(self, floor: int, last: int) -> Iterator[_TreeLevel]:
+        """Levels 1..last for a reader of the nodes holding more than
+        ``floor`` samples: those built, then the reader's own, built with
+        that floor and not kept."""
+        built, run = self._levels[:last], replace(self._run)
+        yield from built
+        while run.t < last:
+            yield self._build_level(run, floor)
+
+    def _kept(self, parent: _TreeLevel, t: int, floor: int, rows=None) -> np.ndarray | None:
+        """Mask over ``rows`` (default every sample) of the samples that
+        reach depth t and whose node of ``parent``, level t - 1, holds
+        more than ``floor`` samples; None when that is all of them."""
+        keep = None
+        if t > self._reached:
+            keep = (self.t_stable if rows is None else self.t_stable[rows]) >= t
+        if floor:
+            ids = parent.ids if rows is None else parent.ids[rows]
+            big = np.append(parent.sizes > floor, False)[ids]  # id -1: not in level t - 1
+            keep = big if keep is None else keep & big
+        return None if keep is None or keep.all() else keep
+
+    def _build_level(self, run: _LevelRun, floor: int) -> _TreeLevel:
+        """Build level t = run.t + 1 and move ``run`` to it: split the
+        nodes of level t - 1 holding more than ``floor`` samples by the
+        pair letter at depth t, among their samples that reach it.  These
+        are the runs of the batch's keys shifted down to depth t; past
+        the batch, draw and sort the depths drawn with t first, for those
+        samples only."""
+        t, bits, parent = run.t + 1, self._bits, run.level
+        if t > run.batch_end:
+            keep = self._kept(parent, t, floor)
+            rows = None if keep is None else np.flatnonzero(keep)
+            end = min(self._samples.draw(t, rows), self.depth, t - 1 + self._batch_depths)
+            keys = (parent.ids if rows is None else parent.ids[rows]).astype(np.int64)
             for codes in self._samples.pair_codes(t - 1, end, rows):
                 keys <<= bits
                 keys |= codes
             order = _sort_in_place(keys, self.sample_count << (bits * (end - t + 1)))
-            self._keys, self._rows = keys, order if rows is None else rows[order]
-            self._batch_end = end
-        prefix = self._keys >> (bits * (self._batch_end - t))
-        rows = self._rows
-        if t > self._reached:
-            reach = np.flatnonzero(self.t_stable[rows] >= t)
-            prefix, rows = prefix[reach], rows[reach]
+            run.keys, run.rows = keys, order if rows is None else rows[order]
+            run.batch_end = end
+        elif (keep := self._kept(parent, t, floor, run.rows)) is not None:
+            run.keys, run.rows = run.keys[keep], run.rows[keep]
+        prefix = run.keys >> (bits * (run.batch_end - t))
+        rows = run.rows
         first = np.ones(len(prefix), dtype=bool)  # each run of equal prefixes is a node
         np.not_equal(prefix[1:], prefix[:-1], out=first[1:])
         starts = np.flatnonzero(first)
-        keys = self._ids[rows[starts]] * np.int64(self.base) + (prefix[starts] & (1 << bits) - 1)
-        self._ids = np.full(self.sample_count, -1, dtype=np.int32)
-        self._ids[rows] = np.cumsum(first) - 1
-        if t == self._batch_end:  # the batch's last level: its keys are done
-            self._keys = self._rows = None
-        return _TreeLevel(keys, np.diff(starts, append=len(prefix)), self._ids)
+        keys = parent.ids[rows[starts]] * np.int64(self.base) + (prefix[starts] & (1 << bits) - 1)
+        ids = np.full(self.sample_count, -1, dtype=np.int32)
+        ids[rows] = np.cumsum(first) - 1
+        run.t, run.level = t, _TreeLevel(keys, np.diff(starts, append=len(prefix)), ids)
+        if t == run.batch_end:  # the batch's last level: its keys are done
+            run.keys = run.rows = None
+        return run.level
 
     def node_count(self, t: int) -> int:
         return len(self.level(t).keys)
@@ -386,10 +435,15 @@ def local_dimension(
     points are skipped.  The estimate averages the per-center slopes
     with a normal interval.
 
-    Node sizes never grow with depth, so once no node at a grid depth
-    holds ``min_count + 1`` samples, no center is usable there or
-    deeper; the fit stops at that depth and the tree's deeper levels
-    stay unbuilt.  Each slope is ``np.polyfit(x, y, 1)[0]`` bit for bit;
+    Node sizes never grow with depth, so a cylinder holding at most
+    ``min_count`` samples gives its centers counts below ``min_count``
+    there and at every deeper depth.  Past the tree's deepest built
+    level the fit builds levels of its own, which the tree does not
+    keep, splitting only the cylinders that hold more: only their
+    samples draw and sort deeper letters, and a center of a dropped
+    cylinder reads a count below ``min_count``.  The fit stops at the
+    first depth where every cylinder has dropped out, or at the last
+    grid depth.  Each slope is ``np.polyfit(x, y, 1)[0]`` bit for bit;
     the centers with k usable depths are fitted together, in one stacked
     call of the least-squares routine ``np.linalg.lstsq`` calls.
     """
@@ -411,15 +465,18 @@ def local_dimension(
     ]
     chosen = np.sort(chosen)
     denom = tree.sample_count - 1
-    # [centers, depths] leave-one-out counts; ids are -1 beyond a center's reach
+    # [centers, depths] leave-one-out counts; ids are -1 beyond a center's
+    # reach, and in a level past the tree's, where its cylinder dropped out
     reach = tree.t_stable[chosen][:, None] >= np.array(ts)[None, :]
     counts = np.zeros(reach.shape, dtype=np.int64)
-    for j, t in enumerate(ts):
-        lv = tree.level(t)
+    column = {t: j for j, t in enumerate(ts)}
+    for t, lv in enumerate(tree._levels_above(min_count, ts[-1]), start=1):
+        if (j := column.get(t)) is not None:
+            ids = lv.ids[chosen[reach[:, j]]]
+            counts[reach[:, j], j] = np.append(lv.sizes, 0)[ids] - 1
         # node sizes never grow with depth: past this t no center is usable
-        if lv.sizes.max(initial=0) - 1 < min_count:
+        if lv.sizes.max(initial=0) <= min_count:
             break
-        counts[reach[:, j], j] = lv.sizes[lv.ids[chosen[reach[:, j]]]] - 1
     usable = reach & (counts >= min_count)
     dropped_points = int(np.count_nonzero(reach & ~usable))
     # math.log, not np.log: libm rounding keeps the slopes bit for bit

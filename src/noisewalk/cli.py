@@ -15,7 +15,7 @@ reruns), an optional ``plot.svg``, plus subcommand extras (``sweep.csv``,
 ``tree.txt``).
 
 Exit codes: 0 success, 2 validation or input error, 3 compute-budget or
-truncation error.
+truncation error, or a run that could not allocate its memory.
 """
 
 from __future__ import annotations
@@ -641,15 +641,16 @@ def _run_dimension(cfg: RunConfig):
             keep_depth=keep, workers=cfg.workers,
         )
         tree = boundary_mod.build_tree(samples, max(cfg.t_grid))
+        # the export first: the fit then reads the levels it built
+        if cfg.export_tree_depth:
+            extras["tree.txt"] = "".join(
+                line + "\n" for line in tree.export_records(cfg.export_tree_depth)
+            )
         results = (boundary_mod.local_dimension(
             samples, tree, cfg.t_grid, cfg.centers, cfg.seed,
             min_count=cfg.min_count,
         ),)
         rhos = (cfg.rho,)
-        if cfg.export_tree_depth:
-            extras["tree.txt"] = "".join(
-                line + "\n" for line in tree.export_records(cfg.export_tree_depth)
-            )
     m = measures.uniform_letter_count(cfg.measure)
     records = []
     for rho, r in zip(rhos, results):
@@ -739,7 +740,7 @@ def _dispatch(subcommand: str, config: str | None, flags: dict) -> None:
     except (InputError, ValidationError, UnsupportedRegimeError) as e:
         click.echo(f"error: {e}", err=True)
         sys.exit(2)
-    except (BudgetError, TruncationError) as e:
+    except (BudgetError, TruncationError, MemoryError) as e:
         click.echo(f"compute budget exceeded: {e}", err=True)
         sys.exit(3)
     sys.exit(0)

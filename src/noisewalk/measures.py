@@ -68,6 +68,7 @@ from typing import Iterable, Iterator, Union
 
 import numpy as np
 
+from . import rng as rngmod
 from .errors import BudgetError, InputError, TruncationError, ValidationError, check_count
 from .words import Word, WordPair, pair_length, reduce_word
 
@@ -120,21 +121,14 @@ class FiniteMeasure:
     @property
     def inverse_free(self) -> bool:
         """True when every letter of every atom is positive."""
-        for atom, _ in self.atoms:
-            words = atom if self.kind == "pair" else (atom,)
-            for w in words:
-                if any(x < 0 for x in w):
-                    return False
-        return True
+        return self._cached("_inverse_free", lambda: not any(
+            x < 0 for atom, _ in self.atoms
+            for w in (atom if self.kind == "pair" else (atom,)) for x in w))
 
     @property
     def max_atom_length(self) -> int:
-        if self.kind == "pair":
-            return max(pair_length(a) for a, _ in self.atoms)
-        return max(len(a) for a, _ in self.atoms)
-
-    def weight_of(self, atom: Atom) -> Weight:
-        return self._lookup().get(atom, Fraction(0) if self.exact else 0.0)
+        length = pair_length if self.kind == "pair" else len
+        return self._cached("_max_atom_length", lambda: max(length(a) for a, _ in self.atoms))
 
     def support(self) -> list[Atom]:
         return [a for a, _ in self.atoms]
@@ -151,19 +145,24 @@ class FiniteMeasure:
             tuple((a, float(w)) for a, w in self.atoms), self.rank, self.kind
         )
 
+    def _cached(self, name: str, make):
+        """``make()``, made on the first read and kept on the (frozen) measure."""
+        value = self.__dict__.get(name)
+        if value is None:
+            value = make()
+            object.__setattr__(self, name, value)
+        return value
+
     def _lookup(self) -> dict:
-        d = getattr(self, "_lookup_cache", None)
-        if d is None:
-            d = dict(self.atoms)
-            object.__setattr__(self, "_lookup_cache", d)
-        return d
+        return self._cached("_lookup_cache", lambda: dict(self.atoms))
 
     def _cumulative(self) -> np.ndarray:
-        c = getattr(self, "_cum_cache", None)
-        if c is None:
-            c = np.cumsum(np.array([float(w) for _, w in self.atoms]))
-            object.__setattr__(self, "_cum_cache", c)
-        return c
+        return self._cached("_cum_cache", lambda: np.cumsum(
+            np.array([float(w) for _, w in self.atoms])))
+
+    def _guide(self) -> np.ndarray:
+        """``rng.index_guide`` of the cumulative weights."""
+        return self._cached("_guide_cache", lambda: rngmod.index_guide(self._cumulative()))
 
 
 def _normalize_atom(raw, kind: str | None) -> tuple[Atom, str]:

@@ -56,12 +56,12 @@ def index_block(
     trials[i]), from Philox counter ``counter`` on (``rng.PHILOX_WORDS``
     indices per counter).
 
-    Raw Philox words become indices through one guide table per call.
+    Raw Philox words become indices through the measure's guide table,
+    built once per measure.
     Long streams are drawn a few rows at a time, so no [trials, n] word
     matrix is built beside the index matrix.
     """
-    cum = measure._cumulative()
-    guide = rngmod.index_guide(cum)
+    cum, guide = measure._cumulative(), measure._guide()
     streams = rngmod.stream_ids(component, trials)
     out = np.empty((len(streams), n), dtype=np.int32)
     rows = max(1, _WORDS_PER_DRAW // max(n, 1))

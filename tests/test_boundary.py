@@ -6,6 +6,7 @@ import math
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -502,23 +503,25 @@ def _assert_level_equal(lv, ref):
 
 
 def _stop_depth(ref, t_grid, min_count):
-    """First grid depth where no node holds min_count + 1 samples."""
-    for t in sorted(t_grid):
+    """First depth where no node holds min_count + 1 samples, and every
+    cylinder has dropped out of the fit; the last grid depth if none is."""
+    for t in range(1, max(t_grid) + 1):
         if ref[t - 1][1].max(initial=0) - 1 < min_count:
             return t
     return max(t_grid)
 
 
 class _LevelSpy:
-    """Records the depth of every level ``CylinderTree`` builds."""
+    """Records the depth of every level ``CylinderTree`` builds, for the
+    tree or for a fit."""
 
     def __init__(self, mp):
         self.built = []
         real = CylinderTree._build_level
 
-        def spy(tree, t):
-            self.built.append(t)
-            return real(tree, t)
+        def spy(tree, run, floor):
+            self.built.append(run.t + 1)
+            return real(tree, run, floor)
 
         mp.setattr(CylinderTree, "_build_level", spy)
 
@@ -579,6 +582,101 @@ def test_local_dimension_leaves_levels_past_the_stop_depth_unbuilt(monkeypatch):
     got = local_dimension(s, tree, t_grid, 200, 3, min_count=5)
     assert spy.built == list(range(1, stop + 1))
     assert got == _local_dimension_reference(build_tree(s, 20), t_grid, 200, 3, 5)
+
+
+PREFIX_CODE = measures.build_measure([((1,), Fraction(1, 2)), ((2, 1), Fraction(1, 3)),
+                                      ((2, 2), Fraction(1, 6))])
+
+
+@st.composite
+def drawn_sets(draw):
+    """Makers of fresh lazily drawn sets of an inverse-free step, some with
+    atoms of unequal length, so that a reference can draw its own copy."""
+    mu = draw(st.sampled_from([semi(1), semi(2), semi(3), PREFIX_CODE]))
+    horizon = draw(st.integers(1, 12))
+    keep = draw(st.integers(2, max(2, min(12, horizon * mu.max_atom_length))))
+    if keep > horizon * mu.max_atom_length:
+        horizon = keep
+    return partial(sample_boundary, mu, draw(st.sampled_from([0.0, 0.3, 0.5, 1.0])),
+                   horizon, draw(st.integers(2, 300)), draw(st.integers(0, 2**32)), keep)
+
+
+@settings(max_examples=150, deadline=None)
+@given(make=st.one_of(sample_sets().map(lambda s: lambda: s), drawn_sets()),
+       data=st.data())
+def test_fit_on_a_fresh_tree_matches_the_reference_and_leaves_the_tree_whole(make, data):
+    s = make()
+    depth = s.keep_depth
+    t_grid = data.draw(st.lists(st.integers(1, depth), min_size=2, unique=True))
+    n_centers = data.draw(st.integers(1, 50))
+    min_count = data.draw(st.integers(1, 5))
+    seed = data.draw(st.integers(0, 2**64 - 1))
+    full = build_tree(make(), depth)
+    try:
+        expect = _local_dimension_reference(full, t_grid, n_centers, seed, min_count)
+    except ValidationError as e:
+        expect = e
+    tree = build_tree(s, depth)
+    if isinstance(expect, ValidationError):
+        with pytest.raises(ValidationError, match=str(expect)):
+            local_dimension(s, tree, tuple(t_grid), n_centers, seed, min_count)
+    else:
+        assert local_dimension(s, tree, tuple(t_grid), n_centers, seed, min_count) == expect
+    # the fit's levels were its own: the tree's read whole, in any order
+    ref = _eager_levels(make(), depth)
+    for t in data.draw(st.permutations(range(1, depth + 1))):
+        _assert_level_equal(tree.level(t), ref[t - 1])
+    for d in range(1, depth + 1):
+        assert list(tree.export_records(d)) == _export_reference(full, d)
+
+
+def test_fit_draws_counters_past_the_first_only_for_live_trials(monkeypatch):
+    # the shape of _semigroup_dimension_run: one letter a step, so counter c
+    # holds letters 4c - 3..4c, and a trial needs it only while its cylinder
+    # at depth 4c - 4 holds more than min_count samples
+    args, depth, min_count = (semi(2), 0.5, 50, 3000, 13, 40), 40, 5
+    t_grid = tuple(range(1, depth + 1))
+    ref = _eager_levels(sample_boundary(*args), depth)
+    expect = _local_dimension_reference(build_tree(sample_boundary(*args), depth), t_grid,
+                                        80, 13, min_count)
+    drawn = {}  # counter -> the trials that drew it
+    real = walkers.step_indices
+
+    def spy(measure, seed, component, rows, first, last):
+        drawn.setdefault(first // rngmod.PHILOX_WORDS + 1, []).extend(np.asarray(rows).tolist())
+        return real(measure, seed, component, rows, first, last)
+
+    monkeypatch.setattr(walkers, "step_indices", spy)
+    s = sample_boundary(*args)
+    assert local_dimension(s, build_tree(s, depth), t_grid, 80, 13, min_count) == expect
+    assert sorted(drawn[1]) == list(range(3000))
+    live_counts = []
+    for c in range(2, depth // 4 + 1):
+        keys, sizes, ids = ref[4 * c - 5]
+        live = np.flatnonzero(sizes[ids] > min_count)
+        assert sorted(drawn.get(c, [])) == live.tolist()
+        live_counts.append(len(live))
+    assert set(drawn) == {1} | {c for c, n in enumerate(live_counts, start=2) if n}
+    assert 0 < live_counts[1] < 3000 and live_counts[-1] == 0
+
+
+@pytest.mark.parametrize("rho", [{"rho": 0.5}, {"rho_grid": [0.2, 1.0]}], ids=["one", "gap"])
+def test_dimension_run_builds_one_guide_table_per_measure(monkeypatch, tmp_path, rho):
+    built = []
+    real = rngmod.index_guide
+
+    def spy(cum):
+        built.append(cum)
+        return real(cum)
+
+    monkeypatch.setattr(rngmod, "index_guide", spy)
+    execute(parse_config("dimension", None, {
+        "group": "free_semigroup:2", "seed": 13, "trials": 3000, "horizon": 50,
+        "t_grid": list(range(1, 41)), "centers": 80, **rho,
+        "out": str(tmp_path),
+    }))
+    assert len(built) == (1 if "rho" in rho else 2)
+    assert len({id(cum) for cum in built}) == len(built)
 
 
 @pytest.mark.parametrize(

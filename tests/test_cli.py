@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import re
+import resource
 import subprocess
 import sys
 import tracemalloc
@@ -18,13 +19,14 @@ from noisewalk.errors import ValidationError
 from noisewalk.oracle import h_semigroup, tv_semigroup
 
 
-def run_cli(*args, cwd=None):
+def run_cli(*args, cwd=None, preexec_fn=None):
     return subprocess.run(
         [sys.executable, "-m", "noisewalk.cli", *args],
         capture_output=True,
         text=True,
         cwd=cwd,
         timeout=300,
+        preexec_fn=preexec_fn,
     )
 
 
@@ -377,6 +379,22 @@ def test_cli_budget_error_exits_three(tmp_path):
     r = run_cli("entropy", "--config", str(cfg), "--out", str(tmp_path / "o"))
     assert r.returncode == 3
     assert "cap" in r.stderr
+
+
+def _three_gib_address_space():
+    """Limit the calling process, a child about to run the command, to 3 GiB."""
+    resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+
+
+def test_cli_memory_error_exits_three_without_a_traceback(tmp_path):
+    # the default cap cuts level 2 of free_group:20 to 10^6 atoms, and the
+    # chunked step of level 3 then asks for all 1.6e9 products at once
+    r = run_cli("sweep", "--group", "free_group:20", "--rho-grid", "[0.5]", "--n", "10",
+                "--trials", "10", "--seed", "1", "--out", str(tmp_path / "o"),
+                preexec_fn=_three_gib_address_space)
+    assert r.returncode == 3, r.stderr
+    assert r.stderr.startswith("compute budget exceeded: Unable to allocate")
+    assert "Traceback" not in r.stderr
 
 
 def test_cli_entropy_refuses_a_product_level_past_the_cap_before_making_it(tmp_path):
