@@ -368,17 +368,18 @@ class CylinderTree:
         limit = self.depth if max_depth is None else max_depth
         self._check_depth(limit)
         # code c < rank is letter c + 1, a larger one the inverse letter rank - 1 - c
-        names = np.array([str(c + 1 if c < self.rank else self.rank - 1 - c)
-                          for c in range(self.letter_base)], dtype=object)
+        names = [str(c + 1 if c < self.rank else self.rank - 1 - c)
+                 for c in range(self.letter_base)]
         # a node's prefix strings are its parent's plus one letter each
-        p1 = p2 = np.array([""], dtype=object)
+        p1 = p2 = [""]
         for t in range(1, limit + 1):
             lv = self.level(t)
             parents, codes = np.divmod(lv.keys, self.base)
-            sep = names if t == 1 else "," + names
-            p1 = p1[parents] + sep[codes // self.letter_base]
-            p2 = p2[parents] + sep[codes % self.letter_base]
-            yield from (p1 + " " + p2 + " " + lv.sizes.astype(str).astype(object)).tolist()
+            sep = names if t == 1 else ["," + x for x in names]
+            parents, first, second = (a.tolist() for a in (parents, *np.divmod(codes, self.letter_base)))
+            p1 = [p1[p] + sep[c] for p, c in zip(parents, first)]
+            p2 = [p2[p] + sep[c] for p, c in zip(parents, second)]
+            yield from [f"{a} {b} {n}" for a, b, n in zip(p1, p2, lv.sizes.tolist())]
 
 
 def build_tree(samples: BoundarySampleSet, depth: int) -> CylinderTree:

@@ -564,6 +564,13 @@ def _run_drift(cfg: RunConfig):
     return records, {}
 
 
+def _check_rate_levels(cfg: RunConfig) -> None:
+    """An exact entropy rate is an increment of two levels: refuse ``n_max`` = 1
+    before any work, with the message the rate itself would raise."""
+    if cfg.n_max < 2:
+        raise ValidationError("need at least two untruncated levels for a rate")
+
+
 def _run_entropy(cfg: RunConfig):
     m = measures.uniform_letter_count(cfg.measure)
     method = cfg.method
@@ -580,6 +587,7 @@ def _run_entropy(cfg: RunConfig):
         r = estimators.shannon_pointwise(m, cfg.rho, cfg.n, cfg.trials, cfg.seed)
         records.append(_result_record(r, "entropy", cfg.rho))
     else:
+        _check_rate_levels(cfg)
         step = cfg.measure
         if cfg.rho is not None:
             step = measures.build_pi_rho(cfg.measure, cfg.rho)
@@ -662,6 +670,8 @@ def _run_dimension(cfg: RunConfig):
 
 
 def _run_sweep(cfg: RunConfig):
+    if measures.uniform_letter_count(cfg.measure) is None:  # exact entropy at each point
+        _check_rate_levels(cfg)
     # each coordinate of pi_rho is a mu-walk, so one drift of mu serves
     # every grid point
     drift = estimators.drift_mc(cfg.measure, cfg.n, cfg.trials, cfg.seed,

@@ -33,14 +33,16 @@ A factored level stores one row per orbit of heads under the group of
 every permutation of the generators (with signs on a free group) acting
 on both coordinates, when (a) the step's weights are invariant under it
 and (b) level arithmetic is exact: numerators, or float weights in
-2**-e with e * n <= 53 (``_symmetric``).  The head of a stored row is
+2**-e with e * n <= 53 (``_symmetric``), from the first level whose step
+makes at least ``_ORBIT_PRODUCTS`` products on (level 1's step is the
+identity times the step's atoms).  Below that the orbits cost more to
+find and read than the rows they save.  The head of a stored row is
 its orbit's shortlex-least member; another head reads that row through
 a permutation of the tails (``_Orbits``).  A step sums only the stored
 rows' target heads, and a readout counts each stored value once per
-head of its orbit.  Otherwise the group is trivial and every head is a
-row of its own.  ``size`` and the cap count every atom; a level the cap
-cuts is summed for every head, and a read of per-atom values expands
-a level once.
+head of its orbit.  Otherwise every head is a row of its own.  ``size``
+and the cap count every atom; a level the cap cuts is summed for every
+head, and a read of per-atom values expands a level once.
 
 Keys and numerators are int64 while they provably fit (keys below
 B**depth, squared for pairs; numerators up to the last level with
@@ -83,6 +85,12 @@ _MATERIALIZE_CAP = 3_000_000
 _INT64_SAFE = 2**62
 # products made, sorted and summed at a time in a convolution level step
 _CHUNK = 1 << 18
+# products from which a level step of a symmetric pair step stores a row per
+# orbit of heads.  Float pi_0.5 on F_2 to n = 6 took 8.6, 8.1, 7.9, 7.6, 7.5,
+# 9.9 and 14.2 ms with orbit rows from 0, 300, 3,000, 30,000, 2**16 and 300,000
+# products on, or none (mean of two medians of 50 interleaved curves; 2 cores,
+# Python 3.11, numpy 2.4); 2**16 starts them at level 5 (14,641 x 16 products)
+_ORBIT_PRODUCTS = _CHUNK // 4
 # values counted at a time by a level's histogram readout
 _READ_BLOCK = 1 << 18
 
@@ -426,7 +434,8 @@ class ConvolutionLevel:
     An unbuilt level holds the ``_ProductStep`` that makes its values.
 
     A factored level of a symmetric step (``_symmetric``: an invariant
-    step and exact level arithmetic) stores one row per orbit of heads
+    step and exact level arithmetic) made by a step of at least
+    ``_ORBIT_PRODUCTS`` products stores one row per orbit of heads
     (``_Orbits``); ``size`` still counts every atom, ``mass_counts``
     counts each stored value once per head of its orbit, and
     ``values`` (behind ``iter_items``, ``values_at`` and ``to_measure``)
@@ -889,37 +898,44 @@ class _ProductStep:
     ``_plane_sum``.  Every first word of a product step meets every
     second word, so the new level is factors.
 
-    A level with ``_Orbits`` makes one with them: only the stored rows'
-    target heads are summed, a source head's row is gathered through its
-    orbit's permutation, and the batches are planned per pattern and
-    orbit size, so each batch counts with one multiplicity.  A level the
-    cap will cut needs every head: its source is expanded first.
+    On a symmetric step (``symmetric``) of at least ``_ORBIT_PRODUCTS``
+    products the new level stores a row per orbit (``_Orbits``): only
+    the stored rows' target heads are summed.  A source with orbit rows
+    is gathered through each head's orbit permutation.  A pattern's
+    stored rows are ordered by orbit size, then row, and cut into batches
+    by ``_CHUNK`` alone; the readout cuts a batch's columns where the
+    orbit size changes (``_blocks``), so each block counts with one
+    multiplicity.  A level the cap will cut needs every head: it stores
+    no orbit rows, and a source with them is expanded first.
     """
 
     def __init__(
         self, code: _WordCode, atoms: list, groups: dict[Word, list[int]], num: np.ndarray,
-        orbits: _Orbits | None, cap: int, heads: np.ndarray, tails: np.ndarray,
-        vals: np.ndarray,
+        orbits: _Orbits | None, symmetric: bool, cap: int, heads: np.ndarray,
+        tails: np.ndarray, vals: np.ndarray,
     ):
         words, m, seconds = list(groups), len(tails), sorted({a[1] for a in atoms})
         targets, run = _preimages(code.times_words(heads, words))
         tail_codes, source = _preimages(code.times_words(tails, seconds))
-        if orbits is not None and len(targets) * len(tail_codes) > cap:
+        size = len(targets) * len(tail_codes)
+        if orbits is not None and size > cap:
             vals, orbits = orbits.expand(vals), None  # a level the cap cuts needs every head
-        if orbits is None:
-            self.orbits, self.run, sizes = None, run, np.ones(len(targets), dtype=np.intp)
-        else:
+        if symmetric and size <= cap and len(heads) * m * len(atoms) >= _ORBIT_PRODUCTS:
             self.orbits = _Orbits(code, targets, tail_codes)
             self.run, sizes = run[self.orbits.canon], self.orbits.sizes
+        else:
+            self.orbits, self.run, sizes = None, run, np.ones(len(targets), dtype=np.intp)
         patterns, pattern_of = _row_patterns(self.run >= 0)
         classes, class_of = _row_patterns(source >= 0)
         second = np.array([seconds.index(a[1]) for a in atoms])
         # per class: its target tails, and the source tail of each for each second word
         members = (np.flatnonzero(class_of == c) for c in range(len(classes)))
         tables = [(rows, source[rows].T) for rows in members]
-        orbit_sizes = np.unique(sizes).tolist()
+        # stored rows by pattern, then orbit size, then row
+        order = np.lexsort((sizes, pattern_of))
+        by_pattern = np.split(order, np.cumsum(np.bincount(pattern_of))[:-1])
         self.plan = []  # per pattern: its groups, its batches of target heads, its planes
-        for p, reach in enumerate(patterns):
+        for reach, heads_p in zip(patterns, by_pattern):
             gs = np.flatnonzero(reach)
             # the pattern's atoms in atom order, each with the slot s of its group's
             # run; a batch's block holds tail j of slot s's run in row s * m + j
@@ -930,11 +946,7 @@ class _ProductStep:
                 index = slot[used, None] * m + tail_of[second[atom[used]]]
                 planes.append((rows, index, num[atom[used]][:, None, None]))
             batch = max(1, _CHUNK // (len(atom) * m))
-            batches = []
-            for k in orbit_sizes:  # one orbit size per batch
-                rows = np.flatnonzero((pattern_of == p) & (sizes == k))
-                batches += [(t, k) for t in np.split(rows, range(batch, len(rows), batch)) if len(t)]
-            self.plan.append((gs, batches, planes))
+            self.plan.append((gs, np.split(heads_p, range(batch, len(heads_p), batch)), planes))
         self.factors = (targets, tail_codes)
         self.source_orbits = orbits
         self.vals = vals.reshape(-1, m)
@@ -943,11 +955,11 @@ class _ProductStep:
     def __len__(self) -> int:
         return len(self.factors[0]) * len(self.factors[1])
 
-    def batches(self) -> Iterator[tuple[np.ndarray, np.ndarray, int]]:
-        """Yield each batch's stored rows, sums (tails-major) and orbit size, in reused buffers."""
+    def batches(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """Yield each batch's stored rows and sums (tails-major), in reused buffers."""
         m, width = self.vals.shape[1], len(self.factors[1])
-        # sized for the widest batch of any pattern (the first of each orbit size)
-        widest = [(len(gs), max(len(t) for t, _ in ts), planes) for gs, ts, planes in self.plan]
+        # sized for the widest batch of any pattern (its first)
+        widest = [(len(gs), len(ts[0]), planes) for gs, ts, planes in self.plan]
         block_n = max(g * w * m for g, w, _ in widest)
         terms_n = max(w * ix.size for _, w, planes in widest for _, ix, _ in planes)
         gather_buf, block_buf, terms_buf, sums_buf = (np.empty(k, self.vals.dtype) for k in (
@@ -955,7 +967,7 @@ class _ProductStep:
         if self.source_orbits is not None:
             index_buf, flat = np.empty(block_n, np.intp), self.vals.reshape(-1)
         for gs, batches, planes in self.plan:
-            for t, k in batches:
+            for t in batches:
                 size = len(t) * len(gs) * m
                 gather = gather_buf[:size].reshape(len(t), len(gs), m)
                 src = self.run[t[:, None], gs]
@@ -976,26 +988,40 @@ class _ProductStep:
                     np.take(block, index, axis=0, out=terms, mode="clip")
                     terms *= factor
                     sums[rows] = _plane_sum(terms)
-                yield t, sums, k
+                yield t, sums
 
     def values(self) -> np.ndarray:
         """The new level's stored rows, row-major as stored heads x tails."""
         out_v = np.empty((len(self.run), len(self.factors[1])), dtype=self.vals.dtype)
-        for t, sums, _ in self.batches():
+        for t, sums in self.batches():
             out_v[t] = sums.T
         return out_v.reshape(-1)
 
     def mass_counts(self) -> tuple[np.ndarray, np.ndarray]:
         """The new level's (value, count) histogram, counted once, a batch at a time."""
         if self.counts is None:
-            # sorted in the batch buffer: the next batch writes all of it
-            self.counts = _counted((sums.reshape(-1), k) for _, sums, k in self.batches())
+            self.counts = _counted(self._blocks())
         return self.counts
+
+    def _blocks(self) -> Iterator[tuple[np.ndarray, int]]:
+        """Each batch's sums, flat and cut where its rows' orbit size changes, with that size.
+
+        ``_counted`` sorts each block in place: a batch of one orbit size
+        is its buffer, which the next batch writes anew; a cut is a copy.
+        """
+        for t, sums in self.batches():
+            if self.orbits is None:
+                yield sums.reshape(-1), 1
+                continue
+            k = self.orbits.sizes[t]
+            cut = [0, *(np.flatnonzero(k[1:] != k[:-1]) + 1), len(t)]
+            for a, b in zip(cut, cut[1:]):
+                yield sums[:, a:b].reshape(-1), int(k[a])
 
 
 def _times_step(
     code: _WordCode, pair: bool, atoms: list, nums: list, support: Support, vals: np.ndarray,
-    orbits: _Orbits | None, cap: int,
+    orbits: _Orbits | None, symmetric: bool, cap: int,
 ) -> tuple[Support, np.ndarray | _ProductStep]:
     """Multiply every state by every atom on the right; sort and sum equal keys.
 
@@ -1029,7 +1055,7 @@ def _times_step(
     words = list(groups)
     num = np.array(nums, dtype=vals.dtype)
     if isinstance(support, tuple):
-        step = _ProductStep(code, atoms, groups, num, orbits, cap, *support, vals)
+        step = _ProductStep(code, atoms, groups, num, orbits, symmetric, cap, *support, vals)
         return step.factors, step
     keys = support
     if pair:  # runs of states sharing a left word
@@ -1136,7 +1162,8 @@ def iter_convolution_levels(
     a level; a level's bits depend on neither its form nor ``_CHUNK``.
     An uncut level n made so is yielded unbuilt (module docstring).
     Factored levels of a symmetric step store a row per orbit of heads
-    (``_symmetric``, worked out from the step and ``n``, with no option).
+    (``_symmetric``, worked out from the step and ``n``, with no option)
+    from the first level whose step makes ``_ORBIT_PRODUCTS`` products.
     Past ``cap`` atoms the lightest are dropped, ties broken in shortlex
     order (pairs: lexicographic in the two coordinates; ``_heaviest``),
     and only the kept atoms' keys are built (``_kept``); the lost mass is
@@ -1168,10 +1195,11 @@ def iter_convolution_levels(
     vals = np.array(nums, dtype=vals_dtype)
     order = np.argsort(keys)
     support, vals = keys[order], vals[order]
-    orbits = None
+    orbits, symmetric = None, False
     if pair:  # a product step is held as its factors from level 1 on
         support = _product_shape(support, code.stride) or support
-        if isinstance(support, tuple) and len(vals) <= cap and _symmetric(step, n):
+        symmetric = isinstance(support, tuple) and len(vals) <= cap and _symmetric(step, n)
+        if symmetric and len(vals) >= _ORBIT_PRODUCTS:
             orbits = _Orbits(code, *support)
             vals = vals.reshape(len(support[0]), -1)[orbits.canon].reshape(-1)
 
@@ -1181,7 +1209,8 @@ def iter_convolution_levels(
         if level > 1:
             if exact and vals.dtype != object and denom**level > _INT64_SAFE:
                 vals = vals.astype(object)  # numerators may pass int64 from here
-            support, vals = _times_step(code, pair, atoms, nums, support, vals, orbits, cap)
+            support, vals = _times_step(
+                code, pair, atoms, nums, support, vals, orbits, symmetric, cap)
             orbits = None if isinstance(vals, np.ndarray) else vals.orbits
         size = len(support[0]) * len(support[1]) if isinstance(support, tuple) else len(vals)
         if size > cap and strict:

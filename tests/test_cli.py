@@ -13,7 +13,7 @@ import pytest
 
 from click.testing import CliRunner
 
-from noisewalk import walkers
+from noisewalk import estimators, measures, walkers
 from noisewalk.cli import _SUBCOMMANDS, CSV_HEADER, execute, main, parse_config
 from noisewalk.errors import ValidationError
 from noisewalk.oracle import h_semigroup, tv_semigroup
@@ -428,6 +428,38 @@ def test_cli_pointwise_on_group_exits_two(tmp_path):
     r = run_cli("entropy", "--config", str(cfg), "--out", str(tmp_path / "o"))
     assert r.returncode == 2
     assert "pointwise entropy" in r.stderr
+
+
+@pytest.mark.parametrize("subcommand, keys, code", [
+    ("entropy", {"group": "free_group:2", "rho": 0.5, "method": "exact"}, 2),
+    ("entropy", {"group": "free_group:2", "rho": 0.5}, 2),  # auto: exact on a group
+    ("entropy", {"group": "free_semigroup:2", "method": "exact"}, 2),
+    ("sweep", {"group": "free_group:2", "rho_grid": "0:1:0.5"}, 2),
+    ("sweep", {"group": "free_semigroup:1", "rho_grid": "0:1:0.5"}, 2),
+    # pointwise: no exact level is read, so one is enough
+    ("sweep", {"group": "free_semigroup:2", "rho_grid": "0:1:0.5"}, 0),
+    ("entropy", {"group": "free_semigroup:2", "rho": 0.5}, 0),
+])
+def test_cli_one_exact_level_is_refused_before_any_work(tmp_path, monkeypatch, subcommand,
+                                                         keys, code):
+    # a rate is an increment of two levels; n_max = 1 used to compute every
+    # level (and, in sweep, the drift of mu) before exiting 2
+    ran = []
+    for module, name in [(estimators, "drift_mc"), (estimators, "iter_convolution_levels"),
+                         (measures, "iter_convolution_levels")]:
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, real=real, name=name, **kw:
+                            ran.append(name) or real(*a, **kw))
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"spec_version": 1, "n_max": 1, "n": 20, "trials": 10,
+                               "seed": 1, **keys}))
+    r = CliRunner().invoke(main, [subcommand, "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert r.exit_code == code, r.output
+    if code:
+        assert "need at least two untruncated levels for a rate" in r.output
+        assert ran == []
+    else:
+        assert "iter_convolution_levels" not in ran
 
 
 # ---------------------------------------------------------------------------

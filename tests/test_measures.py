@@ -730,6 +730,8 @@ def test_deferred_readout_merges_to_the_one_shot_counts(chunk, block, monkeypatc
         with pytest.MonkeyPatch.context() as mp:
             if not orbits:  # one stored row per head, on every step
                 mp.setattr(measures, "_symmetric", lambda step, n: False)
+            else:  # orbit rows on every level, however small
+                mp.setattr(measures, "_ORBIT_PRODUCTS", 0)
             *_, lv = iter_convolution_levels(step, n)
         assert not isinstance(lv._vals, np.ndarray)
         merges.clear()
@@ -965,18 +967,19 @@ def test_product_levels_sort_no_products(monkeypatch):
     assert [lv.factors is not None for lv in levels] == [True] * 5 + [False]
 
 
-def orbit_reads(step, n):
+def orbit_reads(step, n, cap=2_000_000):
     """Per level: whether it stores rows by orbit, then its histogram (items
-    and types), kept-entropy bits, value bytes, keys and size, each read
-    before the values are expanded."""
+    and types), kept-entropy bits, value bytes, keys, size and lost mass,
+    each read before the values are expanded."""
     as_bytes = lambda a: a.tolist() if a.dtype == object else a.tobytes()
     out = []
-    for lv in iter_convolution_levels(step, n, cap=2_000_000):
+    for lv in iter_convolution_levels(step, n, cap=cap):
         by_orbit = lv._orbits is not None or getattr(lv._vals, "orbits", None) is not None
         counts = lv.mass_counts()
         out.append((
             by_orbit, list(counts.items()), [(type(k), type(c)) for k, c in counts.items()],
             lv.entropy_kept().hex(), as_bytes(lv.values), as_bytes(lv.keys), lv.size,
+            lv.lost_mass,
         ))
     return out
 
@@ -991,24 +994,119 @@ def orbit_reads(step, n):
 @pytest.mark.parametrize("rho", [F(0), F(1, 10), F(3, 20), F(1, 2), F(1), 0.5, 0.25])
 def test_orbit_rows_read_as_one_row_per_head(mu, rho, n):
     step = build_pi_rho(mu, rho)
-    got = orbit_reads(step, n)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(measures, "_symmetric", lambda step, n: False)
         want = orbit_reads(step, n)
     assert not any(r[0] for r in want)
-    # orbits on every factored level (0 < rho) of an exact or dyadic step:
-    # floats on F_3 and the semigroup (1/36, 1/9) are not dyadic
-    dyadic = step.exact or mu.rank < 3
-    assert [r[0] for r in got] == [0 < rho and dyadic] * n
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(measures, "_ORBIT_PRODUCTS", 0)
+        everywhere = orbit_reads(step, n)
+    got = orbit_reads(step, n)
+    # at break-even 0, orbits on every factored level (0 < rho) of an exact
+    # or dyadic step: floats on F_3 and the semigroup (1/36, 1/9) are not dyadic
+    symmetric = 0 < rho and (step.exact or mu.rank < 3)
+    assert [r[0] for r in everywhere] == [symmetric] * n
+    # at the default, from the first level whose step makes _ORBIT_PRODUCTS
+    # products on: level l's step multiplies each atom of level l - 1 by each
+    # step atom (level 0 is one atom)
+    products = [size * step.support_size for size in [1] + [r[6] for r in want[:-1]]]
+    starts = [symmetric and p >= measures._ORBIT_PRODUCTS for p in products]
+    assert [r[0] for r in got] == starts and starts == sorted(starts)
+    # rows start within the run on every symmetric step but F_1's, whose levels stay small
+    assert not starts[0] and any(starts) == (symmetric and mu.rank > 1)
+    assert [r[1:] for r in everywhere] == [r[1:] for r in want]
     assert [r[1:] for r in got] == [r[1:] for r in want]
     # a level the cap cuts is summed for every head, from its source expanded
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(measures, "_symmetric", lambda step, n: False)
         want_cut = level_record(step, n, 20_000)
-    assert level_record(step, n, 20_000) == want_cut
+    for break_even in (0, measures._ORBIT_PRODUCTS):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(measures, "_ORBIT_PRODUCTS", break_even)
+            assert level_record(step, n, 20_000) == want_cut
     # brute force enumerates |support|**n sequences: 36**4 is too slow on F_3
     for lvl, lv in enumerate(iter_convolution_levels(step, 4 if step.support_size <= 16 else 3), 1):
         assert_matches_brute_force(lv.to_measure(), brute_force_convolution(step, lvl))
+
+
+def test_orbit_rows_start_by_the_products_of_the_step_not_the_atoms():
+    # level 2 of F_8 has 58,081 pair atoms, made by 256 x 256 = 2**16 products
+    step = build_pi_rho(srw(8), F(1, 2))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(measures, "_symmetric", lambda step, n: False)
+        want = [r[1:] for r in orbit_reads(step, 2)]
+    for break_even, starts in [(2**16, [False, True]), (2**16 + 1, [False, False])]:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(measures, "_ORBIT_PRODUCTS", break_even)
+            reads = orbit_reads(step, 2)
+        assert [r[0] for r in reads] == starts and [r[1:] for r in reads] == want
+    assert want[1][5] == 58_081 and measures._ORBIT_PRODUCTS == 2**16
+
+
+# the deepest n each symmetric step runs to in the tests below
+SYMMETRIC_MUS = [(srw(1), 6), (srw(2), 6), (srw(3), 4), (semi(1), 6), (semi(2), 6), (semi(3), 6)]
+
+
+@settings(max_examples=20, deadline=None)
+@example(mu_n=(srw(2), 6), rho=0.5, n=6, cap=2_000_000)  # rows start at level 5
+@example(mu_n=(semi(3), 6), rho=F(1, 2), n=6, cap=DEFAULT_CAP)  # at level 6
+@example(mu_n=(srw(3), 4), rho=F(1, 4), n=4, cap=700)  # level 2 cut
+@given(
+    mu_n=st.sampled_from(SYMMETRIC_MUS),
+    rho=st.one_of(
+        st.fractions(0, 1, max_denominator=12),
+        st.sampled_from([0.0, 0.125, 0.25, 0.5, 0.75, 1.0]),  # dyadic floats
+    ),
+    n=st.integers(1, 6),
+    cap=st.one_of(st.integers(1, 3_000), st.just(DEFAULT_CAP)),
+)
+def test_levels_read_the_same_at_any_break_even_and_chunk(mu_n, rho, n, cap):
+    mu, deepest = mu_n
+    step, n = build_pi_rho(mu, rho), min(n, deepest)
+    reads = []
+    for break_even, chunk in itertools.product(
+            [0, measures._ORBIT_PRODUCTS, 2**63], [1, measures._CHUNK]):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(measures, "_ORBIT_PRODUCTS", break_even)
+            mp.setattr(measures, "_CHUNK", chunk)
+            reads.append([r[1:] for r in orbit_reads(step, n, cap)])
+    assert all(r == reads[0] for r in reads[1:])
+
+
+@pytest.mark.parametrize("mu, rho, n", [
+    (srw(2), 0.5, 6), (srw(3), F(1, 4), 4), (semi(3), F(1, 2), 6),
+], ids=["free_group:2", "free_group:3", "free_semigroup:3"])
+@pytest.mark.parametrize("chunk", [1, measures._CHUNK])
+def test_streamed_readout_counts_each_block_with_one_orbit_size(mu, rho, n, chunk, monkeypatch):
+    monkeypatch.setattr(measures, "_CHUNK", chunk)
+    *_, lv = iter_convolution_levels(build_pi_rho(mu, rho), n, cap=2_000_000)
+    step = lv._vals
+    assert step.orbits is not None
+    log = []
+    batches, counted = measures._ProductStep.batches, measures._counted
+
+    def logged_batches(self):
+        for t, sums in batches(self):
+            log.append((t.copy(), sums.copy(), []))
+            yield t, sums
+
+    def logged_counted(blocks):
+        return counted((log[-1][2].append((flat.copy(), k)) or (flat, k) for flat, k in blocks))
+
+    monkeypatch.setattr(measures._ProductStep, "batches", logged_batches)
+    monkeypatch.setattr(measures, "_counted", logged_counted)
+    got = lv.mass_counts()
+    # each batch's blocks are its rows' sums, one block per orbit size
+    for t, sums, blocks in log:
+        sizes = step.orbits.sizes[t]
+        want = [(np.sort(sums[:, sizes == k].reshape(-1)), k) for k in np.unique(sizes)]
+        assert [(np.sort(flat).tobytes(), k) for flat, k in blocks] == [
+            (flat.tobytes(), k) for flat, k in want]
+    assert sum(len(flat) * k for *_, blocks in log for flat, k in blocks) == lv.size
+    # at _CHUNK = 1 a batch is one row; a wider batch of several orbit sizes
+    # is cut, and the counts are the one-shot counts
+    assert (sum(len(blocks) for *_, blocks in log) > len(log)) == (chunk > 1)
+    assert_same_counts(got, one_shot_counts(lv.values))
 
 
 def test_symmetry_needs_an_invariant_step_and_exact_sums():
