@@ -376,9 +376,10 @@ class CylinderTree:
             lv = self.level(t)
             parents, codes = np.divmod(lv.keys, self.base)
             sep = names if t == 1 else ["," + x for x in names]
-            parents, first, second = (a.tolist() for a in (parents, *np.divmod(codes, self.letter_base)))
-            p1 = [p1[p] + sep[c] for p, c in zip(parents, first)]
-            p2 = [p2[p] + sep[c] for p, c in zip(parents, second)]
+            first, second = np.divmod(codes, self.letter_base)
+            parents = parents.tolist()
+            p1 = [p1[p] + sep[c] for p, c in zip(parents, first.tolist())]
+            p2 = [p2[p] + sep[c] for p, c in zip(parents, second.tolist())]
             yield from [f"{a} {b} {n}" for a, b, n in zip(p1, p2, lv.sizes.tolist())]
 
 
