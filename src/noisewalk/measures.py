@@ -39,8 +39,10 @@ identity times the step's atoms).  Below that the orbits cost more to
 find and read than the rows they save.  The head of a stored row is
 its orbit's shortlex-least member; another head reads that row through
 a permutation of the tails (``_Orbits``).  A step sums only the stored
-rows' target heads, and a readout counts each stored value once per
-head of its orbit.  Otherwise every head is a row of its own.  ``size``
+rows' target heads, in batches cut by ``_CHUNK`` alone from a pattern's
+rows in orbit-size order, and a readout counts each stored value once
+per head of its orbit, cutting a streamed batch where the orbit size
+changes.  Otherwise every head is a row of its own.  ``size``
 and the cap count every atom; a level the cap cuts is summed for every
 head, and a read of per-atom values expands a level once.
 
@@ -437,7 +439,8 @@ class ConvolutionLevel:
     step and exact level arithmetic) made by a step of at least
     ``_ORBIT_PRODUCTS`` products stores one row per orbit of heads
     (``_Orbits``); ``size`` still counts every atom, ``mass_counts``
-    counts each stored value once per head of its orbit, and
+    counts each stored value once per head of its orbit (an unbuilt
+    level cuts its step's batches where the orbit size changes), and
     ``values`` (behind ``iter_items``, ``values_at`` and ``to_measure``)
     expands the level once and keeps the expansion.
     """
@@ -1163,7 +1166,8 @@ def iter_convolution_levels(
     An uncut level n made so is yielded unbuilt (module docstring).
     Factored levels of a symmetric step store a row per orbit of heads
     (``_symmetric``, worked out from the step and ``n``, with no option)
-    from the first level whose step makes ``_ORBIT_PRODUCTS`` products.
+    from the first level whose step makes ``_ORBIT_PRODUCTS`` products,
+    batched by pattern alone.
     Past ``cap`` atoms the lightest are dropped, ties broken in shortlex
     order (pairs: lexicographic in the two coordinates; ``_heaviest``),
     and only the kept atoms' keys are built (``_kept``); the lost mass is
