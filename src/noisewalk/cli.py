@@ -264,7 +264,7 @@ def parse_config(
             raise ValidationError("config must be a JSON object")
         if "spec_version" not in cfg:
             raise ValidationError('config is missing "spec_version"')
-        if cfg["spec_version"] != 1:
+        if type(cfg["spec_version"]) is not int or cfg["spec_version"] != 1:  # not True, 1.0
             raise ValidationError(f"unsupported spec_version {cfg['spec_version']!r}")
         del cfg["spec_version"]
     given = {k: x for k, x in cfg.items() if x is not None}
@@ -564,13 +564,6 @@ def _run_drift(cfg: RunConfig):
     return records, {}
 
 
-def _check_rate_levels(cfg: RunConfig) -> None:
-    """An exact entropy rate is an increment of two levels: refuse ``n_max`` = 1
-    before any work, with the message the rate itself would raise."""
-    if cfg.n_max < 2:
-        raise ValidationError("need at least two untruncated levels for a rate")
-
-
 def _run_entropy(cfg: RunConfig):
     m = measures.uniform_letter_count(cfg.measure)
     method = cfg.method
@@ -587,7 +580,8 @@ def _run_entropy(cfg: RunConfig):
         r = estimators.shannon_pointwise(m, cfg.rho, cfg.n, cfg.trials, cfg.seed)
         records.append(_result_record(r, "entropy", cfg.rho))
     else:
-        _check_rate_levels(cfg)
+        if cfg.n_max < 2:  # a rate is an increment of two levels: refuse before any work
+            raise ValidationError("need at least two untruncated levels for a rate")
         step = cfg.measure
         if cfg.rho is not None:
             step = measures.build_pi_rho(cfg.measure, cfg.rho)
@@ -670,18 +664,16 @@ def _run_dimension(cfg: RunConfig):
 
 
 def _run_sweep(cfg: RunConfig):
-    if measures.uniform_letter_count(cfg.measure) is None:  # exact entropy at each point
-        _check_rate_levels(cfg)
-    # each coordinate of pi_rho is a mu-walk, so one drift of mu serves
-    # every grid point
-    drift = estimators.drift_mc(cfg.measure, cfg.n, cfg.trials, cfg.seed,
-                                workers=cfg.workers)
-    records = [_result_record(drift, "sweep", None)]
+    # first the grid points, which refuse a bad n_max before any work; each
+    # coordinate of pi_rho is a mu-walk, so one drift of mu serves them all
     points = estimators.rho_sweep(
         cfg.measure, cfg.rho_grid, n=cfg.n, trials=cfg.trials, seed=cfg.seed,
         tv_ns=cfg.tv_ns, threshold_frac=cfg.threshold_frac,
         entropy_exact_max=cfg.n_max, cap=cfg.cap, workers=cfg.workers,
     )
+    drift = estimators.drift_mc(cfg.measure, cfg.n, cfg.trials, cfg.seed,
+                                workers=cfg.workers)
+    records = [_result_record(drift, "sweep", None)]
     lines = [",".join(["rho", "h_value", "h_std_error", "h_closed_form",
                        *(f"tv{tn}_value" for tn in cfg.tv_ns)])]
     for rho, (ent, *tvs) in points:
@@ -779,7 +771,7 @@ _make_command("drift", "Monte Carlo drift of the walk (coupled pair when rho giv
 _make_command("entropy", "Entropy rate: pointwise Monte Carlo or exact convolution.")
 _make_command("tv", "Total variation: closed form, exact, and Monte Carlo lower bound.")
 _make_command("dimension", "Boundary local dimension (singularity check with 2 rhos).")
-_make_command("sweep", "Entropy and TV sweep over a rho grid, after one drift of mu.")
+_make_command("sweep", "Entropy and TV sweep over a rho grid, with one drift of mu.")
 _make_command("report", "Rewrite table.csv from an existing results.json, and with "
               "--plot draw a summary chart of it.")
 

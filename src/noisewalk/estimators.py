@@ -478,12 +478,15 @@ def rho_sweep(
     keeps curves smooth in rho and results deterministic in the seed.
     Uniform single-letter supports use the pointwise entropy estimator,
     whose details carry the closed form; other supports use exact
-    convolution increments up to ``entropy_exact_max`` levels.
+    convolution increments up to ``entropy_exact_max`` levels, and a rate
+    needs two, so ``entropy_exact_max`` < 2 is refused before any draw.
     """
     grid = [float(rho_weight(r)) for r in rho_grid]
     if not grid:
         raise InputError("rho grid is empty")
     m = uniform_letter_count(mu)
+    if m is None and entropy_exact_max < 2:
+        raise ValidationError("need at least two untruncated levels for a rate")
     indep = [_independent_prefixes(mu, tn, trials, seed, threshold_frac, workers)
              for tn in tv_ns]
     points = []

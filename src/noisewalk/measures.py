@@ -33,18 +33,18 @@ A factored level stores one row per orbit of heads under the group of
 every permutation of the generators (with signs on a free group) acting
 on both coordinates, when (a) the step's weights are invariant under it
 and (b) level arithmetic is exact: numerators, or float weights in
-2**-e with e * n <= 53 (``_symmetric``), from the first level whose step
-makes at least ``_ORBIT_PRODUCTS`` products on (level 1's step is the
-identity times the step's atoms).  Below that the orbits cost more to
-find and read than the rows they save.  The head of a stored row is
+2**-e with e * n <= 53 (``_symmetric``), on every level whose step makes
+at least ``_ORBIT_PRODUCTS`` products and is not cut (``_ProductStep``
+decides; level 1 is made by no step).  Below that the orbits cost more
+to find and read than the rows they save.  The head of a stored row is
 its orbit's shortlex-least member; another head reads that row through
 a permutation of the tails (``_Orbits``).  A step sums only the stored
 rows' target heads, in batches cut by ``_CHUNK`` alone from a pattern's
 rows in orbit-size order, and a readout counts each stored value once
 per head of its orbit, cutting a streamed batch where the orbit size
-changes.  Otherwise every head is a row of its own.  ``size``
-and the cap count every atom; a level the cap cuts is summed for every
-head, and a read of per-atom values expands a level once.
+changes.  Otherwise every head is a row of its own.  ``size`` and the
+cap count every atom; a level the cap cuts is summed for every head from
+its source's rows, and only ``ConvolutionLevel.values`` expands a level.
 
 Keys and numerators are int64 while they provably fit (keys below
 B**depth, squared for pairs; numerators up to the last level with
@@ -436,19 +436,17 @@ class ConvolutionLevel:
     An unbuilt level holds the ``_ProductStep`` that makes its values.
 
     A factored level of a symmetric step (``_symmetric``: an invariant
-    step and exact level arithmetic) made by a step of at least
-    ``_ORBIT_PRODUCTS`` products stores one row per orbit of heads
-    (``_Orbits``); ``size`` still counts every atom, ``mass_counts``
-    counts each stored value once per head of its orbit (an unbuilt
-    level cuts its step's batches where the orbit size changes), and
-    ``values`` (behind ``iter_items``, ``values_at`` and ``to_measure``)
-    expands the level once and keeps the expansion.
+    step and exact level arithmetic) may store one row per orbit of heads
+    (``_Orbits``), as its ``_ProductStep`` decides; ``size`` still counts
+    every atom, ``mass_counts`` counts each stored value once per head of
+    its orbit (an unbuilt level cuts its step's batches where the orbit
+    size changes), and ``values`` (behind ``iter_items``, ``values_at``
+    and ``to_measure``) alone expands the level, once, and keeps that.
     """
 
     level: int
     kind: str
     rank: int
-    inverse_free: bool
     step_max_len: int
     exact: bool
     denominator: int | None
@@ -891,7 +889,7 @@ class _Orbits:
 
 
 class _ProductStep:
-    """``_times_step`` on a level held as factors (every head times one tail set).
+    """``_times_step``'s sums on a level held as factors (every head times one tail set).
 
     Made as its plan, so the new level's factors and ``len`` are known
     before any product.  A pattern's target heads go in batches of about
@@ -901,15 +899,16 @@ class _ProductStep:
     ``_plane_sum``.  Every first word of a product step meets every
     second word, so the new level is factors.
 
-    On a symmetric step (``symmetric``) of at least ``_ORBIT_PRODUCTS``
-    products the new level stores a row per orbit (``_Orbits``): only
-    the stored rows' target heads are summed.  A source with orbit rows
-    is gathered through each head's orbit permutation.  A pattern's
-    stored rows are ordered by orbit size, then row, and cut into batches
-    by ``_CHUNK`` alone; the readout cuts a batch's columns where the
-    orbit size changes (``_blocks``), so each block counts with one
-    multiplicity.  A level the cap will cut needs every head: it stores
-    no orbit rows, and a source with them is expanded first.
+    This is the one place a level's orbit rows are decided: on a
+    symmetric step (``symmetric``) of at least ``_ORBIT_PRODUCTS``
+    products that the cap will not cut (a cut level needs every head),
+    the new level stores a row per orbit (``_Orbits``), and only the
+    stored rows' target heads are summed.  A source with orbit rows
+    (``orbits``) is gathered through each head's orbit permutation.  A
+    pattern's stored rows are ordered by orbit size, then row, and cut
+    into batches by ``_CHUNK`` alone; the readout cuts a batch's columns
+    where the orbit size changes (``_blocks``), so each block counts
+    with one multiplicity.
     """
 
     def __init__(
@@ -921,8 +920,6 @@ class _ProductStep:
         targets, run = _preimages(code.times_words(heads, words))
         tail_codes, source = _preimages(code.times_words(tails, seconds))
         size = len(targets) * len(tail_codes)
-        if orbits is not None and size > cap:
-            vals, orbits = orbits.expand(vals), None  # a level the cap cuts needs every head
         if symmetric and size <= cap and len(heads) * m * len(atoms) >= _ORBIT_PRODUCTS:
             self.orbits = _Orbits(code, targets, tail_codes)
             self.run, sizes = run[self.orbits.canon], self.orbits.sizes
@@ -1023,9 +1020,9 @@ class _ProductStep:
 
 
 def _times_step(
-    code: _WordCode, pair: bool, atoms: list, nums: list, support: Support, vals: np.ndarray,
-    orbits: _Orbits | None, symmetric: bool, cap: int,
-) -> tuple[Support, np.ndarray | _ProductStep]:
+    code: _WordCode, pair: bool, atoms: list, groups: dict[Word, list[int]], num: np.ndarray,
+    keys: np.ndarray, vals: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
     """Multiply every state by every atom on the right; sort and sum equal keys.
 
     The products are made, sorted and summed in chunks of about
@@ -1045,22 +1042,10 @@ def _times_step(
     values in the same order as a stable sort of the whole level.  The
     sums go straight into the level's arrays, allocated for every
     product but touched only as far as written, then shrunk in place.
-
-    ``np.add.reduceat`` adds a key's terms as ``a0 + pairwise(a1, ...)``;
-    a level held as factors takes ``_ProductStep`` instead, which sorts
-    no products and adds the same terms in that order (``_plane_sum``),
-    and is returned unrun in place of the values.
+    ``np.add.reduceat`` adds a key's terms as ``a0 + pairwise(a1, ...)``,
+    the order ``_plane_sum`` repeats.  ``groups`` lists atoms by first word.
     """
-    # atom indices by first word; the atoms are sorted, so in atom order
-    groups: dict[Word, list[int]] = {}
-    for i, a in enumerate(atoms):
-        groups.setdefault(a[0] if pair else a, []).append(i)
     words = list(groups)
-    num = np.array(nums, dtype=vals.dtype)
-    if isinstance(support, tuple):
-        step = _ProductStep(code, atoms, groups, num, orbits, symmetric, cap, *support, vals)
-        return step.factors, step
-    keys = support
     if pair:  # runs of states sharing a left word
         heads = keys // code.stride
         run_start = np.flatnonzero(np.r_[True, heads[1:] != heads[:-1]])
@@ -1164,10 +1149,8 @@ def iter_convolution_levels(
     factors, summed in term planes (``_ProductStep``), until a cap cuts
     a level; a level's bits depend on neither its form nor ``_CHUNK``.
     An uncut level n made so is yielded unbuilt (module docstring).
-    Factored levels of a symmetric step store a row per orbit of heads
-    (``_symmetric``, worked out from the step and ``n``, with no option)
-    from the first level whose step makes ``_ORBIT_PRODUCTS`` products,
-    batched by pattern alone.
+    Each such step decides whether its level stores a row per orbit of
+    heads (``_symmetric`` is worked out once from the step and ``n``).
     Past ``cap`` atoms the lightest are dropped, ties broken in shortlex
     order (pairs: lexicographic in the two coordinates; ``_heaviest``),
     and only the kept atoms' keys are built (``_kept``); the lost mass is
@@ -1191,31 +1174,36 @@ def iter_convolution_levels(
     keys_dtype = np.int64 if code.stride ** (2 if pair else 1) < 2**63 else object
 
     atoms = [a for a, _ in step.atoms]
+    # atom indices by first word; the atoms are sorted, so in atom order
+    groups: dict[Word, list[int]] = {}
+    for i, a in enumerate(atoms):
+        groups.setdefault(a[0] if pair else a, []).append(i)
     if pair:
         init = [code.encode(a1) * code.stride + code.encode(a2) for a1, a2 in atoms]
     else:
         init = [code.encode(a) for a in atoms]
     keys = np.array(init, dtype=keys_dtype)
-    vals = np.array(nums, dtype=vals_dtype)
+    num = np.array(nums, dtype=vals_dtype)
     order = np.argsort(keys)
-    support, vals = keys[order], vals[order]
+    support, vals = keys[order], num[order]
     orbits, symmetric = None, False
     if pair:  # a product step is held as its factors from level 1 on
         support = _product_shape(support, code.stride) or support
         symmetric = isinstance(support, tuple) and len(vals) <= cap and _symmetric(step, n)
-        if symmetric and len(vals) >= _ORBIT_PRODUCTS:
-            orbits = _Orbits(code, *support)
-            vals = vals.reshape(len(support[0]), -1)[orbits.canon].reshape(-1)
 
     lost: Weight = Fraction(0) if exact else 0.0
 
     for level in range(1, n + 1):
         if level > 1:
             if exact and vals.dtype != object and denom**level > _INT64_SAFE:
-                vals = vals.astype(object)  # numerators may pass int64 from here
-            support, vals = _times_step(
-                code, pair, atoms, nums, support, vals, orbits, symmetric, cap)
-            orbits = None if isinstance(vals, np.ndarray) else vals.orbits
+                # numerators may pass int64 from here
+                vals, num = vals.astype(object), num.astype(object)
+            if isinstance(support, tuple):
+                vals = _ProductStep(
+                    code, atoms, groups, num, orbits, symmetric, cap, *support, vals)
+                support, orbits = vals.factors, vals.orbits
+            else:
+                support, vals = _times_step(code, pair, atoms, groups, num, support, vals)
         size = len(support[0]) * len(support[1]) if isinstance(support, tuple) else len(vals)
         if size > cap and strict:
             raise TruncationError(
@@ -1237,7 +1225,6 @@ def iter_convolution_levels(
             level=level,
             kind=step.kind,
             rank=step.rank,
-            inverse_free=step.inverse_free,
             step_max_len=step.max_atom_length,
             exact=exact,
             denominator=None if not exact else denom**level,

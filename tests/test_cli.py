@@ -340,6 +340,16 @@ def test_cli_missing_spec_version_exits_two(tmp_path):
     assert "spec_version" in r.stderr
 
 
+@pytest.mark.parametrize("version", [True, 1.0, "1", 2])
+def test_cli_spec_version_other_than_the_integer_one_exits_two(tmp_path, version):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"spec_version": version, "group": "free_semigroup:2", "seed": 1}))
+    r = run_cli("drift", "--config", str(cfg), "--out", str(tmp_path / "o"))
+    assert r.returncode == 2
+    assert f"unsupported spec_version {version!r}" in r.stderr
+    assert "Traceback" not in r.stderr and not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("fault", ["not-utf8", "directory"])
 @pytest.mark.parametrize("name", ["c.json", "results.json"])
 def test_cli_unreadable_files_exit_two(tmp_path, name, fault):

@@ -404,6 +404,21 @@ def test_rho_sweep_group_uses_exact_curve():
         assert ent.method == "entropy-increment"
 
 
+def test_rho_sweep_refuses_one_exact_level_before_any_draw(monkeypatch):
+    # an exact rate is an increment of two levels; a uniform-letter sweep
+    # takes the pointwise route and needs no level
+    draws = []
+    prefixes = walkers.pair_prefix_lengths
+    monkeypatch.setattr(walkers, "pair_prefix_lengths",
+                        lambda *a, **kw: draws.append(a[1]) or prefixes(*a, **kw))
+    with pytest.raises(ValidationError, match="need at least two untruncated levels"):
+        rho_sweep(srw(2), [0.5], n=10, trials=10, seed=1, tv_ns=(5,), entropy_exact_max=1)
+    assert draws == []
+    points = rho_sweep(semi(2), [0.5], n=10, trials=10, seed=1, tv_ns=(5,),
+                       entropy_exact_max=1)
+    assert len(points) == 1 and draws == [5, 5]
+
+
 def test_rho_sweep_validation():
     with pytest.raises(InputError):
         rho_sweep(semi(2), [], n=10, trials=10, seed=1)

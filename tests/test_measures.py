@@ -1003,9 +1003,10 @@ def test_orbit_rows_read_as_one_row_per_head(mu, rho, n):
         everywhere = orbit_reads(step, n)
     got = orbit_reads(step, n)
     # at break-even 0, orbits on every factored level (0 < rho) of an exact
-    # or dyadic step: floats on F_3 and the semigroup (1/36, 1/9) are not dyadic
+    # or dyadic step but level 1, which no step makes: floats on F_3 and the
+    # semigroup (1/36, 1/9) are not dyadic
     symmetric = 0 < rho and (step.exact or mu.rank < 3)
-    assert [r[0] for r in everywhere] == [symmetric] * n
+    assert [r[0] for r in everywhere] == [False] + [symmetric] * (n - 1)
     # at the default, from the first level whose step makes _ORBIT_PRODUCTS
     # products on: level l's step multiplies each atom of level l - 1 by each
     # step atom (level 0 is one atom)
@@ -1016,7 +1017,8 @@ def test_orbit_rows_read_as_one_row_per_head(mu, rho, n):
     assert not starts[0] and any(starts) == (symmetric and mu.rank > 1)
     assert [r[1:] for r in everywhere] == [r[1:] for r in want]
     assert [r[1:] for r in got] == [r[1:] for r in want]
-    # a level the cap cuts is summed for every head, from its source expanded
+    # a level the cap cuts is summed for every head, its source read through
+    # the orbit rows
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(measures, "_symmetric", lambda step, n: False)
         want_cut = level_record(step, n, 20_000)
@@ -1027,6 +1029,37 @@ def test_orbit_rows_read_as_one_row_per_head(mu, rho, n):
     # brute force enumerates |support|**n sequences: 36**4 is too slow on F_3
     for lvl, lv in enumerate(iter_convolution_levels(step, 4 if step.support_size <= 16 else 3), 1):
         assert_matches_brute_force(lv.to_measure(), brute_force_convolution(step, lvl))
+
+
+@pytest.mark.parametrize("mu, n, cap", [
+    (srw(2), 5, 20_000),  # level 5, 132,496 pair atoms, is cut
+    (semi(3), 6, 10_000),  # level 5, 59,049 pair atoms, is cut; level 6 is keys
+], ids=["free_group:2", "free_semigroup:3"])
+def test_a_cut_step_after_orbit_rows_expands_nothing(mu, n, cap):
+    step = build_pi_rho(mu, F(1, 2))
+
+    def kept_reads():
+        out = []
+        for lv in iter_convolution_levels(step, n, cap=cap):
+            by_orbit = lv._orbits is not None or getattr(lv._vals, "orbits", None) is not None
+            out.append((by_orbit, lv.size, lv.lost_mass, lv.entropy_kept().hex(),
+                        lv.keys.tobytes(), lv.factors is None and lv.values.tobytes()))
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(measures, "_symmetric", lambda step, n: False)
+        want = kept_reads()
+    expanded, expand = [], measures._Orbits.expand
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(measures, "_ORBIT_PRODUCTS", 0)
+        mp.setattr(measures._Orbits, "expand",
+                   lambda self, rows: expanded.append(len(rows)) or expand(self, rows))
+        got = kept_reads()
+    # levels 2-4 store orbit rows, and the cut step reads level 4 through
+    # them; only the cut levels' values are read (keys, not factors)
+    assert [r[0] for r in got] == [False] * 1 + [True] * 3 + [False] * (n - 4)
+    assert expanded == [] and got[4][2] > 0
+    assert [r[1:] for r in got] == [r[1:] for r in want]
 
 
 def test_orbit_rows_start_by_the_products_of_the_step_not_the_atoms():
