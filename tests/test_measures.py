@@ -730,7 +730,7 @@ def test_deferred_readout_merges_to_the_one_shot_counts(chunk, block, monkeypatc
         with pytest.MonkeyPatch.context() as mp:
             if not orbits:  # one stored row per head, on every step
                 mp.setattr(measures, "_symmetric", lambda step, n: False)
-            else:  # orbit rows on every level, however small
+            else:  # orbit rows on every level a step makes, however small
                 mp.setattr(measures, "_ORBIT_PRODUCTS", 0)
             *_, lv = iter_convolution_levels(step, n)
         assert not isinstance(lv._vals, np.ndarray)
