@@ -47,7 +47,6 @@ from .measures import (
     certified_entropy_compare,
     entropy_mass_spec,
     iter_convolution_levels,
-    marginals,
     measure_from_json_dict,
     product_measure,
     shannon_entropy,
@@ -104,7 +103,6 @@ __all__ = [
     "inverse",
     "iter_convolution_levels",
     "local_dimension",
-    "marginals",
     "measure_from_json_dict",
     "multiply",
     "pair_length",

@@ -75,10 +75,11 @@ def _integer(minimum: int):
     return _parser(lambda x: _is_int(x) and x >= minimum, f"an integer >= {minimum}")
 
 
-def _positive_ints(min_len: int, what: str):
+def _positive_ints(min_len: int, what: str, distinct: bool = False):
     return _parser(
         lambda x: isinstance(x, (list, tuple)) and len(x) >= min_len
-        and all(_is_int(e) and e >= 1 for e in x),
+        and all(_is_int(e) and e >= 1 for e in x)
+        and not (distinct and len(set(x)) < len(x)),
         what,
         tuple,
     )
@@ -197,7 +198,7 @@ _PARSERS = {
     "min_count": _integer(1),
     "keep_depth": _integer(0),
     "export_tree_depth": _integer(0),
-    "tv_ns": _positive_ints(0, "a list of integers >= 1"),
+    "tv_ns": _positive_ints(0, "a list of distinct integers >= 1", distinct=True),
 }
 
 # Keys every run subcommand reads, with their parsed defaults; None

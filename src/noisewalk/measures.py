@@ -140,14 +140,6 @@ class FiniteMeasure:
         length = pair_length if self.kind == "pair" else len
         return self._cached("_max_atom_length", lambda: max(length(a) for a, _ in self.atoms))
 
-    def support(self) -> list[Atom]:
-        return [a for a, _ in self.atoms]
-
-    def total(self) -> Weight:
-        if self.exact:
-            return sum((w for _, w in self.atoms), Fraction(0))
-        return math.fsum(w for _, w in self.atoms)
-
     def as_float(self) -> "FiniteMeasure":
         if not self.exact:
             return self
@@ -318,21 +310,6 @@ def product_measure(mu: FiniteMeasure, nu: FiniteMeasure) -> FiniteMeasure:
     rank = max(mu.rank, nu.rank)
     atoms = [((x, y), wx * wy) for x, wx in mu.atoms for y, wy in nu.atoms]
     return build_measure(atoms, rank=rank, kind="pair")
-
-
-def marginals(pi: FiniteMeasure) -> tuple[FiniteMeasure, FiniteMeasure]:
-    """Coordinate marginals of a pair measure."""
-    if pi.kind != "pair":
-        raise ValidationError("marginals needs a pair measure")
-    left: dict[Word, Weight] = {}
-    right: dict[Word, Weight] = {}
-    for (x, y), w in pi.atoms:
-        left[x] = left.get(x, 0) + w
-        right[y] = right.get(y, 0) + w
-    return (
-        build_measure(left.items(), rank=pi.rank, kind="single"),
-        build_measure(right.items(), rank=pi.rank, kind="single"),
-    )
 
 
 def uniform_letter_count(mu: FiniteMeasure) -> int | None:

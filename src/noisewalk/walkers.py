@@ -8,13 +8,13 @@ worker per block and per core, and reassemble them in block order.
 
 The walk itself runs as a batch stack machine over int8 letter
 columns: each atom is expanded to its letter sequence (zero-padded to
-the longest atom), and every column applies one letter to all trials
-at once with vectorized cancel-or-push updates.  On an inverse-free
-support nothing cancels, so a position is the concatenation of its
-increments and boundary samples need no stack machine: ``step_indices``
-draws the atoms of any range of steps of any trial rows, in-process,
-for the sample sets of ``boundary.sample_boundary``, which draw on
-first read.
+the longest atom), and each column reduces all trials at once with
+one gather of the tops and one scatter above them.  On an
+inverse-free support nothing cancels, so a position is the
+concatenation of its increments and boundary samples need no stack
+machine: ``step_indices`` draws the atoms of any range of steps of
+any trial rows, in-process, for the sample sets of
+``boundary.sample_boundary``, which draw on first read.
 """
 
 from __future__ import annotations
@@ -79,25 +79,25 @@ def _run_stack(
     Zero letters are padding and do nothing.  ``state`` is a (stacks,
     ptrs) pair to resume from, left unchanged; by default every stack
     starts empty.  Returns (stacks, ptrs): stacks[i, :ptrs[i]] is the
-    reduced word of trial i.
+    reduced word of trial i; past ptrs[i] lie leftovers, which readers mask.
+
+    The stacks sit in one flat int8 array, each above a zero column, so an
+    empty stack's top reads 0.  A column writes its letter above every top,
+    then moves each pointer up on a push or down on a cancel.
     """
-    t, steps = letters.shape
-    st0, pt0 = state or (np.zeros((t, 1), dtype=np.int8), np.zeros(t, dtype=np.int32))
-    st = np.zeros((t, st0.shape[1] + steps), dtype=np.int8)
-    st[:, : st0.shape[1]] = st0
-    pt = pt0.copy()
-    rows = np.arange(t)
-    for col in range(steps):
-        x = letters[:, col]
-        act = x != 0
-        top = st[rows, np.maximum(pt - 1, 0)]
-        cancel = act & (pt > 0) & (top == -x)
-        pt[cancel] -= 1
-        push = act & ~cancel
-        pr = rows[push]
-        st[pr, pt[push]] = x[push]
-        pt[push] += 1
-    return st, pt
+    t = len(letters)
+    st0, pt0 = state or (np.zeros((t, 0), dtype=np.int8), np.zeros(t, dtype=np.int32))
+    st = np.pad(st0, ((0, 0), (1, letters.shape[1])))
+    flat = st.reshape(-1)
+    base = np.arange(t) * st.shape[1] + 1
+    at = base + pt0  # the slot above each top
+    for x in letters.T:
+        push = x != 0
+        cancel = push & (flat[at - 1] == -x)
+        flat[at] = x
+        at += push
+        at -= 2 * cancel
+    return st[:, 1:], (at - base).astype(np.int32)
 
 
 def _final_stacks(

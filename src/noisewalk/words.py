@@ -11,23 +11,12 @@ pair).  ``reduce_word`` is the canonicalizer for raw letter sequences.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import InputError
 
 Word = tuple[int, ...]
 WordPair = tuple[Word, Word]
-
-
-def is_reduced(letters: Sequence[int]) -> bool:
-    """True when no adjacent pair cancels.
-
-    >>> is_reduced((1, 2, -2))
-    False
-    >>> is_reduced((1, 2, 2))
-    True
-    """
-    return all(letters[i] != -letters[i + 1] for i in range(len(letters) - 1))
 
 
 def reduce_word(letters: Iterable[int], rank: int | None = None) -> Word:

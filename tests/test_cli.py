@@ -133,6 +133,7 @@ def test_parse_config_inline_measure_and_conflicts():
         ("sweep", {"tv_ns": ["a"]}),
         ("sweep", {"tv_ns": [0]}),
         ("sweep", {"tv_ns": 3}),
+        ("sweep", {"tv_ns": [5, 5]}),
         ("sweep", {"threshold_frac": [0.2]}),
         ("dimension", {"t_grid": [1.5, 2.7]}),
         ("dimension", {"export_tree_depth": "6"}),
@@ -140,7 +141,7 @@ def test_parse_config_inline_measure_and_conflicts():
         ("dimension", {"t_grid": [1, 10], "export_tree_depth": 40}),
     ],
     ids=["rho-str", "rho-bool", "threshold-str", "tv_ns-str", "tv_ns-zero",
-         "tv_ns-scalar", "threshold-list", "t_grid-float",
+         "tv_ns-scalar", "tv_ns-repeated", "threshold-list", "t_grid-float",
          "export-depth-str", "keep-depth-shallow", "export-depth-deep"],
 )
 def test_parse_config_rejects_malformed_values(subcommand, bad):

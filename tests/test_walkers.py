@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from noisewalk import rng, walkers
@@ -18,7 +18,7 @@ from noisewalk.measures import (
     build_pi_rho,
     uniform_measure,
 )
-from noisewalk.words import multiply
+from noisewalk.words import common_prefix_length, multiply, reduce_word
 
 
 def step(atoms, rank=2):
@@ -215,16 +215,20 @@ def test_sample_indices_match_searchsorted_on_random():
 
 def test_run_stack_resumes_from_a_state():
     r = np.random.default_rng(3)
-    letters = r.choice(np.array([0, 1, 2, -1, -2], dtype=np.int8), size=(50, 40))
+    letters = r.choice(np.array([0, 1, 2, 3, -1, -2, -3], dtype=np.int8), size=(50, 40))
+    letters[:5] = 0  # all-padding rows stay empty
     whole = walkers._run_stack(letters)
-    head = walkers._run_stack(letters[:, :15])
-    head_copy = (head[0].copy(), head[1].copy())
-    st, pt = walkers._run_stack(letters[:, 15:], head)
-    np.testing.assert_array_equal(pt, whole[1])
-    for i in range(len(pt)):
-        np.testing.assert_array_equal(st[i, : pt[i]], whole[0][i, : pt[i]])
-    np.testing.assert_array_equal(head[0], head_copy[0])  # the state is left as it was
-    np.testing.assert_array_equal(head[1], head_copy[1])
+    assert whole[1].dtype == np.int32
+    words = [reduce_word(int(x) for x in row if x) for row in letters]
+    assert [tuple(w[:p]) for w, p in zip(*whole)] == words
+    for cut in (0, 1, 15, 40):
+        head = walkers._run_stack(letters[:, :cut])
+        head_copy = (head[0].copy(), head[1].copy())
+        st, pt = walkers._run_stack(letters[:, cut:], head)
+        assert pt.dtype == np.int32
+        assert [tuple(w[:p]) for w, p in zip(st, pt)] == words
+        np.testing.assert_array_equal(head[0], head_copy[0])  # the state is left as it was
+        np.testing.assert_array_equal(head[1], head_copy[1])
 
 
 def _full_stack_boundary(pi, horizon, keep_depth, trials, seed):
@@ -444,3 +448,34 @@ def test_final_lengths_match_sample_path(measure, n, trials, seed, component):
     for i in range(trials):
         words = sample_path_end(measure, n, seed, rng.stream_id(component, i))
         assert [int(lengths[i]) for lengths in got] == [len(w) for w in words]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    measure=small_walk_steps(),
+    rho=st.sampled_from([0.0, 0.3, 1.0]),
+    n=st.integers(1, 20),
+    trials=st.integers(1, 64),
+    seed=st.integers(0, 2**64 - 1),
+    keep=st.integers(0, 12),
+)
+@example(uniform_measure(2), 0.3, 3, 64, 3, 5)  # leftovers past a pointer read as letters
+def test_prefixes_match_sample_paths(measure, rho, n, trials, seed, keep):
+    """Gromov products and stable prefixes equal those of the per-path words."""
+    pi = measure if measure.kind == "pair" else build_pi_rho(measure, rho)
+    products = walkers.pair_prefix_lengths(pi, n, trials, seed, rng.STREAM_TV_COUPLED)
+    for i in range(trials):
+        x, y = sample_path_end(pi, n, seed, rng.stream_id(rng.STREAM_TV_COUPLED, i))
+        assert products[i] == common_prefix_length(x, y)
+    for keep_depth in {min(keep, n * pi.max_atom_length), n * pi.max_atom_length}:
+        *letters, len1, len2 = walkers.boundary_prefixes(
+            pi, n, keep_depth, trials, seed, rng.STREAM_BOUNDARY)
+        for i in range(trials):
+            stream = rng.stream_id(rng.STREAM_BOUNDARY, i)
+            ends = zip(sample_path_end(pi, n, seed, stream),
+                       sample_path_end(pi, 2 * n, seed, stream))
+            for (a, b), kept, lengths in zip(ends, letters, (len1, len2)):
+                stable = a[: common_prefix_length(a, b)]
+                assert lengths[i] == len(stable)
+                cut = stable[:keep_depth]
+                assert tuple(kept[i]) == cut + (0,) * (keep_depth - len(cut))

@@ -9,7 +9,6 @@ from noisewalk.words import (
     common_prefix_length,
     distance,
     inverse,
-    is_reduced,
     multiply,
     pair_length,
     reduce_word,
@@ -70,10 +69,10 @@ def test_reduce_rejects_bad_letters():
 
 
 def test_is_reduced():
-    assert is_reduced(())
-    assert is_reduced((1, 2, -1))
-    assert not is_reduced((1, -1))
-    assert not is_reduced((2, -2, 1))
+    assert reduce_word(()) == ()
+    assert reduce_word((1, 2, -1)) == (1, 2, -1)
+    assert reduce_word((1, -1)) != (1, -1)
+    assert reduce_word((2, -2, 1)) != (2, -2, 1)
 
 
 def test_multiply_matches_reduce_of_concatenation():
