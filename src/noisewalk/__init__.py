@@ -28,7 +28,6 @@ from .errors import (
     ValidationError,
 )
 from .estimators import (
-    EntropyCurve,
     EstimateResult,
     drift_mc,
     entropy_exact_curve,
@@ -77,7 +76,6 @@ __all__ = [
     "BudgetError",
     "ConvolutionLevel",
     "CylinderTree",
-    "EntropyCurve",
     "EstimateResult",
     "FiniteMeasure",
     "InputError",

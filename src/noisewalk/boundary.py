@@ -420,7 +420,6 @@ def _line_slopes(xs: np.ndarray, ys: np.ndarray, ks: np.ndarray) -> np.ndarray:
 
 
 def local_dimension(
-    samples: BoundarySampleSet,
     tree: CylinderTree,
     t_grid: tuple[int, ...],
     n_centers: int,
@@ -449,8 +448,6 @@ def local_dimension(
     the centers with k usable depths are fitted together, in one stacked
     call of the least-squares routine ``np.linalg.lstsq`` calls.
     """
-    if len(samples) != tree.sample_count:
-        raise ValidationError("tree was built from a different sample count")
     for t in t_grid:
         tree._check_depth(t)
     ts = sorted(set(t_grid))
@@ -494,7 +491,7 @@ def local_dimension(
         raise ValidationError("no center had two usable grid depths")
     slopes = _line_slopes(np.array(ts, dtype=float), ys[fitted], ks[fitted])
     return _mean_result(
-        slopes, tree.horizon, seed, "local-dimension",
+        slopes, tree.horizon, "local-dimension",
         {
             "centers_used": len(slopes),
             "centers_skipped": int(np.count_nonzero(~fitted)),
@@ -534,11 +531,11 @@ def dimension_singularity_check(
             keep_depth=max(t_grid), workers=workers,
         )
         tree = build_tree(s, max(t_grid))
-        dims.append(local_dimension(s, tree, t_grid, n_centers, seed, min_count))
+        dims.append(local_dimension(tree, t_grid, n_centers, seed, min_count))
     a, b = dims
     gap = b.value - a.value
     se = math.hypot(a.std_error, b.std_error)
     conclusive = a.ci_high < b.ci_low or b.ci_high < a.ci_low
     gap_result = EstimateResult(gap, se, gap - 1.96 * se, gap + 1.96 * se, horizon, trials,
-                                seed, "dimension-gap", {"conclusive": conclusive})
+                                "dimension-gap", {"conclusive": conclusive})
     return a, b, gap_result

@@ -348,13 +348,14 @@ def parse_config(
 # records and artifacts
 
 
-def _result_record(r: estimators.EstimateResult, subcommand: str, rho) -> dict:
+def _result_record(r: estimators.EstimateResult, cfg: RunConfig, rho) -> dict:
+    """A result as one record of the run: the run's subcommand and seed beside it."""
     return {
-        "subcommand": subcommand,
+        "subcommand": cfg.subcommand,
         "rho": None if rho is None else float(rho),
         "n": r.n,
         "trials": r.trials,
-        "seed": r.seed,
+        "seed": cfg.seed,
         "method": r.method,
         "value": float(r.value),
         "std_error": float(r.std_error),
@@ -554,14 +555,13 @@ def _run_drift(cfg: RunConfig):
     if cfg.rho is not None:
         step = measures.build_pi_rho(cfg.measure, cfg.rho)
     r = estimators.drift_mc(step, cfg.n, cfg.trials, cfg.seed, workers=cfg.workers)
-    records = [_result_record(r, "drift", cfg.rho)]
+    records = [_result_record(r, cfg, cfg.rho)]
     for label in ("coord1", "coord2"):
         if label in r.details:
             coord = estimators.EstimateResult(
-                **r.details[label], n=r.n, trials=r.trials, seed=r.seed,
-                method=f"drift-mc-{label}",
+                **r.details[label], n=r.n, trials=r.trials, method=f"drift-mc-{label}",
             )
-            records.append(_result_record(coord, "drift", cfg.rho))
+            records.append(_result_record(coord, cfg, cfg.rho))
     return records, {}
 
 
@@ -579,7 +579,7 @@ def _run_entropy(cfg: RunConfig):
         if cfg.rho is None:
             raise ValidationError("pointwise entropy needs rho")
         r = estimators.shannon_pointwise(m, cfg.rho, cfg.n, cfg.trials, cfg.seed)
-        records.append(_result_record(r, "entropy", cfg.rho))
+        records.append(_result_record(r, cfg, cfg.rho))
     else:
         if cfg.n_max < 2:  # a rate is an increment of two levels: refuse before any work
             raise ValidationError("need at least two untruncated levels for a rate")
@@ -587,20 +587,13 @@ def _run_entropy(cfg: RunConfig):
         if cfg.rho is not None:
             step = measures.build_pi_rho(cfg.measure, cfg.rho)
         try:
-            curve = estimators.entropy_exact_curve(step, cfg.n_max, cfg.cap, strict=True)
+            levels = estimators.entropy_exact_curve(step, cfg.n_max, cfg.cap, strict=True)
         except TruncationError as e:
             raise TruncationError(
                 f"exact entropy needs a larger cap: {e}", e.level, e.lost_mass
             )
-        for i, n in enumerate(curve.ns):
-            r = estimators.exact_result(
-                curve.values[i], n, cfg.seed, "entropy-exact",
-                details={"upper_bound": curve.upper_bounds[i],
-                         "truncated": curve.truncated[i]},
-            )
-            records.append(_result_record(r, "entropy", cfg.rho))
-        r = estimators._entropy_rate_result(curve, cfg.seed)
-        records.append(_result_record(r, "entropy", cfg.rho))
+        rate = estimators.entropy_rate_estimate(levels)
+        records += [_result_record(r, cfg, cfg.rho) for r in (*levels, rate)]
     return records, {}
 
 
@@ -609,21 +602,19 @@ def _run_tv(cfg: RunConfig):
     m = measures.uniform_letter_count(cfg.measure)
     if m is not None:
         for n in range(1, cfg.n + 1):
-            r = estimators.exact_result(
-                oracle.tv_semigroup(m, cfg.rho, n), n, cfg.seed, "tv-oracle"
-            )
-            records.append(_result_record(r, "tv", cfg.rho))
+            r = estimators.exact_result(oracle.tv_semigroup(m, cfg.rho, n), n, "tv-oracle")
+            records.append(_result_record(r, cfg, cfg.rho))
     values = estimators.tv_exact_curve(
         cfg.measure, cfg.rho, min(cfg.n_exact, cfg.n), cap=cfg.cap
     )
     for n, v in enumerate(values, 1):
-        r = estimators.exact_result(v, n, cfg.seed, "tv-exact")
-        records.append(_result_record(r, "tv", cfg.rho))
+        r = estimators.exact_result(v, n, "tv-exact")
+        records.append(_result_record(r, cfg, cfg.rho))
     r = estimators.tv_lower_bound_mc(
         cfg.measure, cfg.rho, cfg.n, cfg.trials, cfg.seed,
         threshold_frac=cfg.threshold_frac, workers=cfg.workers,
     )
-    records.append(_result_record(r, "tv", cfg.rho))
+    records.append(_result_record(r, cfg, cfg.rho))
     return records, {}
 
 
@@ -650,14 +641,13 @@ def _run_dimension(cfg: RunConfig):
                 line + "\n" for line in tree.export_records(cfg.export_tree_depth)
             )
         results = (boundary_mod.local_dimension(
-            samples, tree, cfg.t_grid, cfg.centers, cfg.seed,
-            min_count=cfg.min_count,
+            tree, cfg.t_grid, cfg.centers, cfg.seed, min_count=cfg.min_count,
         ),)
         rhos = (cfg.rho,)
     m = measures.uniform_letter_count(cfg.measure)
     records = []
     for rho, r in zip(rhos, results):
-        rec = _result_record(r, "dimension", rho)
+        rec = _result_record(r, cfg, rho)
         if m is not None and rho is not None:
             rec["details"]["closed_form"] = oracle.h_semigroup(m, rho)
         records.append(rec)
@@ -674,11 +664,11 @@ def _run_sweep(cfg: RunConfig):
     )
     drift = estimators.drift_mc(cfg.measure, cfg.n, cfg.trials, cfg.seed,
                                 workers=cfg.workers)
-    records = [_result_record(drift, "sweep", None)]
+    records = [_result_record(drift, cfg, None)]
     lines = [",".join(["rho", "h_value", "h_std_error", "h_closed_form",
                        *(f"tv{tn}_value" for tn in cfg.tv_ns)])]
     for rho, (ent, *tvs) in points:
-        records += [_result_record(r, "sweep", rho) for r in (ent, *tvs)]
+        records += [_result_record(r, cfg, rho) for r in (ent, *tvs)]
         closed = ent.details.get("closed_form")
         lines.append(",".join([repr(rho), repr(ent.value), repr(ent.std_error),
                                "" if closed is None else repr(closed),

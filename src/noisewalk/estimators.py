@@ -46,7 +46,6 @@ class EstimateResult:
     ci_high: float
     n: int
     trials: int
-    seed: int
     method: str
     details: dict = field(default_factory=dict)
 
@@ -61,7 +60,7 @@ class EstimateResult:
 
 
 def _mean_result(
-    samples: np.ndarray, n: int, seed: int, method: str, details: dict | None = None
+    samples: np.ndarray, n: int, method: str, details: dict | None = None
 ) -> EstimateResult:
     trials = len(samples)
     value = float(samples.mean())
@@ -74,18 +73,15 @@ def _mean_result(
         ci_high=value + Z95 * se,
         n=n,
         trials=trials,
-        seed=seed,
         method=method,
         details=details or {},
     )
 
 
-def exact_result(
-    value, n: int, seed: int, method: str, trials: int = 1, details: dict | None = None
-) -> EstimateResult:
-    """An exact value in the common result shape: zero standard error."""
+def exact_result(value, n: int, method: str, details: dict | None = None) -> EstimateResult:
+    """An exact value in the common result shape: one trial, zero standard error."""
     v = float(value)
-    return EstimateResult(v, 0.0, v, v, n, trials, seed, method, details or {})
+    return EstimateResult(v, 0.0, v, v, n, 1, method, details or {})
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +107,7 @@ def drift_mc(
     if len(lengths) == 2:
         combined = np.maximum(lengths[0], lengths[1]).astype(np.float64) / n
         for label, arr in (("coord1", lengths[0]), ("coord2", lengths[1])):
-            r = _mean_result(arr.astype(np.float64) / n, n, seed, f"drift-mc-{label}")
+            r = _mean_result(arr.astype(np.float64) / n, n, f"drift-mc-{label}")
             details[label] = {
                 "value": r.value,
                 "std_error": r.std_error,
@@ -120,7 +116,7 @@ def drift_mc(
             }
     else:
         combined = lengths[0].astype(np.float64) / n
-    return _mean_result(combined, n, seed, "drift-mc", details)
+    return _mean_result(combined, n, "drift-mc", details)
 
 
 # ---------------------------------------------------------------------------
@@ -156,50 +152,9 @@ def shannon_pointwise(
         else:
             vals[t] = -(k * log_p + (n - k) * log_q) / n
     return _mean_result(
-        vals, n, seed, "shannon-pointwise",
+        vals, n, "shannon-pointwise",
         {"m": m, "rho": float(rho), "p": p, "q": q, "closed_form": h_semigroup(m, rho)},
     )
-
-
-@dataclass(frozen=True)
-class EntropyCurve:
-    """Exact entropies H(pi_n) for n = 1..n_max with truncation bounds.
-
-    ``values[i]`` is the entropy of the kept mass at level ns[i], a
-    certified lower bound for the true H; ``upper_bounds[i]`` adds the
-    worst-case contribution of the dropped mass.  Untruncated levels
-    have values == upper_bounds.
-    """
-
-    ns: tuple[int, ...]
-    values: tuple[float, ...]
-    upper_bounds: tuple[float, ...]
-    truncated: tuple[bool, ...]
-    lost_mass: tuple[float, ...]
-
-    def __post_init__(self):
-        if not (len(self.ns) == len(self.values) == len(self.upper_bounds)):
-            raise ValidationError("curve fields must have equal length")
-
-    @property
-    def upper_rate(self) -> float:
-        """min_n H_n / n, an upper bound for the entropy rate by subadditivity."""
-        return min(ub / n for n, ub in zip(self.ns, self.upper_bounds))
-
-    @property
-    def increments(self) -> tuple[float, ...]:
-        """H_n - H_(n-1) for each level (H_0 = 0).
-
-        On an untruncated level the increment is itself an upper bound
-        on the entropy rate, and a tighter one than ``upper_rate``; see
-        ``entropy_rate_estimate``.
-        """
-        prev = 0.0
-        out = []
-        for v in self.values:
-            out.append(v - prev)
-            prev = v
-        return tuple(out)
 
 
 def entropy_exact_curve(
@@ -207,47 +162,43 @@ def entropy_exact_curve(
     n_max: int,
     cap: int = DEFAULT_CAP,
     strict: bool = False,
-) -> EntropyCurve:
-    """Entropies of the exact convolution powers up to n_max.
+) -> tuple[EstimateResult, ...]:
+    """Entropies of the exact convolution powers of ``step``, n = 1..n_max.
 
+    One ``entropy-exact`` result per level: its value is the entropy of
+    the kept mass, a certified lower bound for the true H, and
+    ``details["upper_bound"]`` adds the worst-case contribution of the
+    dropped mass; the two are equal on an uncut level.
+    ``details["truncated"]`` flags a level that dropped 1e-9 or more.
     ``strict=True`` raises ``TruncationError`` where the cap would drop
     mass instead of bracketing the entropy of a truncated level.
     """
-    ns, vals, ubs, flags, lost = [], [], [], [], []
-    for lv in iter_convolution_levels(step, n_max, cap=cap, strict=strict):
-        ns.append(lv.level)
-        vals.append(lv.entropy_kept())
-        ubs.append(lv.entropy_upper_bound())
-        flags.append(lv.truncated)
-        lost.append(float(lv.lost_mass))
-    return EntropyCurve(tuple(ns), tuple(vals), tuple(ubs), tuple(flags), tuple(lost))
-
-
-def entropy_rate_estimate(curve: EntropyCurve) -> tuple[float, float]:
-    """(min H_n / n, H_n - H_(n-1)): two upper bounds on the entropy rate h.
-
-    The first is true by subadditivity.  The second, the increment at
-    the deepest untruncated level, is the certified upper bound on h
-    that the run reports, and the tighter one: H_n - H_(n-1) =
-    H(X_1) - H(X_1 | X_n) is nonincreasing in n, because X_1 -> X_n ->
-    X_(n+1) is a Markov chain, and it tends to h from above.  Needs at
-    least two untruncated levels.
-    """
-    exact_idx = [i for i, t in enumerate(curve.truncated) if not t]
-    if len(exact_idx) < 2:
-        raise ValidationError("need at least two untruncated levels for a rate")
-    i = exact_idx[-1]
-    return curve.upper_rate, curve.increments[i]
-
-
-def _entropy_rate_result(curve: EntropyCurve, seed: int) -> EstimateResult:
-    """Entropy increment estimate wrapped in the common result shape."""
-    upper, increment = entropy_rate_estimate(curve)
-    i = [j for j, t in enumerate(curve.truncated) if not t][-1]
-    return exact_result(
-        increment, curve.ns[i], seed, "entropy-increment",
-        details={"upper_rate": upper},
+    return tuple(
+        exact_result(lv.entropy_kept(), lv.level, "entropy-exact",
+                     {"upper_bound": lv.entropy_upper_bound(), "truncated": lv.truncated})
+        for lv in iter_convolution_levels(step, n_max, cap=cap, strict=strict)
     )
+
+
+def entropy_rate_estimate(levels: tuple[EstimateResult, ...]) -> EstimateResult:
+    """The ``entropy-increment`` result: an upper bound on the entropy rate h.
+
+    Its value bounds H_n - H_(n-1) from above at the deepest level n not
+    flagged truncated: that level's upper bound less the lower bound at
+    n - 1, so a level that dropped less than 1e-9 still bounds from
+    above.  The increment H_n - H_(n-1) = H(X_1) - H(X_1 | X_n) is
+    nonincreasing in n, because X_1 -> X_n -> X_(n+1) is a Markov chain,
+    and it tends to h from above.  ``details["upper_rate"]`` is
+    min H_n / n over the upper bounds, the looser bound by subadditivity.
+    Needs at least two levels not flagged truncated.
+    """
+    exact = [i for i, r in enumerate(levels) if not r.details["truncated"]]
+    if len(exact) < 2:
+        raise ValidationError("need at least two untruncated levels for a rate")
+    prev, last = levels[exact[-1] - 1], levels[exact[-1]]
+    upper_rate = min(r.details["upper_bound"] / r.n for r in levels)
+    return exact_result(last.details["upper_bound"] - prev.value, last.n,
+                        "entropy-increment", {"upper_rate": upper_rate})
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +387,6 @@ def _tv_lower_result(mu, rho, g_i, n, trials, seed, threshold_frac, workers) -> 
         ci_high=min(1.0, value + half),
         n=n,
         trials=trials,
-        seed=seed,
         method="tv-lower-mc",
         details={
             "threshold": j,
@@ -494,8 +444,8 @@ def rho_sweep(
         if m is not None:
             ent = shannon_pointwise(m, r, n, trials, seed)
         else:
-            curve = entropy_exact_curve(build_pi_rho(mu, r), entropy_exact_max, cap=cap)
-            ent = _entropy_rate_result(curve, seed)
+            ent = entropy_rate_estimate(
+                entropy_exact_curve(build_pi_rho(mu, r), entropy_exact_max, cap=cap))
         tvs = (_tv_lower_result(mu, r, g_i, tn, trials, seed, threshold_frac, workers)
                for tn, g_i in zip(tv_ns, indep))
         points.append((r, (ent, *tvs)))

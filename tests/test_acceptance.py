@@ -176,7 +176,7 @@ def test_08_exact_dimension():
         samples = sample_boundary(mu, rho, horizon=400, trials=100_000,
                                   seed=SEED, keep_depth=30, workers=4)
         tree = build_tree(samples, 30)
-        r = local_dimension(samples, tree, t_grid, n_centers=500, seed=SEED)
+        r = local_dimension(tree, t_grid, n_centers=500, seed=SEED)
         expect = h_semigroup(2, rho)  # semigroup drift is 1
         rel = abs(r.value - expect) / expect
         details.append(f"rho={rho}: rel err {rel:.3f}")

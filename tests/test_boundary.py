@@ -303,7 +303,7 @@ def test_local_dimension_independent_coupling():
     s = sample_boundary(semi(2), 1.0, horizon=60, trials=20_000, seed=41,
                         keep_depth=12)
     tree = build_tree(s, 12)
-    r = local_dimension(s, tree, tuple(range(1, 13)), n_centers=150, seed=41)
+    r = local_dimension(tree, tuple(range(1, 13)), n_centers=150, seed=41)
     expect = 2 * math.log(2)
     assert abs(r.value - expect) / expect < 0.1
     assert r.method == "local-dimension"
@@ -314,18 +314,15 @@ def test_local_dimension_validation():
     s = sample_boundary(semi(2), 0.5, horizon=8, trials=50, seed=2)
     tree = build_tree(s, 4)
     with pytest.raises(InputError):
-        local_dimension(s, tree, (3,), 10, seed=2)  # single depth
+        local_dimension(tree, (3,), 10, seed=2)  # single depth
     with pytest.raises(InputError):
-        local_dimension(s, tree, (1, 9), 10, seed=2)  # beyond tree depth
+        local_dimension(tree, (1, 9), 10, seed=2)  # beyond tree depth
     for t_grid in ((1, 2.5, 3), (True, 3), (1, 2, "3")):  # each entry must be an int
         with pytest.raises(InputError, match="depth t must lie in"):
-            local_dimension(s, tree, t_grid, 10, seed=2)
-    other = sample_boundary(semi(2), 0.5, horizon=8, trials=49, seed=2)
-    with pytest.raises(ValidationError):
-        local_dimension(other, tree, (1, 2), 10, seed=2)
+            local_dimension(tree, t_grid, 10, seed=2)
     for bad in (0, True, 2.5):  # a bool or a float is not a count
         with pytest.raises(InputError, match="min_count must be a positive integer"):
-            local_dimension(s, tree, (1, 2), 10, seed=2, min_count=bad)
+            local_dimension(tree, (1, 2), 10, seed=2, min_count=bad)
 
 
 def test_dimension_singularity_conclusive_and_not():
@@ -338,7 +335,7 @@ def test_dimension_singularity_conclusive_and_not():
     assert gap.std_error == math.hypot(a.std_error, b.std_error)
     assert (gap.ci_low, gap.ci_high) == (gap.value - 1.96 * gap.std_error,
                                          gap.value + 1.96 * gap.std_error)
-    assert (gap.n, gap.trials, gap.seed, gap.method) == (80, 20_000, 47, "dimension-gap")
+    assert (gap.n, gap.trials, gap.method) == (80, 20_000, "dimension-gap")
     # same noise level on both sides: identical estimates, no gap
     a, b, gap = dimension_singularity_check(mu, 0.6, 0.6, **kwargs)
     assert a == b
@@ -412,7 +409,7 @@ def _local_dimension_reference(tree, t_grid, n_centers, seed, min_count, depth_s
     if not slopes:
         raise ValidationError("no center had two usable grid depths")
     return _mean_result(
-        np.array(slopes), tree.horizon, seed, "local-dimension",
+        np.array(slopes), tree.horizon, "local-dimension",
         {
             "centers_used": len(slopes),
             "centers_skipped": skipped_centers,
@@ -464,9 +461,9 @@ def test_export_and_dimension_match_per_node_references(s, data):
         expect = _local_dimension_reference(tree, t_grid, n_centers, seed, min_count)
     except ValidationError as e:
         with pytest.raises(ValidationError, match=str(e)):
-            local_dimension(s, tree, tuple(t_grid), n_centers, seed, min_count)
+            local_dimension(tree, tuple(t_grid), n_centers, seed, min_count)
     else:
-        assert local_dimension(s, tree, tuple(t_grid), n_centers, seed, min_count) == expect
+        assert local_dimension(tree, tuple(t_grid), n_centers, seed, min_count) == expect
 
 
 # ---------------------------------------------------------------------------
@@ -562,11 +559,11 @@ def test_local_dimension_on_fresh_tree_stops_building_at_stop_depth(s, data):
         tree = build_tree(s, depth)
         if isinstance(expect, ValidationError):
             with pytest.raises(ValidationError, match=str(expect)):
-                local_dimension(s, tree, tuple(t_grid), n_centers, seed, min_count)
+                local_dimension(tree, tuple(t_grid), n_centers, seed, min_count)
             assert spy.built == list(range(1, len(spy.built) + 1))
             assert len(spy.built) <= stop
         else:
-            assert local_dimension(s, tree, tuple(t_grid), n_centers, seed,
+            assert local_dimension(tree, tuple(t_grid), n_centers, seed,
                                    min_count) == expect
             assert spy.built == list(range(1, stop + 1))
 
@@ -579,7 +576,7 @@ def test_local_dimension_leaves_levels_past_the_stop_depth_unbuilt(monkeypatch):
     spy = _LevelSpy(monkeypatch)
     tree = build_tree(s, 20)
     assert spy.built == []
-    got = local_dimension(s, tree, t_grid, 200, 3, min_count=5)
+    got = local_dimension(tree, t_grid, 200, 3, min_count=5)
     assert spy.built == list(range(1, stop + 1))
     assert got == _local_dimension_reference(build_tree(s, 20), t_grid, 200, 3, 5)
 
@@ -619,9 +616,9 @@ def test_fit_on_a_fresh_tree_matches_the_reference_and_leaves_the_tree_whole(mak
     tree = build_tree(s, depth)
     if isinstance(expect, ValidationError):
         with pytest.raises(ValidationError, match=str(expect)):
-            local_dimension(s, tree, tuple(t_grid), n_centers, seed, min_count)
+            local_dimension(tree, tuple(t_grid), n_centers, seed, min_count)
     else:
-        assert local_dimension(s, tree, tuple(t_grid), n_centers, seed, min_count) == expect
+        assert local_dimension(tree, tuple(t_grid), n_centers, seed, min_count) == expect
     # the fit's levels were its own: the tree's read whole, in any order
     ref = _eager_levels(make(), depth)
     for t in data.draw(st.permutations(range(1, depth + 1))):
@@ -648,7 +645,7 @@ def test_fit_draws_counters_past_the_first_only_for_live_trials(monkeypatch):
 
     monkeypatch.setattr(walkers, "step_indices", spy)
     s = sample_boundary(*args)
-    assert local_dimension(s, build_tree(s, depth), t_grid, 80, 13, min_count) == expect
+    assert local_dimension(build_tree(s, depth), t_grid, 80, 13, min_count) == expect
     assert sorted(drawn[1]) == list(range(3000))
     live_counts = []
     for c in range(2, depth // 4 + 1):
@@ -692,7 +689,7 @@ def test_local_dimension_with_many_depth_sets_matches_polyfit(mu, horizon, t_gri
     depth_sets = []
     expect = _local_dimension_reference(build_tree(s, depth), t_grid, 400, 6, 3, depth_sets)
     assert len(set(depth_sets)) >= min_sets
-    assert local_dimension(s, build_tree(s, depth), t_grid, 400, 6, 3) == expect
+    assert local_dimension(build_tree(s, depth), t_grid, 400, 6, 3) == expect
 
 
 def _lstsq_slope(xs, y):

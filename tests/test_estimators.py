@@ -4,6 +4,7 @@ import dataclasses
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from noisewalk import walkers
 from noisewalk.errors import InputError, ValidationError
 from noisewalk.estimators import (
-    EntropyCurve,
+    EstimateResult,
     _tv_pair_convolution,
     _tv_pair_readout,
     _tv_value_classes,
@@ -130,23 +131,23 @@ def test_shannon_pointwise_validation():
 
 def test_entropy_curve_semigroup_linear_growth():
     pi = build_pi_rho(semi(2), F(1, 2))
-    curve = entropy_exact_curve(pi, 5)
+    levels = entropy_exact_curve(pi, 5)
     h = h_semigroup(2, 0.5)
-    for n, v in zip(curve.ns, curve.values):
-        assert abs(v - n * h) < 1e-10
-    upper, inc = entropy_rate_estimate(curve)
-    assert abs(inc - h) < 1e-10
-    assert upper >= h - 1e-10
+    for r in levels:
+        assert abs(r.value - r.n * h) < 1e-10
+    rate = entropy_rate_estimate(levels)
+    assert abs(rate.value - h) < 1e-10
+    assert rate.details["upper_rate"] >= h - 1e-10
 
 
 def test_entropy_curve_group_sandwich():
     mu = srw(2)
     for rho in (F(0), F(1, 2), F(1)):
         pi = build_pi_rho(mu, rho)
-        pair_curve = entropy_exact_curve(pi, 4)
-        base_curve = entropy_exact_curve(mu, 4)
-        for hp, hm in zip(pair_curve.values, base_curve.values):
-            assert hm - 1e-10 <= hp <= 2 * hm + 1e-10
+        pair_levels = entropy_exact_curve(pi, 4)
+        base_levels = entropy_exact_curve(mu, 4)
+        for p, b in zip(pair_levels, base_levels, strict=True):
+            assert b.value - 1e-10 <= p.value <= 2 * b.value + 1e-10
 
 
 def test_entropy_curve_endpoint_identities():
@@ -154,26 +155,44 @@ def test_entropy_curve_endpoint_identities():
     base = entropy_exact_curve(mu, 4)
     diag = entropy_exact_curve(build_pi_rho(mu, 0), 4)
     indep = entropy_exact_curve(build_pi_rho(mu, 1), 4)
-    for hb, hd, hi in zip(base.values, diag.values, indep.values):
-        assert abs(hd - hb) < 1e-10
-        assert abs(hi - 2 * hb) < 1e-10
+    for b, d, i in zip(base, diag, indep, strict=True):
+        assert abs(d.value - b.value) < 1e-10
+        assert abs(i.value - 2 * b.value) < 1e-10
 
 
 def test_entropy_rate_needs_two_untruncated_levels():
-    curve = entropy_exact_curve(srw(2), 3, cap=3)
-    assert all(curve.truncated)
+    levels = entropy_exact_curve(srw(2), 3, cap=3)
+    assert all(r.details["truncated"] for r in levels)
     with pytest.raises(ValidationError):
-        entropy_rate_estimate(curve)
+        entropy_rate_estimate(levels)
 
 
 def test_entropy_curve_fields_consistent():
-    curve = entropy_exact_curve(srw(2), 3)
-    assert isinstance(curve, EntropyCurve)
-    assert curve.ns == (1, 2, 3)
-    assert len(curve.increments) == 3
-    assert curve.increments[0] == curve.values[0]
-    assert abs(curve.increments[2] - (curve.values[2] - curve.values[1])) < 1e-15
-    assert curve.upper_rate == min(v / n for n, v in zip(curve.ns, curve.values))
+    levels = entropy_exact_curve(srw(2), 3)
+    assert all(isinstance(r, EstimateResult) for r in levels)
+    assert [r.n for r in levels] == [1, 2, 3]
+    for r in levels:
+        assert (r.trials, r.method, r.std_error) == (1, "entropy-exact", 0.0)
+        assert r.details == {"upper_bound": r.value, "truncated": False}
+    rate = entropy_rate_estimate(levels)
+    assert (rate.n, rate.trials, rate.method) == (3, 1, "entropy-increment")
+    assert abs(rate.value - (levels[2].value - levels[1].value)) < 1e-15
+    assert rate.details == {"upper_rate": min(r.value / r.n for r in levels)}
+
+
+def test_entropy_increment_bounds_a_slightly_cut_level_from_above():
+    # level 2 drops 3.9e-15, below the 1e-9 flag, so the rate reads it; its
+    # kept entropy alone gave an increment below the uncut one
+    pi = build_pi_rho(uniform_measure(2), 1e-6)
+    cut = entropy_exact_curve(pi, 3, cap=168)
+    assert [r.details["truncated"] for r in cut] == [False, False, True]
+    assert cut[1].value < cut[1].details["upper_bound"]
+    uncut = entropy_exact_curve(pi, 3)
+    assert not any(r.details["truncated"] for r in uncut)
+    rate = entropy_rate_estimate(cut)
+    assert rate.n == 2
+    assert rate.value == cut[1].details["upper_bound"] - cut[0].value
+    assert rate.value >= uncut[1].value - uncut[0].value
 
 
 # ---------------------------------------------------------------------------
@@ -307,6 +326,91 @@ def test_tv_exact_input_validation():
         for cap in (0, -5, True, 2.5, "x"):
             with pytest.raises(InputError, match="cap must be a positive integer"):
                 tv_exact_curve(mu, 0.5, 1, cap=cap)
+
+
+# ---------------------------------------------------------------------------
+# Z, the elementary contrast: a large-n oracle for the cancelling pair route
+
+
+def _tv_on_z2(rho, n_max):
+    """TV_n on Z for n = 1..n_max by rolling the pi_rho and mu laws on a
+    (2 n_max + 1)^2 grid of Z^2 positions, with no word arithmetic."""
+    n = n_max
+    pi = np.zeros((2 * n + 1, 2 * n + 1))
+    pi[n, n] = 1.0
+    mu = np.zeros(2 * n + 1)
+    mu[n] = 1.0
+    same, opposite = (1 - rho) / 2 + rho / 4, rho / 4
+    out = []
+    for _ in range(n_max):
+        pi = (same * (np.roll(pi, (1, 1), (0, 1)) + np.roll(pi, (-1, -1), (0, 1)))
+              + opposite * (np.roll(pi, (1, -1), (0, 1)) + np.roll(pi, (-1, 1), (0, 1))))
+        mu = (np.roll(mu, 1) + np.roll(mu, -1)) / 2
+        out.append(float(np.abs(pi - np.outer(mu, mu)).sum()) / 2)
+    return out
+
+
+def _tv_on_z2_exact(rho, n_max):
+    """``_tv_on_z2`` in Fractions, over dicts of positions."""
+    pi, mu, out = {(0, 0): F(1)}, {0: F(1)}, []
+    step = {(1, 1): (1 - rho) / 2 + rho / 4, (-1, -1): (1 - rho) / 2 + rho / 4,
+            (1, -1): rho / 4, (-1, 1): rho / 4}
+    for _ in range(n_max):
+        new_pi, new_mu = {}, {}
+        for (x, y), w in pi.items():
+            for (dx, dy), p in step.items():
+                new_pi[x + dx, y + dy] = new_pi.get((x + dx, y + dy), 0) + w * p
+        for x, w in mu.items():
+            for dx in (1, -1):
+                new_mu[x + dx] = new_mu.get(x + dx, 0) + w / 2
+        pi, mu = new_pi, new_mu
+        cells = pi.keys() | {(x, y) for x in mu for y in mu}
+        out.append(sum(abs(pi.get(c, 0) - mu.get(c[0], 0) * mu.get(c[1], 0))
+                       for c in cells) / 2)
+    return out
+
+
+def _gaussian_tv_limit(rho):
+    """TV(N(0, Sigma_rho), N(0, I)), Sigma_rho = [[1, 1 - rho], [1 - rho, 1]]:
+    the limit of TV_n on Z by the local limit theorem (both laws live on
+    x = y = n mod 2).
+
+    In u = (x + y)/sqrt 2, v = (x - y)/sqrt 2 the laws are
+    N(0, 2 - rho) x N(0, rho) and N(0, 1) x N(0, 1); log p - log q is
+    a u^2 + b v^2 + c, so p > q on |v| < s(u), s(u)^2 = (a u^2 + c)/(-b),
+    and the v integral is a difference of two erf terms.
+    """
+    rho = mpmath.mpf(rho)
+    a = (1 - 1 / (2 - rho)) / 2
+    b = (1 - 1 / rho) / 2
+    c = -mpmath.log((2 - rho) * rho) / 2
+
+    def inner(u):
+        s = mpmath.sqrt((a * u * u + c) / -b)
+        return (mpmath.npdf(u, 0, mpmath.sqrt(2 - rho)) * mpmath.erf(s / mpmath.sqrt(2 * rho))
+                - mpmath.npdf(u) * mpmath.erf(s / mpmath.sqrt(2)))
+
+    return float(2 * mpmath.quad(inner, [0, mpmath.inf]))
+
+
+@pytest.mark.parametrize("rho, limit", [(0.05, 0.62365), (0.1, 0.51488),
+                                        (0.5, 0.18461), (0.9, 0.03207)])
+def test_tv_on_z_matches_a_z2_convolution_and_its_gaussian_limit(rho, limit):
+    got = tv_exact_curve(uniform_measure(1), rho, 200, cap=10**8)
+    expect = _tv_on_z2(rho, 200)
+    assert max(abs(g - e) for g, e in zip(got, expect, strict=True)) < 1e-12
+    gauss = _gaussian_tv_limit(rho)
+    assert abs(gauss - limit) < 5e-6
+    # TV_n tends to a value strictly inside (0, 1): Z is not noise
+    # sensitive, and not noise insensitive in the strong sense either
+    assert abs(got[-1] - gauss) < 0.003
+
+
+def test_exact_tv_on_z_matches_a_fraction_z2_convolution():
+    rho = F(1, 10)
+    got = tv_exact_curve(uniform_measure(1), rho, 30)
+    assert all(isinstance(v, Fraction) for v in got)
+    assert got == _tv_on_z2_exact(rho, 30)
 
 
 # ---------------------------------------------------------------------------
