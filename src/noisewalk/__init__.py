@@ -47,7 +47,6 @@ from .measures import (
     entropy_mass_spec,
     iter_convolution_levels,
     measure_from_json_dict,
-    product_measure,
     shannon_entropy,
     uniform_letter_count,
     uniform_measure,
@@ -104,7 +103,6 @@ __all__ = [
     "measure_from_json_dict",
     "multiply",
     "pair_length",
-    "product_measure",
     "reduce_word",
     "rho_sweep",
     "sample_boundary",

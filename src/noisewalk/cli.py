@@ -213,7 +213,7 @@ _SUBCOMMANDS = {
                 "cap": measures.DEFAULT_CAP, "plot": False, "method": "auto",
                 "n_max": 5},
     "tv": {**_SHARED, "rho": None, "n": 50, "trials": 10_000,
-           "cap": 2_000_000, "plot": False, "n_exact": 6,
+           "cap": measures.DEFAULT_CAP, "plot": False, "n_exact": 6,
            "threshold_frac": 0.2},
     "dimension": {**_SHARED, "rho": None, "trials": 20_000,
                   "rho_grid": None, "horizon": 200, "t_grid": None,

@@ -27,7 +27,6 @@ from .measures import (
     Weight,
     build_pi_rho,
     iter_convolution_levels,
-    product_measure,
     rho_weight,
     uniform_letter_count,
 )
@@ -359,7 +358,7 @@ def _independent_prefixes(mu, n, trials, seed, threshold_frac, workers) -> np.nd
     if not 0 < threshold_frac <= 1:
         raise InputError(f"threshold_frac must lie in (0, 1], got {threshold_frac!r}")
     return walkers.pair_prefix_lengths(
-        product_measure(mu, mu), n, trials, seed, rngmod.STREAM_TV_INDEPENDENT,
+        build_pi_rho(mu, 1), n, trials, seed, rngmod.STREAM_TV_INDEPENDENT,
         workers=workers,
     )
 

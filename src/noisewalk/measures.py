@@ -82,9 +82,12 @@ Atom = Union[Word, WordPair]
 Support = Union[np.ndarray, tuple[np.ndarray, np.ndarray]]
 
 WEIGHT_SUM_TOL = 1e-12
-DEFAULT_CAP = 1_000_000
+DEFAULT_CAP = 2_000_000
 _MATERIALIZE_CAP = 3_000_000
 _INT64_SAFE = 2**62
+# lost mass from which a level is flagged truncated; float(_TRUNC_FLAG_TOL) ==
+# 1e-9 and no float lies between them, so Fraction and float mass compare alike
+_TRUNC_FLAG_TOL = Fraction(1, 10**9)
 # products made, sorted and summed at a time in a convolution level step
 _CHUNK = 1 << 18
 # products from which a level step of a symmetric pair step stores a row per
@@ -128,43 +131,34 @@ class FiniteMeasure:
     def support_size(self) -> int:
         return len(self.atoms)
 
-    @property
+    @cached_property
     def inverse_free(self) -> bool:
         """True when every letter of every atom is positive."""
-        return self._cached("_inverse_free", lambda: not any(
-            x < 0 for atom, _ in self.atoms
-            for w in (atom if self.kind == "pair" else (atom,)) for x in w))
+        return not any(x < 0 for atom, _ in self.atoms
+                       for w in (atom if self.kind == "pair" else (atom,)) for x in w)
 
-    @property
+    @cached_property
     def max_atom_length(self) -> int:
         length = pair_length if self.kind == "pair" else len
-        return self._cached("_max_atom_length", lambda: max(length(a) for a, _ in self.atoms))
+        return max(length(a) for a, _ in self.atoms)
 
     def as_float(self) -> "FiniteMeasure":
         if not self.exact:
             return self
-        return FiniteMeasure(
-            tuple((a, float(w)) for a, w in self.atoms), self.rank, self.kind
-        )
+        return FiniteMeasure(tuple((a, float(w)) for a, w in self.atoms), self.rank, self.kind)
 
-    def _cached(self, name: str, make):
-        """``make()``, made on the first read and kept on the (frozen) measure."""
-        value = self.__dict__.get(name)
-        if value is None:
-            value = make()
-            object.__setattr__(self, name, value)
-        return value
-
+    @cached_property
     def _lookup(self) -> dict:
-        return self._cached("_lookup_cache", lambda: dict(self.atoms))
+        return dict(self.atoms)
 
+    @cached_property
     def _cumulative(self) -> np.ndarray:
-        return self._cached("_cum_cache", lambda: np.cumsum(
-            np.array([float(w) for _, w in self.atoms])))
+        return np.cumsum(np.array([float(w) for _, w in self.atoms]))
 
+    @cached_property
     def _guide(self) -> np.ndarray:
         """``rng.index_guide`` of the cumulative weights."""
-        return self._cached("_guide_cache", lambda: rngmod.index_guide(self._cumulative()))
+        return rngmod.index_guide(self._cumulative)
 
 
 def _normalize_atom(raw, kind: str | None) -> tuple[Atom, str]:
@@ -303,15 +297,6 @@ def build_pi_rho(mu: FiniteMeasure, rho) -> FiniteMeasure:
     return build_measure(atoms, rank=mu.rank, kind="pair")
 
 
-def product_measure(mu: FiniteMeasure, nu: FiniteMeasure) -> FiniteMeasure:
-    """Independent product mu x nu as a pair measure."""
-    if mu.kind != "single" or nu.kind != "single":
-        raise ValidationError("product_measure needs two single-coordinate measures")
-    rank = max(mu.rank, nu.rank)
-    atoms = [((x, y), wx * wy) for x, wx in mu.atoms for y, wy in nu.atoms]
-    return build_measure(atoms, rank=rank, kind="pair")
-
-
 def uniform_letter_count(mu: FiniteMeasure) -> int | None:
     """Return m when mu is uniform on m >= 2 distinct positive single letters.
 
@@ -425,9 +410,7 @@ class ConvolutionLevel:
     kind: str
     rank: int
     step_max_len: int
-    exact: bool
     denominator: int | None
-    truncated: bool
     lost_mass: Weight
     _support: Support = field(repr=False)
     _vals: np.ndarray | _ProductStep = field(repr=False)
@@ -436,12 +419,19 @@ class ConvolutionLevel:
     _entropy: float | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
+    def exact(self) -> bool:
+        """Whether the values are numerators over ``denominator``."""
+        return self.denominator is not None
+
+    @property
+    def truncated(self) -> bool:
+        """Whether the cap dropped at least 1e-9 mass; less is reported but not flagged."""
+        return self.lost_mass >= _TRUNC_FLAG_TOL
+
+    @property
     def size(self) -> int:
         """Number of atoms, every head of a factored level counted."""
-        if self.factors is not None:
-            heads, tails = self.factors
-            return len(heads) * len(tails)
-        return len(self._vals)
+        return _size(self._support, self._vals)
 
     @property
     def factors(self) -> tuple[np.ndarray, np.ndarray] | None:
@@ -516,7 +506,7 @@ class ConvolutionLevel:
         if isinstance(vals, np.ndarray):
             uniq, cnt = _counted(_stored_blocks(vals, self._orbits))
         else:
-            uniq, cnt = vals.mass_counts()
+            uniq, cnt = vals.mass_counts
         return Counter(dict(zip(uniq.tolist(), cnt.tolist())))
 
     def entropy_kept(self) -> float:
@@ -561,12 +551,17 @@ class ConvolutionLevel:
     def to_measure(self) -> FiniteMeasure:
         if self.size > _MATERIALIZE_CAP:
             raise BudgetError("level too large to materialize as a measure")
-        atoms = []
-        for atom, v in self.iter_items():
-            w: Weight = Fraction(v, self.denominator) if self.exact else v
-            atoms.append((atom, w))
+        atoms = [(a, Fraction(v, self.denominator) if self.exact else v)
+                 for a, v in self.iter_items()]
         atoms.sort(key=lambda kv: kv[0])
         return FiniteMeasure(tuple(atoms), self.rank, self.kind)
+
+
+def _size(support: Support, vals: np.ndarray | _ProductStep) -> int:
+    """Atoms of a level, every head times every tail when it is held as factors."""
+    if isinstance(support, tuple):
+        return len(support[0]) * len(support[1])
+    return len(vals)
 
 
 def _stored_blocks(vals: np.ndarray, orbits: _Orbits | None) -> Iterator[tuple[np.ndarray, int]]:
@@ -620,16 +615,6 @@ def _step_numerators(step: FiniteMeasure) -> tuple[int, list[int]]:
     denom = math.lcm(*[w.denominator for _, w in step.atoms])
     nums = [int(w * denom) for _, w in step.atoms]
     return denom, nums
-
-
-_TRUNC_FLAG_TOL = Fraction(1, 10**9)
-
-
-def _flag_truncated(lost: Weight) -> bool:
-    """Truncation below 1e-9 total mass is reported but not flagged."""
-    if isinstance(lost, Fraction):
-        return lost >= _TRUNC_FLAG_TOL
-    return lost >= 1e-9
 
 
 def _position_bits(key_bound: int, count: int) -> int | None:
@@ -756,7 +741,8 @@ def _plane_sum(terms: np.ndarray) -> np.ndarray:
     return terms[0]
 
 
-def _symmetric(step: FiniteMeasure, n: int) -> bool:
+def _symmetric(step: FiniteMeasure, n: int, code: _WordCode,
+               factors: tuple[np.ndarray, np.ndarray], vals: np.ndarray) -> bool:
     """Whether levels 1..n of a pair step may store one row per orbit of heads.
 
     The group is every permutation of the generators, with signs on a
@@ -767,10 +753,10 @@ def _symmetric(step: FiniteMeasure, n: int) -> bool:
     2**-e with e * n <= 53, so that every product and partial sum of a
     level is a multiple of 2**(-e * level) in [0, 1] and no float sum
     depends on its order.  Then a head's row, read through its orbit's
-    row, has the bits of its own.
+    row, has the bits of its own.  (a) is read off level 1 (``factors``,
+    ``vals``): each move maps heads and tails through its digit table
+    (``_moved``), and must permute each and keep the value grid.
     """
-    if step.kind != "pair":
-        return False
     if not step.exact:
         e = max(w.as_integer_ratio()[1].bit_length() - 1 for _, w in step.atoms)
         if e * n > 53:
@@ -781,12 +767,15 @@ def _symmetric(step: FiniteMeasure, n: int) -> bool:
         moves.append({i: i % k + 1 for i in range(1, k + 1)})
     if not step.inverse_free:
         moves.append({1: -1})
-    weights = step._lookup()
-    for move in moves:
-        image = lambda word: tuple(move.get(abs(x), abs(x)) * (1 if x > 0 else -1) for x in word)
-        if any(weights.get((image(x), image(y))) != w for (x, y), w in step.atoms):
-            return False
-    return bool(moves)
+    if not moves:
+        return False
+    table = np.array([[0] + [code.digit[move.get(abs(x), abs(x)) * (1 if x > 0 else -1)]
+                             for x in code.letters] for move in moves])
+    moved = [_moved(code, table, codes) for codes in factors]  # a row per move
+    at = [np.searchsorted(c, m).clip(max=len(c) - 1) for c, m in zip(factors, moved)]
+    grid = vals.reshape(len(factors[0]), -1)
+    return (all(np.array_equal(c[i], m) for c, i, m in zip(factors, at, moved))
+            and bool(np.all(grid[at[0][:, :, None], at[1][:, None, :]] == grid)))
 
 
 def _digits(code: _WordCode, codes: np.ndarray) -> list[np.ndarray]:
@@ -796,6 +785,14 @@ def _digits(code: _WordCode, codes: np.ndarray) -> list[np.ndarray]:
         digits.append((codes % code.base).astype(np.intp))
         codes = codes // code.base
     return digits[::-1]
+
+
+def _moved(code: _WordCode, table: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """Codes of the words with each letter digit d replaced by ``table[..., d]``."""
+    moved = np.zeros(table.shape[:-1] + codes.shape, dtype=codes.dtype)
+    for d in _digits(code, codes):
+        moved = moved * code.base + table[..., d]
+    return moved
 
 
 def _relabelled(code: _WordCode, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -852,10 +849,7 @@ class _Orbits:
         code, gens, k = self.code, self.gens, self.gens.shape[1]
         # per relabelling, the image digit of each letter digit
         signed = np.hstack([np.zeros((len(gens), 1), dtype=np.intp), gens, -gens])
-        table = np.where(signed < 0, k - signed, signed)[:, : code.base]
-        moved = np.zeros((len(gens), len(self.tails)), dtype=self.tails.dtype)
-        for d in _digits(code, self.tails):
-            moved = moved * code.base + table[:, d]
+        moved = _moved(code, np.where(signed < 0, k - signed, signed)[:, : code.base], self.tails)
         return np.searchsorted(self.tails, moved.reshape(-1)).reshape(moved.shape)
 
     def expand(self, rows: np.ndarray) -> np.ndarray:
@@ -927,10 +921,6 @@ class _ProductStep:
         self.factors = (targets, tail_codes)
         self.source_orbits = orbits
         self.vals = vals.reshape(-1, m)
-        self.counts = None
-
-    def __len__(self) -> int:
-        return len(self.factors[0]) * len(self.factors[1])
 
     def batches(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """Yield each batch's stored rows and sums (tails-major), in reused buffers."""
@@ -974,11 +964,10 @@ class _ProductStep:
             out_v[t] = sums.T
         return out_v.reshape(-1)
 
+    @cached_property
     def mass_counts(self) -> tuple[np.ndarray, np.ndarray]:
         """The new level's (value, count) histogram, counted once, a batch at a time."""
-        if self.counts is None:
-            self.counts = _counted(self._blocks())
-        return self.counts
+        return _counted(self._blocks())
 
     def _blocks(self) -> Iterator[tuple[np.ndarray, int]]:
         """Each batch's sums, flat and cut where its rows' orbit size changes, with that size.
@@ -1127,7 +1116,7 @@ def iter_convolution_levels(
     a level; a level's bits depend on neither its form nor ``_CHUNK``.
     An uncut level n made so is yielded unbuilt (module docstring).
     Each such step decides whether its level stores a row per orbit of
-    heads (``_symmetric`` is worked out once from the step and ``n``).
+    heads (``_symmetric`` is worked out once from level 1 and ``n``).
     Past ``cap`` atoms the lightest are dropped, ties broken in shortlex
     order (pairs: lexicographic in the two coordinates; ``_heaviest``),
     and only the kept atoms' keys are built (``_kept``); the lost mass is
@@ -1166,7 +1155,8 @@ def iter_convolution_levels(
     orbits, symmetric = None, False
     if pair:  # a product step is held as its factors from level 1 on
         support = _product_shape(support, code.stride) or support
-        symmetric = isinstance(support, tuple) and len(vals) <= cap and _symmetric(step, n)
+        symmetric = (isinstance(support, tuple) and len(vals) <= cap
+                     and _symmetric(step, n, code, support, vals))
 
     lost: Weight = Fraction(0) if exact else 0.0
 
@@ -1181,7 +1171,7 @@ def iter_convolution_levels(
                 support, orbits = vals.factors, vals.orbits
             else:
                 support, vals = _times_step(code, pair, atoms, groups, num, support, vals)
-        size = len(support[0]) * len(support[1]) if isinstance(support, tuple) else len(vals)
+        size = _size(support, vals)
         if size > cap and strict:
             raise TruncationError(
                 f"support size {size} exceeds cap {cap} at level {level}",
@@ -1199,18 +1189,9 @@ def iter_convolution_levels(
                 lost = lost + float(dropped)
             support, vals = _kept(support, keep, code.stride), vals[keep]
         yield ConvolutionLevel(
-            level=level,
-            kind=step.kind,
-            rank=step.rank,
-            step_max_len=step.max_atom_length,
-            exact=exact,
-            denominator=None if not exact else denom**level,
-            truncated=_flag_truncated(lost),
-            lost_mass=lost,
-            _support=support,
-            _vals=vals,
-            _code=code,
-            _orbits=orbits,
+            level=level, kind=step.kind, rank=step.rank, step_max_len=step.max_atom_length,
+            denominator=denom**level if exact else None, lost_mass=lost,
+            _support=support, _vals=vals, _code=code, _orbits=orbits,
         )
 
 
@@ -1229,18 +1210,16 @@ def shannon_entropy(m: FiniteMeasure) -> float:
 
 def entropy_mass_spec(source) -> tuple[int, Counter]:
     """(denominator, numerator multiplicities) of an exact measure or level."""
-    if isinstance(source, ConvolutionLevel):
-        if not source.exact:
-            raise ValidationError("entropy certification needs exact weights")
-        if source.lost_mass != 0:
-            raise ValidationError("entropy certification needs an untruncated level")
-        return source.denominator, source.mass_counts()
+    if not isinstance(source, (ConvolutionLevel, FiniteMeasure)):
+        raise InputError(f"cannot extract mass spec from {source!r}")
+    if not source.exact:
+        raise ValidationError("entropy certification needs exact weights")
     if isinstance(source, FiniteMeasure):
-        if not source.exact:
-            raise ValidationError("entropy certification needs exact weights")
         denom, nums = _step_numerators(source)
         return denom, Counter(nums)
-    raise InputError(f"cannot extract mass spec from {source!r}")
+    if source.lost_mass != 0:
+        raise ValidationError("entropy certification needs an untruncated level")
+    return source.denominator, source.mass_counts()
 
 
 def _tensor_counts(counts: Counter) -> Counter:

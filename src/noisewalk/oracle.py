@@ -168,7 +168,7 @@ def tv_distance(a: FiniteMeasure, b: FiniteMeasure) -> Weight:
     """
     if a.kind != b.kind:
         raise ValidationError("total variation needs measures of one kind")
-    la, lb = a._lookup(), b._lookup()
+    la, lb = a._lookup, b._lookup
     keys = set(la) | set(lb)
     if a.exact and b.exact:
         s = sum((abs(Fraction(la.get(k, 0)) - Fraction(lb.get(k, 0))) for k in keys), Fraction(0))

@@ -61,7 +61,7 @@ def index_block(
     Long streams are drawn a few rows at a time, so no [trials, n] word
     matrix is built beside the index matrix.
     """
-    cum, guide = measure._cumulative(), measure._guide()
+    cum, guide = measure._cumulative, measure._guide
     streams = rngmod.stream_ids(component, trials)
     out = np.empty((len(streams), n), dtype=np.int32)
     rows = max(1, _WORDS_PER_DRAW // max(n, 1))

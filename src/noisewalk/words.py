@@ -19,7 +19,7 @@ Word = tuple[int, ...]
 WordPair = tuple[Word, Word]
 
 
-def reduce_word(letters: Iterable[int], rank: int | None = None) -> Word:
+def reduce_word(letters: Iterable[int]) -> Word:
     """Cancel adjacent inverse pairs until none remain.
 
     Single left-to-right pass with a stack; the reduced form is unique
@@ -34,8 +34,6 @@ def reduce_word(letters: Iterable[int], rank: int | None = None) -> Word:
     for x in letters:
         if not isinstance(x, int) or isinstance(x, bool) or x == 0:
             raise InputError(f"letter {x!r} is not a valid generator index")
-        if rank is not None and abs(x) > rank:
-            raise InputError(f"letter {x} exceeds rank {rank}")
         if stack and stack[-1] == -x:
             stack.pop()
         else:

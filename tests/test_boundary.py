@@ -325,6 +325,17 @@ def test_local_dimension_validation():
             local_dimension(tree, (1, 2), 10, seed=2, min_count=bad)
 
 
+def test_local_dimension_needs_a_sample_stable_to_the_smallest_depth():
+    letters = np.array([[1, 0, 0], [2, 0, 0]], dtype=np.int8)
+    lens = np.array([1, 1])
+    s = BoundarySampleSet(letters, letters.copy(), lens, lens, horizon=3, keep_depth=3,
+                          rank=2, seed=0)
+    tree = build_tree(s, 3)
+    assert tree.t_stable.tolist() == [1, 1]
+    with pytest.raises(ValidationError, match="no sample is stable to the smallest grid depth"):
+        local_dimension(tree, (2, 3), 10, seed=2)
+
+
 def test_dimension_singularity_conclusive_and_not():
     mu = semi(2)
     kwargs = dict(horizon=80, trials=20_000, t_grid=tuple(range(1, 13)),

@@ -398,8 +398,8 @@ def _three_gib_address_space():
 
 
 def test_cli_memory_error_exits_three_without_a_traceback(tmp_path):
-    # the default cap cuts level 2 of free_group:20 to 10^6 atoms, and the
-    # chunked step of level 3 then asks for all 1.6e9 products at once
+    # the default cap cuts level 2 of free_group:20 to 2 * 10^6 atoms, and the
+    # chunked step of level 3 then asks for all 3.2e9 products at once
     r = run_cli("sweep", "--group", "free_group:20", "--rho-grid", "[0.5]", "--n", "10",
                 "--trials", "10", "--seed", "1", "--out", str(tmp_path / "o"),
                 preexec_fn=_three_gib_address_space)
@@ -609,6 +609,26 @@ def test_cli_sweep_drift_record_is_the_drift_of_mu(tmp_path):
     assert len(drift) == 1 and sweep[0]["rho"] is None
     assert sweep[0].pop("subcommand") == "sweep" and drift[0].pop("subcommand") == "drift"
     assert sweep[0] == drift[0]
+
+
+def test_cli_sweep_default_cap_holds_level_six_of_free_group_2(tmp_path):
+    # level 6 of free_group:2 has 1,194,649 pair atoms; the default cap keeps
+    # it whole, so the sweep reports the n = 6 increment at its default n_max
+    execute(parse_config("sweep", None, {
+        "group": "free_group:2", "rho_grid": [0.3, 0.5], "n": 20, "trials": 10, "seed": 1,
+        "out": str(tmp_path)}))
+    recs = [json.loads(l) for l in (tmp_path / "results.json").read_text().splitlines()]
+    assert [(r["rho"], r["n"], r["value"]) for r in recs if r["method"] == "entropy-increment"] == [
+        (0.3, 6, 1.2650935909367877), (0.5, 6, 1.355915545403132)]
+
+
+def test_cli_refuses_a_bad_inline_measure_with_exit_two(tmp_path):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"spec_version": 1, "rho": 0.5, "seed": 1,
+                               "measure": {"rank": 2, "kind": "single", "atoms": []}}))
+    r = CliRunner().invoke(main, ["drift", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert r.exit_code == 2
+    assert "bad inline measure: measure JSON needs a non-empty atom list" in r.output
 
 
 def test_cli_tv_oracle_rows_golden(tmp_path):

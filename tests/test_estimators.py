@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from noisewalk import walkers
-from noisewalk.errors import InputError, ValidationError
+from noisewalk.errors import BudgetError, InputError, ValidationError
 from noisewalk.estimators import (
     EstimateResult,
     _tv_pair_convolution,
@@ -32,11 +32,11 @@ from noisewalk.measures import (
     build_measure,
     build_pi_rho,
     iter_convolution_levels,
-    product_measure,
     uniform_measure,
 )
 from noisewalk.oracle import brute_force_convolution, h_semigroup, tv_distance, tv_semigroup
 from noisewalk.rng import STREAM_TV_INDEPENDENT
+from test_oracle import independent_pair
 
 F = Fraction
 
@@ -232,7 +232,7 @@ def test_tv_routes_agree_on_random_letter_steps(mu, rho, n):
 
 def test_tv_exact_matches_enumeration_on_group():
     mu = srw(2)
-    mumu = product_measure(mu, mu)
+    mumu = independent_pair(mu)
     for rho in (F(1, 4), F(9, 10)):
         pi = build_pi_rho(mu, rho)
         for n in (1, 2, 3):
@@ -240,6 +240,12 @@ def test_tv_exact_matches_enumeration_on_group():
                 brute_force_convolution(pi, n), brute_force_convolution(mumu, n)
             )
             assert tv_exact(mu, rho, n) == expect
+
+
+def test_tv_exact_refuses_more_value_classes_than_the_cap():
+    mu = build_measure([((1,), F(1, 2)), ((2,), F(1, 3)), ((3,), F(1, 6))])
+    with pytest.raises(BudgetError, match="value-class count 21 exceeds cap 5"):
+        list(tv_exact_curve(mu, F(1, 3), 4, cap=5))
 
 
 def test_tv_exact_bounds_and_endpoints():

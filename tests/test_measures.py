@@ -17,6 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from noisewalk.errors import (
+    BudgetError,
     InputError,
     TruncationError,
     ValidationError,
@@ -30,7 +31,6 @@ from noisewalk.measures import (
     entropy_mass_spec,
     iter_convolution_levels,
     measure_from_json_dict,
-    product_measure,
     shannon_entropy,
     uniform_letter_count,
     uniform_measure,
@@ -184,11 +184,6 @@ def test_pi_rho_exactness_rules():
         build_pi_rho(mu, 1.5)
     with pytest.raises(ValidationError):
         build_pi_rho(build_pi_rho(mu, H), H)  # already a pair measure
-
-
-def test_product_measure_matches_pi_rho_at_one():
-    mu = srw(2)
-    assert product_measure(mu, mu).atoms == build_pi_rho(mu, 1).atoms
 
 
 # ---------------------------------------------------------------------------
@@ -740,7 +735,7 @@ def test_deferred_readout_merges_to_the_one_shot_counts(chunk, block, monkeypatc
     ]):
         with pytest.MonkeyPatch.context() as mp:
             if not orbits:  # one stored row per head, on every step
-                mp.setattr(measures, "_symmetric", lambda step, n: False)
+                mp.setattr(measures, "_symmetric", lambda *a: False)
             else:  # orbit rows on every level a step makes, however small
                 mp.setattr(measures, "_ORBIT_PRODUCTS", 0)
             *_, lv = iter_convolution_levels(step, n)
@@ -832,7 +827,7 @@ def assert_matches_brute_force(got, full):
     if got.exact:
         assert got.atoms == full.atoms
         return
-    g, f = got._lookup(), full._lookup()
+    g, f = got._lookup, full._lookup
     for a in g.keys() | f.keys():
         assert math.isclose(g.get(a, 0.0), f.get(a, 0.0), rel_tol=1e-12, abs_tol=1e-300)
 
@@ -945,6 +940,15 @@ def test_non_product_step_takes_the_chunked_step():
                 assert_measures_equal(lv.to_measure(), brute_force_convolution(step, lvl))
 
 
+def test_a_level_past_the_materialize_cap_is_refused(monkeypatch):
+    lv = list(iter_convolution_levels(build_pi_rho(srw(2), F(1, 2)), 2))[1]
+    monkeypatch.setattr(measures, "_MATERIALIZE_CAP", lv.size - 1)
+    with pytest.raises(BudgetError, match="level too large to materialize"):
+        lv.to_measure()
+    monkeypatch.setattr(measures, "_MATERIALIZE_CAP", lv.size)
+    assert lv.to_measure().support_size == lv.size == 169
+
+
 @pytest.mark.parametrize("cap, sizes", [
     # levels 1-2 of pi_0.3 on F_2 are products (16 and 169 atoms); level 3
     # is made from level 2's factors and cut, so levels 4 and 5 take the
@@ -971,10 +975,10 @@ def test_product_levels_sort_no_products(monkeypatch):
         raise AssertionError("a product level fell back to the chunked step")
 
     monkeypatch.setattr(measures, "_sort_in_place", refuse)
-    levels = list(iter_convolution_levels(build_pi_rho(uniform_measure(2), 0.5), 6))
-    # the squares of the single supports, level 6 cut to the default cap;
-    # the cap keeps keys
-    assert [lv.size for lv in levels] == [k * k for k in (4, 13, 40, 121, 364)] + [DEFAULT_CAP]
+    step = build_pi_rho(uniform_measure(2), 0.5)
+    levels = list(iter_convolution_levels(step, 6, cap=1_000_000))
+    # the squares of the single supports, level 6 cut to the cap; the cap keeps keys
+    assert [lv.size for lv in levels] == [k * k for k in (4, 13, 40, 121, 364)] + [1_000_000]
     assert [lv.factors is not None for lv in levels] == [True] * 5 + [False]
 
 
@@ -1006,7 +1010,7 @@ def orbit_reads(step, n, cap=2_000_000):
 def test_orbit_rows_read_as_one_row_per_head(mu, rho, n):
     step = build_pi_rho(mu, rho)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(measures, "_symmetric", lambda step, n: False)
+        mp.setattr(measures, "_symmetric", lambda *a: False)
         want = orbit_reads(step, n)
     assert not any(r[0] for r in want)
     with pytest.MonkeyPatch.context() as mp:
@@ -1031,7 +1035,7 @@ def test_orbit_rows_read_as_one_row_per_head(mu, rho, n):
     # a level the cap cuts is summed for every head, its source read through
     # the orbit rows
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(measures, "_symmetric", lambda step, n: False)
+        mp.setattr(measures, "_symmetric", lambda *a: False)
         want_cut = level_record(step, n, 20_000)
     for break_even in (0, measures._ORBIT_PRODUCTS):
         with pytest.MonkeyPatch.context() as mp:
@@ -1058,7 +1062,7 @@ def test_a_cut_step_after_orbit_rows_expands_nothing(mu, n, cap):
         return out
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(measures, "_symmetric", lambda step, n: False)
+        mp.setattr(measures, "_symmetric", lambda *a: False)
         want = kept_reads()
     expanded, expand = [], measures._Orbits.expand
     with pytest.MonkeyPatch.context() as mp:
@@ -1077,7 +1081,7 @@ def test_orbit_rows_start_by_the_products_of_the_step_not_the_atoms():
     # level 2 of F_8 has 58,081 pair atoms, made by 256 x 256 = 2**16 products
     step = build_pi_rho(srw(8), F(1, 2))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(measures, "_symmetric", lambda step, n: False)
+        mp.setattr(measures, "_symmetric", lambda *a: False)
         want = [r[1:] for r in orbit_reads(step, 2)]
     for break_even, starts in [(2**16, [False, True]), (2**16 + 1, [False, False])]:
         with pytest.MonkeyPatch.context() as mp:
@@ -1153,21 +1157,85 @@ def test_streamed_readout_counts_each_block_with_one_orbit_size(mu, rho, n, chun
     assert_same_counts(got, one_shot_counts(lv.values))
 
 
+def symmetric(step, n):
+    """``measures._symmetric`` on the step's level 1, held as factors."""
+    lv = next(iter_convolution_levels(step, 1))
+    return measures._symmetric(step, n, lv._code, lv.factors, lv.values)
+
+
+def reference_symmetric(step, n):
+    """The orbit-row condition of ``_symmetric``, read off the step's atoms:
+    each generating move must send every atom to an atom of equal weight."""
+    if not step.exact:
+        e = max(w.as_integer_ratio()[1].bit_length() - 1 for _, w in step.atoms)
+        if e * n > 53:
+            return False
+    k = step.rank
+    moves = [{1: 2, 2: 1}] if k > 1 else []
+    if k > 2:
+        moves.append({i: i % k + 1 for i in range(1, k + 1)})
+    if not step.inverse_free:
+        moves.append({1: -1})
+    weights = dict(step.atoms)
+    for move in moves:
+        image = lambda word: tuple(move.get(abs(x), abs(x)) * (1 if x > 0 else -1) for x in word)
+        if any(weights.get((image(x), image(y))) != w for (x, y), w in step.atoms):
+            return False
+    return bool(moves)
+
+
 def test_symmetry_needs_an_invariant_step_and_exact_sums():
-    assert measures._symmetric(build_pi_rho(srw(2), F(3, 10)), 6)
-    assert measures._symmetric(build_pi_rho(semi(3), F(1, 2)), 6)
+    assert symmetric(build_pi_rho(srw(2), F(3, 10)), 6)
+    assert symmetric(build_pi_rho(semi(3), F(1, 2)), 6)
     # float 0.3 is not dyadic: sums could depend on their order
-    assert not measures._symmetric(build_pi_rho(srw(2), 0.3), 6)
+    assert not symmetric(build_pi_rho(srw(2), 0.3), 6)
     # a lopsided step is kept by no signed permutation but the identity
-    assert not measures._symmetric(build_pi_rho(LOPSIDED_F6, F(1, 2)), 2)
+    assert not symmetric(build_pi_rho(LOPSIDED_F6, F(1, 2)), 2)
     lopsided = build_measure([((1,), F(1, 2)), ((-1,), F(1, 4)), ((2,), F(1, 8)), ((-2,), F(1, 8))])
-    assert not measures._symmetric(build_pi_rho(lopsided, F(1, 2)), 2)
+    assert not symmetric(build_pi_rho(lopsided, F(1, 2)), 2)
     # float pi_0.5 on F_2 has weights in 2**-5: levels to 10 keep 53 bits, not 11
     half = build_pi_rho(srw(2), 0.5)
-    assert measures._symmetric(half, 10) and not measures._symmetric(half, 11)
+    assert symmetric(half, 10) and not symmetric(half, 11)
     # one generator of a semigroup: only the identity
-    assert not measures._symmetric(build_pi_rho(semi(1), F(1, 2)), 4)
-    assert measures._symmetric(build_pi_rho(srw(1), F(1, 2)), 4)
+    assert not symmetric(build_pi_rho(semi(1), F(1, 2)), 4)
+    assert symmetric(build_pi_rho(srw(1), F(1, 2)), 4)
+
+
+@st.composite
+def product_steps(draw):
+    """Pair steps held as factors at level 1: pi_rho at 0 < rho <= 1 of a
+    step on words of at most two letters, whose support and weights are
+    often kept by the generators' permutations (every word of some lengths,
+    a weight per length) and often not."""
+    rank = draw(st.integers(1, 3))
+    letters = list(range(1, rank + 1))
+    if not draw(st.booleans()):
+        letters += [-x for x in letters]
+    words = sorted({reduce_word(w) for w in itertools.chain(
+        [()], ((x,) for x in letters), itertools.product(letters, repeat=2))})
+    lengths = draw(st.sets(st.integers(0, 2), min_size=1))
+    by_length = {k: draw(st.integers(1, 3)) for k in lengths}
+    atoms = [w for w in words if len(w) in lengths]
+    if len(atoms) > 1 and draw(st.booleans()):  # one word dropped: a move may leave the support
+        atoms.pop(draw(st.integers(0, len(atoms) - 1)))
+    weights = [by_length[len(w)] for w in atoms]
+    if draw(st.booleans()):  # one word's weight changed: symmetric only by chance
+        i = draw(st.integers(0, len(atoms) - 1))
+        weights[i] = draw(st.integers(1, 3))
+    mu = build_measure([(a, F(w, sum(weights))) for a, w in zip(atoms, weights)], rank=rank)
+    if draw(st.booleans()):
+        mu = mu.as_float()
+    return build_pi_rho(mu, draw(st.sampled_from([F(1, 2), F(3, 10), F(1), 0.5, 0.25])))
+
+
+@settings(max_examples=200, deadline=None)
+@given(step=product_steps(), n=st.integers(1, 12))
+@example(step=build_pi_rho(LOPSIDED_F6, F(1, 2)), n=2)
+# equal weights on a support the swap of a_1 and a_2 leaves: (1, 1) goes to (2, 2)
+@example(step=build_pi_rho(build_measure([((1,), F(1, 3)), ((2,), F(1, 3)), ((1, 1), F(1, 3))]),
+                          F(1, 2)), n=2)
+def test_symmetry_on_level_one_matches_the_atom_images(step, n):
+    assert symmetric(step, n) == reference_symmetric(step, n)
 
 
 @pytest.mark.parametrize("rank, inverse_free", [(2, False), (3, False), (3, True)])
@@ -1325,6 +1393,20 @@ def test_json_roundtrip_exact_and_float():
         assert back.atoms == mu.atoms
         assert back.rank == mu.rank and back.kind == mu.kind
         assert back.exact == mu.exact
+
+
+def test_json_refuses_empty_atoms_unknown_kinds_malformed_records_and_weights():
+    good = {"rank": 2, "kind": "single", "atoms": [{"word": [1], "weight": 1}]}
+    for change, match in [
+        ({"atoms": []}, "non-empty atom list"),
+        ({"kind": "triple"}, "unknown measure kind 'triple'"),
+        ({"atoms": [{"word": [1]}]}, "malformed atom record"),
+        ({"atoms": [[[1], 1]]}, "malformed atom record"),
+        ({"atoms": [{"word": [1], "weight": None}]}, "cannot parse weight None"),
+        ({"atoms": [{"word": [1], "weight": "1/0"}]}, "cannot parse weight '1/0'"),
+    ]:
+        with pytest.raises(InputError, match=match):
+            measure_from_json_dict({**good, **change})
 
 
 def test_json_error_cases():

@@ -7,9 +7,9 @@ import pytest
 
 from noisewalk.errors import BudgetError, InputError
 from noisewalk.measures import (
+    build_measure,
     build_pi_rho,
     iter_convolution_levels,
-    product_measure,
     shannon_entropy,
     uniform_measure,
 )
@@ -24,6 +24,12 @@ from noisewalk.oracle import (
 )
 
 RHO_GRID = [i / 10 for i in range(11)]
+
+
+def independent_pair(mu):
+    """mu x mu as a pair measure, built atom by atom without ``build_pi_rho``."""
+    atoms = [((x, y), wx * wy) for x, wx in mu.atoms for y, wy in mu.atoms]
+    return build_measure(atoms, rank=mu.rank, kind="pair")
 
 
 def test_coupling_weights_sum_to_one():
@@ -82,11 +88,23 @@ def test_tv_semigroup_diagonal_end_one_step():
         assert abs(tv_semigroup(m, 0, 1) - (1 - 1 / m)) < 1e-15
 
 
+def test_tv_distance_of_float_copies_is_the_exact_value():
+    # dyadic weights: every float sum of the float branch is exact
+    mu = uniform_measure(2)
+    a = brute_force_convolution(build_pi_rho(mu, Fraction(1, 2)), 2)
+    b = brute_force_convolution(independent_pair(mu), 2)
+    exact = tv_distance(a, b)
+    assert isinstance(exact, Fraction) and 0 < exact < 1
+    for x, y in ((a.as_float(), b.as_float()), (a, b.as_float()), (a.as_float(), b)):
+        got = tv_distance(x, y)
+        assert isinstance(got, float) and got == exact
+
+
 def test_tv_semigroup_matches_enumeration():
     # independent implementation: enumerate the n-step laws directly
     for m in (2, 3):
         mu = uniform_measure(m, inverse_free=True)
-        mumu = product_measure(mu, mu)
+        mumu = independent_pair(mu)
         for rho in (0, Fraction(1, 4), Fraction(7, 10), 1):
             pi = build_pi_rho(mu, rho)
             for n in (1, 2, 3):

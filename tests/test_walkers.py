@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from noisewalk import rng, walkers
 from noisewalk.boundary import BoundarySampleSet, build_tree, sample_boundary
-from noisewalk.errors import InputError
+from noisewalk.errors import BudgetError, InputError
 from noisewalk.measures import (
     FiniteMeasure,
     build_measure,
@@ -188,12 +188,20 @@ def test_rng_validation():
 # walkers
 
 
+def test_letter_matrices_refuse_ranks_past_int8():
+    assert walkers._MAX_RANK_INT8 == 120
+    top = walkers.letter_matrices(uniform_measure(120))
+    assert [m.dtype for m in top] == [np.int8] and top[0].min() == -120
+    with pytest.raises(BudgetError, match="rank 121 exceeds the int8 letter budget"):
+        walkers.letter_matrices(uniform_measure(121))
+
+
 @pytest.mark.parametrize("n", [30, rng.SHORT_STREAM + 1])
 def test_index_block_rows_match_per_stream_sampling(monkeypatch, n):
     monkeypatch.setattr(walkers, "_WORDS_PER_DRAW", 7 * n)  # several draws per block
     pi = build_pi_rho(uniform_measure(2), 0.3)
     got = walkers.index_block(pi, n, 9, rng.STREAM_DRIFT, np.arange(100, 140))
-    cum = pi._cumulative()
+    cum = pi._cumulative
     expect = [
         np.minimum(
             np.searchsorted(cum, rng.generator(9, rng.stream_id(rng.STREAM_DRIFT, t)).random(n)),
@@ -206,7 +214,7 @@ def test_index_block_rows_match_per_stream_sampling(monkeypatch, n):
 
 
 def test_sample_indices_match_searchsorted_on_random():
-    cum = build_pi_rho(uniform_measure(2), 0.3)._cumulative()
+    cum = build_pi_rho(uniform_measure(2), 0.3)._cumulative
     got = rng.sample_indices(cum, 1000, rng.generator(3, 5))
     u = rng.generator(3, 5).random(1000)
     assert got.dtype == np.int64
@@ -426,7 +434,7 @@ def small_walk_steps(draw):
 def sample_path_end(step, n, seed, stream):
     """The coordinate words after n steps of one path, its atoms drawn by
     inverse CDF from the stream (seed, stream) and multiplied one by one."""
-    idx = rng.sample_indices(step._cumulative(), n, rng.generator(seed, stream))
+    idx = rng.sample_indices(step._cumulative, n, rng.generator(seed, stream))
     words = ((), ()) if step.kind == "pair" else ((),)
     for i in idx:
         atom = step.atoms[i][0]

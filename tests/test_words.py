@@ -1,9 +1,11 @@
 """Reduced-word arithmetic against brute-force oracles."""
 
+import doctest
 import random
 
 import pytest
 
+import noisewalk.words
 from noisewalk.errors import InputError
 from noisewalk.words import (
     common_prefix_length,
@@ -59,11 +61,14 @@ def test_reduce_matches_brute_force():
         assert reduce_word(letters) == brute_reduce(letters)
 
 
+def test_docstring_examples_hold():
+    result = doctest.testmod(noisewalk.words)
+    assert (result.attempted, result.failed) == (5, 0)
+
+
 def test_reduce_rejects_bad_letters():
     with pytest.raises(InputError):
         reduce_word([0])
-    with pytest.raises(InputError):
-        reduce_word([1, 3], rank=2)
     with pytest.raises(InputError):
         reduce_word([1.0])  # type: ignore[list-item]
 
