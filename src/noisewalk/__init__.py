@@ -30,6 +30,7 @@ from .errors import (
 from .estimators import (
     EstimateResult,
     drift_mc,
+    entropy_estimate,
     entropy_exact_curve,
     entropy_rate_estimate,
     rho_sweep,
@@ -92,6 +93,7 @@ __all__ = [
     "distance",
     "drift_free_group_srw",
     "drift_mc",
+    "entropy_estimate",
     "entropy_exact_curve",
     "entropy_mass_spec",
     "entropy_rate_estimate",

@@ -209,6 +209,8 @@ _SHARED = {"group": None, "measure": None, "seed": None, "workers": 1, "out": Pa
 # statement of what its config file and its flags may set.
 _SUBCOMMANDS = {
     "drift": {**_SHARED, "rho": None, "n": 1000, "trials": 400},
+    # entropy runs strict, and level 6 of pi_rho on four uniform semigroup
+    # letters has 16^6 atoms, above the default cap: so 5, not DEFAULT_N_MAX
     "entropy": {**_SHARED, "rho": None, "n": 5000, "trials": 200,
                 "cap": measures.DEFAULT_CAP, "plot": False, "method": "auto",
                 "n_max": 5},
@@ -221,7 +223,7 @@ _SUBCOMMANDS = {
                   "export_tree_depth": None},
     "sweep": {**_SHARED, "n": 4000, "trials": 150, "cap": measures.DEFAULT_CAP,
               "plot": False, "rho_grid": None, "tv_ns": (), "threshold_frac": 0.2,
-              "n_max": 6},
+              "n_max": estimators.DEFAULT_N_MAX},
     "report": {"out": Path("."), "plot": False},
 }
 
@@ -312,9 +314,10 @@ def parse_config(
         if rho_grid is not None and len(rho_grid) != 2:
             raise ValidationError("dimension rho_grid must have exactly two values")
         if v["t_grid"] is None:
-            v["t_grid"] = _PARSERS["t_grid"](
-                list(range(1, min(21, v["horizon"] + 1))), "t_grid"
-            )
+            if v["horizon"] < 2:
+                raise ValidationError(f"horizon {v['horizon']} leaves the default t_grid one "
+                                      "depth: give a horizon >= 2, or a t_grid")
+            v["t_grid"] = tuple(range(1, min(21, v["horizon"] + 1)))
         keep, export = v["keep_depth"], v["export_tree_depth"]
         if rho_grid is not None:  # the two-point check builds no tree
             for key in ("keep_depth", "export_tree_depth"):
@@ -371,9 +374,7 @@ def _plain(obj):
         return {str(k): _plain(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_plain(v) for v in obj]
-    if isinstance(obj, bool) or obj is None or isinstance(obj, (int, str)):
-        return obj
-    if isinstance(obj, float):
+    if obj is None or isinstance(obj, (int, float, str)):  # bool is an int
         return obj
     return float(obj)
 
@@ -566,35 +567,15 @@ def _run_drift(cfg: RunConfig):
 
 
 def _run_entropy(cfg: RunConfig):
-    m = measures.uniform_letter_count(cfg.measure)
-    method = cfg.method
-    if method == "auto":
-        method = "pointwise" if (m is not None and cfg.rho is not None) else "exact"
-    records = []
-    if method == "pointwise":
-        if m is None:
-            raise UnsupportedRegimeError(
-                "pointwise entropy needs a uniform step on two or more semigroup letters"
-            )
-        if cfg.rho is None:
-            raise ValidationError("pointwise entropy needs rho")
-        r = estimators.shannon_pointwise(m, cfg.rho, cfg.n, cfg.trials, cfg.seed)
-        records.append(_result_record(r, cfg, cfg.rho))
-    else:
-        if cfg.n_max < 2:  # a rate is an increment of two levels: refuse before any work
-            raise ValidationError("need at least two untruncated levels for a rate")
-        step = cfg.measure
-        if cfg.rho is not None:
-            step = measures.build_pi_rho(cfg.measure, cfg.rho)
-        try:
-            levels = estimators.entropy_exact_curve(step, cfg.n_max, cfg.cap, strict=True)
-        except TruncationError as e:
-            raise TruncationError(
-                f"exact entropy needs a larger cap: {e}", e.level, e.lost_mass
-            )
-        rate = estimators.entropy_rate_estimate(levels)
-        records += [_result_record(r, cfg, cfg.rho) for r in (*levels, rate)]
-    return records, {}
+    # strict: a cut level exits 3 rather than leave the rate a bracket
+    try:
+        results = estimators.entropy_estimate(
+            cfg.measure, cfg.rho, cfg.n, cfg.trials, cfg.seed, cfg.n_max, cfg.cap,
+            method=cfg.method, strict=True,
+        )
+    except TruncationError as e:
+        raise TruncationError(f"exact entropy needs a larger cap: {e}", e.level, e.lost_mass)
+    return [_result_record(r, cfg, cfg.rho) for r in results], {}
 
 
 def _run_tv(cfg: RunConfig):

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import rng as rngmod
 from . import walkers
-from .errors import BudgetError, InputError, ValidationError, check_count
+from .errors import BudgetError, InputError, UnsupportedRegimeError, ValidationError, check_count
 from .measures import (
     DEFAULT_CAP,
     ConvolutionLevel,
@@ -33,6 +33,9 @@ from .measures import (
 from .oracle import coupling_weights, h_semigroup
 
 Z95 = 1.959963984540054
+
+# Levels of a run that is not strict: the default cap cuts level 7 of free_group:2
+DEFAULT_N_MAX = 6
 
 
 @dataclass(frozen=True)
@@ -107,12 +110,7 @@ def drift_mc(
         combined = np.maximum(lengths[0], lengths[1]).astype(np.float64) / n
         for label, arr in (("coord1", lengths[0]), ("coord2", lengths[1])):
             r = _mean_result(arr.astype(np.float64) / n, n, f"drift-mc-{label}")
-            details[label] = {
-                "value": r.value,
-                "std_error": r.std_error,
-                "ci_low": r.ci_low,
-                "ci_high": r.ci_high,
-            }
+            details[label] = {k: getattr(r, k) for k in ("value", "std_error", "ci_low", "ci_high")}
     else:
         combined = lengths[0].astype(np.float64) / n
     return _mean_result(combined, n, "drift-mc", details)
@@ -198,6 +196,36 @@ def entropy_rate_estimate(levels: tuple[EstimateResult, ...]) -> EstimateResult:
     upper_rate = min(r.details["upper_bound"] / r.n for r in levels)
     return exact_result(last.details["upper_bound"] - prev.value, last.n,
                         "entropy-increment", {"upper_rate": upper_rate})
+
+
+def entropy_estimate(
+    mu: FiniteMeasure, rho, n: int, trials: int, seed: int, n_max: int,
+    cap: int = DEFAULT_CAP, method: str = "auto", strict: bool = False,
+) -> tuple[EstimateResult, ...]:
+    """The entropy rate of pi_rho, or of ``mu`` itself when ``rho`` is None.
+
+    ``pointwise`` returns ``(shannon_pointwise(...),)``: it needs a rho and
+    a uniform step on two or more semigroup letters, and ``auto`` picks it
+    there.  ``exact`` returns the levels 1..n_max of ``entropy_exact_curve``
+    and their ``entropy_rate_estimate``, and refuses ``n_max`` < 2 first.
+    """
+    if method not in ("auto", "pointwise", "exact"):
+        raise InputError(f"method must be auto, pointwise or exact, got {method!r}")
+    m = uniform_letter_count(mu)
+    if method == "auto":
+        method = "pointwise" if m is not None and rho is not None else "exact"
+    if method == "pointwise":
+        if m is None:
+            raise UnsupportedRegimeError("pointwise entropy needs a uniform step on two "
+                                         "or more semigroup letters")
+        if rho is None:
+            raise ValidationError("pointwise entropy needs rho")
+        return (shannon_pointwise(m, rho, n, trials, seed),)
+    if n_max < 2:
+        raise ValidationError("need at least two untruncated levels for a rate")
+    step = mu if rho is None else build_pi_rho(mu, rho)
+    levels = entropy_exact_curve(step, n_max, cap=cap, strict=strict)
+    return (*levels, entropy_rate_estimate(levels))
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +438,7 @@ def rho_sweep(
     seed: int,
     tv_ns: tuple[int, ...] = (),
     threshold_frac: float = 0.2,
-    entropy_exact_max: int = 8,
+    entropy_exact_max: int = DEFAULT_N_MAX,
     cap: int = DEFAULT_CAP,
     workers: int = 1,
 ) -> tuple[tuple[float, tuple[EstimateResult, ...]], ...]:
@@ -425,27 +453,19 @@ def rho_sweep(
 
     Grid cells reuse the same substreams (common random numbers), which
     keeps curves smooth in rho and results deterministic in the seed.
-    Uniform single-letter supports use the pointwise entropy estimator,
-    whose details carry the closed form; other supports use exact
-    convolution increments up to ``entropy_exact_max`` levels, and a rate
-    needs two, so ``entropy_exact_max`` < 2 is refused before any draw.
+    Each entropy is the last result of ``entropy_estimate`` (method auto,
+    not strict), and all come before any TV draw: a refused
+    ``entropy_exact_max`` stops the sweep before any draw.
     """
     grid = [float(rho_weight(r)) for r in rho_grid]
     if not grid:
         raise InputError("rho grid is empty")
-    m = uniform_letter_count(mu)
-    if m is None and entropy_exact_max < 2:
-        raise ValidationError("need at least two untruncated levels for a rate")
+    ents = [entropy_estimate(mu, r, n, trials, seed, entropy_exact_max, cap)[-1]
+            for r in grid]
     indep = [_independent_prefixes(mu, tn, trials, seed, threshold_frac, workers)
              for tn in tv_ns]
-    points = []
-    for r in grid:
-        if m is not None:
-            ent = shannon_pointwise(m, r, n, trials, seed)
-        else:
-            ent = entropy_rate_estimate(
-                entropy_exact_curve(build_pi_rho(mu, r), entropy_exact_max, cap=cap))
-        tvs = (_tv_lower_result(mu, r, g_i, tn, trials, seed, threshold_frac, workers)
-               for tn, g_i in zip(tv_ns, indep))
-        points.append((r, (ent, *tvs)))
-    return tuple(points)
+    return tuple(
+        (r, (ent, *(_tv_lower_result(mu, r, g_i, tn, trials, seed, threshold_frac, workers)
+                    for tn, g_i in zip(tv_ns, indep))))
+        for r, ent in zip(grid, ents)
+    )

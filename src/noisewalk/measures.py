@@ -192,11 +192,8 @@ def build_measure(
     inferred_kind: str | None = kind
     any_float = False
     for raw_atom, raw_w in support:
-        atom, k = _normalize_atom(raw_atom, inferred_kind)
-        if inferred_kind is None:
-            inferred_kind = k
-        elif k != inferred_kind:
-            raise ValidationError("mixed single and pair atoms in one support")
+        # once the first atom sets the kind, an atom of the other kind is refused here
+        atom, inferred_kind = _normalize_atom(raw_atom, inferred_kind)
         if isinstance(raw_w, bool):
             raise InputError(f"weight {raw_w!r} is not numeric")
         if isinstance(raw_w, float):
@@ -1238,12 +1235,12 @@ def certified_entropy_compare(
 
     Structural checks settle the exact-equality cases (identical mass
     multisets; or, at factor 2, the multiset of a equal to the tensor
-    square of b).  Otherwise the difference is evaluated in 60-digit
-    arithmetic; any true nonzero gap between entropies of rational
-    measures at these denominators dwarfs the 1e-40 certification
-    threshold, and a difference below it raises instead of guessing.
+    square of b).  Otherwise the difference is enclosed in 60-digit
+    interval arithmetic, and its sign is returned only when the enclosure
+    excludes 0; an enclosure holding 0 raises instead of guessing.
     """
-    import mpmath  # imported here: nothing else in the package needs it
+    # imported here: nothing else in the package needs it
+    from mpmath.ctx_iv import MPIntervalContext
 
     da, ca = spec_a
     db, cb = spec_b
@@ -1251,19 +1248,19 @@ def certified_entropy_compare(
         return 0
     if factor == 2 and da == db * db and ca == _tensor_counts(cb):
         return 0
-    with mpmath.workdps(60):
-        def entropy(d, c):
-            s = mpmath.mpf(0)
-            for v, cnt in c.items():
-                s += mpmath.mpf(cnt) * v * mpmath.log(v)
-            return mpmath.log(d) - s / d
+    iv = MPIntervalContext()  # its own precision: mpmath.iv is shared by every caller
+    iv.dps = 60
 
-        diff = entropy(da, ca) - factor * entropy(db, cb)
-        if abs(diff) < mpmath.mpf("1e-40"):
-            raise ValidationError(
-                "entropy comparison not certified: difference below 1e-40"
-            )
-        return 1 if diff > 0 else -1
+    def entropy(d, c):
+        s = iv.mpf(0)
+        for v, cnt in c.items():
+            s += iv.mpf(cnt) * v * iv.log(v)
+        return iv.log(d) - s / d
+
+    diff = entropy(da, ca) - factor * entropy(db, cb)
+    if 0 in diff:
+        raise ValidationError(f"entropy comparison not certified: the enclosure {diff} holds 0")
+    return 1 if diff > 0 else -1
 
 
 # ---------------------------------------------------------------------------

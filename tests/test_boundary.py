@@ -110,6 +110,12 @@ def test_sample_boundary_validation(monkeypatch):
 
 
 @pytest.mark.parametrize("mu", [semi(2), srw(2)], ids=["semigroup", "group"])
+def test_sample_boundary_refuses_a_pair_measure(mu):
+    with pytest.raises(ValidationError, match="needs a single-coordinate measure"):
+        sample_boundary(measures.build_pi_rho(mu, 0.5), 0.5, horizon=10, trials=10, seed=1)
+
+
+@pytest.mark.parametrize("mu", [semi(2), srw(2)], ids=["semigroup", "group"])
 def test_sample_boundary_refuses_keep_depth_past_every_letter(mu):
     # no sample has letters past horizon x longest atom = 50, so a deeper
     # keep_depth is refused before its letter arrays are allocated

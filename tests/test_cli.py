@@ -167,6 +167,23 @@ def test_parse_config_dimension_depths_name_the_option():
             parse_config("dimension", None, {**base, "rho_grid": [0.2, 0.8], key: 0})
 
 
+def test_cli_dimension_horizon_one_names_the_horizon(tmp_path):
+    # the default t_grid is 1..min(20, horizon), one depth at horizon 1: the
+    # refusal names the key that was set, not the t_grid that was not
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"spec_version": 1, "group": "free_semigroup:2", "rho": 0.5,
+                               "horizon": 1, "seed": 1}))
+    r = CliRunner().invoke(main, ["dimension", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert r.exit_code == 2, r.output
+    assert "horizon 1 leaves the default t_grid one depth" in r.output
+    assert "give a horizon >= 2, or a t_grid" in r.output
+    # at horizon 2 the default t_grid is [1, 2], and an explicit one is read as given
+    assert parse_config("dimension", str(cfg), {"horizon": 2}).t_grid == (1, 2)
+    two_letters = {"rank": 2, "kind": "single", "atoms": [{"word": [1, 2], "weight": 1}]}
+    given = parse_config("dimension", str(cfg), {"measure": two_letters, "t_grid": [1, 2]})
+    assert given.t_grid == (1, 2) and given.horizon == 1
+
+
 # ---------------------------------------------------------------------------
 # exit codes (subprocess)
 

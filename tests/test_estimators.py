@@ -10,14 +10,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from noisewalk import walkers
-from noisewalk.errors import BudgetError, InputError, ValidationError
+from noisewalk import estimators, walkers
+from noisewalk.errors import (
+    BudgetError,
+    InputError,
+    TruncationError,
+    UnsupportedRegimeError,
+    ValidationError,
+)
 from noisewalk.estimators import (
+    DEFAULT_N_MAX,
     EstimateResult,
     _tv_pair_convolution,
     _tv_pair_readout,
     _tv_value_classes,
     drift_mc,
+    entropy_estimate,
     entropy_exact_curve,
     entropy_rate_estimate,
     rho_sweep,
@@ -240,6 +248,38 @@ def test_tv_exact_matches_enumeration_on_group():
                 brute_force_convolution(pi, n), brute_force_convolution(mumu, n)
             )
             assert tv_exact(mu, rho, n) == expect
+
+
+def test_tv_exact_of_a_float_step_on_a_cancelling_support_matches_enumeration():
+    # a float mu is its own as_float(), so the marginal levels convolve mu itself
+    mu = build_measure([((1,), 0.4), ((-1,), 0.1), ((2,), 0.3), ((-2,), 0.2)])
+    assert mu.as_float() is mu
+    got = tv_exact_curve(mu, 0.3, 3)
+    assert got == pytest.approx([0.49, 0.515536, 0.535246432], abs=1e-12)
+    pi, mumu = build_pi_rho(mu, 0.3), independent_pair(mu)
+    for n, v in enumerate(got, 1):
+        expect = tv_distance(brute_force_convolution(pi, n), brute_force_convolution(mumu, n))
+        assert v == pytest.approx(expect, abs=1e-12)
+
+
+@pytest.mark.parametrize("estimate", [
+    lambda pi: tv_exact_curve(pi, 0.5, 2),
+    lambda pi: tv_lower_bound_mc(pi, 0.5, 5, trials=10, seed=1),
+], ids=["tv_exact_curve", "tv_lower_bound_mc"])
+def test_tv_estimators_refuse_a_pair_measure(estimate):
+    with pytest.raises(ValidationError, match="single-coordinate"):
+        estimate(build_pi_rho(srw(2), 0.5))
+
+
+@pytest.mark.parametrize("fields, match", [
+    ({"std_error": -0.1}, "std_error must be nonnegative"),
+    ({"value": 0.7}, r"estimate 0.7 outside its interval \[0.4, 0.6\]"),
+], ids=["negative-std-error", "value-outside-interval"])
+def test_estimate_result_refuses_a_bad_interval(fields, match):
+    shape = {"value": 0.5, "std_error": 0.1, "ci_low": 0.4, "ci_high": 0.6, "n": 1,
+             "trials": 2, "method": "m"}
+    with pytest.raises(ValidationError, match=match):
+        EstimateResult(**{**shape, **fields})
 
 
 def test_tv_exact_refuses_more_value_classes_than_the_cap():
@@ -465,6 +505,44 @@ def test_tv_lower_bound_validation():
         tv_lower_bound_mc(srw(2), 0.5, 10, trials=100, seed=1, threshold_frac=1.5)
 
 
+def test_entropy_estimate_routes_to_the_pointwise_or_the_exact_estimator():
+    # auto: pointwise on uniform semigroup letters at a given rho, exact otherwise
+    assert entropy_estimate(semi(2), 0.5, 200, 20, 3, 4) == (
+        shannon_pointwise(2, 0.5, 200, 20, 3),)
+    for mu, rho, method, step in ((srw(2), 0.5, "auto", build_pi_rho(srw(2), 0.5)),
+                                  (semi(2), None, "auto", semi(2)),
+                                  (semi(2), 0.5, "exact", build_pi_rho(semi(2), 0.5))):
+        *levels, rate = entropy_estimate(mu, rho, 200, 20, 3, 4, method=method)
+        assert tuple(levels) == entropy_exact_curve(step, 4)
+        assert rate == entropy_rate_estimate(tuple(levels))
+    # strict refuses a level the cap would cut; otherwise the cut is flagged
+    with pytest.raises(TruncationError):
+        entropy_estimate(srw(2), 0.5, 1, 1, 1, 3, cap=1000, strict=True)
+    *levels, rate = entropy_estimate(srw(2), 0.5, 1, 1, 1, 3, cap=1000)
+    assert levels[-1].details["truncated"] and rate.n == 2
+
+
+@pytest.mark.parametrize("mu, rho, method, n_max, error, match", [
+    (srw(2), 0.5, "pointwise", 4, UnsupportedRegimeError, "two or more semigroup letters"),
+    (semi(1), 0.5, "pointwise", 4, UnsupportedRegimeError, "two or more semigroup letters"),
+    (semi(2), None, "pointwise", 4, ValidationError, "pointwise entropy needs rho"),
+    (srw(2), 0.5, "auto", 1, ValidationError, "need at least two untruncated levels"),
+    (semi(2), None, "auto", 1, ValidationError, "need at least two untruncated levels"),
+    (semi(2), 0.5, "exact", 1, ValidationError, "need at least two untruncated levels"),
+    (semi(2), 0.5, "pointwize", 4, InputError, "method must be auto, pointwise or exact"),
+], ids=["pointwise-group", "pointwise-one-letter", "pointwise-no-rho", "auto-group",
+        "auto-no-rho", "exact-semigroup", "unknown-method"])
+def test_entropy_estimate_refuses_before_any_work(monkeypatch, mu, rho, method, n_max, error,
+                                                  match):
+    def unreached(*args, **kwargs):
+        raise AssertionError("work began before the refusal")
+
+    for name in ("shannon_pointwise", "build_pi_rho", "iter_convolution_levels"):
+        monkeypatch.setattr(estimators, name, unreached)
+    with pytest.raises(error, match=match):
+        entropy_estimate(mu, rho, 10, 10, 1, n_max, method=method)
+
+
 # ---------------------------------------------------------------------------
 # sweep
 
@@ -512,6 +590,16 @@ def test_rho_sweep_group_uses_exact_curve():
     for _, (ent,) in points:
         assert "closed_form" not in ent.details
         assert ent.method == "entropy-increment"
+
+
+def test_rho_sweep_reads_default_n_max_levels_by_default():
+    # levels 7 and 8 of free_group:2 are cut at the default cap, so the
+    # default stops at 6, the deepest level that can give the increment
+    (_, (ent,)), = rho_sweep(srw(2), [0.5], n=100, trials=10, seed=1)
+    assert DEFAULT_N_MAX == 6 and ent.n == DEFAULT_N_MAX
+    assert ent.value == 1.355915545403132
+    assert rho_sweep(srw(2), [0.5], n=100, trials=10, seed=1,
+                     entropy_exact_max=DEFAULT_N_MAX)[0][1] == (ent,)
 
 
 def test_rho_sweep_refuses_one_exact_level_before_any_draw(monkeypatch):

@@ -11,6 +11,7 @@ import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -101,6 +102,39 @@ def test_build_measure_rejects_negative_and_empty():
         build_measure([])
     with pytest.raises(ValidationError):
         build_measure([((1,), 0)])
+
+
+PAIR = ((1,), (2,))
+
+
+@pytest.mark.parametrize("make, error, match", [
+    (lambda: FiniteMeasure((((1,), F(1)),), 1, "triple"), ValidationError,
+     "unknown measure kind 'triple'"),
+    (lambda: FiniteMeasure((), 1, "single"), ValidationError, "at least one atom"),
+    (lambda: build_measure([(1, F(1))]), InputError, "atom 1 is not a sequence"),
+    (lambda: build_measure([(PAIR, H), (((1,), (2,), (1,)), H)]), InputError,
+     "pair atom .* must be two letter sequences"),
+    # the first atom sets the kind, and an atom of the other kind is refused
+    (lambda: build_measure([(PAIR, H), ((1,), H)]), InputError,
+     r"pair atom \(1,\) must be two letter sequences"),
+    (lambda: build_measure([((1,), H), (PAIR, H)]), InputError,
+     r"letter \(1,\) is not a valid generator index"),
+    (lambda: build_measure([((1,), True)]), InputError, "weight True is not numeric"),
+    (lambda: build_measure([((1,), "1")]), InputError, "weight '1' is not numeric"),
+    (lambda: build_measure([((), F(1))]), ValidationError, "cannot infer rank"),
+    (lambda: build_measure([((1, -1), F(1))]), ValidationError, "cannot infer rank"),
+    (lambda: entropy_mass_spec([((1,), F(1))]), InputError, "cannot extract mass spec"),
+    (lambda: measure_from_json_dict([1]), InputError, "measure JSON must be an object"),
+    (lambda: measure_from_json_dict(
+        {"rank": 1, "kind": "single", "atoms": [{"word": [1], "weight": True}]}),
+     InputError, "weight True is not numeric"),
+], ids=["unknown-kind", "no-atoms", "atom-not-a-sequence", "three-part-pair",
+        "single-after-pair", "pair-after-single", "bool-weight", "string-weight",
+        "identity-only", "cancels-to-identity", "spec-of-a-list", "json-not-a-dict",
+        "json-bool-weight"])
+def test_measure_constructors_refuse_malformed_input(make, error, match):
+    with pytest.raises(error, match=match):
+        make()
 
 
 def test_build_measure_merges_unreduced_atoms():
@@ -1348,6 +1382,20 @@ def test_certified_compare_strict_signs():
     s_pi = entropy_mass_spec(pi)
     assert certified_entropy_compare(s_pi, s_mu) == 1  # H(pi) > H(mu)
     assert certified_entropy_compare(s_pi, s_mu, factor=2) == -1  # H(pi) < 2 H(mu)
+
+
+def test_certified_compare_signs_a_gap_far_below_1e_40():
+    # H(a) - H(b) is about 2.7e-51: the enclosure of the difference excludes 0
+    d, dps = 4 * 10**50, mpmath.iv.dps
+    a = (d, Counter({d // 4 + 1: 1, 3 * d // 4 - 1: 1}))
+    b = (d, Counter({d // 4: 1, 3 * d // 4: 1}))
+    assert certified_entropy_compare(a, b) == 1
+    assert certified_entropy_compare(b, a) == -1
+    # two uniform laws on four atoms, written over different denominators:
+    # no structural check sees the equality, and the enclosure holds 0
+    with pytest.raises(ValidationError, match="not certified"):
+        certified_entropy_compare((4, Counter({1: 4})), (8, Counter({2: 4})))
+    assert mpmath.iv.dps == dps  # the shared interval context is left as it was
 
 
 def test_certified_compare_rejects_float_and_truncated():

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from noisewalk.errors import BudgetError, InputError
+from noisewalk.errors import BudgetError, InputError, ValidationError
 from noisewalk.measures import (
     build_measure,
     build_pi_rho,
@@ -86,6 +86,15 @@ def test_tv_semigroup_independent_end_is_zero():
 def test_tv_semigroup_diagonal_end_one_step():
     for m in (2, 3, 4):
         assert abs(tv_semigroup(m, 0, 1) - (1 - 1 / m)) < 1e-15
+
+
+@pytest.mark.parametrize("a, b", [
+    (uniform_measure(2), build_pi_rho(uniform_measure(2), 0.5)),
+    (build_pi_rho(uniform_measure(2), 0.5), uniform_measure(2)),
+], ids=["single-pair", "pair-single"])
+def test_tv_distance_refuses_measures_of_two_kinds(a, b):
+    with pytest.raises(ValidationError, match="measures of one kind"):
+        tv_distance(a, b)
 
 
 def test_tv_distance_of_float_copies_is_the_exact_value():

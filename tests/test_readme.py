@@ -1,5 +1,6 @@
 """The README's Quick start commands and Python API example run as written."""
 
+import json
 import re
 import shlex
 from pathlib import Path
@@ -33,6 +34,30 @@ def test_readme_quick_start_runs(tmp_path, monkeypatch):
         r = runner.invoke(main, command[1:])
         assert r.exit_code == 0, (command, r.output)
     assert Path("runs/sweep/plot.svg").read_bytes() == drawn
+
+
+def test_readme_z_contrast_runs_and_reads_as_stated(tmp_path, monkeypatch):
+    # the config block is z.json; the figures in the prose are the runs' tv-exact
+    # values, rounded as printed
+    monkeypatch.chdir(tmp_path)
+    heading = "### Z against F_2"
+    Path("z.json").write_text(block(heading, "json"))
+    commands = [shlex.split(line) for line in block(heading, "sh").splitlines() if line.strip()]
+    assert [c[:2] for c in commands] == [["noisewalk", "tv"]] * 2
+    tv = []
+    for command in commands:
+        r = CliRunner().invoke(main, command[1:])
+        assert r.exit_code == 0, (command, r.output)
+        out = Path(command[command.index("--out") + 1])
+        records = [json.loads(line) for line in (out / "results.json").read_text().splitlines()]
+        tv.append({rec["n"]: rec["value"] for rec in records if rec["method"] == "tv-exact"})
+    z, f2 = tv
+    assert sorted(z) == list(range(1, 201)) and sorted(f2) == list(range(1, 7))
+    text = README.read_text()
+    prose = " ".join(text[text.index(heading):text.index("## CLI reference")].split())
+    for stated in (f"{z[1]:.2f} at n = 1", f"{z[200]:.3f} at n = 200",
+                   f"{f2[1]:.3f} at n = 1", f"{f2[6]:.3f} at n = 6"):
+        assert stated in prose, stated
 
 
 def test_readme_python_api_block_runs(capsys):

@@ -336,6 +336,15 @@ def test_step_indices_start_at_a_counter_and_run_forwards():
             walkers.step_indices(pi, 3, rng.STREAM_BOUNDARY, [0, 1], first, last)
 
 
+@pytest.mark.parametrize("walk", [
+    lambda mu: walkers.pair_prefix_lengths(mu, 10, 10, 1, rng.STREAM_TV_COUPLED),
+    lambda mu: walkers.boundary_prefixes(mu, 10, 10, 10, 1, rng.STREAM_BOUNDARY),
+], ids=["pair_prefix_lengths", "boundary_prefixes"])
+def test_pair_walks_refuse_a_single_measure(walk):
+    with pytest.raises(InputError, match="needs a pair measure"):
+        walk(uniform_measure(2))
+
+
 @pytest.mark.parametrize("group", ["free_semigroup", "free_group"])
 def test_boundary_prefixes_refuse_keep_depth_past_every_letter(group):
     pi = build_pi_rho(uniform_measure(2, inverse_free=group == "free_semigroup"), 0.5)
