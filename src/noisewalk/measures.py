@@ -27,7 +27,13 @@ a term plane, a row gather from the previous level held tails-major
 times one numerator.  A class's planes are added in atom order and in
 ``np.add.reduceat``'s own order, ``a0 + pairwise(a1, ...)``, as the
 chunked step adds a key's terms, so a level's bits depend on neither
-its form nor the chunk size.
+its form nor the chunk size.  A step's set-up makes a fixed number of
+numpy calls and a few per pattern, none per class: the preimage table
+of the heads (which source head each first word takes to each target)
+gives the patterns, that of the tails the classes, and one table serves
+both when the tails repeat the heads (the same words and the same codes
+on both sides, as on every pi_rho level).  A pattern's planes are one
+index of block rows, each class's planes a slice of it.
 
 A factored level stores one row per orbit of heads under the group of
 every permutation of the generators (with signs on a free group) acting
@@ -161,12 +167,15 @@ class FiniteMeasure:
         return rngmod.index_guide(self._cumulative)
 
 
-def _normalize_atom(raw, kind: str | None) -> tuple[Atom, str]:
-    """Reduce a raw atom and report its kind ("single" or "pair")."""
+def _normalize_atom(raw, kind: str | None, inferred: bool) -> tuple[Atom, str]:
+    """Reduce a raw atom and report its kind; refuse the other kind than an earlier atom's."""
     if not isinstance(raw, (tuple, list)):
         raise InputError(f"atom {raw!r} is not a sequence")
     seq = tuple(raw)
     looks_pair = len(seq) == 2 and all(isinstance(c, (tuple, list)) for c in seq)
+    if inferred and kind and (looks_pair if kind == "single" else
+                              not any(isinstance(c, (tuple, list)) for c in seq)):
+        raise InputError("measure support mixes single and pair atoms")
     if kind == "pair" or (kind is None and looks_pair):
         if not looks_pair:
             raise InputError(f"pair atom {raw!r} must be two letter sequences")
@@ -193,7 +202,7 @@ def build_measure(
     any_float = False
     for raw_atom, raw_w in support:
         # once the first atom sets the kind, an atom of the other kind is refused here
-        atom, inferred_kind = _normalize_atom(raw_atom, inferred_kind)
+        atom, inferred_kind = _normalize_atom(raw_atom, inferred_kind, kind is None)
         if isinstance(raw_w, bool):
             raise InputError(f"weight {raw_w!r} is not numeric")
         if isinstance(raw_w, float):
@@ -219,10 +228,8 @@ def build_measure(
     if not merged:
         raise ValidationError("measure support is empty after dropping zero weights")
 
-    words_iter: list[Word] = []
-    for a in merged:
-        words_iter.extend(a if inferred_kind == "pair" else (a,))
-    max_letter = max((abs(x) for w in words_iter for x in w), default=0)
+    max_letter = max((abs(x) for a in merged for w in (a if inferred_kind == "pair" else (a,))
+                      for x in w), default=0)
     if rank is None:
         if max_letter == 0:
             raise ValidationError("cannot infer rank from identity-only support")
@@ -231,14 +238,9 @@ def build_measure(
     if max_letter > rank:
         raise InputError(f"letter index {max_letter} exceeds rank {rank}")
 
-    if any_float:
-        total = math.fsum(merged.values())
-        if abs(total - 1.0) > WEIGHT_SUM_TOL:
-            raise ValidationError(f"weights sum to {total}, not 1")
-    else:
-        total = sum(merged.values(), Fraction(0))
-        if total != 1:
-            raise ValidationError(f"weights sum to {total}, not 1")
+    total = math.fsum(merged.values()) if any_float else sum(merged.values(), Fraction(0))
+    if abs(total - 1) > (WEIGHT_SUM_TOL if any_float else 0):
+        raise ValidationError(f"weights sum to {total}, not 1")
 
     atoms = tuple(sorted(merged.items(), key=lambda kv: kv[0]))
     return FiniteMeasure(atoms, rank, inferred_kind)
@@ -515,17 +517,12 @@ class ConvolutionLevel:
         """
         if self._entropy is not None:
             return self._entropy
-        terms = []
+        counts = self.mass_counts().items()
         if self.exact:
-            d = float(self.denominator)
-            logd = math.log(self.denominator)
-            for v, cnt in self.mass_counts().items():
-                w = v / d
-                terms.append(cnt * w * (logd - math.log(v)))
+            d, logd = float(self.denominator), math.log(self.denominator)
+            terms = [cnt * (v / d) * (logd - math.log(v)) for v, cnt in counts]
         else:
-            for v, cnt in self.mass_counts().items():
-                if v > 0:
-                    terms.append(-cnt * v * math.log(v))
+            terms = [-cnt * v * math.log(v) for v, cnt in counts if v > 0]
         self._entropy = math.fsum(terms)
         return self._entropy
 
@@ -584,15 +581,16 @@ def _counted(blocks: Iterable[tuple[np.ndarray, int]]) -> tuple[np.ndarray, np.n
     merges take O(N log N) for N runs in all, and memory stays within
     about twice the distinct values, plus ``_READ_BLOCK`` and one block.
     """
-    hist, pending, held = [], [], 0
+    hist, pending, held, edge = [], [], 0, np.ones(1, dtype=bool)
     for flat, k in blocks:
         flat.sort()
-        first = np.flatnonzero(np.r_[True, flat[1:] != flat[:-1]][: len(flat)])
-        cnt = np.diff(first, append=len(flat))
-        if k > 1:
-            cnt *= k
-        pending.append((flat[first], cnt))
-        held += len(first)
+        if len(edge) <= len(flat):  # edge[i]: a run starts at i; edge[0] stays set
+            edge = np.ones(len(flat) + 1, dtype=bool)
+        np.not_equal(flat[1:], flat[:-1], out=edge[1 : len(flat)])
+        edge[len(flat)] = True  # the end of the last run
+        first = np.flatnonzero(edge[: len(flat) + 1])
+        pending.append((flat[first[:-1]], (first[1:] - first[:-1]) * k))
+        held += len(first) - 1
         if held > max(_READ_BLOCK, len(hist[0][0]) if hist else 0):
             hist, pending, held = [_merged(hist + pending)], [], 0
     return _merged(hist + pending)
@@ -725,17 +723,18 @@ def _pairwise(terms: np.ndarray) -> np.ndarray:
     return terms[0]
 
 
-def _plane_sum(terms: np.ndarray) -> np.ndarray:
-    """Sum along axis 0, in place into ``terms[0]``, as ``np.add.reduceat`` adds a segment.
+def _plane_sum(first: np.ndarray, rest: np.ndarray) -> np.ndarray:
+    """Add the planes ``rest`` into ``first``, as ``np.add.reduceat`` adds a segment.
 
     That is ``a0 + pairwise(a1, ...)``, with numpy's ``pairwise_sum``
     (``_pairwise``): below 8 terms left to right; up to 128 eight lanes,
     each left to right, merged in a tree, then the rest left to right;
     above 128 two halves (the first a multiple of 8 terms), each so.
+    ``rest`` is overwritten.
     """
-    if len(terms) > 1:
-        terms[0] += _pairwise(terms[1:])
-    return terms[0]
+    if len(rest):
+        first += _pairwise(rest)
+    return first
 
 
 def _symmetric(step: FiniteMeasure, n: int, code: _WordCode,
@@ -802,23 +801,25 @@ def _relabelled(code: _WordCode, codes: np.ndarray) -> tuple[np.ndarray, np.ndar
     is the signed index of the image of a_i under word w's relabelling.
     """
     k = code.base - 1 if code.inverse_free else (code.base - 1) // 2
-    rows = np.arange(len(codes))
-    image = np.zeros((len(codes), k + 1), dtype=np.intp)  # column 0: no letter
+    # img[w * base + d]: the digit that word w's relabelling gives digit d, 0 while unseen
+    img = np.zeros(len(codes) * code.base, dtype=np.intp)
+    rows = np.arange(0, len(img), code.base)
     fresh = np.ones(len(codes), dtype=np.intp)
     out = np.zeros_like(codes)
     for d in _digits(code, codes):
-        sign = np.where(d > k, -1, 1)
-        gen = d - (d > k) * k
-        new = (d > 0) & (image[rows, gen] == 0)
-        image[rows[new], gen[new]] = sign[new] * fresh[new]
-        fresh += new
-        letter = image[rows, gen] * sign
-        out = out * code.base + np.where(letter < 0, k - letter, letter)
-    for i in range(1, k + 1):
-        unused = image[:, i] == 0
-        image[unused, i] = fresh[unused]
-        fresh += unused
-    return out, image[:, 1:]
+        at = rows + d
+        letter = img[at]
+        hit = np.flatnonzero((letter == 0) & (d > 0))
+        letter[hit] = img[at[hit]] = fresh[hit]
+        if not code.inverse_free:  # the inverse letter takes the inverse label
+            img[at[hit] + np.where(d[hit] > k, -k, k)] = fresh[hit] + k
+        fresh[hit] += 1
+        out = out * code.base + letter
+    image = img.reshape(-1, code.base)[:, 1 : k + 1]
+    image = np.where(image > k, k - image, image)  # digit k + i is a_i^-1
+    unused = image == 0
+    image[unused] = (fresh[:, None] + np.cumsum(unused, axis=1) - 1)[unused]
+    return out, image
 
 
 class _Orbits:
@@ -859,13 +860,15 @@ class _Orbits:
 class _ProductStep:
     """``_times_step``'s sums on a level held as factors (every head times one tail set).
 
-    Made as its plan, so the new level's factors and ``len`` are known
-    before any product.  A pattern's target heads go in batches of about
-    ``_CHUNK`` products: a batch's runs are gathered tails-major once,
-    each term plane (module docstring) is a row gather from them times an
-    atom's numerator, and each class is one row scatter of its
-    ``_plane_sum``.  Every first word of a product step meets every
-    second word, so the new level is factors.
+    Made as its plan, in a fixed number of numpy calls (module docstring),
+    so the new level's factors and ``len`` are known before any product.
+    A pattern's target heads go in batches of about ``_CHUNK`` products: a
+    batch's runs are gathered tails-major once, and all its term planes are
+    one row gather from them by the pattern's index, times the numerators.
+    The index puts every class's first plane first, tails in class order:
+    those rows are the batch's sums once ``_plane_sum`` adds each class's
+    other planes into them.  Every first word of a product step meets
+    every second word, so the new level is factors.
 
     This is the one place a level's orbit rows are decided: on a
     symmetric step (``symmetric``) of at least ``_ORBIT_PRODUCTS``
@@ -886,79 +889,101 @@ class _ProductStep:
     ):
         words, m, seconds = list(groups), len(tails), sorted({a[1] for a in atoms})
         targets, run = _preimages(code.times_words(heads, words))
-        tail_codes, source = _preimages(code.times_words(tails, seconds))
+        patterns, pattern_of = _row_patterns(run >= 0)
+        if words == seconds and np.array_equal(heads, tails):  # the tail side repeats it
+            tail_codes, source, classes, class_of = targets, run, patterns, pattern_of
+        else:
+            tail_codes, source = _preimages(code.times_words(tails, seconds))
+            classes, class_of = _row_patterns(source >= 0)
         size = len(targets) * len(tail_codes)
         if symmetric and size <= cap and len(heads) * m * len(atoms) >= _ORBIT_PRODUCTS:
             self.orbits = _Orbits(code, targets, tail_codes)
-            self.run, sizes = run[self.orbits.canon], self.orbits.sizes
+            stored = self.orbits.canon
+            self.run, sizes, pattern_of = run[stored], self.orbits.sizes, pattern_of[stored]
         else:
             self.orbits, self.run, sizes = None, run, np.ones(len(targets), dtype=np.intp)
-        patterns, pattern_of = _row_patterns(self.run >= 0)
-        classes, class_of = _row_patterns(source >= 0)
         second = np.array([seconds.index(a[1]) for a in atoms])
-        # per class: its target tails, and the source tail of each for each second word
-        members = (np.flatnonzero(class_of == c) for c in range(len(classes)))
-        tables = [(rows, source[rows].T) for rows in members]
-        # stored rows by pattern, then orbit size, then row
-        order = np.lexsort((sizes, pattern_of))
-        by_pattern = np.split(order, np.cumsum(np.bincount(pattern_of))[:-1])
-        self.plan = []  # per pattern: its groups, its batches of target heads, its planes
-        for reach, heads_p in zip(patterns, by_pattern):
-            gs = np.flatnonzero(reach)
-            # the pattern's atoms in atom order, each with the slot s of its group's
-            # run; a batch's block holds tail j of slot s's run in row s * m + j
-            slot, atom = np.array([(s, i) for s, g in enumerate(gs) for i in groups[words[g]]]).T
-            planes = []  # per class: its tails, its planes' block rows and numerators
-            for (rows, tail_of), reached in zip(tables, classes):
-                used = reached[second[atom]]
-                index = slot[used, None] * m + tail_of[second[atom[used]]]
-                planes.append((rows, index, num[atom[used]][:, None, None]))
-            batch = max(1, _CHUNK // (len(atom) * m))
-            self.plan.append((gs, np.split(heads_p, range(batch, len(heads_p), batch)), planes))
+        group = np.repeat(np.arange(len(words)), [len(groups[w]) for w in words])
+        # target tails in class order: class c has places start[c]:start[c] + count[c]
+        by_class, count = np.argsort(class_of, kind="stable"), np.bincount(class_of)
+        start, width = np.cumsum(count) - count, len(class_of)
+        # (pattern p, class c) has a plane per atom whose first word is in p and whose
+        # second word reaches c, in atom order.  A pattern's terms are every class's
+        # first plane, in class order, then the other planes, class by class
+        use = patterns[:, None, group] & classes[None, :, second]
+        used = use.sum(axis=2)
+        pat, cls, atom = np.nonzero(use)
+        later = np.ones(len(pat), dtype=bool)
+        later[np.cumsum(used) - used.ravel()] = False
+        pairs = np.argsort(pat * 2 + later, kind="stable")
+        pat, cls, atom = pat[pairs], cls[pairs], atom[pairs]
+        rows = count[cls]
+        at = np.repeat(second[atom] * width + start[cls] - np.cumsum(rows) + rows, rows)
+        # a term's block row: a batch's block holds tail j of the run of the
+        # pattern's s-th group in row s * m + j
+        slot = (np.cumsum(patterns, axis=1) - 1)[pat, group[atom]]
+        index = np.repeat(slot * m, rows) + source[by_class].T.ravel()[at + np.arange(len(at))]
+        factor = np.repeat(num[atom], rows)[:, None]
+        ends = [0, *np.cumsum(used @ count).tolist()]  # per pattern
+        rest = (used - 1) * count
+        others = (width + np.cumsum(rest, axis=1) - rest).tolist()
+        order = np.lexsort((sizes, pattern_of))  # stored rows by pattern, orbit size, row
+        cuts = np.cumsum(np.bincount(pattern_of, minlength=len(patterns))).tolist()
+        self.plan = []  # per pattern: groups, batches of target heads, terms, class sums
+        for p, (a, b) in enumerate(zip([0, *cuts], cuts)):
+            if a == b:  # no stored row has this pattern
+                continue
+            sums = [(s, s + k, r, n - 1) for s, k, r, n in zip(
+                start.tolist(), count.tolist(), others[p], used[p].tolist()) if n > 1]
+            # a head's terms are its products: one per atom and source tail
+            batch, t = max(1, _CHUNK // (ends[p + 1] - ends[p])), order[a:b]
+            self.plan.append((np.flatnonzero(patterns[p]),
+                              [t[i : i + batch] for i in range(0, len(t), batch)],
+                              index[ends[p] : ends[p + 1]], factor[ends[p] : ends[p + 1]], sums))
         self.factors = (targets, tail_codes)
         self.source_orbits = orbits
         self.vals = vals.reshape(-1, m)
+        self.place = np.argsort(by_class)  # each target tail's row in a batch's sums
 
     def batches(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """Yield each batch's stored rows and sums (tails-major), in reused buffers."""
+        """Yield each batch's stored rows and sums (a row per target tail, in class
+        order), in reused buffers."""
         m, width = self.vals.shape[1], len(self.factors[1])
         # sized for the widest batch of any pattern (its first)
-        widest = [(len(gs), len(ts[0]), planes) for gs, ts, planes in self.plan]
-        block_n = max(g * w * m for g, w, _ in widest)
-        terms_n = max(w * ix.size for _, w, planes in widest for _, ix, _ in planes)
-        gather_buf, block_buf, terms_buf, sums_buf = (np.empty(k, self.vals.dtype) for k in (
-            block_n, block_n, terms_n, width * max(w for _, w, _ in widest)))
+        block_n = max(len(gs) * len(ts[0]) * m for gs, ts, *_ in self.plan)
+        terms_n = max(len(ts[0]) * len(index) for _, ts, index, *_ in self.plan)
+        gather_buf, block_buf, terms_buf = (np.empty(k, self.vals.dtype) for k in (
+            block_n, block_n, terms_n))
         if self.source_orbits is not None:
             index_buf, flat = np.empty(block_n, np.intp), self.vals.reshape(-1)
-        for gs, batches, planes in self.plan:
+        for gs, batches, index, factor, sums in self.plan:
             for t in batches:
                 size = len(t) * len(gs) * m
                 gather = gather_buf[:size].reshape(len(t), len(gs), m)
                 src = self.run[t[:, None], gs]
                 # mode="clip" writes straight into out; the default buffers a copy
                 if self.source_orbits is None:
-                    np.take(self.vals, src, axis=0, out=gather, mode="clip")
+                    self.vals.take(src, axis=0, out=gather, mode="clip")
                 else:  # a source head's row: its orbit's stored row, permuted
                     at = index_buf[:size].reshape(gather.shape)
                     read = self.source_orbits
-                    np.take(read.perms, read.perm_of[src], axis=0, out=at, mode="clip")
+                    read.perms.take(read.perm_of[src], axis=0, out=at, mode="clip")
                     at += (read.row_of[src] * m)[:, :, None]
-                    np.take(flat, at, out=gather, mode="clip")
+                    flat.take(at, out=gather, mode="clip")
                 block = block_buf[:size].reshape(len(gs) * m, len(t))
                 block[...] = gather.reshape(len(t), -1).T
-                sums = sums_buf[: width * len(t)].reshape(width, len(t))
-                for rows, index, factor in planes:
-                    terms = terms_buf[: index.size * len(t)].reshape(*index.shape, len(t))
-                    np.take(block, index, axis=0, out=terms, mode="clip")
-                    terms *= factor
-                    sums[rows] = _plane_sum(terms)
-                yield t, sums
+                terms = terms_buf[: len(index) * len(t)].reshape(len(index), len(t))
+                block.take(index, axis=0, out=terms, mode="clip")
+                terms *= factor
+                for s, e, r, n in sums:  # a class's first plane plus its other n
+                    _plane_sum(terms[s:e], terms[r : r + n * (e - s)].reshape(n, e - s, len(t)))
+                yield t, terms[:width]
 
     def values(self) -> np.ndarray:
         """The new level's stored rows, row-major as stored heads x tails."""
         out_v = np.empty((len(self.run), len(self.factors[1])), dtype=self.vals.dtype)
         for t, sums in self.batches():
-            out_v[t] = sums.T
+            out_v[t] = sums[self.place].T
         return out_v.reshape(-1)
 
     @cached_property

@@ -116,9 +116,9 @@ PAIR = ((1,), (2,))
      "pair atom .* must be two letter sequences"),
     # the first atom sets the kind, and an atom of the other kind is refused
     (lambda: build_measure([(PAIR, H), ((1,), H)]), InputError,
-     r"pair atom \(1,\) must be two letter sequences"),
+     "measure support mixes single and pair atoms"),
     (lambda: build_measure([((1,), H), (PAIR, H)]), InputError,
-     r"letter \(1,\) is not a valid generator index"),
+     "measure support mixes single and pair atoms"),
     (lambda: build_measure([((1,), True)]), InputError, "weight True is not numeric"),
     (lambda: build_measure([((1,), "1")]), InputError, "weight '1' is not numeric"),
     (lambda: build_measure([((), F(1))]), ValidationError, "cannot infer rank"),
@@ -784,6 +784,36 @@ def test_deferred_readout_merges_to_the_one_shot_counts(chunk, block, monkeypatc
         assert_same_counts(got, one_shot_counts(lv.values))
 
 
+# values that blocks of either dtype draw from: floats, and Python ints past int64
+COUNTED_VALUES = {"float": [0.0, 1e-300, 0.1, 0.25, 1.0, 7.5],
+                  "object": [0, 1, 5, 2**62, 2**63, 2**70 + 1]}
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    kind=st.sampled_from(sorted(COUNTED_VALUES)),
+    blocks=st.lists(st.tuples(st.lists(st.integers(0, 5), max_size=12), st.integers(1, 4)),
+                    min_size=1, max_size=6),
+    read_block=st.sampled_from([1, 3, measures._READ_BLOCK]),
+)
+@example(kind="float", blocks=[([], 1)], read_block=1)  # one empty block
+@example(kind="object", blocks=[([3], 1), ([], 2), ([3, 3, 3], 3)], read_block=1)
+def test_counted_matches_a_counter(kind, blocks, read_block):
+    # each block's values count with its multiplicity k; merges follow _READ_BLOCK
+    pool = COUNTED_VALUES[kind]
+    dtype = np.float64 if kind == "float" else object
+    want = Counter()
+    for picks, k in blocks:
+        for i in picks:
+            want[pool[i]] += k
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(measures, "_READ_BLOCK", read_block)
+        uniq, cnt = measures._counted(
+            (np.array([pool[i] for i in picks], dtype=dtype), k) for picks, k in blocks)
+    assert uniq.tolist() == sorted(want) and cnt.tolist() == [want[v] for v in sorted(want)]
+    assert all(type(v) is type(pool[0]) for v in uniq.tolist())
+
+
 def test_readout_merges_take_linear_work_on_mostly_distinct_values(monkeypatch):
     # merging the waiting runs into the whole histogram at every batch is
     # quadratic: it merged 10,778 values for this level's deferred readout
@@ -840,6 +870,46 @@ def chunked_only(mp):
     the chunked step.
     """
     mp.setattr(measures, "_product_shape", lambda keys, stride: None)
+
+
+# a_1^(+-1) times a_2^(+-1): a product step whose two coordinates have different supports
+CROSS = build_measure([((x, y), F(1, 4)) for x in ((1,), (-1,)) for y in ((2,), (-2,))])
+
+
+@pytest.mark.parametrize("orbits", [False, True], ids=["row-per-head", "orbit-rows"])
+@pytest.mark.parametrize("step, n, shared, symmetric", [
+    (build_pi_rho(srw(2), 0.5), 4, True, True),
+    (build_pi_rho(srw(2), F(1, 2)), 4, True, True),
+    (build_pi_rho(srw(3), 0.5), 3, True, False),  # floats in 1/72: not dyadic
+    (build_pi_rho(srw(3), F(1, 3)), 3, True, True),
+    (CROSS, 4, False, False),
+], ids=["F_2-float", "F_2-exact", "F_3-float", "F_3-exact", "cross"])
+def test_product_step_builds_one_preimage_table_when_the_tails_repeat_the_heads(
+        step, n, shared, symmetric, orbits, monkeypatch):
+    # the tails of pi_rho repeat its heads, so one table serves both sides
+    with pytest.MonkeyPatch.context() as mp:
+        chunked_only(mp)
+        want = [(lv.keys, lv.values, lv.mass_counts()) for lv in iter_convolution_levels(step, n)]
+    if orbits:  # orbit rows on every level a step makes, where the step allows
+        monkeypatch.setattr(measures, "_ORBIT_PRODUCTS", 0)
+    else:
+        monkeypatch.setattr(measures, "_symmetric", lambda *a: False)
+    calls, preimages = [], measures._preimages
+    monkeypatch.setattr(measures, "_preimages", lambda im: calls.append(1) or preimages(im))
+    per_level, by_orbit = [], []
+    for lv, (keys, vals, counts) in zip(iter_convolution_levels(step, n), want):
+        per_level.append(len(calls))
+        calls.clear()
+        by_orbit.append(lv._orbits is not None or getattr(lv._vals, "orbits", None) is not None)
+        assert_same_counts(lv.mass_counts(), counts)
+        heads, tails = lv.factors
+        stride = lv._code.stride
+        assert heads.tolist() == np.unique(keys // stride).tolist()
+        assert tails.tolist() == np.unique(keys % stride).tolist()
+        assert lv.keys.tolist() == keys.tolist()
+        assert lv.values.dtype == vals.dtype and lv.values.tobytes() == vals.tobytes()
+    assert per_level == [0] + [1 if shared else 2] * (n - 1)
+    assert by_orbit == [False] + [orbits and symmetric] * (n - 1)
 
 
 def factored_levels(step, n, cap=DEFAULT_CAP):
@@ -937,7 +1007,8 @@ def test_plane_sum_adds_in_reduceat_order():
         rows = np.moveaxis(planes, 0, -1).reshape(12, count)
         # the second of two segments per row, as the chunked step cuts them
         want = np.add.reduceat(np.hstack([rows[:, ::-1], rows]), [0, count], axis=1)[:, 1]
-        assert measures._plane_sum(planes.copy()).tobytes() == want.reshape(3, 4).tobytes()
+        terms = planes.copy()
+        assert measures._plane_sum(terms[0], terms[1:]).tobytes() == want.reshape(3, 4).tobytes()
         left_to_right = functools.reduce(np.add, planes)
         reordered += left_to_right.tobytes() != want.reshape(3, 4).tobytes()
     assert reordered > 250  # a plain left-to-right sum would not pass
