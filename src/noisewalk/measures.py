@@ -910,12 +910,11 @@ class _ProductStep:
         # (pattern p, class c) has a plane per atom whose first word is in p and whose
         # second word reaches c, in atom order.  A pattern's terms are every class's
         # first plane, in class order, then the other planes, class by class
-        use = patterns[:, None, group] & classes[None, :, second]
-        used = use.sum(axis=2)
-        pat, cls, atom = np.nonzero(use)
-        later = np.ones(len(pat), dtype=bool)
-        later[np.cumsum(used) - used.ravel()] = False
-        pairs = np.argsort(pat * 2 + later, kind="stable")
+        pat, atom = np.nonzero(patterns[:, group])
+        cls, k = np.nonzero(classes[:, second[atom]])  # by class, then pattern and atom
+        pat, atom, key = pat[k], atom[k], pat[k] * len(classes) + cls
+        used = np.bincount(key, minlength=len(patterns) * len(classes)).reshape(len(patterns), -1)
+        pairs = np.lexsort((atom, cls, np.r_[False, key[1:] == key[:-1]], pat))
         pat, cls, atom = pat[pairs], cls[pairs], atom[pairs]
         rows = count[cls]
         at = np.repeat(second[atom] * width + start[cls] - np.cumsum(rows) + rows, rows)
