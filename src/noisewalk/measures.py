@@ -860,8 +860,8 @@ class _Orbits:
 class _ProductStep:
     """``_times_step``'s sums on a level held as factors (every head times one tail set).
 
-    Made as its plan, in a fixed number of numpy calls (module docstring),
-    so the new level's factors and ``len`` are known before any product.
+    Made as its plan, with no numpy call per class (module docstring), so
+    the new level's factors and ``len`` are known before any product.
     A pattern's target heads go in batches of about ``_CHUNK`` products: a
     batch's runs are gathered tails-major once, and all its term planes are
     one row gather from them by the pattern's index, times the numerators.
