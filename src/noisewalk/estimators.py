@@ -13,6 +13,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain, repeat
 from typing import Iterator
 
 import numpy as np
@@ -258,10 +259,7 @@ def _tv_value_classes(mu: FiniteMeasure, rho_w, n_max: int, cap: int) -> Iterato
             for (a, b), c in cur.items():
                 for (da, db), dc in step.items():
                     key = (a * da, b * db)
-                    if key in new:
-                        new[key] += c * dc
-                    else:
-                        new[key] = c * dc
+                    new[key] = new.get(key, 0) + c * dc
             if len(new) > cap:
                 raise BudgetError(f"value-class count {len(new)} exceeds cap {cap}")
             cur = new
@@ -286,29 +284,38 @@ def _tv_pair_convolution(mu: FiniteMeasure, rho_w, n_max: int, cap: int) -> Iter
         iter_convolution_levels(pi, n_max, cap=cap, strict=True),
         iter_convolution_levels(marginal, n_max, cap=cap, strict=True),
     ):
-        yield _tv_pair_readout(lv_pi, lv_mu)
+        yield _tv_readout(lv_pi, lv_mu)
 
 
-def _tv_pair_readout(lv_pi: ConvolutionLevel, lv_mu: ConvolutionLevel) -> Weight:
-    """TV of one pi level against the product of one mu level with itself."""
-    # the coordinate words of pi's atoms, read off as codes, index the mu
-    # level; a factored level is read once per head and once per tail, and
-    # b is their outer product, the same products in the same layout
-    factors = lv_pi.factors
-    mu_u, mu_v = (lv_mu.values_at(c) for c in factors or lv_pi.coordinate_codes())
-    exact = lv_pi.exact and lv_mu.exact
-    if exact:  # object arrays: Python int arithmetic, no int64 overflow
-        mu_u, mu_v = mu_u.astype(object), mu_v.astype(object)
-    b = np.multiply.outer(mu_u, mu_v).reshape(-1) if factors else mu_u * mu_v
-    if exact:
-        d_pi = lv_pi.denominator
-        d_mu2 = lv_mu.denominator**2
-        a = lv_pi.values.astype(object)
-        s = np.abs(a * d_mu2 - b * d_pi).sum() + (d_mu2 - b.sum()) * d_pi
-        return Fraction(int(s), 2 * d_pi * d_mu2)
-    terms = np.abs(lv_pi.values - b).tolist()
-    terms.append(max(0.0, 1.0 - math.fsum(b.tolist())))
-    return math.fsum(terms) / 2
+def _tv_readout(lv_pi: ConvolutionLevel, lv_mu: ConvolutionLevel) -> Weight:
+    """TV of one pi level against the product of one mu level with itself.
+
+    The pi level is read by ``ConvolutionLevel.blocks``, never built whole.
+    pi_rho's marginals are mu, so mu^n x mu^n is invariant under the group
+    of the level's orbits: a stored row's terms |a - b| are those of every
+    head of its orbit, permuted, and enter once per head.  sum(b) is read
+    off the level's heads x tails.  Exact terms are Python ints (object
+    arrays); ``math.fsum`` sees each atom's float term, in any order.
+    """
+    def at(codes):  # mu^n at each code; Python ints when exact, so no int64 overflow
+        mu = lv_mu.values_at(codes)
+        return mu.astype(object) if lv_pi.exact else mu
+
+    blocks = ((at(u) * at(v), vals, k) for u, v, vals, k in lv_pi.blocks())
+    if lv_pi.factors is None:  # b of every atom, a block at a time
+        products = (at(u) * at(v) for u, v, *_ in lv_pi.blocks())
+    else:
+        heads, tails = (at(c) for c in lv_pi.factors)
+        products = (h * tails for h in heads)
+    if lv_pi.exact:
+        d_pi, d_mu2 = lv_pi.denominator, lv_mu.denominator**2
+        s = sum(k * np.abs(vals.astype(object) * d_mu2 - b * d_pi).sum() for b, vals, k in blocks)
+        total = heads.sum() * tails.sum() if lv_pi.factors else sum(b.sum() for b in products)
+        return Fraction(int(s + (d_mu2 - total) * d_pi), 2 * d_pi * d_mu2)
+    total = math.fsum(chain.from_iterable(b.ravel().tolist() for b in products))
+    terms = chain.from_iterable(
+        row for b, vals, k in blocks for row in repeat(np.abs(vals - b).ravel().tolist(), k))
+    return math.fsum(chain(terms, [max(0.0, 1.0 - total)])) / 2
 
 
 def tv_exact_curve(

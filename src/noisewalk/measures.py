@@ -46,11 +46,9 @@ to find and read than the rows they save.  The head of a stored row is
 its orbit's shortlex-least member; another head reads that row through
 a permutation of the tails (``_Orbits``).  A step sums only the stored
 rows' target heads, in batches cut by ``_CHUNK`` alone from a pattern's
-rows in orbit-size order, and a readout counts each stored value once
-per head of its orbit, cutting a streamed batch where the orbit size
-changes.  Otherwise every head is a row of its own.  ``size`` and the
-cap count every atom; a level the cap cuts is summed for every head from
-its source's rows, and only ``ConvolutionLevel.values`` expands a level.
+rows in orbit-size order.  Otherwise every head is a row of its own.
+``size`` and the cap count every atom; a level the cap cuts is summed
+for every head from its source's rows, and only ``values`` expands one.
 
 Keys and numerators are int64 while they provably fit (keys below
 B**depth, squared for pairs; numerators up to the last level with
@@ -58,13 +56,12 @@ D**level <= 2**62) and Python ints in object arrays otherwise; the
 dtype follows from the input, never from an option, and the results
 are the same either way.
 
-A level's histogram readout (``mass_counts``, behind the entropies and
-the certified comparisons) counts the values one block of
-``_READ_BLOCK`` at a time and merges the blocks' (value, count) pairs,
-so it copies no whole level; the block does not follow ``_CHUNK``.
-The deepest level of a run, made by a product step and not cut, is built
-only when its values are read: its readout counts each batch of the last
-step and drops it, so an entropy run to n holds level n - 1 plus one batch.
+Every readout reads a level a block at a time (``ConvolutionLevel.blocks``),
+each stored value once with its orbit's size: the histogram (``mass_counts``,
+behind the entropies and the certified comparisons) and the exact TV.  The
+deepest level of a run, made by a product step and not cut, is read off its
+last step's batches and built only when its values are read, so an entropy
+or TV run to n holds level n - 1 plus one batch.
 """
 
 from __future__ import annotations
@@ -399,10 +396,9 @@ class ConvolutionLevel:
     A factored level of a symmetric step (``_symmetric``: an invariant
     step and exact level arithmetic) may store one row per orbit of heads
     (``_Orbits``), as its ``_ProductStep`` decides; ``size`` still counts
-    every atom, ``mass_counts`` counts each stored value once per head of
-    its orbit (an unbuilt level cuts its step's batches where the orbit
-    size changes), and ``values`` (behind ``iter_items``, ``values_at``
-    and ``to_measure``) alone expands the level, once, and keeps that.
+    every atom, ``blocks`` gives each stored value with its orbit's size,
+    and ``values`` (behind ``iter_items``, ``values_at`` and
+    ``to_measure``) alone expands the level, once, and keeps that.
     """
 
     level: int
@@ -416,6 +412,7 @@ class ConvolutionLevel:
     _code: _WordCode = field(repr=False)
     _orbits: _Orbits | None = field(default=None, repr=False)
     _entropy: float | None = field(default=None, init=False, repr=False, compare=False)
+    _hist: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def exact(self) -> bool:
@@ -430,7 +427,7 @@ class ConvolutionLevel:
     @property
     def size(self) -> int:
         """Number of atoms, every head of a factored level counted."""
-        return _size(self._support, self._vals)
+        return _size(self._support)
 
     @property
     def factors(self) -> tuple[np.ndarray, np.ndarray] | None:
@@ -469,19 +466,15 @@ class ConvolutionLevel:
     def values(self) -> np.ndarray:
         """Values (numerators or floats) in key order; built and expanded on the first read."""
         if not isinstance(self._vals, np.ndarray):
-            self._vals = self._vals.values()
+            self._vals, self._hist = self._vals.values(), None
         if self._orbits is not None:
             self._vals, self._orbits = self._orbits.expand(self._vals), None
         return self._vals
 
     def coordinate_codes(self) -> list[np.ndarray]:
         """Shortlex code of each coordinate word (one array per coordinate), in key order."""
-        if self.factors is not None:
-            heads, tails = self.factors
-            return [np.repeat(heads, len(tails)), np.tile(tails, len(heads))]
-        if self.kind == "pair":
-            return [self._support // self._code.stride, self._support % self._code.stride]
-        return [self._support]
+        keys, stride = self.keys, self._code.stride
+        return [keys // stride, keys % stride] if self.kind == "pair" else [keys]
 
     def values_at(self, codes: np.ndarray) -> np.ndarray:
         """Stored value of the single-walk atom with each shortlex code, 0 where none.
@@ -493,20 +486,50 @@ class ConvolutionLevel:
         pos = np.minimum(np.searchsorted(keys, codes), self.size - 1)
         return np.where(keys[pos] == codes, self.values[pos], 0)
 
+    def blocks(self) -> Iterator[tuple[np.ndarray, np.ndarray | None, np.ndarray, int]]:
+        """(first codes, second codes, values, multiplicity) of blocks holding each value once.
+
+        The codes broadcast against the values (a single level has no second
+        codes) and a value counts once per head of its orbit.  Keys come in
+        ``_READ_BLOCK`` slices.  Stored rows come whole, in orbit-size order,
+        about ``_READ_BLOCK`` values at a time, and an unbuilt level as its
+        step's batches; both tails-major, cut where the orbit size changes.
+        The values are a copy or the batch buffer, so a reader may sort them.
+        """
+        vals, stride = self._vals, self._code.stride
+        if self.factors is None:
+            for i in range(0, max(len(vals), 1), _READ_BLOCK):
+                keys = self._support[i : i + _READ_BLOCK]
+                u, v = (keys // stride, keys % stride) if self.kind == "pair" else (keys, None)
+                yield u, v, vals[i : i + _READ_BLOCK].copy(), 1
+            return
+        heads, tails = self.factors
+        sizes = np.ones(len(heads), dtype=np.intp)
+        if self._orbits is not None:
+            heads, sizes = heads[self._orbits.canon], self._orbits.sizes
+        if isinstance(vals, np.ndarray):  # stored rows in orbit-size order, as batches
+            rows, order = vals.reshape(len(heads), -1), np.argsort(sizes, kind="stable")
+            step = max(1, _READ_BLOCK // len(tails))
+            batches = ((t, rows[t].T) for t in np.split(order, range(step, len(order), step)))
+            tails = tails[:, None]
+        else:
+            batches, tails = vals.batches(), tails[np.argsort(vals.place)][:, None]  # class order
+        for t, sums in batches:
+            k = sizes[t]
+            cut = [0, *(np.flatnonzero(k[1:] != k[:-1]) + 1), len(t)]
+            for a, b in zip(cut, cut[1:]):
+                yield heads[t[a:b]], tails, sums[:, a:b], int(k[a])
+
     def mass_counts(self) -> Counter:
         """Multiplicity of each distinct stored value (numerator or float), in value order.
 
-        A built level is counted in copies of ``_READ_BLOCK`` stored values,
-        so no copy of the whole level is made, each stored row as often as
-        its orbit has heads; an unbuilt level counts its step's batches
-        (``_counted``).
+        Counted from ``blocks`` (``_counted``); an unbuilt level keeps its
+        histogram, so its last step runs once for every readout.
         """
-        vals = self._vals
-        if isinstance(vals, np.ndarray):
-            uniq, cnt = _counted(_stored_blocks(vals, self._orbits))
-        else:
-            uniq, cnt = vals.mass_counts
-        return Counter(dict(zip(uniq.tolist(), cnt.tolist())))
+        hist = self._hist or _counted((vals.ravel("A"), k) for *_, vals, k in self.blocks())
+        if not isinstance(self._vals, np.ndarray):
+            self._hist = hist
+        return Counter(dict(zip(hist[0].tolist(), hist[1].tolist())))
 
     def entropy_kept(self) -> float:
         """Sum of -w log w over kept atoms, in nats.
@@ -551,25 +574,9 @@ class ConvolutionLevel:
         return FiniteMeasure(tuple(atoms), self.rank, self.kind)
 
 
-def _size(support: Support, vals: np.ndarray | _ProductStep) -> int:
+def _size(support: Support) -> int:
     """Atoms of a level, every head times every tail when it is held as factors."""
-    if isinstance(support, tuple):
-        return len(support[0]) * len(support[1])
-    return len(vals)
-
-
-def _stored_blocks(vals: np.ndarray, orbits: _Orbits | None) -> Iterator[tuple[np.ndarray, int]]:
-    """Copies of about ``_READ_BLOCK`` stored values, each with the orbit size of its rows."""
-    if orbits is None:
-        for i in range(0, max(len(vals), 1), _READ_BLOCK):
-            yield vals[i : i + _READ_BLOCK].copy(), 1
-        return
-    rows = vals.reshape(len(orbits.sizes), -1)
-    step = max(1, _READ_BLOCK // rows.shape[1])  # whole rows, each block one orbit size
-    for k in np.unique(orbits.sizes):
-        of_size = np.flatnonzero(orbits.sizes == k)
-        for i in range(0, len(of_size), step):
-            yield rows[of_size[i : i + step]].reshape(-1), int(k)
+    return len(support[0]) * len(support[1]) if isinstance(support, tuple) else len(support)
 
 
 def _counted(blocks: Iterable[tuple[np.ndarray, int]]) -> tuple[np.ndarray, np.ndarray]:
@@ -783,15 +790,17 @@ def _digits(code: _WordCode, codes: np.ndarray) -> list[np.ndarray]:
     return digits[::-1]
 
 
-def _moved(code: _WordCode, table: np.ndarray, codes: np.ndarray) -> np.ndarray:
+def _moved(code: _WordCode, table: np.ndarray, codes: np.ndarray,
+           digits: list[np.ndarray] | None = None) -> np.ndarray:
     """Codes of the words with each letter digit d replaced by ``table[..., d]``."""
     moved = np.zeros(table.shape[:-1] + codes.shape, dtype=codes.dtype)
-    for d in _digits(code, codes):
+    for d in _digits(code, codes) if digits is None else digits:
         moved = moved * code.base + table[..., d]
     return moved
 
 
-def _relabelled(code: _WordCode, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _relabelled(code: _WordCode, codes: np.ndarray,
+                digits: list[np.ndarray] | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Codes of each word's first-appearance relabelling, and the relabelling.
 
     The word's first generator becomes a_1, with the sign that makes the
@@ -806,7 +815,7 @@ def _relabelled(code: _WordCode, codes: np.ndarray) -> tuple[np.ndarray, np.ndar
     rows = np.arange(0, len(img), code.base)
     fresh = np.ones(len(codes), dtype=np.intp)
     out = np.zeros_like(codes)
-    for d in _digits(code, codes):
+    for d in _digits(code, codes) if digits is None else digits:
         at = rows + d
         letter = img[at]
         hit = np.flatnonzero((letter == 0) & (d > 0))
@@ -830,16 +839,19 @@ class _Orbits:
     value(h, t) = value(g h, g t) for the g relabelling h, and
     ``perms[u, j]`` is the position of g_u(tails[j]) among the tails.
     ``canon`` indexes the heads of the stored rows, in head order, and
-    ``sizes`` counts each orbit's heads.
+    ``sizes`` counts each orbit's heads.  The heads are split into digits
+    once; ``perms`` reuses them when the tails are the heads.
     """
 
     def __init__(self, code: _WordCode, heads: np.ndarray, tails: np.ndarray):
-        relabelled, image = _relabelled(code, heads)
+        digits = _digits(code, heads)
+        relabelled, image = _relabelled(code, heads, digits)
         canon, self.row_of = np.unique(relabelled, return_inverse=True)
         self.canon = np.searchsorted(heads, canon)
         self.sizes = np.bincount(self.row_of)
         self.gens, self.perm_of = _row_patterns(image)
         self.code, self.tails = code, tails
+        self.tail_digits = digits if tails is heads else None
 
     @cached_property
     def perms(self) -> np.ndarray:
@@ -847,7 +859,8 @@ class _Orbits:
         code, gens, k = self.code, self.gens, self.gens.shape[1]
         # per relabelling, the image digit of each letter digit
         signed = np.hstack([np.zeros((len(gens), 1), dtype=np.intp), gens, -gens])
-        moved = _moved(code, np.where(signed < 0, k - signed, signed)[:, : code.base], self.tails)
+        table = np.where(signed < 0, k - signed, signed)[:, : code.base]
+        moved = _moved(code, table, self.tails, self.tail_digits)
         return np.searchsorted(self.tails, moved.reshape(-1)).reshape(moved.shape)
 
     def expand(self, rows: np.ndarray) -> np.ndarray:
@@ -877,9 +890,7 @@ class _ProductStep:
     stored rows' target heads are summed.  A source with orbit rows
     (``orbits``) is gathered through each head's orbit permutation.  A
     pattern's stored rows are ordered by orbit size, then row, and cut
-    into batches by ``_CHUNK`` alone; the readout cuts a batch's columns
-    where the orbit size changes (``_blocks``), so each block counts
-    with one multiplicity.
+    into batches by ``_CHUNK`` alone.
     """
 
     def __init__(
@@ -984,26 +995,6 @@ class _ProductStep:
         for t, sums in self.batches():
             out_v[t] = sums[self.place].T
         return out_v.reshape(-1)
-
-    @cached_property
-    def mass_counts(self) -> tuple[np.ndarray, np.ndarray]:
-        """The new level's (value, count) histogram, counted once, a batch at a time."""
-        return _counted(self._blocks())
-
-    def _blocks(self) -> Iterator[tuple[np.ndarray, int]]:
-        """Each batch's sums, flat and cut where its rows' orbit size changes, with that size.
-
-        ``_counted`` sorts each block in place: a batch of one orbit size
-        is its buffer, which the next batch writes anew; a cut is a copy.
-        """
-        for t, sums in self.batches():
-            if self.orbits is None:
-                yield sums.reshape(-1), 1
-                continue
-            k = self.orbits.sizes[t]
-            cut = [0, *(np.flatnonzero(k[1:] != k[:-1]) + 1), len(t)]
-            for a, b in zip(cut, cut[1:]):
-                yield sums[:, a:b].reshape(-1), int(k[a])
 
 
 def _times_step(
@@ -1192,7 +1183,7 @@ def iter_convolution_levels(
                 support, orbits = vals.factors, vals.orbits
             else:
                 support, vals = _times_step(code, pair, atoms, groups, num, support, vals)
-        size = _size(support, vals)
+        size = _size(support)
         if size > cap and strict:
             raise TruncationError(
                 f"support size {size} exceeds cap {cap} at level {level}",

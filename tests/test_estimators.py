@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from noisewalk import estimators, walkers
+from noisewalk import estimators, measures, walkers
 from noisewalk.errors import (
     BudgetError,
     InputError,
@@ -22,7 +23,7 @@ from noisewalk.estimators import (
     DEFAULT_N_MAX,
     EstimateResult,
     _tv_pair_convolution,
-    _tv_pair_readout,
+    _tv_readout,
     _tv_value_classes,
     drift_mc,
     entropy_estimate,
@@ -323,20 +324,63 @@ def test_tv_exact_float_rho_on_group_matches_exact():
 
 
 def test_tv_readout_of_factored_levels_matches_key_readout():
-    # a factored pi level is read once per head and once per tail; the same
-    # level held as keys is read at both coordinates of every atom
+    # a factored pi level is read as its stored rows, each once per head of
+    # its orbit, and the deepest as its last step's batches; the same level
+    # held as keys is read at both coordinates of every atom
     mu = srw(2)
-    for rho in (F(1, 3), 0.3):
+    for rho, orbit_levels in ((F(1, 3), [5]), (0.5, [5]), (0.3, [])):
         pi = build_pi_rho(mu, rho)
         marginal = mu if pi.exact else mu.as_float()
+        by_orbit = []
         for lv_pi, lv_mu in zip(
             iter_convolution_levels(pi, 5), iter_convolution_levels(marginal, 5)
         ):
             assert lv_pi.factors is not None
-            keyed = dataclasses.replace(lv_pi, _support=lv_pi.keys)
-            assert keyed.factors is None
-            got, want = (_tv_pair_readout(lv, lv_mu) for lv in (lv_pi, keyed))
-            assert repr(got) == repr(want)
+            if lv_pi._orbits is not None:
+                by_orbit.append(lv_pi.level)
+            got = _tv_readout(lv_pi, lv_mu)
+            keyed = dataclasses.replace(lv_pi, _support=lv_pi.keys, _vals=lv_pi.values)
+            assert keyed.factors is None and keyed._orbits is None
+            assert repr(got) == repr(_tv_readout(keyed, lv_mu))
+        assert by_orbit == orbit_levels
+
+
+@st.composite
+def cancelling_steps(draw):
+    """Exact steps of 2-4 atoms of length 1-2 on F_2, at least one with an inverse letter."""
+    letters = (1, -1, 2, -2)
+    words = [(x,) for x in letters] + [(x, y) for x in letters for y in letters if x != -y]
+    atoms = draw(st.lists(st.sampled_from(words), min_size=2, max_size=4, unique=True))
+    if all(x > 0 for w in atoms for x in w):  # no other atom is all inverse letters
+        atoms[0] = tuple(-x for x in atoms[0])
+    weights = draw(st.lists(st.integers(1, 5), min_size=len(atoms), max_size=len(atoms)))
+    return build_measure([(a, F(w, sum(weights))) for a, w in zip(atoms, weights)], rank=2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(mu=cancelling_steps(), rho=st.sampled_from([F(0), F(1, 3), F(1)]), n=st.integers(1, 3))
+def test_tv_exact_curve_matches_enumeration_on_cancelling_steps(mu, rho, n):
+    # at rho = 0 the pair levels are the diagonal, held as keys
+    pi, mumu = build_pi_rho(mu, rho), independent_pair(mu)
+    assert not mu.inverse_free
+    assert tv_exact_curve(mu, rho, n) == [
+        tv_distance(brute_force_convolution(pi, i), brute_force_convolution(mumu, i))
+        for i in range(1, n + 1)]
+
+
+@pytest.mark.parametrize("rho", [F(1, 10), 0.9], ids=["exact", "float"])
+def test_tv_curve_holds_one_batch_of_its_deepest_level(rho):
+    # level 6 of pi on F_2 (1,194,649 atoms) was built and read whole, in
+    # object arrays when exact: the traced peak was 189.9 MiB exact and
+    # 92.4 MiB float; level 5 and one batch of the last step are left, read
+    # as 7.4 MiB exact and 15.4 MiB float.  A batch is about _CHUNK products
+    tracemalloc.start()
+    try:
+        tv_exact_curve(srw(2), rho, 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 8 * measures._CHUNK  # 24 MiB
 
 
 def test_tv_exact_curve_values_do_not_depend_on_n_max():
